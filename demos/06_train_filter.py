@@ -9,7 +9,7 @@ import random
 
 from localmine import LanguageTag, train_filter
 from localmine.embeddings import write_vector_file, FileVectorProvider
-from localmine.filtering import ScoredPair, embedding_gate
+from localmine.filtering import CorpusRecord, embedding_gate
 from localmine.lexicon import build_lexicon
 from localmine.text import make_segmenter
 
@@ -56,8 +56,8 @@ for ja, zh in probes:
 import tempfile
 from pathlib import Path
 
-pairs = [ScoredPair(ja="学生は新聞を読む。", zh="学生读报纸。"),
-         ScoredPair(ja="学生は新聞を読む。", zh="医生听音乐。")]
+pairs = [CorpusRecord(ja="学生は新聞を読む。", zh="学生读报纸。"),
+         CorpusRecord(ja="学生は新聞を読む。", zh="医生听音乐。")]
 with tempfile.TemporaryDirectory() as tmp:
     vectors = Path(tmp) / "vectors.jsonl"
     write_vector_file(vectors, {

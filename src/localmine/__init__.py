@@ -22,9 +22,9 @@ from .docalign import DocPair, doc_similarity, match_documents
 from .fetching import Fetch, FetchResponse, http_fetch, snapshot_fetch
 from .filtering import (
     BitextFilter,
+    CorpusRecord,
     FeatureVector,
     LabeledPair,
-    ScoredPair,
     embedding_gate,
     extract_features,
     score_pair,
@@ -43,7 +43,7 @@ from .lexicon import (
     reduce_dictionary,
 )
 from .model1 import NULL_TOKEN, TranslationTable, train_model1
-from .pipeline import CorpusRecord, SiteReport, dedupe, emit_report, run_pipeline
+from .pipeline import SiteReport, dedupe, emit_report, run_pipeline
 from .sentalign import (
     AlignmentLadder,
     Bead,

@@ -13,29 +13,27 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, dump_default_config, load_config
-from .crawl import CrawlBudget, crawl_site, dump_snapshot
-from .discovery import (
-    CandidateSite,
-    ingest_url_pairs,
-    iter_directory_records,
-    iter_warc_records,
-    scan_archive,
-    select_balanced_hosts,
-)
-from .fetching import http_fetch, snapshot_fetch
-from .filtering import BitextFilter, ScoredPair, embedding_gate, train_filter
+from .discovery import ingest_url_pairs
+from .filtering import BitextFilter, CorpusRecord
 from .lexicon import load_pair_tsv
 from .pipeline import (
-    CorpusRecord,
     SiteReport,
+    crawl_and_dump,
     dedupe,
+    discover_archive,
     emit_report,
+    fetch_for,
+    filter_candidates,
     mine_site,
+    read_sites,
+    resolve_lexicon,
+    resolve_provider,
     run_pipeline,
-    _resolve_lexicon,
-    _resolve_provider,
+    train_configured_filter,
+    write_corpus_tsv,
+    _read_jsonl,
+    _write_jsonl,
 )
-from .text import LanguageTag, make_segmenter
 
 logger = logging.getLogger(__name__)
 
@@ -110,36 +108,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _fetch_for(config: PipelineConfig):
-    if config.pipeline.snapshot_dir:
-        return snapshot_fetch(config.pipeline.snapshot_dir)
-    return http_fetch
-
-
-def _write_jsonl(path: str | Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
-def _read_jsonl(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
 def _cmd_discover_archive(args, config) -> int:
-    archive = Path(args.archive)
-    records = iter_directory_records(archive) if archive.is_dir() else iter_warc_records(archive)
-    scan = scan_archive(records)
-    sites = select_balanced_hosts(
-        scan.hosts.values(),
-        min_bytes=config.discovery.min_bytes,
-        min_balance=config.discovery.min_balance,
-        limit=config.discovery.limit,
-    )
+    scan, sites = discover_archive(args.archive, config)
     _write_jsonl(args.out, (s.to_json() for s in sites))
     print(f"{len(scan.hosts)} hosts scanned, {scan.skipped_records} records skipped, "
           f"{len(sites)} candidate sites -> {args.out}")
@@ -147,7 +117,7 @@ def _cmd_discover_archive(args, config) -> int:
 
 
 def _cmd_validate_urls(args, config) -> int:
-    sites, rows = ingest_url_pairs(args.submissions, _fetch_for(config), timeout=config.crawler.timeout)
+    sites, rows = ingest_url_pairs(args.submissions, fetch_for(config), timeout=config.crawler.timeout)
     _write_jsonl(args.out, (s.to_json() for s in sites))
     if args.rows_out:
         _write_jsonl(args.rows_out, (r.to_json() for r in rows))
@@ -156,38 +126,26 @@ def _cmd_validate_urls(args, config) -> int:
     return EXIT_OK
 
 
-def _load_sites_file(path: str) -> list[CandidateSite]:
-    return [CandidateSite.from_json(obj) for obj in _read_jsonl(path)]
-
-
 def _cmd_crawl(args, config) -> int:
-    fetch = _fetch_for(config)
-    budget = CrawlBudget(
-        max_seconds=config.crawler.max_seconds,
-        max_pages=config.crawler.max_pages,
-        max_bytes=config.crawler.max_bytes,
-        per_host_delay_ms=config.crawler.per_host_delay_ms,
-    )
+    fetch = fetch_for(config)
     failures = 0
-    for site in _load_sites_file(args.sites):
-        store = crawl_site(site, budget, fetch, timeout=config.crawler.timeout)
+    for site in read_sites(args.sites):
+        store = crawl_and_dump(site, config, fetch, Path(args.out_dir) / site.host / "pages")
         if store.crawl_failed:
             failures += 1
             print(f"{site.host}: crawl failed ({store.failure_reason})")
             continue
-        dump_snapshot(store, Path(args.out_dir) / site.host / "pages")
         print(f"{site.host}: {len(store.pages)} pages")
     return EXIT_SITE_ERRORS if failures else EXIT_OK
 
 
 def _cmd_mine(args, config) -> int:
-    fetch = _fetch_for(config)
-    lexicon = _resolve_lexicon(config)
+    fetch = fetch_for(config)
+    lexicon = resolve_lexicon(config)
     failures = 0
     total = 0
-    for site in _load_sites_file(args.sites):
-        site_dir = Path(args.out_dir) / site.host
-        outcome, aligned = mine_site(site, lexicon, config, fetch, site_dir)
+    for site in read_sites(args.sites):
+        outcome, _ = mine_site(site, lexicon, config, fetch, Path(args.out_dir) / site.host)
         if outcome.error:
             failures += 1
             print(f"{site.host}: {outcome.error}")
@@ -200,68 +158,24 @@ def _cmd_mine(args, config) -> int:
 
 
 def _cmd_train_filter(args, config) -> int:
-    lexicon = _resolve_lexicon(config)
     parallel = load_pair_tsv(args.parallel)
-    model = train_filter(
-        parallel,
-        lexicon,
-        make_segmenter(lexicon, LanguageTag.JA),
-        make_segmenter(lexicon, LanguageTag.ZH),
-        model1_iterations=config.filter.model1_iterations,
-        lm_order=config.filter.lm_order,
-        lm_k=config.filter.lm_k,
-        trees=config.filter.trees,
-        depth=config.filter.depth,
-        seed=config.pipeline.seed,
-        threshold=config.filter.threshold,
-    )
+    model = train_configured_filter(parallel, resolve_lexicon(config), config)
     model.save(args.out)
     print(f"filter trained on {len(parallel)} pairs -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_filter(args, config) -> int:
-    lexicon = _resolve_lexicon(config)
-    model = BitextFilter.load(args.model)
-    provider = _resolve_provider(config)
-    seg_ja = make_segmenter(lexicon, LanguageTag.JA)
-    seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
-    survivors: list[ScoredPair] = []
-    n_candidates = 0
-    for obj in _read_jsonl(args.pairs):
-        n_candidates += 1
-        ja, zh = obj["ja"], obj["zh"]
-        fv = model.features(ja, zh, seg_ja(ja), seg_zh(zh), lexicon)
-        score = model.score(fv)
-        if score >= config.filter.threshold:
-            survivors.append(
-                ScoredPair(
-                    ja=ja,
-                    zh=zh,
-                    url_ja=obj.get("url_ja", ""),
-                    url_zh=obj.get("url_zh", ""),
-                    doc_score=float(obj.get("doc_score", 0.0)),
-                    bead_cost=float(obj.get("bead_cost", 0.0)),
-                    filter_score=score,
-                )
-            )
-    if provider is not None:
-        survivors = embedding_gate(
-            survivors,
-            provider,
-            threshold=config.filter.embed_threshold,
-            keep_below=config.filter.embed_keep_below,
-        )
-    records = [
-        CorpusRecord(
-            ja=p.ja, zh=p.zh, src_url_ja=p.url_ja, src_url_zh=p.url_zh,
-            doc_score=p.doc_score, bead_cost=p.bead_cost,
-            filter_score=p.filter_score, embed_sim=p.embed_sim,
-        )
-        for p in survivors
-    ]
+    candidates = [CorpusRecord.from_raw_json(obj) for obj in _read_jsonl(args.pairs)]
+    records = filter_candidates(
+        candidates,
+        BitextFilter.load(args.model),
+        resolve_lexicon(config),
+        config,
+        resolve_provider(config),
+    )
     _write_jsonl(args.out, (r.to_json() for r in records))
-    print(f"{len(records)}/{n_candidates} pairs kept -> {args.out}")
+    print(f"{len(records)}/{len(candidates)} pairs kept -> {args.out}")
     return EXIT_OK
 
 
@@ -270,9 +184,7 @@ def _cmd_dedup(args, config) -> int:
     kept = list(dedupe(records, exact=not args.approximate))
     _write_jsonl(args.out, (r.to_json() for r in kept))
     if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8") as fh:
-            for record in kept:
-                fh.write(f"{record.ja}\t{record.zh}\n")
+        write_corpus_tsv(args.tsv, kept)
     print(f"{len(kept)} records -> {args.out}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import docalign, sentalign
+from .crawl import CrawlBudget
 from .discovery import DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
 
 
@@ -33,6 +34,14 @@ class CrawlerConfig:
     max_bytes: int = 256 * 1024 * 1024
     per_host_delay_ms: int = 100
     timeout: float = 30.0
+
+    def budget(self) -> CrawlBudget:
+        return CrawlBudget(
+            max_seconds=self.max_seconds,
+            max_pages=self.max_pages,
+            max_bytes=self.max_bytes,
+            per_host_delay_ms=self.per_host_delay_ms,
+        )
 
 
 @dataclass

@@ -305,7 +305,8 @@ def iter_warc_records(path: str | Path) -> Iterator[tuple[str, bytes]]:
 
     Handles response/resource records, strips an embedded HTTP header
     block when present and skips records without a target URI.
-    Truncated or malformed trailing data ends the stream quietly.
+    Truncated or malformed trailing data, a non-integer or negative
+    Content-Length included, ends the stream quietly.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as fh:
@@ -313,7 +314,14 @@ def iter_warc_records(path: str | Path) -> Iterator[tuple[str, bytes]]:
             header = _read_warc_header(fh)
             if header is None:
                 return
-            length = int(header.get("content-length", "0"))
+            raw_length = header.get("content-length", "0")
+            try:
+                length = int(raw_length)
+            except ValueError:
+                length = -1
+            if length < 0:
+                logger.warning("bad WARC Content-Length %r; stream ends here", raw_length[:40])
+                return
             payload = fh.read(length)
             if len(payload) < length:
                 return

@@ -62,17 +62,65 @@ class FeatureVector:
 
 
 @dataclass
-class ScoredPair:
-    """Candidate sentence pair with its scores and provenance URLs."""
+class CorpusRecord:
+    """One sentence pair from alignment candidate to corpus line: the
+    filter sets ``filter_score``, the embedding gate ``embed_sim``."""
 
     ja: str
     zh: str
-    url_ja: str = ""
-    url_zh: str = ""
+    src_url_ja: str = ""
+    src_url_zh: str = ""
     doc_score: float = 0.0
     bead_cost: float = 0.0
     filter_score: float = 0.0
     embed_sim: float | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "ja": self.ja,
+            "zh": self.zh,
+            "src_url_ja": self.src_url_ja,
+            "src_url_zh": self.src_url_zh,
+            "doc_score": round(self.doc_score, 4),
+            "bead_cost": round(self.bead_cost, 4),
+            "filter_score": round(self.filter_score, 4),
+            "embed_sim": None if self.embed_sim is None else round(self.embed_sim, 4),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "CorpusRecord":
+        return cls(
+            ja=obj["ja"],
+            zh=obj["zh"],
+            src_url_ja=obj.get("src_url_ja", ""),
+            src_url_zh=obj.get("src_url_zh", ""),
+            doc_score=float(obj.get("doc_score", 0.0)),
+            bead_cost=float(obj.get("bead_cost", 0.0)),
+            filter_score=float(obj.get("filter_score", 0.0)),
+            embed_sim=(None if obj.get("embed_sim") is None else float(obj["embed_sim"])),
+        )
+
+    def to_raw_json(self) -> dict:
+        """The unscored candidate row of ``raw_pairs.jsonl``."""
+        return {
+            "ja": self.ja,
+            "zh": self.zh,
+            "url_ja": self.src_url_ja,
+            "url_zh": self.src_url_zh,
+            "doc_score": round(self.doc_score, 4),
+            "bead_cost": round(self.bead_cost, 4),
+        }
+
+    @classmethod
+    def from_raw_json(cls, obj: dict) -> "CorpusRecord":
+        return cls(
+            ja=obj["ja"],
+            zh=obj["zh"],
+            src_url_ja=obj.get("url_ja", ""),
+            src_url_zh=obj.get("url_zh", ""),
+            doc_score=float(obj.get("doc_score", 0.0)),
+            bead_cost=float(obj.get("bead_cost", 0.0)),
+        )
 
 
 @dataclass
@@ -148,8 +196,10 @@ def synthesize_negatives(
 
     Negative schemes, drawn uniformly per positive: replace the target
     with another row's target, shuffle the target, or truncate the
-    target to its first 40%.  No generated negative equals its source
-    pair.
+    target to its first 40%.  When ten draws all fail (a one-character
+    target shuffles and truncates to itself), the next row's target,
+    cyclically, that differs is taken.  No generated negative equals
+    its source pair.
     """
     if len(positives) < 10:
         raise ValueError("need at least 10 positive pairs")
@@ -174,6 +224,10 @@ def synthesize_negatives(
             if candidate and candidate != zh:
                 negative = candidate
                 break
+        if negative is None:
+            n = len(positives)
+            later = (positives[(idx + step) % n][1] for step in range(1, n))
+            negative = next((c for c in later if c and c != zh), None)
         if negative is None:
             raise ValueError(f"cannot synthesize a distinct negative for row {idx}")
         rows.append(LabeledPair(ja, negative, 0))
@@ -211,16 +265,16 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def embedding_gate(
-    pairs: Sequence[ScoredPair],
+    pairs: Sequence[CorpusRecord],
     provider: EmbeddingProvider,
     threshold: float = DEFAULT_EMBED_THRESHOLD,
     keep_below: bool = False,
     counters: dict | None = None,
-) -> list[ScoredPair]:
+) -> list[CorpusRecord]:
     """Keep pairs whose sentence-vector cosine similarity clears the
     threshold (inclusive); provider failures drop the pair, counted,
     never fatal.  ``keep_below`` flips the comparison direction."""
-    kept: list[ScoredPair] = []
+    kept: list[CorpusRecord] = []
     if not pairs:
         return kept
     sentences: list[str] = []

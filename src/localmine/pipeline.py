@@ -5,6 +5,13 @@ and the mining report.
 Per-site results are written as soon as a site finishes, so a crash
 loses at most one site.  Runs are deterministic: with the same config,
 seed and snapshot inputs the corpus and report files are byte-identical.
+The CLI subcommands call the same stage functions as ``run_pipeline``.
+
+The benchmark tracer (``perfbench/tracer.py``) times each layer by
+rebinding this module's globals by name (the stage functions imported
+here, ``mine_site``, ``filter_candidates`` and ``_write_jsonl``, whose
+write of ``filtered.jsonl`` ends a site), so stages must keep those
+names and reach them through the module globals at call time.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .config import PipelineConfig
-from .crawl import BinaryExtractor, CrawlBudget, PageStore, crawl_site, dump_snapshot
+from .crawl import BinaryExtractor, PageStore, crawl_site, dump_snapshot
 from .discovery import (
     SOURCE_ARCHIVE,
     SOURCE_CROWD,
+    ArchiveScan,
     CandidateSite,
     UrlPairSubmission,
     ingest_url_pairs,
@@ -30,10 +38,16 @@ from .discovery import (
     scan_archive,
     select_balanced_hosts,
 )
-from .docalign import DocPair, match_documents
+from .docalign import match_documents
 from .embeddings import FileVectorProvider, HttpVectorProvider
 from .fetching import Fetch, http_fetch, snapshot_fetch
-from .filtering import BitextFilter, EmbeddingProvider, ScoredPair, embedding_gate, train_filter
+from .filtering import (
+    BitextFilter,
+    CorpusRecord,
+    EmbeddingProvider,
+    embedding_gate,
+    train_filter,
+)
 from .htmltext import EncodingError, extract_page
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
 from .sentalign import align_sentences, extract_pairs, format_ladder_tsv
@@ -47,43 +61,6 @@ _BUNDLED_DATA = Path(__file__).parent / "data"
 RecordFilter = Callable[["CorpusRecord"], bool]
 """Hook point in the record stream (e.g. a future content filter);
 returning False drops the record."""
-
-
-@dataclass
-class CorpusRecord:
-    ja: str
-    zh: str
-    src_url_ja: str = ""
-    src_url_zh: str = ""
-    doc_score: float = 0.0
-    bead_cost: float = 0.0
-    filter_score: float = 0.0
-    embed_sim: float | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ja": self.ja,
-            "zh": self.zh,
-            "src_url_ja": self.src_url_ja,
-            "src_url_zh": self.src_url_zh,
-            "doc_score": round(self.doc_score, 4),
-            "bead_cost": round(self.bead_cost, 4),
-            "filter_score": round(self.filter_score, 4),
-            "embed_sim": None if self.embed_sim is None else round(self.embed_sim, 4),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CorpusRecord":
-        return cls(
-            ja=obj["ja"],
-            zh=obj["zh"],
-            src_url_ja=obj.get("src_url_ja", ""),
-            src_url_zh=obj.get("src_url_zh", ""),
-            doc_score=float(obj.get("doc_score", 0.0)),
-            bead_cost=float(obj.get("bead_cost", 0.0)),
-            filter_score=float(obj.get("filter_score", 0.0)),
-            embed_sim=(None if obj.get("embed_sim") is None else float(obj["embed_sim"])),
-        )
 
 
 @dataclass
@@ -265,6 +242,25 @@ def pages_to_documents(
     return docs_ja, docs_zh
 
 
+def crawl_and_dump(
+    site: CandidateSite,
+    config: PipelineConfig,
+    fetch: Fetch,
+    pages_dir: Path | None,
+    binary_extractor: BinaryExtractor | None = None,
+) -> PageStore:
+    """Crawl one site under the ``[crawler]`` budget; a crawl that did
+    not fail is dumped as a snapshot into ``pages_dir`` when given."""
+    store = crawl_site(
+        site, config.crawler.budget(), fetch,
+        binary_extractor=binary_extractor,
+        timeout=config.crawler.timeout,
+    )
+    if pages_dir is not None and not store.crawl_failed:
+        dump_snapshot(store, pages_dir)
+    return store
+
+
 def mine_site(
     site: CandidateSite,
     lexicon: Lexicon,
@@ -272,30 +268,20 @@ def mine_site(
     fetch: Fetch,
     site_dir: Path | None = None,
     binary_extractor: BinaryExtractor | None = None,
-) -> tuple[SiteOutcome, list[tuple[DocPair, list[tuple[str, str, float]]]]]:
+) -> tuple[SiteOutcome, list[CorpusRecord]]:
     """Crawl one site and align it down to candidate sentence pairs.
 
-    Returns the outcome shell (records still empty) plus the aligned
-    pairs per document pair; the caller applies the filter stage.
+    Returns the outcome shell (records still empty) plus the unscored
+    candidates in document-pair order; the caller applies the filter
+    stage.
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
-    budget = CrawlBudget(
-        max_seconds=config.crawler.max_seconds,
-        max_pages=config.crawler.max_pages,
-        max_bytes=config.crawler.max_bytes,
-        per_host_delay_ms=config.crawler.per_host_delay_ms,
-    )
-    store = crawl_site(
-        site, budget, fetch,
-        binary_extractor=binary_extractor,
-        timeout=config.crawler.timeout,
-    )
+    pages_dir = site_dir / "pages" if site_dir is not None else None
+    store = crawl_and_dump(site, config, fetch, pages_dir, binary_extractor)
     if store.crawl_failed:
         outcome.error = f"crawl failed: {store.failure_reason}"
         return outcome, []
     outcome.n_pages = len(store.pages)
-    if site_dir is not None:
-        dump_snapshot(store, site_dir / "pages")
 
     docs_ja, docs_zh = pages_to_documents(store, lexicon, config, binary_extractor)
     outcome.n_docs_ja = len(docs_ja)
@@ -311,7 +297,7 @@ def mine_site(
     outcome.n_doc_pairs = len(doc_pairs)
 
     model = config.sentalign.length_model()
-    aligned: list[tuple[DocPair, list[tuple[str, str, float]]]] = []
+    candidates: list[CorpusRecord] = []
     ladder_dump: list[str] = []
     for pair in doc_pairs:
         ladder = align_sentences(
@@ -329,61 +315,49 @@ def mine_site(
             pair.doc_zh.sentences,
             max_cost=config.sentalign.max_bead_cost,
         )
-        outcome.n_candidates += len(pairs)
-        aligned.append((pair, pairs))
+        candidates.extend(
+            CorpusRecord(
+                ja=ja,
+                zh=zh,
+                src_url_ja=pair.doc_ja.url,
+                src_url_zh=pair.doc_zh.url,
+                doc_score=pair.score,
+                bead_cost=cost,
+            )
+            for ja, zh, cost in pairs
+        )
         ladder_dump.append(f"# {pair.doc_ja.url}\t{pair.doc_zh.url}")
         ladder_dump.append(format_ladder_tsv(ladder).rstrip("\n"))
+    outcome.n_candidates = len(candidates)
 
     if site_dir is not None:
         _write_jsonl(site_dir / "docpairs.jsonl", (p.to_json() for p in doc_pairs))
         (site_dir / "ladder.tsv").write_text(
             "\n".join(ladder_dump) + ("\n" if ladder_dump else ""), encoding="utf-8"
         )
-        _write_jsonl(
-            site_dir / "raw_pairs.jsonl",
-            (
-                {
-                    "ja": ja,
-                    "zh": zh,
-                    "url_ja": pair.doc_ja.url,
-                    "url_zh": pair.doc_zh.url,
-                    "doc_score": round(pair.score, 4),
-                    "bead_cost": round(cost, 4),
-                }
-                for pair, pairs in aligned
-                for ja, zh, cost in pairs
-            ),
-        )
-    return outcome, aligned
+        _write_jsonl(site_dir / "raw_pairs.jsonl", (c.to_raw_json() for c in candidates))
+    return outcome, candidates
 
 
 def filter_candidates(
-    aligned: list[tuple[DocPair, list[tuple[str, str, float]]]],
+    candidates: list[CorpusRecord],
     bitext_filter: BitextFilter,
     lexicon: Lexicon,
     config: PipelineConfig,
     provider: EmbeddingProvider | None,
 ) -> list[CorpusRecord]:
-    """Classifier scoring plus the optional embedding gate."""
+    """Set each candidate's classifier score and keep those reaching the
+    threshold, then apply the optional embedding gate."""
     seg_ja = make_segmenter(lexicon, LanguageTag.JA)
     seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
-    survivors: list[ScoredPair] = []
-    for pair, pairs in aligned:
-        for ja, zh, cost in pairs:
-            fv = bitext_filter.features(ja, zh, seg_ja(ja), seg_zh(zh), lexicon)
-            score = bitext_filter.score(fv)
-            if score >= config.filter.threshold:
-                survivors.append(
-                    ScoredPair(
-                        ja=ja,
-                        zh=zh,
-                        url_ja=pair.doc_ja.url,
-                        url_zh=pair.doc_zh.url,
-                        doc_score=pair.score,
-                        bead_cost=cost,
-                        filter_score=score,
-                    )
-                )
+    survivors: list[CorpusRecord] = []
+    for record in candidates:
+        fv = bitext_filter.features(
+            record.ja, record.zh, seg_ja(record.ja), seg_zh(record.zh), lexicon
+        )
+        record.filter_score = bitext_filter.score(fv)
+        if record.filter_score >= config.filter.threshold:
+            survivors.append(record)
     if provider is not None:
         survivors = embedding_gate(
             survivors,
@@ -391,19 +365,28 @@ def filter_candidates(
             threshold=config.filter.embed_threshold,
             keep_below=config.filter.embed_keep_below,
         )
-    return [
-        CorpusRecord(
-            ja=p.ja,
-            zh=p.zh,
-            src_url_ja=p.url_ja,
-            src_url_zh=p.url_zh,
-            doc_score=p.doc_score,
-            bead_cost=p.bead_cost,
-            filter_score=p.filter_score,
-            embed_sim=p.embed_sim,
-        )
-        for p in survivors
-    ]
+    return survivors
+
+
+def read_sites(path: str | Path) -> list[CandidateSite]:
+    return [CandidateSite.from_json(obj) for obj in _read_jsonl(path)]
+
+
+def discover_archive(
+    path: str | Path, config: PipelineConfig
+) -> tuple[ArchiveScan, list[CandidateSite]]:
+    """Scan a WARC file or record directory and select its balanced
+    hosts under the ``[discovery]`` settings."""
+    archive = Path(path)
+    records = iter_directory_records(archive) if archive.is_dir() else iter_warc_records(archive)
+    scan = scan_archive(records)
+    sites = select_balanced_hosts(
+        scan.hosts.values(),
+        min_bytes=config.discovery.min_bytes,
+        min_balance=config.discovery.min_balance,
+        limit=config.discovery.limit,
+    )
+    return scan, sites
 
 
 def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite], dict[str, int], list[UrlPairSubmission]]:
@@ -413,24 +396,11 @@ def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite
     intake = {SOURCE_ARCHIVE: 0, SOURCE_CROWD: 0, "crowd_errors": 0}
     submissions: list[UrlPairSubmission] = []
     if config.pipeline.sites:
-        for obj in _read_jsonl(Path(config.pipeline.sites)):
-            site = CandidateSite.from_json(obj)
+        for site in read_sites(config.pipeline.sites):
             sites.append(site)
             intake[site.source] = intake.get(site.source, 0) + 1
     if config.pipeline.archive:
-        archive = Path(config.pipeline.archive)
-        records = (
-            iter_directory_records(archive)
-            if archive.is_dir()
-            else iter_warc_records(archive)
-        )
-        scan = scan_archive(records)
-        found = select_balanced_hosts(
-            scan.hosts.values(),
-            min_bytes=config.discovery.min_bytes,
-            min_balance=config.discovery.min_balance,
-            limit=config.discovery.limit,
-        )
+        _, found = discover_archive(config.pipeline.archive, config)
         sites.extend(found)
         intake[SOURCE_ARCHIVE] += len(found)
     if config.pipeline.submissions:
@@ -451,18 +421,31 @@ def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite
     return deduped, intake, submissions
 
 
-def _resolve_lexicon(config: PipelineConfig) -> Lexicon:
+def fetch_for(config: PipelineConfig) -> Fetch:
+    """The snapshot fetch when ``[pipeline] snapshot_dir`` is set, else HTTP."""
+    if config.pipeline.snapshot_dir:
+        return snapshot_fetch(config.pipeline.snapshot_dir)
+    return http_fetch
+
+
+def resolve_lexicon(config: PipelineConfig) -> Lexicon:
     dictionary = config.lexicon.dictionary or str(_BUNDLED_DATA / "lexicon_ja_zh.tsv")
     char_map = config.lexicon.char_map or str(_BUNDLED_DATA / "kanji_simplified.tsv")
     return load_lexicon(dictionary, char_map)
 
 
-def _resolve_filter(config: PipelineConfig, lexicon: Lexicon) -> BitextFilter:
+def resolve_filter(config: PipelineConfig, lexicon: Lexicon) -> BitextFilter:
     if config.filter.model_path:
         return BitextFilter.load(config.filter.model_path)
     if not config.filter.train_corpus:
         raise ValueError("filter stage needs model_path or train_corpus")
-    parallel = load_pair_tsv(config.filter.train_corpus)
+    return train_configured_filter(load_pair_tsv(config.filter.train_corpus), lexicon, config)
+
+
+def train_configured_filter(
+    parallel: list[tuple[str, str]], lexicon: Lexicon, config: PipelineConfig
+) -> BitextFilter:
+    """``train_filter`` under the ``[filter]`` settings and the run seed."""
     return train_filter(
         parallel,
         lexicon,
@@ -478,7 +461,7 @@ def _resolve_filter(config: PipelineConfig, lexicon: Lexicon) -> BitextFilter:
     )
 
 
-def _resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
+def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
     if config.filter.embed_endpoint:
         return HttpVectorProvider(
             config.filter.embed_endpoint, batch_size=config.filter.embed_batch_size
@@ -496,14 +479,10 @@ def run_pipeline(
     """Execute every stage per the config; see the module docstring."""
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fetch: Fetch = (
-        snapshot_fetch(config.pipeline.snapshot_dir)
-        if config.pipeline.snapshot_dir
-        else http_fetch
-    )
-    lexicon = _resolve_lexicon(config)
-    bitext_filter = _resolve_filter(config, lexicon)  # fatal before any site runs
-    provider = _resolve_provider(config)
+    fetch = fetch_for(config)
+    lexicon = resolve_lexicon(config)
+    bitext_filter = resolve_filter(config, lexicon)  # fatal before any site runs
+    provider = resolve_provider(config)
     sites, intake, submissions = load_sites(config, fetch)
     if submissions:
         _write_jsonl(out_dir / "submissions.jsonl", (r.to_json() for r in submissions))
@@ -512,12 +491,12 @@ def run_pipeline(
         site_dir = out_dir / site.host
         site_dir.mkdir(parents=True, exist_ok=True)
         try:
-            outcome, aligned = mine_site(
+            outcome, candidates = mine_site(
                 site, lexicon, config, fetch, site_dir, binary_extractor
             )
             if not outcome.error:
                 outcome.records = filter_candidates(
-                    aligned, bitext_filter, lexicon, config, provider
+                    candidates, bitext_filter, lexicon, config, provider
                 )
             _write_jsonl(site_dir / "filtered.jsonl", (r.to_json() for r in outcome.records))
         except Exception as err:  # per-site failures never abort the run
@@ -550,9 +529,7 @@ def run_pipeline(
     corpus_jsonl = out_dir / "corpus.jsonl"
     corpus_tsv = out_dir / "corpus.tsv"
     _write_jsonl(corpus_jsonl, (r.to_json() for r in deduped))
-    with open(corpus_tsv, "w", encoding="utf-8") as fh:
-        for record in deduped:
-            fh.write(f"{record.ja}\t{record.zh}\n")
+    write_corpus_tsv(corpus_tsv, deduped)
 
     reports = _build_reports(outcomes, intake, deduped, kept_sources)
     report_json = out_dir / "report.json"
@@ -608,14 +585,22 @@ def _build_reports(
     return reports
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+def write_corpus_tsv(path: str | Path, records: Iterable[CorpusRecord]) -> None:
+    """The plain two-column corpus: ``ja<TAB>zh`` per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(f"{record.ja}\t{record.zh}\n")
+
+
+def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def _read_jsonl(path: Path) -> Iterator[dict]:
+def _read_jsonl(path: str | Path) -> Iterator[dict]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()

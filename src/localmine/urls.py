@@ -48,10 +48,6 @@ def registrable_domain(url_or_host: str) -> str:
     return ".".join(labels[-2:])
 
 
-def same_site(url: str, allowed_domains: frozenset[str] | set[str]) -> bool:
-    return registrable_domain(url) in allowed_domains
-
-
 def strip_lang_markers(
     url: str,
     markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,

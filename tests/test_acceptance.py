@@ -17,7 +17,7 @@ from localmine.config import load_config
 from localmine.crawl import CrawlBudget, crawl_site
 from localmine.docalign import match_documents
 from localmine.filtering import (
-    ScoredPair,
+    CorpusRecord,
     embedding_gate,
     extract_features,
     score_pair,
@@ -318,7 +318,7 @@ class TestAcceptance:
             return [sim, math.sqrt(max(0.0, 1 - sim * sim))]
 
         sims = [0.69, 0.70, 0.71]
-        pairs = [ScoredPair(ja=f"j{i}", zh=f"z{i}") for i in range(3)]
+        pairs = [CorpusRecord(ja=f"j{i}", zh=f"z{i}") for i in range(3)]
         vectors = []
         for sim in sims:
             vectors.append([1.0, 0.0])

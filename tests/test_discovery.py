@@ -227,6 +227,22 @@ class TestWarc:
         got = list(iter_warc_records(truncated))
         assert got == [("https://a.jp/1", b"<p>ok</p>")]
 
+    @pytest.mark.parametrize("length", ["12abc", "-5"])
+    def test_bad_content_length_ends_stream(self, tmp_path, length):
+        import gzip
+
+        good = tmp_path / "good.warc"
+        write_warc([("https://a.jp/1", b"<p>ok</p>")], good)
+        bad = (
+            b"WARC/1.0\r\nWARC-Type: response\r\n"
+            b"WARC-Target-URI: https://a.jp/2\r\nContent-Length: " + length.encode()
+            + b"\r\n\r\n<p>bad</p>\r\n\r\n"
+        )
+        path = tmp_path / "b.warc.gz"
+        path.write_bytes(gzip.compress(good.read_bytes() * 2 + bad + good.read_bytes()))
+        got = list(iter_warc_records(path))
+        assert got == [("https://a.jp/1", b"<p>ok</p>")] * 2
+
     def test_garbage_header_ends_stream(self, tmp_path):
         import gzip
 

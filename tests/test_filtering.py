@@ -8,8 +8,8 @@ from localmine.charlm import train_char_lm
 from localmine.filtering import (
     FEATURE_NAMES,
     BitextFilter,
+    CorpusRecord,
     FeatureVector,
-    ScoredPair,
     cosine_similarity,
     embedding_gate,
     extract_features,
@@ -124,6 +124,17 @@ class TestSynthesizeNegatives:
         with pytest.raises(ValueError):
             synthesize_negatives(self.POSITIVES[:5], seed=0)
 
+    def test_one_character_target_falls_back_to_next_row(self):
+        # "票" shuffles and truncates to itself; at seed 80 the random
+        # draws never pick the swap scheme with another row
+        positives = [("切符", "票")] + self.POSITIVES[:12]
+        rows = synthesize_negatives(positives, seed=80)
+        assert (rows[1].ja, rows[1].zh, rows[1].label) == ("切符", positives[1][1], 0)
+
+    def test_no_distinct_target_anywhere(self):
+        with pytest.raises(ValueError):
+            synthesize_negatives([(f"文{i}", "票") for i in range(10)], seed=0)
+
 
 class TestClassifier:
     def _rows(self, n=60):
@@ -165,7 +176,7 @@ class TestClassifier:
 
 class TestEmbeddingGate:
     def _pairs(self, texts):
-        return [ScoredPair(ja=ja, zh=zh) for ja, zh in texts]
+        return [CorpusRecord(ja=ja, zh=zh) for ja, zh in texts]
 
     def test_identical_vectors_kept(self):
         pairs = self._pairs([("a", "b")])

@@ -257,6 +257,18 @@ class TestCli:
         sites = [json.loads(l) for l in open(out, encoding="utf-8")]
         assert len(sites) == 1 and sites[0]["host"] == "example-news.jp"
 
+    def test_validate_urls_creates_output_directory(self, fixture_site, tmp_path, capsys):
+        out = tmp_path / "new" / "sites.jsonl"
+        code = cli_main([
+            "--snapshot-dir", str(fixture_site.snapshot_dir),
+            "validate-urls",
+            "--submissions", str(fixture_site.submissions_tsv),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+        capsys.readouterr()
+
     def test_discover_archive_directory_mode(self, fixture_site, tmp_path):
         out = tmp_path / "sites.jsonl"
         config = tmp_path / "cfg.ini"
@@ -386,3 +398,27 @@ class TestCli:
         assert code == 0
         manifest = tmp_path / "crawled" / "example-news.jp" / "pages" / "manifest.jsonl"
         assert manifest.exists()
+
+    def test_stages_compose_to_run(self, fixture_site, tmp_path, capsys):
+        """train-filter -> mine -> filter -> dedup under the run's config
+        reproduce the run's checkpoints and corpus byte for byte."""
+        config = str(write_run_config(fixture_site, tmp_path / "run"))
+        assert cli_main(["--config", config, "run"]) == 0
+        model = tmp_path / "model.json"
+        mined = tmp_path / "mined"
+        filtered = tmp_path / "filtered.jsonl"
+        corpus = tmp_path / "corpus.jsonl"
+        raw = mined / "example-news.jp" / "raw_pairs.jsonl"
+        for argv in (
+            ["train-filter", "--parallel", str(fixture_site.train_tsv), "--out", str(model)],
+            ["mine", "--sites", str(fixture_site.sites_jsonl), "--out-dir", str(mined)],
+            ["filter", "--model", str(model), "--pairs", str(raw), "--out", str(filtered)],
+            ["dedup", "--input", str(filtered), "--out", str(corpus)],
+        ):
+            assert cli_main(["--config", config] + argv) == 0, argv
+        capsys.readouterr()
+        site_dir = tmp_path / "run" / "example-news.jp"
+        for name in ("docpairs.jsonl", "ladder.tsv", "raw_pairs.jsonl"):
+            assert (mined / "example-news.jp" / name).read_bytes() == (site_dir / name).read_bytes()
+        assert filtered.read_bytes() == (site_dir / "filtered.jsonl").read_bytes()
+        assert corpus.read_bytes() == (tmp_path / "run" / "corpus.jsonl").read_bytes()
