@@ -88,7 +88,9 @@ def _is_html(content_type: str, url: str) -> bool:
     return path.endswith((".html", ".htm", "/")) or "." not in path.rsplit("/", 1)[-1]
 
 
-def _is_binary_document(content_type: str, url: str) -> bool:
+def is_binary_document(content_type: str, url: str) -> bool:
+    """PDF/Word by declared type or URL extension: the rule that decides
+    which stored pages go to a binary extractor."""
     if content_type.lower() in _BINARY_TYPES:
         return True
     return urlsplit(url).path.lower().endswith(_BINARY_EXTENSIONS)
@@ -190,7 +192,7 @@ def crawl_site(
             continue
         if url in seed_set:
             any_seed_ok = True
-        if _is_binary_document(resp.content_type, url):
+        if is_binary_document(resp.content_type, url):
             if binary_extractor is None:
                 store.skipped_binary += 1
                 continue

@@ -1,9 +1,8 @@
 """Candidate-site discovery: archive scanning for hosts with balanced
 JA/ZH text, and validation of crowdsourced top-page URL pairs.
 
-Archive scanning is a single-pass reducer over (url, html bytes)
-records; per-host statistics merge by commutative addition, so shards
-can be scanned independently and combined.
+Archive scanning is a single pass over (url, html bytes) records that
+accumulates per-host text volume by language.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ class HostStats:
         if not self.seed_url or url < self.seed_url:
             self.seed_url = url
 
-    def merge(self, other: "HostStats") -> None:
-        self.bytes_ja += other.bytes_ja
-        self.bytes_zh += other.bytes_zh
-        self.bytes_other += other.bytes_other
-        self.page_count += other.page_count
-        if other.seed_url and (not self.seed_url or other.seed_url < self.seed_url):
-            self.seed_url = other.seed_url
-
 
 @dataclass
 class CandidateSite:
@@ -139,14 +130,6 @@ class UrlPairSubmission:
 class ArchiveScan:
     hosts: dict[str, HostStats] = field(default_factory=dict)
     skipped_records: int = 0
-
-    def merge(self, other: "ArchiveScan") -> None:
-        for host, stats in other.hosts.items():
-            if host in self.hosts:
-                self.hosts[host].merge(stats)
-            else:
-                self.hosts[host] = stats
-        self.skipped_records += other.skipped_records
 
 
 def scan_archive(records: Iterable[tuple[str, bytes]]) -> ArchiveScan:

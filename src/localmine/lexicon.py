@@ -1,5 +1,6 @@
 """Reduced one-to-one bilingual word-pair table with character-level
-augmentation, plus the greedy coverage feature built on top of it.
+augmentation, plus the greedy dictionary match built on top of it that
+document alignment, sentence alignment and the filter features share.
 
 The normal build path: load a raw ``ja<TAB>zh`` dictionary, keep the
 entries whose headwords are single tokens on both sides, then union in
@@ -9,7 +10,6 @@ Kanji/simplified-Chinese character correspondences.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -27,18 +27,21 @@ class LexiconEntry(NamedTuple):
 @dataclass
 class Lexicon:
     """Immutable after construction; the indices are exact inverses of
-    the entry set."""
+    the entry set and map each headword to its translations as a tuple
+    sorted once at build time."""
 
     entries: list[LexiconEntry] = field(default_factory=list)
-    index_ja: dict[str, set[str]] = field(default_factory=dict)
-    index_zh: dict[str, set[str]] = field(default_factory=dict)
+    index_ja: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    index_zh: dict[str, tuple[str, ...]] = field(default_factory=dict)
     _max_len_ja: int = 1
     _max_len_zh: int = 1
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def headwords(self, lang: LanguageTag) -> dict:
+    def headwords(self, lang: LanguageTag) -> dict[str, tuple[str, ...]]:
+        """Headword -> sorted translations, reading ``lang`` text: the
+        table every dictionary-match kernel reads."""
         return self.index_ja if lang is LanguageTag.JA else self.index_zh
 
     def max_headword_len(self, lang: LanguageTag) -> int:
@@ -47,12 +50,12 @@ class Lexicon:
     def translations(self, token: str, direction: LanguageTag) -> tuple[str, ...]:
         """Translations of ``token`` reading it as ``direction`` text,
         in sorted order for determinism."""
-        index = self.index_ja if direction is LanguageTag.JA else self.index_zh
-        return tuple(sorted(index.get(token, ())))
+        return self.headwords(direction).get(token, ())
 
 
 def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
-    """Deduplicate entries (first occurrence wins) and build both indices."""
+    """Deduplicate entries (first occurrence wins) and build both indices,
+    each headword's translations sorted once."""
     seen: set[LexiconEntry] = set()
     ordered: list[LexiconEntry] = []
     index_ja: dict[str, set[str]] = {}
@@ -68,7 +71,11 @@ def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
         index_zh.setdefault(entry.zh, set()).add(entry.ja)
         max_ja = max(max_ja, len(entry.ja))
         max_zh = max(max_zh, len(entry.zh))
-    return Lexicon(ordered, index_ja, index_zh, max_ja, max_zh)
+    return Lexicon(ordered, _freeze(index_ja), _freeze(index_zh), max_ja, max_zh)
+
+
+def _freeze(index: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:
+    return {head: tuple(sorted(targets)) for head, targets in index.items()}
 
 
 def reduce_dictionary(
@@ -116,34 +123,35 @@ def coverage(
     lex: Lexicon,
     direction: LanguageTag,
 ) -> float:
-    """Greedy one-to-one dictionary coverage of the source tokens.
-
-    Scans source tokens left to right; a token matches when any of its
-    translations is still unconsumed in the target multiset.  Returns
-    matched/|source|; 0 for an empty source.  Linear-time approximation
-    of the optimal bipartite matching.
-    """
+    """Greedy one-to-one dictionary coverage of the source tokens:
+    matched/|source|, 0 for an empty source."""
     if not tokens_src:
         return 0.0
-    return greedy_match_count(tokens_src, tokens_trg, lex, direction) / len(tokens_src)
+    return greedy_match_count(tokens_src, tokens_trg, lex.headwords(direction)) / len(tokens_src)
 
 
 def greedy_match_count(
     tokens_src: list[str],
     tokens_trg: list[str],
-    lex: Lexicon,
-    direction: LanguageTag,
+    translations: dict[str, tuple[str, ...]],
 ) -> int:
     """Number of greedy one-to-one matches (the ``m`` of dictionary
-    similarity scores)."""
-    if not tokens_src or not tokens_trg:
-        return 0
-    remaining = Counter(tokens_trg)
+    similarity scores) under a ``Lexicon.headwords`` table.
+
+    Scans source tokens left to right; a token matches when any of its
+    translations, tried in sorted order, is still unconsumed in the
+    target multiset.  Linear-time approximation of the optimal bipartite
+    matching.
+    """
+    remaining: dict[str, int] = {}
+    for tok in tokens_trg:
+        remaining[tok] = remaining.get(tok, 0) + 1
     matched = 0
-    for token in tokens_src:
-        for candidate in lex.translations(token, direction):
-            if remaining.get(candidate, 0) > 0:
-                remaining[candidate] -= 1
+    for tok in tokens_src:
+        for cand in translations.get(tok, ()):
+            left = remaining.get(cand, 0)
+            if left:
+                remaining[cand] = left - 1
                 matched += 1
                 break
     return matched

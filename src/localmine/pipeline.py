@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .config import PipelineConfig
-from .crawl import BinaryExtractor, PageStore, crawl_site, dump_snapshot
+from .crawl import BinaryExtractor, PageStore, crawl_site, dump_snapshot, is_binary_document
 from .discovery import (
     SOURCE_ARCHIVE,
     SOURCE_CROWD,
@@ -202,9 +202,10 @@ def pages_to_documents(
     binary_extractor: BinaryExtractor | None = None,
 ) -> tuple[list[Document], list[Document]]:
     """Language-tagged, segmented documents from stored pages, split into
-    the JA and ZH lists (other languages dropped).  PDF/Word bodies go
-    through the extractor plug-in when one is registered (they are only
-    stored in that case) and carry an empty structure digest."""
+    the JA and ZH lists (other languages dropped).  PDF/Word bodies, by
+    the crawl's own rule, go through the extractor plug-in when one is
+    registered (they are only stored in that case) and carry an empty
+    structure digest."""
     docs_ja: list[Document] = []
     docs_zh: list[Document] = []
     seg = {
@@ -213,7 +214,7 @@ def pages_to_documents(
     }
     for page in store.pages:
         digest: list[str] = []
-        if binary_extractor is not None and not page.content_type.startswith("text/html"):
+        if binary_extractor is not None and is_binary_document(page.content_type, page.url):
             try:
                 text = binary_extractor(page.body, page.content_type)
             except Exception as err:
@@ -345,9 +346,11 @@ def filter_candidates(
     lexicon: Lexicon,
     config: PipelineConfig,
     provider: EmbeddingProvider | None,
+    counters: dict | None = None,
 ) -> list[CorpusRecord]:
     """Set each candidate's classifier score and keep those reaching the
-    threshold, then apply the optional embedding gate."""
+    threshold, then apply the optional embedding gate, which adds its
+    drop counts to ``counters`` when given."""
     seg_ja = make_segmenter(lexicon, LanguageTag.JA)
     seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
     survivors: list[CorpusRecord] = []
@@ -364,6 +367,7 @@ def filter_candidates(
             provider,
             threshold=config.filter.embed_threshold,
             keep_below=config.filter.embed_keep_below,
+            counters=counters,
         )
     return survivors
 
@@ -495,9 +499,15 @@ def run_pipeline(
                 site, lexicon, config, fetch, site_dir, binary_extractor
             )
             if not outcome.error:
+                counters: dict[str, int] = {}
                 outcome.records = filter_candidates(
-                    candidates, bitext_filter, lexicon, config, provider
+                    candidates, bitext_filter, lexicon, config, provider, counters
                 )
+                if counters.get("embed_failures"):
+                    logger.warning(
+                        "site %s: embedding provider failed for %d pairs",
+                        site.host, counters["embed_failures"],
+                    )
             _write_jsonl(site_dir / "filtered.jsonl", (r.to_json() for r in outcome.records))
         except Exception as err:  # per-site failures never abort the run
             logger.exception("site %s failed", site.host)
@@ -511,27 +521,22 @@ def run_pipeline(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(process, sites))
 
-    # Global dedup with first-occurrence attribution back to the source.
-    tagged: list[tuple[CorpusRecord, str]] = []
-    for outcome in outcomes:
-        for record in outcome.records:
-            tagged.append((record, outcome.source))
-    kept_sources: dict[int, str] = {}
-    deduped: list[CorpusRecord] = []
-    stream = dedupe((r for r, _ in tagged), exact=config.pipeline.dedup_exact)
-    source_by_identity = {id(r): s for r, s in tagged}
-    for record in stream:
-        if record_filter is not None and not record_filter(record):
-            continue
-        deduped.append(record)
-        kept_sources[id(record)] = source_by_identity[id(record)]
+    # Global dedup; the first occurrence of a pair is the one kept.
+    deduped = [
+        record
+        for record in dedupe(
+            (r for outcome in outcomes for r in outcome.records),
+            exact=config.pipeline.dedup_exact,
+        )
+        if record_filter is None or record_filter(record)
+    ]
 
     corpus_jsonl = out_dir / "corpus.jsonl"
     corpus_tsv = out_dir / "corpus.tsv"
     _write_jsonl(corpus_jsonl, (r.to_json() for r in deduped))
     write_corpus_tsv(corpus_tsv, deduped)
 
-    reports = _build_reports(outcomes, intake, deduped, kept_sources)
+    reports = _build_reports(outcomes, intake, deduped)
     report_json = out_dir / "report.json"
     report_tsv = out_dir / "report.tsv"
     report_json.write_bytes(emit_report(reports, "json"))
@@ -554,8 +559,10 @@ def _build_reports(
     outcomes: list[SiteOutcome],
     intake: dict[str, int],
     deduped: list[CorpusRecord],
-    kept_sources: dict[int, str],
 ) -> list[SiteReport]:
+    """One row per source; a site counts as extracted when at least one
+    of its records survives into ``deduped``."""
+    kept = {id(r) for r in deduped}
     reports: list[SiteReport] = []
     for source in (SOURCE_ARCHIVE, SOURCE_CROWD):
         source_outcomes = [o for o in outcomes if o.source == source]
@@ -565,20 +572,18 @@ def _build_reports(
         n_errors = sum(1 for o in source_outcomes if o.error)
         if source == SOURCE_CROWD:
             n_errors += intake.get("crowd_errors", 0)
-        extracted_hosts = set()
-        n_sentences = 0
-        for record in deduped:
-            if kept_sources.get(id(record)) == source:
-                n_sentences += 1
+        n_extracted = n_sentences = 0
         for outcome in source_outcomes:
-            if any(id(r) in kept_sources for r in outcome.records):
-                extracted_hosts.add(outcome.host)
+            n_kept = sum(1 for r in outcome.records if id(r) in kept)
+            n_sentences += n_kept
+            if n_kept:
+                n_extracted += 1
         reports.append(
             SiteReport(
                 source=SOURCE_LABELS.get(source, source),
                 n_urls=n_urls,
                 n_errors=n_errors,
-                n_extracted=len(extracted_hosts),
+                n_extracted=n_extracted,
                 n_sentences=n_sentences,
             )
         )

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lexicon import Lexicon
+from .lexicon import Lexicon, greedy_match_count
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
@@ -140,29 +140,6 @@ def length_cost(l_src: int, l_trg: int, model: LengthModel) -> float:
     return min(COST_CAP, max(0.0, -math.log(tail)))
 
 
-def _span_dict_sim(
-    src_tokens: list[str],
-    trg_tokens: list[str],
-    translations: dict[str, tuple[str, ...]],
-) -> float:
-    """2m/(n_src+n_trg) with m greedy one-to-one matches over the spans."""
-    n = len(src_tokens) + len(trg_tokens)
-    if n == 0:
-        return 0.0
-    remaining: dict[str, int] = {}
-    for tok in trg_tokens:
-        remaining[tok] = remaining.get(tok, 0) + 1
-    matched = 0
-    for tok in src_tokens:
-        for cand in translations.get(tok, ()):
-            left = remaining.get(cand, 0)
-            if left:
-                remaining[cand] = left - 1
-                matched += 1
-                break
-    return 2.0 * matched / n
-
-
 def bead_cost(
     kind: BeadKind,
     src_sents: list[Sentence],
@@ -186,8 +163,10 @@ def bead_cost(
         trg_tokens: list[str] = []
         for s in trg_sents:
             trg_tokens.extend(s.tokens)
-        translations = {tok: lex.translations(tok, direction) for tok in set(src_tokens)}
-        cost -= lam * _span_dict_sim(src_tokens, trg_tokens, translations)
+        n = len(src_tokens) + len(trg_tokens)
+        if n:
+            m = greedy_match_count(src_tokens, trg_tokens, lex.headwords(direction))
+            cost -= lam * (2.0 * m / n)
     return max(0.0, cost)
 
 
@@ -296,12 +275,7 @@ def _align(
     trg_tokens = [t.tokens for t in trg]
 
     use_dict = lam > 0 and lex is not None and len(lex) > 0
-    translations: dict[str, tuple[str, ...]] = {}
-    if use_dict:
-        vocab = set()
-        for tokens in src_tokens:
-            vocab.update(tokens)
-        translations = {tok: lex.translations(tok, direction) for tok in vocab}
+    translations = lex.headwords(direction) if use_dict else {}
 
     neg_log_prior = {kind: -math.log(model.bead_priors[kind]) for kind in BeadKind}
     kinds = [(kind, kind.n_src, kind.n_trg, neg_log_prior[kind]) for kind in KIND_PREFERENCE]
@@ -352,7 +326,9 @@ def _align(
                 if dictable:
                     stoks = src_tokens[pi] if di == 1 else src_tokens[pi] + src_tokens[pi + 1]
                     ttoks = trg_tokens[pj] if dj == 1 else trg_tokens[pj] + trg_tokens[pj + 1]
-                    base -= lam * _span_dict_sim(stoks, ttoks, translations)
+                    n = len(stoks) + len(ttoks)
+                    if n:
+                        base -= lam * (2.0 * greedy_match_count(stoks, ttoks, translations) / n)
                     if base < 0.0:
                         base = 0.0
                 total = prev + base

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmine.lexicon import (
     LexiconEntry,
     augment_with_char_map,
     build_lexicon,
     coverage,
+    greedy_match_count,
     load_lexicon,
     load_pair_tsv,
     reduce_dictionary,
@@ -116,6 +120,58 @@ class TestCoverage:
             large = coverage(src, trg, build_lexicon(base + extra), LanguageTag.JA)
             assert 0.0 <= small <= 1.0
             assert large >= small - 1e-12
+
+
+def _set_index(entries, side):
+    """Headword -> translation set, the lexicon index before freezing."""
+    index = {}
+    for ja, zh in entries:
+        head, target = (ja, zh) if side == "ja" else (zh, ja)
+        index.setdefault(head, set()).add(target)
+    return index
+
+
+def _oracle_translations(index, token):
+    return tuple(sorted(index.get(token, ())))
+
+
+def _oracle_match_count(tokens_src, tokens_trg, index):
+    """The greedy match over a Counter with a per-token sort."""
+    if not tokens_src or not tokens_trg:
+        return 0
+    remaining = Counter(tokens_trg)
+    matched = 0
+    for token in tokens_src:
+        for candidate in _oracle_translations(index, token):
+            if remaining.get(candidate, 0) > 0:
+                remaining[candidate] -= 1
+                matched += 1
+                break
+    return matched
+
+
+_JA = st.sampled_from([f"j{i}" for i in range(8)])
+_ZH = st.sampled_from([f"z{i}" for i in range(8)])
+
+
+class TestFrozenKernelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(_JA, _ZH), max_size=20),
+        src=st.lists(_JA, max_size=10),
+        trg=st.lists(_ZH, max_size=10),
+    )
+    def test_agrees_with_sort_per_call_and_counter(self, entries, src, trg):
+        lex = build_lexicon(entries)
+        index_ja = _set_index(entries, "ja")
+        index_zh = _set_index(entries, "zh")
+        for token in set(src) | set(trg):
+            assert lex.translations(token, LanguageTag.JA) == _oracle_translations(index_ja, token)
+            assert lex.translations(token, LanguageTag.ZH) == _oracle_translations(index_zh, token)
+        got = greedy_match_count(src, trg, lex.headwords(LanguageTag.JA))
+        assert got == _oracle_match_count(src, trg, index_ja)
+        got_rev = greedy_match_count(trg, src, lex.headwords(LanguageTag.ZH))
+        assert got_rev == _oracle_match_count(trg, src, index_zh)
 
 
 class TestLoaders:

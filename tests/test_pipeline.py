@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -9,6 +10,7 @@ from localmine.pipeline import (
     SiteReport,
     dedupe,
     emit_report,
+    filter_candidates,
     run_pipeline,
 )
 
@@ -153,6 +155,50 @@ class TestRunPipeline:
         assert (archive_row.n_urls, archive_row.n_errors, archive_row.n_crawled) == (1, 1, 0)
         assert archive_row.n_extracted == 0
 
+    def test_mirror_site_records_go_to_the_first_site(self, fixture_site, tmp_path):
+        # a second host crawling the same seeds mines the same pairs; dedup
+        # keeps the first site's copy, so only that site counts as extracted
+        original = json.loads(fixture_site.sites_jsonl.read_text(encoding="utf-8"))
+        mirror = dict(original, host="mirror.example.org")
+        sites = tmp_path / "sites.jsonl"
+        sites.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (original, mirror)),
+            encoding="utf-8",
+        )
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        config.pipeline.sites = str(sites)
+        result = run_pipeline(config)
+        assert result.site_errors == 0
+        (row,) = result.reports
+        assert (row.n_urls, row.n_extracted) == (2, 1)
+        assert row.n_sentences == result.n_records > 0
+        mirror_filtered = result.output_dir / "mirror.example.org" / "filtered.jsonl"
+        assert mirror_filtered.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("content_type, url", [
+        ("application/xhtml+xml", "https://example-news.jp/ja/page"),
+        ("Text/HTML; charset=utf-8", "https://example-news.jp/ja/page"),
+        ("", "https://example-news.jp/ja/page.html"),
+    ])
+    def test_html_pages_bypass_binary_extractor(self, content_type, url, starter_lexicon):
+        """Pages the crawl stored as HTML are parsed as HTML even when a
+        binary extractor is registered."""
+        from localmine.config import PipelineConfig
+        from localmine.crawl import Page, PageStore
+        from localmine.pipeline import pages_to_documents
+
+        def broken_extractor(body, ctype):
+            raise RuntimeError("not a binary document")
+
+        store = PageStore(host="example-news.jp")
+        body = "<html><body><p>これは日本語の文です。</p></body></html>".encode("utf-8")
+        store.pages.append(Page(url, content_type, body, 0.0))
+        docs_ja, docs_zh = pages_to_documents(
+            store, starter_lexicon, PipelineConfig(), binary_extractor=broken_extractor
+        )
+        assert len(docs_ja) == 1 and docs_zh == []
+        assert docs_ja[0].sentences[0].tokens
+
     def test_binary_extractor_plugin(self, fixture_site, tmp_path, starter_lexicon):
         """A registered PDF extractor turns stored binary bodies into
         plain-text documents (empty structure digest)."""
@@ -173,7 +219,7 @@ class TestRunPipeline:
         assert docs_ja[0].tag_digest == []
         assert docs_ja[0].sentences[0].tokens
 
-    def test_embedding_gate_in_pipeline(self, fixture_site, tmp_path):
+    def test_embedding_gate_in_pipeline(self, fixture_site, tmp_path, caplog):
         from localmine.embeddings import write_vector_file
 
         # vectors exist only for the pairs of the first article; every
@@ -188,13 +234,35 @@ class TestRunPipeline:
 
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.filter.embed_vectors = str(vector_path)
-        result = run_pipeline(config)
+        with caplog.at_level(logging.WARNING, logger="localmine.pipeline"):
+            result = run_pipeline(config)
         kept = [json.loads(l) for l in open(result.corpus_jsonl, encoding="utf-8")]
         assert kept
         covered_set = {tuple(p) for p in covered}
         for row in kept:
             assert row["embed_sim"] is not None and row["embed_sim"] >= 0.7
             assert (row["ja"], row["zh"]) in covered_set
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "localmine.pipeline" and r.levelno == logging.WARNING]
+        assert any("example-news.jp" in m and "embedding provider failed" in m
+                   for m in warnings), warnings
+
+    def test_failing_provider_counts_every_pair(self, fixture_site, starter_lexicon,
+                                                trained_filter):
+        from localmine.config import PipelineConfig
+
+        def provider(sentences):
+            raise ConnectionError("endpoint down")
+
+        config = PipelineConfig()
+        config.filter.threshold = 0.0  # every candidate reaches the gate
+        candidates = [CorpusRecord(ja=ja, zh=zh) for ja, zh in fixture_site.true_pairs[:7]]
+        counters = {}
+        kept = filter_candidates(
+            candidates, trained_filter, starter_lexicon, config, provider, counters=counters
+        )
+        assert kept == []
+        assert counters == {"embed_failures": 7}
 
     def test_jobs_parallelism_is_deterministic(self, fixture_site, tmp_path):
         config1 = load_config(write_run_config(fixture_site, tmp_path / "out1"))
