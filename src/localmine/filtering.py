@@ -252,7 +252,7 @@ def train_classifier(
 def score_pair(model: RandomForest, fv: FeatureVector) -> float:
     """Ensemble vote fraction in [0, 1]; the pipeline keeps pairs whose
     score reaches the configured threshold (default 0.5, inclusive)."""
-    return model.score_one(fv.as_array())
+    return model.score_one([getattr(fv, name) for name in FEATURE_NAMES])
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -385,9 +385,14 @@ def train_filter(
     lm_zh_model = train_char_lm([zh for _, zh in parallel], n=lm_order, k=lm_k)
     labeled = synthesize_negatives(list(parallel), seed=seed)
     rows: list[tuple[FeatureVector, int]] = []
-    for row in labeled:
+    for idx, row in enumerate(labeled):
+        # Rows alternate positive, negative; both keep the positive's JA,
+        # so only a negative's synthesized ZH needs segmenting.
+        tokens_ja, tokens_zh = tokenized[idx // 2]
+        if row.label == 0:
+            tokens_zh = seg_zh(row.zh)
         fv = extract_features(
-            row.ja, row.zh, seg_ja(row.ja), seg_zh(row.zh),
+            row.ja, row.zh, tokens_ja, tokens_zh,
             table_j2z, table_z2j, lm_ja_model, lm_zh_model, lex,
         )
         rows.append((fv, row.label))

@@ -114,7 +114,7 @@ def _grow(
     )
 
 
-def _traverse(node: _Node, row: np.ndarray) -> int:
+def _traverse(node: _Node, row) -> int:
     while not node.is_leaf:
         node = node.left if row[node.feature] <= node.threshold else node.right
     return node.vote
@@ -167,7 +167,18 @@ class RandomForest:
         return votes / len(self.trees)
 
     def score_one(self, row) -> float:
-        return float(self.predict_proba(np.asarray(row, dtype=np.float64).reshape(1, -1))[0])
+        """``predict_proba`` of one row, walked in plain Python: the same
+        float operations in the same order, so the same score."""
+        if not self.trees:
+            raise ValueError("model is not trained")
+        scaled = [
+            (float(v) - mean) / std
+            for v, mean, std in zip(row, self.feature_means, self.feature_stds)
+        ]
+        votes = 0.0
+        for tree in self.trees:
+            votes += _traverse(tree, scaled)
+        return votes / len(self.trees)
 
     def to_json(self) -> dict:
         return {

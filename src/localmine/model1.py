@@ -5,6 +5,19 @@ co-occurring token pairs (plus an explicit NULL source), the E-step
 accumulates expected counts with per-position normalization and the
 M-step renormalizes per source token.  Corpus log-likelihood is
 recorded every iteration and is non-decreasing.
+
+The EM loop runs over flat arrays.  Tokens are interned to ints, and
+each (source, target) co-occurrence cell gets an id in the order the
+corpus first visits it.  One flat array holds a cell id per (pair,
+target position, source position), in that nesting order; a parallel
+array holds the (pair, target position) group.  An iteration gathers
+``p = prob[cell]``, sums ``denom = bincount(group, p)``, takes
+``share = p / denom[group]`` and sums the shares by cell and by source.
+``np.bincount`` adds its weights one at a time in array order, the
+order a per-token loop visits them in, so every sum, and so the table,
+its row order and the log-likelihoods, is bit-identical to that loop.
+The log-likelihood is summed in Python with ``math.log`` for the same
+reason.  A cell whose probability reaches exactly 0.0 leaves its row.
 """
 
 from __future__ import annotations
@@ -14,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -92,42 +107,72 @@ def train_model1(
     if not pairs:
         raise ValueError("no usable sentence pairs")
 
-    # Uniform initialization over co-occurring pairs.
-    t: dict[str, dict[str, float]] = {}
+    # Intern tokens; source ids in first-seen order are the table's row order.
+    src_vocab: dict[str, int] = {}
+    trg_vocab: dict[str, int] = {}
+    src_tokens: list[int] = []
+    trg_tokens: list[int] = []
     for src, trg in pairs:
-        for s in src:
-            row = t.setdefault(s, {})
-            for e in trg:
-                row[e] = 0.0
-    for row in t.values():
-        uniform = 1.0 / len(row)
-        for e in row:
-            row[e] = uniform
+        src_tokens.extend([src_vocab.setdefault(s, len(src_vocab)) for s in src])
+        trg_tokens.extend([trg_vocab.setdefault(e, len(trg_vocab)) for e in trg])
+    src_len = np.array([len(src) for src, _ in pairs], dtype=np.int64)
+    trg_len = np.array([len(trg) for _, trg in pairs], dtype=np.int64)
+
+    # One group per (pair, target position), i.e. per target token; each
+    # group spans its pair's source positions.
+    group_pair = np.repeat(np.arange(len(pairs)), trg_len)
+    group_size = src_len[group_pair]
+    n_groups = len(group_size)
+    group = np.repeat(np.arange(n_groups), group_size)
+    group_start = np.cumsum(group_size) - group_size
+    src_start = (np.cumsum(src_len) - src_len)[group_pair]
+    offset = np.arange(len(group)) - group_start[group]
+    flat_src = np.array(src_tokens, dtype=np.int64)[src_start[group] + offset]
+    flat_trg = np.array(trg_tokens, dtype=np.int64)[group]
+
+    # Cells numbered by first occurrence in the flat (pair, target, source) order.
+    keys, first, inverse = np.unique(
+        flat_src * len(trg_vocab) + flat_trg, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cell = rank[inverse.reshape(-1)]
+    cell_src, cell_trg = np.divmod(keys[order], len(trg_vocab))
+
+    # Uniform initialization over co-occurring pairs.
+    prob = 1.0 / np.bincount(cell_src, minlength=len(src_vocab))[cell_src]
+    log_src_len = [math.log(len(src)) for src, trg in pairs for _ in trg]
 
     history: list[float] = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {s: {} for s in t}
-        totals: dict[str, float] = {s: 0.0 for s in t}
+        before = prob
+        p = prob[cell]
+        denom = np.bincount(group, weights=p, minlength=n_groups)
         log_likelihood = 0.0
-        for src, trg in pairs:
-            rows = [t[s] for s in src]
-            for e in trg:
-                denom = 0.0
-                for row in rows:
-                    denom += row.get(e, 0.0)
-                log_likelihood += math.log(denom) - math.log(len(src))
-                for s, row in zip(src, rows):
-                    p = row.get(e, 0.0)
-                    if p == 0.0:
-                        continue
-                    share = p / denom
-                    counts[s][e] = counts[s].get(e, 0.0) + share
-                    totals[s] += share
-        for s, row in counts.items():
-            total = totals[s]
-            if total > 0.0:
-                t[s] = {e: cnt / total for e, cnt in row.items()}
+        for d, log_len in zip(denom.tolist(), log_src_len):
+            log_likelihood += math.log(d) - log_len
+        share = p / denom[group]
+        counts = np.bincount(cell, weights=share, minlength=len(cell_src))
+        totals = np.bincount(flat_src, weights=share, minlength=len(src_vocab))
+        # Every row holds an entry of at least 1/len(row), whose share is
+        # positive, so every total is positive and every row is rebuilt.
+        prob = counts / totals[cell_src]
         history.append(log_likelihood)
+
+    # A row keeps the cells the last E-step visited with nonzero
+    # probability, in the order it first visited them.
+    kept = np.flatnonzero(before > 0.0)
+    kept = kept[np.argsort(cell_src[kept], kind="stable")]
+    ends = np.cumsum(np.bincount(cell_src[kept], minlength=len(src_vocab))).tolist()
+    trg_names = list(trg_vocab)
+    targets = [trg_names[i] for i in cell_trg[kept].tolist()]
+    values = prob[kept].tolist()
+    t: dict[str, dict[str, float]] = {}
+    start = 0
+    for s, end in zip(src_vocab, ends):
+        t[s] = dict(zip(targets[start:end], values[start:end]))
+        start = end
 
     table = TranslationTable(t=t, direction=direction)
     table.log_likelihoods = history

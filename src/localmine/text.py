@@ -205,30 +205,23 @@ def segment_words(text: str, lang: LanguageTag, lexicon) -> list[str]:
     """Greedy left-to-right longest-match segmentation over the lexicon's
     headwords for ``lang``, with single-character fallback.  Every
     non-space character lands in exactly one token; tokens never span a
-    space."""
+    space (each whitespace-free run of ``text.split()`` is matched on its
+    own; ``str.split`` and ``str.isspace`` share one whitespace table)."""
     headwords = lexicon.headwords(lang) if lexicon is not None else frozenset()
     max_len = lexicon.max_headword_len(lang) if lexicon is not None else 1
     tokens: list[str] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        match = None
-        limit = min(max_len, n - i)
-        for width in range(limit, 1, -1):
-            candidate = text[i : i + width]
-            if any(c.isspace() for c in candidate):
-                continue
-            if candidate in headwords:
-                match = candidate
-                break
-        if match is None:
-            match = ch
-        tokens.append(match)
-        i += len(match)
+    for run in text.split():
+        n = len(run)
+        i = 0
+        while i < n:
+            match = run[i]
+            for width in range(min(max_len, n - i), 1, -1):
+                candidate = run[i : i + width]
+                if candidate in headwords:
+                    match = candidate
+                    break
+            tokens.append(match)
+            i += len(match)
     return tokens
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localmine import filtering
 from localmine.charlm import train_char_lm
 from localmine.filtering import (
     FEATURE_NAMES,
@@ -16,9 +17,11 @@ from localmine.filtering import (
     score_pair,
     synthesize_negatives,
     train_classifier,
+    train_filter,
 )
 from localmine.lexicon import build_lexicon
 from localmine.model1 import TranslationTable
+from localmine.text import LanguageTag, make_segmenter
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +265,42 @@ class TestPersistence:
         bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
         with pytest.raises(ValueError):
             BitextFilter.load(bad)
+
+
+class TestTrainFilter:
+    PARALLEL = [
+        (f"学生は新聞を{i}回読む。", f"学生读了{i}次报纸。") for i in range(12)
+    ] + [("今日は晴れ。", "今天晴。")]
+
+    def test_each_training_sentence_segmented_once(self, monkeypatch, starter_lexicon):
+        calls = {"ja": 0, "zh": 0}
+        seg_ja = make_segmenter(starter_lexicon, LanguageTag.JA)
+        seg_zh = make_segmenter(starter_lexicon, LanguageTag.ZH)
+
+        def counting(lang, segment):
+            def wrapped(text):
+                calls[lang] += 1
+                return segment(text)
+            return wrapped
+
+        seen = []
+        real_extract = filtering.extract_features
+
+        def recording(ja, zh, tokens_ja, tokens_zh, *models):
+            seen.append((ja, zh, tokens_ja, tokens_zh))
+            return real_extract(ja, zh, tokens_ja, tokens_zh, *models)
+
+        monkeypatch.setattr(filtering, "extract_features", recording)
+        train_filter(
+            self.PARALLEL, starter_lexicon,
+            counting("ja", seg_ja), counting("zh", seg_zh), trees=3, depth=3,
+        )
+        assert calls == {"ja": len(self.PARALLEL), "zh": 2 * len(self.PARALLEL)}
+        # The reused tokens are the ones a fresh segmentation gives.
+        assert len(seen) == 2 * len(self.PARALLEL)
+        for ja, zh, tokens_ja, tokens_zh in seen:
+            assert tokens_ja == seg_ja(ja)
+            assert tokens_zh == seg_zh(zh)
 
 
 def test_cosine_similarity_basics():

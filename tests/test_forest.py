@@ -65,3 +65,16 @@ class TestRandomForest:
         assert np.all((proba >= 0.0) & (proba <= 1.0))
         votes = proba * 40
         assert np.allclose(votes, np.round(votes))
+
+    def test_score_one_equals_predict_proba_exactly(self):
+        x, y = separable_data(n=300, seed=12)
+        model = RandomForest(n_trees=30, max_depth=6, seed=13).fit(x, y)
+        rng = np.random.default_rng(14)
+        probe = np.vstack([x[:50], rng.normal(scale=2.0, size=(200, 12))])
+        for row in probe:
+            assert model.score_one(row) == model.predict_proba(row[None])[0]
+            assert model.score_one(row.tolist()) == model.predict_proba(row[None])[0]
+
+    def test_score_one_untrained_is_error(self):
+        with pytest.raises(ValueError):
+            RandomForest(seed=0).score_one([0.0] * 12)

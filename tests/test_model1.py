@@ -1,4 +1,11 @@
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmine.model1 import NULL_TOKEN, TranslationTable, train_model1
 
@@ -29,6 +36,69 @@ def oracle_em(corpus, iterations):
             if totals[s]:
                 t[s] = {e: c / totals[s] for e, c in counts[s].items()}
     return t
+
+
+def reference_model1(
+    corpus: Sequence[tuple[Sequence[str], Sequence[str]]],
+    iterations: int = 20,
+    direction: str = "",
+) -> TranslationTable:
+    """The dict-of-dicts trainer the array kernel replaced, kept verbatim
+    as the oracle: ``train_model1`` must reproduce its table, row order
+    and log-likelihoods bit for bit."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+
+    pairs = [
+        ([NULL_TOKEN] + list(src), list(trg))
+        for src, trg in corpus
+        if src and trg
+    ]
+    if not pairs:
+        raise ValueError("no usable sentence pairs")
+
+    # Uniform initialization over co-occurring pairs.
+    t: dict[str, dict[str, float]] = {}
+    for src, trg in pairs:
+        for s in src:
+            row = t.setdefault(s, {})
+            for e in trg:
+                row[e] = 0.0
+    for row in t.values():
+        uniform = 1.0 / len(row)
+        for e in row:
+            row[e] = uniform
+
+    history: list[float] = []
+    for _ in range(iterations):
+        counts: dict[str, dict[str, float]] = {s: {} for s in t}
+        totals: dict[str, float] = {s: 0.0 for s in t}
+        log_likelihood = 0.0
+        for src, trg in pairs:
+            rows = [t[s] for s in src]
+            for e in trg:
+                denom = 0.0
+                for row in rows:
+                    denom += row.get(e, 0.0)
+                log_likelihood += math.log(denom) - math.log(len(src))
+                for s, row in zip(src, rows):
+                    p = row.get(e, 0.0)
+                    if p == 0.0:
+                        continue
+                    share = p / denom
+                    counts[s][e] = counts[s].get(e, 0.0) + share
+                    totals[s] += share
+        for s, row in counts.items():
+            total = totals[s]
+            if total > 0.0:
+                t[s] = {e: cnt / total for e, cnt in row.items()}
+        history.append(log_likelihood)
+
+    table = TranslationTable(t=t, direction=direction)
+    table.log_likelihoods = history
+    return table
 
 
 class TestTrainModel1:
@@ -71,6 +141,47 @@ class TestTrainModel1:
         a = train_model1(CANONICAL, iterations=10)
         b = train_model1(CANONICAL, iterations=10)
         assert a.t == b.t
+
+
+def _as_compared(train, corpus, iterations):
+    """Table, row order and log-likelihoods, or the ValueError message."""
+    try:
+        table = train(corpus, iterations=iterations)
+    except ValueError as err:
+        return ("error", str(err))
+    rows = [(src, list(row)) for src, row in table.t.items()]
+    return table.t, rows, table.log_likelihoods
+
+
+_SIDE_SRC = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
+_SIDE_TRG = st.lists(st.sampled_from(["w", "x", "y", "z"]), max_size=4)
+
+
+class TestArrayKernelOracle:
+    """``train_model1`` against the dict-loop trainer, with ``==``: the
+    bincount kernel sums in the loop's order, so no tolerance is due."""
+
+    @given(
+        corpus=st.lists(st.tuples(_SIDE_SRC, _SIDE_TRG), min_size=1, max_size=6),
+        iterations=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, corpus, iterations):
+        got = _as_compared(train_model1, corpus, iterations)
+        assert got == _as_compared(reference_model1, corpus, iterations)
+
+    def test_subnormal_probabilities_canonical(self):
+        got = _as_compared(train_model1, CANONICAL, 1250)
+        assert got == _as_compared(reference_model1, CANONICAL, 1250)
+        assert got[0]["a"]["y"] == 5e-324
+        assert all(math.isfinite(ll) for ll in got[2])
+
+    def test_cells_that_reach_zero_leave_their_row(self):
+        corpus = [(["a"], ["w"]), (["b", "d"], ["w", "x", "z"]), (["b", "c"], ["x"]),
+                  (["c", "a"], ["w", "x"])]
+        got = _as_compared(train_model1, corpus, 1500)
+        assert got == _as_compared(reference_model1, corpus, 1500)
+        assert len(got[0][NULL_TOKEN]) == 2  # three co-occurring targets, one dropped
 
 
 class TestTranslationTable:

@@ -109,6 +109,38 @@ class TestSplitSentences:
         assert all(s.char_len == len(s.text) for s in got)
 
 
+def reference_segment_words(text, lang, lexicon):
+    """The per-character segmenter that ``segment_words`` replaced, kept
+    as the oracle: it scans every candidate substring for whitespace."""
+    headwords = lexicon.headwords(lang) if lexicon is not None else frozenset()
+    max_len = lexicon.max_headword_len(lang) if lexicon is not None else 1
+    tokens: list[str] = []
+    n = len(text)
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        match = None
+        limit = min(max_len, n - i)
+        for width in range(limit, 1, -1):
+            candidate = text[i : i + width]
+            if any(c.isspace() for c in candidate):
+                continue
+            if candidate in headwords:
+                match = candidate
+                break
+        if match is None:
+            match = ch
+        tokens.append(match)
+        i += len(match)
+    return tokens
+
+
+_SEG_ALPHABET = "日本語学校あいAB \t\n\u3000\u00a0\u2028"
+
+
 class TestSegmentWords:
     def test_whole_string_headword(self):
         lex = build_lexicon([("日本語", "日语")])
@@ -133,3 +165,14 @@ class TestSegmentWords:
         tokens = segment_words(text, LanguageTag.JA, lex)
         assert sum(len(t) for t in tokens) == sum(1 for ch in text if not ch.isspace())
         assert "".join(tokens) == "".join(text.split())
+
+    @given(
+        text=st.text(alphabet=_SEG_ALPHABET, max_size=40) | st.text(max_size=40),
+        heads=st.none()
+        | st.lists(st.text(alphabet=_SEG_ALPHABET, min_size=1, max_size=4), max_size=8),
+        lang=st.sampled_from([LanguageTag.JA, LanguageTag.ZH]),
+    )
+    @settings(max_examples=400)
+    def test_equals_reference(self, text, heads, lang):
+        lex = None if heads is None else build_lexicon([(h, h) for h in heads])
+        assert segment_words(text, lang, lex) == reference_segment_words(text, lang, lex)
