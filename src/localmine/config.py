@@ -1,6 +1,8 @@
 """Declarative pipeline configuration: one INI file whose sections
-mirror the pipeline stages.  Every tunable named by a stage has a key
-here; absent keys fall back to the stage defaults.
+mirror the pipeline stages.  Each key is a tunable of a run; absent keys
+fall back to the stage defaults and unknown keys are fatal.  Stage
+parameters that every run holds at one value, such as the sentence DP's
+diagonal band, have no key.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ class SentAlignConfig:
     s2: float = 6.8
     dict_weight: float = sentalign.DEFAULT_DICT_WEIGHT
     max_bead_cost: float = sentalign.DEFAULT_MAX_BEAD_COST
-    banded: bool = True
-    refit: bool = False  # second pass with per-document length statistics
     prior_one: float = 0.89
     prior_del: float = 0.0099
     prior_sub: float = 0.0099
@@ -106,7 +106,6 @@ class FilterConfig:
     trees: int = 100
     depth: int = 8
     embed_threshold: float = 0.7
-    embed_keep_below: bool = False  # comparison direction of the gate
     embed_vectors: str = ""  # precomputed-vector JSONL; empty disables the gate
     embed_endpoint: str = ""  # HTTP provider; overrides embed_vectors
     embed_batch_size: int = 64

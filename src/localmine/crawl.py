@@ -192,22 +192,26 @@ def crawl_site(
             continue
         if url in seed_set:
             any_seed_ok = True
+        html = _is_html(resp.content_type, url)
         if is_binary_document(resp.content_type, url):
             if binary_extractor is None:
                 store.skipped_binary += 1
                 continue
-            body = resp.body
-        elif _is_html(resp.content_type, url):
-            body = resp.body
-        else:
+        elif not html:
             store.skipped_other += 1
             continue
+        body = resp.body
         if stored_bytes + len(body) > budget.max_bytes:
             break
         stored_bytes += len(body)
         store.pages.append(Page(url, resp.content_type, body, clock() - start))
-        if _is_html(resp.content_type, url):
-            for href in extract_links_safe(body, extract_links):
+        if html:
+            try:
+                links = extract_links(body)
+            except Exception as err:  # no markup may abort a crawl
+                logger.debug("link extraction failed for %s: %s", url, err)
+                links = []
+            for href in links:
                 child = urldefrag(urljoin(url, href))[0]
                 scheme = urlsplit(child).scheme
                 if scheme not in ("http", "https"):
@@ -225,15 +229,6 @@ def crawl_site(
         else:
             store.failure_reason = "no pages stored"
     return store
-
-
-def extract_links_safe(body: bytes, extractor) -> list[str]:
-    """Link extraction must never abort a crawl, whatever the markup."""
-    try:
-        return extractor(body)
-    except Exception as err:
-        logger.debug("link extraction failed: %s", err)
-        return []
 
 
 def load_snapshot(snapshot_dir: str | Path) -> PageStore:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import logging
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -288,33 +289,42 @@ def iter_warc_records(path: str | Path) -> Iterator[tuple[str, bytes]]:
 
     Handles response/resource records, strips an embedded HTTP header
     block when present and skips records without a target URI.
-    Truncated or malformed trailing data, a non-integer or negative
-    Content-Length included, ends the stream quietly.
+    Truncated or malformed trailing data ends the stream after the
+    records read so far, without raising; a non-integer or negative
+    Content-Length and a cut or corrupt gzip stream log a warning.  A
+    file that is not gzip at all is an error.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as fh:
-        while True:
-            header = _read_warc_header(fh)
-            if header is None:
-                return
-            raw_length = header.get("content-length", "0")
-            try:
-                length = int(raw_length)
-            except ValueError:
-                length = -1
-            if length < 0:
-                logger.warning("bad WARC Content-Length %r; stream ends here", raw_length[:40])
-                return
-            payload = fh.read(length)
-            if len(payload) < length:
-                return
-            _skip_record_separator(fh)
-            if header.get("warc-type", "response") not in ("response", "resource"):
-                continue
-            url = header.get("warc-target-uri", "")
-            if not url:
-                continue
-            yield url, _strip_http_headers(payload)
+        try:
+            yield from _read_warc_records(fh)
+        except (EOFError, zlib.error) as err:
+            logger.warning("WARC %s is truncated or corrupt; stream ends here: %s", path, err)
+
+
+def _read_warc_records(fh) -> Iterator[tuple[str, bytes]]:
+    while True:
+        header = _read_warc_header(fh)
+        if header is None:
+            return
+        raw_length = header.get("content-length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            logger.warning("bad WARC Content-Length %r; stream ends here", raw_length[:40])
+            return
+        payload = fh.read(length)
+        if len(payload) < length:
+            return
+        _skip_record_separator(fh)
+        if header.get("warc-type", "response") not in ("response", "resource"):
+            continue
+        url = header.get("warc-target-uri", "")
+        if not url:
+            continue
+        yield url, _strip_http_headers(payload)
 
 
 def _read_warc_header(fh) -> dict[str, str] | None:

@@ -268,12 +268,11 @@ def embedding_gate(
     pairs: Sequence[CorpusRecord],
     provider: EmbeddingProvider,
     threshold: float = DEFAULT_EMBED_THRESHOLD,
-    keep_below: bool = False,
     counters: dict | None = None,
 ) -> list[CorpusRecord]:
     """Keep pairs whose sentence-vector cosine similarity clears the
     threshold (inclusive); provider failures drop the pair, counted,
-    never fatal.  ``keep_below`` flips the comparison direction."""
+    never fatal."""
     kept: list[CorpusRecord] = []
     if not pairs:
         return kept
@@ -298,8 +297,7 @@ def embedding_gate(
                 counters["embed_failures"] = counters.get("embed_failures", 0) + 1
             continue
         sim = cosine_similarity(vec_ja, vec_zh)
-        keep = sim < threshold if keep_below else sim >= threshold
-        if keep:
+        if sim >= threshold:
             pair.embed_sim = sim
             kept.append(pair)
         elif counters is not None:

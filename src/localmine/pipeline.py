@@ -22,7 +22,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .config import PipelineConfig
 from .crawl import BinaryExtractor, PageStore, crawl_site, dump_snapshot, is_binary_document
@@ -57,11 +57,6 @@ logger = logging.getLogger(__name__)
 
 SOURCE_LABELS = {SOURCE_ARCHIVE: "Common Crawl", SOURCE_CROWD: "Crowdsourcing"}
 _BUNDLED_DATA = Path(__file__).parent / "data"
-
-RecordFilter = Callable[["CorpusRecord"], bool]
-"""Hook point in the record stream (e.g. a future content filter);
-returning False drops the record."""
-
 
 @dataclass
 class SiteReport:
@@ -307,8 +302,6 @@ def mine_site(
             lexicon,
             model,
             lam=config.sentalign.dict_weight,
-            banded=config.sentalign.banded,
-            refit=config.sentalign.refit,
         )
         pairs = extract_pairs(
             ladder,
@@ -366,7 +359,6 @@ def filter_candidates(
             survivors,
             provider,
             threshold=config.filter.embed_threshold,
-            keep_below=config.filter.embed_keep_below,
             counters=counters,
         )
     return survivors
@@ -477,7 +469,6 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 
 def run_pipeline(
     config: PipelineConfig,
-    record_filter: RecordFilter | None = None,
     binary_extractor: BinaryExtractor | None = None,
 ) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
@@ -522,14 +513,12 @@ def run_pipeline(
             outcomes = list(pool.map(process, sites))
 
     # Global dedup; the first occurrence of a pair is the one kept.
-    deduped = [
-        record
-        for record in dedupe(
+    deduped = list(
+        dedupe(
             (r for outcome in outcomes for r in outcome.records),
             exact=config.pipeline.dedup_exact,
         )
-        if record_filter is None or record_filter(record)
-    ]
+    )
 
     corpus_jsonl = out_dir / "corpus.jsonl"
     corpus_tsv = out_dir / "corpus.tsv"

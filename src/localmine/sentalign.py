@@ -103,6 +103,10 @@ class LengthModel:
         total = sum(self.bead_priors.values())
         self.bead_priors = {k: v / total for k, v in self.bead_priors.items()}
 
+    def prior_cost(self, kind: BeadKind) -> float:
+        """Negative log prior of a bead kind."""
+        return -math.log(self.bead_priors[kind])
+
     def reciprocal(self) -> "LengthModel":
         """Model for aligning in the reverse direction."""
         return LengthModel(
@@ -132,7 +136,8 @@ def _normal_cdf(x: float) -> float:
 
 def length_cost(l_src: int, l_trg: int, model: LengthModel) -> float:
     """Two-sided tail cost of the normal length deviation, floored at 0
-    and capped so the banded DP never saturates on outliers."""
+    and capped so the DP never saturates on outliers.  The one length
+    term of both ``bead_cost`` and the DP in ``align_sentences``."""
     delta = (l_trg - model.c * l_src) / math.sqrt(max(l_src, 1) * model.s2)
     tail = 2.0 * (1.0 - _normal_cdf(abs(delta)))
     if tail <= 0.0:
@@ -155,7 +160,7 @@ def bead_cost(
         raise ValueError(f"span sizes do not match bead kind {kind.code}")
     l_src = sum(s.char_len for s in src_sents)
     l_trg = sum(s.char_len for s in trg_sents)
-    cost = length_cost(l_src, l_trg, model) - math.log(model.bead_priors[kind])
+    cost = length_cost(l_src, l_trg, model) + model.prior_cost(kind)
     if kind not in (BeadKind.SUB, BeadKind.DEL) and lam > 0 and lex is not None and len(lex):
         src_tokens: list[str] = []
         for s in src_sents:
@@ -190,62 +195,21 @@ def align_sentences(
     lam: float = DEFAULT_DICT_WEIGHT,
     direction: LanguageTag = LanguageTag.JA,
     banded: bool = True,
-    refit: bool = False,
 ) -> AlignmentLadder:
     """Minimum-cost bead tiling of two sentence lists.
 
     Ties break deterministically preferring ONE, then CONTRACT, EXPAND,
     MERGE, DEL, SUB.  With ``banded`` the grid is pruned to a diagonal
     band; if the band admits no tiling (extreme length ratios) the
-    alignment silently reruns unbanded.  With ``refit`` the length-model
-    parameters are re-estimated from the first pass's matched beads and
-    the alignment runs a second pass (off by default).
+    alignment silently reruns unbanded.  Each bead's length term is
+    ``length_cost``, so a ladder's bead costs equal ``bead_cost``.
     """
     model = model or LengthModel()
     ladder = _align(src, trg, lex, model, lam, direction, banded)
     if ladder is None:
         ladder = _align(src, trg, lex, model, lam, direction, False)
         assert ladder is not None  # the full grid always admits a tiling
-    if refit:
-        refitted = refit_length_model(ladder, src, trg, model)
-        if refitted is not model:
-            return align_sentences(
-                src, trg, lex, refitted, lam, direction, banded, refit=False
-            )
     return ladder
-
-
-def refit_length_model(
-    ladder: AlignmentLadder,
-    src: list[Sentence],
-    trg: list[Sentence],
-    model: LengthModel,
-    min_beads: int = 4,
-) -> LengthModel:
-    """Per-document re-estimate of the character-length ratio and
-    variance from a first pass's matched 1-1 beads.
-
-    Returns the original model unchanged when too few ONE beads exist or
-    the estimates degenerate."""
-    samples = []
-    for bead in ladder.beads:
-        if bead.kind is not BeadKind.ONE:
-            continue
-        s0, _ = bead.src_span
-        t0, _ = bead.trg_span
-        samples.append((src[s0].char_len, trg[t0].char_len))
-    if len(samples) < min_beads:
-        return model
-    total_src = sum(s for s, _ in samples)
-    total_trg = sum(t for _, t in samples)
-    if total_src == 0 or total_trg == 0:
-        return model
-    c = total_trg / total_src
-    # The model assumes Var(l_trg | l_src) grows linearly with l_src.
-    s2 = sum((t - c * s) ** 2 / max(s, 1) for s, t in samples) / len(samples)
-    if s2 <= 0.0:
-        return model
-    return LengthModel(c=c, s2=s2, bead_priors=dict(model.bead_priors))
 
 
 def _align(
@@ -277,11 +241,9 @@ def _align(
     use_dict = lam > 0 and lex is not None and len(lex) > 0
     translations = lex.headwords(direction) if use_dict else {}
 
-    neg_log_prior = {kind: -math.log(model.bead_priors[kind]) for kind in BeadKind}
-    kinds = [(kind, kind.n_src, kind.n_trg, neg_log_prior[kind]) for kind in KIND_PREFERENCE]
-    c, s2 = model.c, model.s2
-    sqrt, log, erf = math.sqrt, math.log, math.erf
-    sqrt2 = sqrt(2.0)
+    kinds = [(kind, kind.n_src, kind.n_trg, model.prior_cost(kind)) for kind in KIND_PREFERENCE]
+    # The model is fixed within a call, so each (l_src, l_trg) is costed once.
+    length_costs: dict[tuple[int, int], float] = {}
 
     cost_rows: list[list[float]] = []
     back_rows: list[list[BeadKind | None]] = []
@@ -308,17 +270,10 @@ def _align(
                     continue
                 l_src = src_chars[i] - src_chars[pi]
                 l_trg = trg_chars[j] - trg_chars[pj]
-                delta = (l_trg - c * l_src) / sqrt((l_src if l_src > 1 else 1) * s2)
-                tail = 2.0 * (1.0 - 0.5 * (1.0 + erf(abs(delta) / sqrt2)))
-                if tail <= 0.0:
-                    base = COST_CAP + prior_cost
-                else:
-                    lc = -log(tail)
-                    if lc < 0.0:
-                        lc = 0.0
-                    elif lc > COST_CAP:
-                        lc = COST_CAP
-                    base = lc + prior_cost
+                lc = length_costs.get((l_src, l_trg))
+                if lc is None:
+                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg, model)
+                base = lc + prior_cost
                 dictable = use_dict and di > 0 and dj > 0
                 lower = base - lam if (dictable and base > lam) else (0.0 if dictable else base)
                 if prev + lower >= best and best_kind is not None:

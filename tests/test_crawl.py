@@ -5,6 +5,7 @@ import pytest
 from localmine.crawl import CrawlBudget, crawl_site, dump_snapshot, load_snapshot
 from localmine.discovery import CandidateSite
 from localmine.fetching import FetchResponse, snapshot_fetch
+from localmine.htmltext import extract_links
 
 
 def make_site(seed="https://site.example.com/index.html", host="example.com"):
@@ -137,6 +138,20 @@ class TestConfinement:
 
 
 class TestFailureModes:
+    def test_link_extraction_failure_keeps_the_page(self, monkeypatch):
+        def broken(body):
+            if b"page 1 " in body:
+                raise ValueError("unparseable markup")
+            return extract_links(body)
+
+        monkeypatch.setattr("localmine.crawl.extract_links", broken)
+        fetch = CountingFetch(chain_pages(4))
+        store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
+        assert store.urls() == [
+            "https://site.example.com/index.html",
+            "https://site.example.com/p1.html",
+        ]
+
     def test_all_seeds_unreachable(self):
         fetch = CountingFetch({})
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)

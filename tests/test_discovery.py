@@ -227,6 +227,40 @@ class TestWarc:
         got = list(iter_warc_records(truncated))
         assert got == [("https://a.jp/1", b"<p>ok</p>")]
 
+    def test_cut_gzip_yields_records_before_the_cut(self, tmp_path, caplog):
+        import random
+        import zlib
+
+        rng = random.Random(3)
+        # Random payloads barely compress, so whole records precede each cut.
+        records = [
+            (f"https://a.jp/{k}", bytes(rng.randrange(256) for _ in range(3000)))
+            for k in range(6)
+        ]
+        path = tmp_path / "full.warc.gz"
+        write_warc(records, path)
+        data = path.read_bytes()
+        ends = []  # uncompressed offset where each record's bytes end
+        for k in range(1, len(records) + 1):
+            write_warc(records[:k], tmp_path / "prefix.warc")
+            ends.append((tmp_path / "prefix.warc").stat().st_size)
+        for cut in range(len(data) // 5, len(data) - 8, len(data) // 5):
+            cut_path = tmp_path / f"cut{cut}.warc.gz"
+            cut_path.write_bytes(data[:cut])
+            readable = len(zlib.decompressobj(wbits=31).decompress(data[:cut]))
+            expected = [r for r, end in zip(records, ends) if end <= readable]
+            assert 1 <= len(expected) < len(records)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="localmine.discovery"):
+                assert list(iter_warc_records(cut_path)) == expected
+            assert "truncated or corrupt" in caplog.text
+
+    def test_not_gzip_is_an_error(self, tmp_path):
+        path = tmp_path / "plain.warc.gz"
+        path.write_bytes(b"WARC/1.0\r\n\r\n")
+        with pytest.raises(OSError):
+            list(iter_warc_records(path))
+
     @pytest.mark.parametrize("length", ["12abc", "-5"])
     def test_bad_content_length_ends_stream(self, tmp_path, length):
         import gzip

@@ -208,12 +208,6 @@ class TestEmbeddingGate:
         kept = embedding_gate(pairs, lambda s: vectors, threshold=0.7)
         assert [round(p.embed_sim, 2) for p in kept] == [0.70, 0.71]
 
-    def test_keep_below_flips_direction(self):
-        pairs = self._pairs([("a", "b")])
-        provider = lambda sentences: [[1.0, 0.0], [0.0, 1.0]]
-        kept = embedding_gate(pairs, provider, threshold=0.7, keep_below=True)
-        assert len(kept) == 1
-
     def test_provider_failure_drops_and_counts(self):
         pairs = self._pairs([("a", "b"), ("c", "d")])
         provider = lambda sentences: [[1.0], None, [1.0], [1.0]]

@@ -128,12 +128,6 @@ class TestRunPipeline:
         assert result.reports == []
         assert result.corpus_jsonl.read_text(encoding="utf-8") == ""
 
-    def test_record_filter_hook(self, fixture_site, tmp_path):
-        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
-        result = run_pipeline(config, record_filter=lambda r: "1" not in r.ja)
-        for line in open(result.corpus_jsonl, encoding="utf-8"):
-            assert "1" not in json.loads(line)["ja"]
-
     def test_two_source_run_has_two_report_rows(self, fixture_site, tmp_path):
         # an archive-source site whose seed is absent from the snapshot
         # fails to crawl; the report keeps one row per source
@@ -287,6 +281,16 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[filter]\nthresold = 0.4\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("sentalign", "banded"), ("sentalign", "refit"), ("filter", "embed_keep_below")],
+    )
+    def test_removed_key_fatal(self, tmp_path, section, key):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[{section}]\n{key} = false\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=key):
             load_config(path)
 
     def test_unknown_section_fatal(self, tmp_path):

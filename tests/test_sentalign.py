@@ -230,35 +230,6 @@ class TestAlignSentences:
         ladder = align_sentences(src, trg, None, LengthModel(), banded=True)
         assert sum(b.trg_span[1] for b in ladder.beads) == 100
 
-    def test_refit_recovers_true_length_ratio(self, mirror_lexicon):
-        # targets are consistently half the source length: the second
-        # pass should estimate c near 0.5
-        rng = random.Random(55)
-        src, trg = [], []
-        for _ in range(12):
-            n = rng.randrange(8, 16) * 2
-            src.append(sent("あ" * n))
-            trg.append(sent("一" * (n // 2 + rng.randrange(-2, 3))))
-        model = LengthModel(c=1.0)
-        first = align_sentences(src, trg, None, model, banded=False)
-        from localmine.sentalign import refit_length_model
-
-        refitted = refit_length_model(first, src, trg, model)
-        assert refitted.c == pytest.approx(0.5, abs=0.05)
-        assert refitted.s2 > 0
-        second = align_sentences(src, trg, None, model, banded=False, refit=True)
-        assert sum(b.src_span[1] for b in second.beads) == len(src)
-        assert sum(b.trg_span[1] for b in second.beads) == len(trg)
-        # under the refitted model the halved targets cost almost nothing
-        assert second.total_cost <= first.total_cost + 1e-9
-
-    def test_refit_keeps_model_when_too_few_beads(self):
-        from localmine.sentalign import refit_length_model
-
-        model = LengthModel()
-        ladder = align_sentences([sent("ああ")], [], None, model)
-        assert refit_length_model(ladder, [sent("ああ")], [], model) is model
-
     def test_priors_renormalized(self):
         model = LengthModel()
         assert sum(model.bead_priors.values()) == pytest.approx(1.0, abs=1e-12)
@@ -266,6 +237,58 @@ class TestAlignSentences:
             LengthModel(c=-1.0)
         with pytest.raises(ValueError):
             LengthModel(s2=0.0)
+
+
+def _random_texts(rng, n):
+    src = [sent("あ" * rng.randrange(2, 40)) for _ in range(n)]
+    trg = [sent("一" * rng.randrange(1, 30)) for _ in range(n + rng.randrange(-1, 2))]
+    return src, trg
+
+
+def _bead_costs(ladder, src, trg, lex, model, lam=3.0):
+    return [
+        bead_cost(
+            b.kind,
+            src[b.src_span[0] : sum(b.src_span)],
+            trg[b.trg_span[0] : sum(b.trg_span)],
+            lex,
+            model,
+            lam,
+        )
+        for b in ladder.beads
+    ]
+
+
+class TestLengthKernel:
+    """The DP's length term is ``length_cost`` itself, costed afresh for
+    every call and model."""
+
+    def test_dp_length_term_is_length_cost(self, monkeypatch, mirror_lexicon):
+        def shifted_cost(l_src, l_trg, model):
+            return min(COST_CAP, 1.0 + 0.25 * abs(l_trg - model.c * l_src))
+
+        monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
+        rng = random.Random(17)
+        model = LengthModel()
+        for banded in (True, False):
+            for _ in range(20):
+                src, trg = _random_texts(rng, rng.randrange(1, 8))
+                src.append(sent("学生は新聞を読む。", ["学生", "は", "新聞", "を", "読む", "。"]))
+                trg.append(sent("学生读报纸。", ["学生", "读", "报纸", "。"]))
+                ladder = align_sentences(src, trg, mirror_lexicon, model, banded=banded)
+                expected = _bead_costs(ladder, src, trg, mirror_lexicon, model)
+                assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
+
+    def test_each_call_costs_under_its_own_model(self):
+        rng = random.Random(41)
+        src, trg = _random_texts(rng, 12)
+        totals = []
+        for model in (LengthModel(c=1.0), LengthModel(c=0.5)):
+            ladder = align_sentences(src, trg, None, model)
+            expected = sum(_bead_costs(ladder, src, trg, None, model))
+            assert ladder.total_cost == pytest.approx(expected, abs=1e-9)
+            totals.append(ladder.total_cost)
+        assert totals[0] != pytest.approx(totals[1], abs=1e-3)
 
 
 class TestExtractPairs:
