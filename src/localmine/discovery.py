@@ -283,6 +283,8 @@ def ingest_url_pairs(
 # ---------------------------------------------------------------------------
 # Archive record streams
 
+_GZIP_MAGIC = b"\x1f\x8b"
+
 
 def iter_warc_records(path: str | Path) -> Iterator[tuple[str, bytes]]:
     """(url, payload) pairs from a gzip-compressed WARC-style file.
@@ -291,15 +293,22 @@ def iter_warc_records(path: str | Path) -> Iterator[tuple[str, bytes]]:
     block when present and skips records without a target URI.
     Truncated or malformed trailing data ends the stream after the
     records read so far, without raising; a non-integer or negative
-    Content-Length and a cut or corrupt gzip stream log a warning.  A
-    file that is not gzip at all is an error.
+    Content-Length and a cut or corrupt gzip stream (including a CRC or
+    length mismatch in its trailer) log a warning.  A ``.gz`` file that
+    does not start with the gzip magic bytes is an error.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        try:
-            yield from _read_warc_records(fh)
-        except (EOFError, zlib.error) as err:
-            logger.warning("WARC %s is truncated or corrupt; stream ends here: %s", path, err)
+    with open(path, "rb") as raw:
+        if not str(path).endswith(".gz"):
+            yield from _read_warc_records(raw)
+            return
+        if raw.read(2) != _GZIP_MAGIC:
+            raise gzip.BadGzipFile(f"not a gzip file: {path}")
+        raw.seek(0)
+        with gzip.GzipFile(fileobj=raw) as fh:
+            try:
+                yield from _read_warc_records(fh)
+            except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+                logger.warning("WARC %s is truncated or corrupt; stream ends here: %s", path, err)
 
 
 def _read_warc_records(fh) -> Iterator[tuple[str, bytes]]:

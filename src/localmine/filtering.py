@@ -271,8 +271,11 @@ def embedding_gate(
     counters: dict | None = None,
 ) -> list[CorpusRecord]:
     """Keep pairs whose sentence-vector cosine similarity clears the
-    threshold (inclusive); provider failures drop the pair, counted,
-    never fatal."""
+    threshold (inclusive).  Dropped pairs are counted in ``counters``
+    by reason, and none is fatal: ``embed_rejected`` below the
+    threshold, ``embed_missing`` when the provider has no vector for a
+    side (a vector-file miss), ``embed_failures`` when the provider
+    raises (an outage)."""
     kept: list[CorpusRecord] = []
     if not pairs:
         return kept
@@ -294,7 +297,7 @@ def embedding_gate(
         vec_zh = vectors[2 * idx + 1]
         if vec_ja is None or vec_zh is None:
             if counters is not None:
-                counters["embed_failures"] = counters.get("embed_failures", 0) + 1
+                counters["embed_missing"] = counters.get("embed_missing", 0) + 1
             continue
         sim = cosine_similarity(vec_ja, vec_zh)
         if sim >= threshold:

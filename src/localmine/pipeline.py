@@ -494,10 +494,13 @@ def run_pipeline(
                 outcome.records = filter_candidates(
                     candidates, bitext_filter, lexicon, config, provider, counters
                 )
-                if counters.get("embed_failures"):
+                missing = counters.get("embed_missing", 0)
+                failed = counters.get("embed_failures", 0)
+                if missing or failed:
                     logger.warning(
-                        "site %s: embedding provider failed for %d pairs",
-                        site.host, counters["embed_failures"],
+                        "site %s: embedding gate dropped %d pairs with no vector "
+                        "and %d pairs the embedding provider failed on",
+                        site.host, missing, failed,
                     )
             _write_jsonl(site_dir / "filtered.jsonl", (r.to_json() for r in outcome.records))
         except Exception as err:  # per-site failures never abort the run

@@ -7,12 +7,24 @@ bead is a normal-deviate length term plus a bead-type prior, reduced by
 lexical evidence across the bead's spans.  The DP returns the
 minimum-total-cost tiling; a diagonal band prunes the grid for long
 documents and is disabled automatically when it would cut off every
-tiling.
+tiling.  The DP is the length-based bead search of Gale & Church (1993)
+with a dictionary term added to each bead.
+
+The dictionary term's greedy match count comes from tables built once
+per call (``_match_tables``): each source sentence's translation tuples
+cut to the target document's vocabulary, and each target sentence's
+count of the tokens those tuples can name.  A bead's count then costs a
+dict copy and a walk over its live source tokens, and equals
+``greedy_match_count`` on the bead's full token lists.  Before any
+greedy work, a bound from the live token counts prunes beads that
+cannot beat the best one found for the cell; the bound is exact, so the
+ladder is the one the unpruned DP finds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -187,6 +199,71 @@ def _band_rows(n_src: int, n_trg: int, banded: bool) -> list[tuple[int, int]]:
     return rows
 
 
+def _by_span(values: list, join=operator.add) -> tuple[None, list, list]:
+    """Per-sentence values extended to spans: ``spans[span_len][start]``
+    for spans of one or two sentences, a pair joined by ``join``."""
+    return None, values, [join(a, b) for a, b in zip(values, values[1:])]
+
+
+def _match_tables(
+    src: list[Sentence],
+    trg: list[Sentence],
+    translations: dict[str, tuple[str, ...]],
+) -> tuple[list[list[tuple[str, ...]]], list[dict[str, int]]]:
+    """The dictionary tables of one alignment call.
+
+    Per source sentence: its tokens' translation tuples, cut to the
+    target document's vocabulary in their sorted order, and with the
+    tokens left untranslated dropped.  Per target sentence: a count of
+    only the tokens those tuples can name.  Greedy matching over these
+    equals ``greedy_match_count`` on any span of the two documents: a
+    dropped candidate has a count of 0 in every target span, and a
+    dropped token never matches.
+    """
+    vocab = {tok for t in trg for tok in t.tokens}
+    cut: dict[str, tuple[str, ...]] = {}
+    src_rows: list[list[tuple[str, ...]]] = []
+    for s in src:
+        row = []
+        for tok in s.tokens:
+            cands = cut.get(tok)
+            if cands is None:
+                cands = cut[tok] = tuple(c for c in translations.get(tok, ()) if c in vocab)
+            if cands:
+                row.append(cands)
+        src_rows.append(row)
+    named = {c for cands in cut.values() for c in cands}
+    trg_counts: list[dict[str, int]] = []
+    for t in trg:
+        counts: dict[str, int] = {}
+        for tok in t.tokens:
+            if tok in named:
+                counts[tok] = counts.get(tok, 0) + 1
+        trg_counts.append(counts)
+    return src_rows, trg_counts
+
+
+def _merged(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    counts = dict(a)
+    for tok, k in b.items():
+        counts[tok] = counts.get(tok, 0) + k
+    return counts
+
+
+def _span_match_count(rows: list[tuple[str, ...]], counts: dict[str, int]) -> int:
+    """``greedy_match_count`` over one span's ``_match_tables`` rows."""
+    remaining = counts.copy()
+    matched = 0
+    for cands in rows:
+        for cand in cands:
+            left = remaining.get(cand)
+            if left:
+                remaining[cand] = left - 1
+                matched += 1
+                break
+    return matched
+
+
 def align_sentences(
     src: list[Sentence],
     trg: list[Sentence],
@@ -228,18 +305,25 @@ def _align(
     rows = _band_rows(n_src, n_trg, banded)
     inf = math.inf
 
-    # Prefix sums and per-sentence token lists for O(1) span features.
+    # Prefix sums for O(1) span lengths; token counts per span of 1 or 2.
     src_chars = [0] * (n_src + 1)
     for i, s in enumerate(src):
         src_chars[i + 1] = src_chars[i] + s.char_len
     trg_chars = [0] * (n_trg + 1)
     for j, t in enumerate(trg):
         trg_chars[j + 1] = trg_chars[j] + t.char_len
-    src_tokens = [s.tokens for s in src]
-    trg_tokens = [t.tokens for t in trg]
+    src_ntok = _by_span([len(s.tokens) for s in src])
+    trg_ntok = _by_span([len(t.tokens) for t in trg])
 
+    # Dictionary tables, built once per call (see ``_match_tables``), and
+    # the live token counts that bound each span's greedy m.
     use_dict = lam > 0 and lex is not None and len(lex) > 0
-    translations = lex.headwords(direction) if use_dict else {}
+    if use_dict:
+        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(direction))
+        src_spans = _by_span(src_rows)
+        trg_spans = _by_span(trg_counts, _merged)
+        src_live = _by_span([len(row) for row in src_rows])
+        trg_live = _by_span([sum(c.values()) for c in trg_counts])
 
     kinds = [(kind, kind.n_src, kind.n_trg, model.prior_cost(kind)) for kind in KIND_PREFERENCE]
     # The model is fixed within a call, so each (l_src, l_trg) is costed once.
@@ -274,16 +358,26 @@ def _align(
                 if lc is None:
                     lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg, model)
                 base = lc + prior_cost
-                dictable = use_dict and di > 0 and dj > 0
-                lower = base - lam if (dictable and base > lam) else (0.0 if dictable else base)
+                # The greedy m of a bead is at most ``live``, the smaller of
+                # its live source and target token counts, and each step
+                # from m to the bead's cost is monotone under IEEE rounding.
+                # So ``lower`` never exceeds the cost, and a bead it prunes
+                # could not have beaten ``best``: cells, backpointers and
+                # ties are those of the unpruned DP.
+                live = 0
+                lower = base
+                if use_dict and di and dj:
+                    n = src_ntok[di][pi] + trg_ntok[dj][pj]
+                    live = min(src_live[di][pi], trg_live[dj][pj])  # 0 whenever n is 0
+                if live:
+                    lower = base - lam * (2.0 * live / n)
+                    if lower < 0.0:
+                        lower = 0.0
                 if prev + lower >= best and best_kind is not None:
                     continue
-                if dictable:
-                    stoks = src_tokens[pi] if di == 1 else src_tokens[pi] + src_tokens[pi + 1]
-                    ttoks = trg_tokens[pj] if dj == 1 else trg_tokens[pj] + trg_tokens[pj + 1]
-                    n = len(stoks) + len(ttoks)
-                    if n:
-                        base -= lam * (2.0 * greedy_match_count(stoks, ttoks, translations) / n)
+                if live:
+                    m = _span_match_count(src_spans[di][pi], trg_spans[dj][pj])
+                    base -= lam * (2.0 * m / n)
                     if base < 0.0:
                         base = 0.0
                 total = prev + base

@@ -76,19 +76,44 @@ def strip_lang_markers(
 
 
 def levenshtein(a, b) -> int:
-    """Edit distance over two sequences (strings or lists of tokens)."""
+    """Edit distance over two sequences (strings or lists of tokens).
+
+    Hyyrö's (2001) global form of Myers' (1999, JACM) bit-vector
+    algorithm.  Each symbol of the shorter sequence gets one Python int
+    with a bit set at each of its positions; one pass over the longer
+    sequence then updates the vertical +1/-1 deltas of a whole DP column
+    at once, as bit vectors, and tracks the cell of the last row.  That
+    is O(len) big-int operations instead of O(len(a)·len(b)) cell
+    steps, with the integer the row DP computes.  Symbols are compared
+    as dict keys, which for strings is ``==``.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        current = [i]
-        for j, item_b in enumerate(b, start=1):
-            cost = 0 if item_a == item_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    peq: dict = {}
+    bit = 1
+    for item in b:
+        peq[item] = peq.get(item, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn = mask, 0  # column 0: every vertical delta is +1
+    dist = len(b)
+    for item in a:
+        eq = peq.get(item, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1  # row 0 rises by 1 per column
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & mask
+        vn = hp & d0 & mask
+    return dist
 
 
 def normalized_similarity(a, b) -> float:

@@ -7,6 +7,7 @@ from localmine.discovery import (
     ERR_WRONG_LANGUAGE,
     HostStats,
     ingest_url_pairs,
+    iter_directory_records,
     iter_warc_records,
     scan_archive,
     select_balanced_hosts,
@@ -255,6 +256,26 @@ class TestWarc:
                 assert list(iter_warc_records(cut_path)) == expected
             assert "truncated or corrupt" in caplog.text
 
+    def test_flipped_byte_never_raises(self, tmp_path, caplog):
+        # Every byte after the fixed 10-byte gzip header: the file name,
+        # the deflate data and the CRC32/ISIZE trailer.  A flip may end
+        # the stream early or garble a record, but never raises.
+        records = [(f"https://a.jp/{k}", f"<p>{'本文です。' * 12}{k}</p>".encode()) for k in range(4)]
+        path = tmp_path / "r.warc.gz"
+        write_warc(records, path)
+        data = path.read_bytes()
+        flipped = tmp_path / "f.warc.gz"
+        for pos in range(10, len(data)):
+            corrupt = bytearray(data)
+            corrupt[pos] ^= 0xFF
+            flipped.write_bytes(bytes(corrupt))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="localmine.discovery"):
+                got = list(iter_warc_records(flipped))
+            if pos >= len(data) - 8:  # the trailer: every record was read
+                assert got == records
+                assert "truncated or corrupt" in caplog.text
+
     def test_not_gzip_is_an_error(self, tmp_path):
         path = tmp_path / "plain.warc.gz"
         path.write_bytes(b"WARC/1.0\r\n\r\n")
@@ -283,3 +304,40 @@ class TestWarc:
         path = tmp_path / "g.warc.gz"
         path.write_bytes(gzip.compress(b"not a warc at all\r\n\r\n"))
         assert list(iter_warc_records(path)) == []
+
+
+class TestDirectoryRecords:
+    def _dump(self, tmp_path, pages):
+        from localmine.crawl import Page, PageStore, dump_snapshot
+
+        store = PageStore(host="b.jp")
+        store.pages = [Page(url, ctype, body, 0.0) for url, ctype, body in pages]
+        dump_snapshot(store, tmp_path / "snap")
+        return tmp_path / "snap"
+
+    def test_records_follow_the_manifest(self, tmp_path):
+        # URLs out of sorted order, a binary body and a body that looks
+        # like an HTTP response: payloads come back as stored, unstripped.
+        pages = [
+            ("https://b.jp/zh/2.html", "text/html", zh_page(200)),
+            ("https://b.jp/a.pdf", "application/pdf", bytes(range(256))),
+            ("https://b.jp/ja/1.html", "text/html", b"HTTP/1.1 200 OK\r\n\r\n" + ja_page(200)),
+        ]
+        snap = self._dump(tmp_path, pages)
+        assert list(iter_directory_records(snap)) == [(url, body) for url, _, body in pages]
+
+        # The manifest's line order, not file names or URLs, sets the order.
+        manifest = snap / "manifest.jsonl"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+        assert list(iter_directory_records(snap)) == [(url, body) for url, _, body in reversed(pages)]
+
+    def test_feeds_scan_archive(self, tmp_path):
+        pages = [("https://b.jp/ja/1.html", "text/html", ja_page(600)),
+                 ("https://b.jp/zh/1.html", "text/html", zh_page(600))]
+        scan = scan_archive(iter_directory_records(self._dump(tmp_path, pages)))
+        assert scan.hosts["b.jp"].page_count == 2
+
+    def test_missing_manifest_is_an_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            list(iter_directory_records(tmp_path))

@@ -214,7 +214,7 @@ class TestEmbeddingGate:
         counters = {}
         kept = embedding_gate(pairs, provider, threshold=0.5, counters=counters)
         assert len(kept) == 1
-        assert counters["embed_failures"] == 1
+        assert counters == {"embed_missing": 1}
 
     def test_whole_batch_failure_not_fatal(self):
         def provider(sentences):
@@ -224,6 +224,27 @@ class TestEmbeddingGate:
         kept = embedding_gate(self._pairs([("a", "b")]), provider, counters=counters)
         assert kept == []
         assert counters["embed_failures"] == 1
+
+    def test_vector_file_miss_is_not_an_outage(self, tmp_path):
+        from localmine.embeddings import FileVectorProvider, write_vector_file
+
+        pairs = self._pairs([("ja0", "zh0"), ("ja1", "zh1"), ("ja2", "zh2")])
+        vectors = {text: [1.0, 0.0] for pair in pairs for text in (pair.ja, pair.zh)}
+        del vectors["zh1"]
+        write_vector_file(tmp_path / "v.jsonl", vectors)
+        counters = {}
+        kept = embedding_gate(pairs, FileVectorProvider(tmp_path / "v.jsonl"), counters=counters)
+        assert [p.ja for p in kept] == ["ja0", "ja2"]
+        assert counters == {"embed_missing": 1}
+
+    def test_raising_provider_counts_only_failures(self):
+        def provider(sentences):
+            raise ConnectionError("endpoint down")
+
+        counters = {}
+        kept = embedding_gate(self._pairs([("a", "b"), ("c", "d")]), provider, counters=counters)
+        assert kept == []
+        assert counters == {"embed_failures": 2}
 
     def test_order_preserved_subset(self):
         pairs = self._pairs([(f"j{i}", f"z{i}") for i in range(6)])

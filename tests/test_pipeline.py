@@ -241,6 +241,22 @@ class TestRunPipeline:
         assert any("example-news.jp" in m and "embedding provider failed" in m
                    for m in warnings), warnings
 
+    def test_gate_warning_names_each_count(self, fixture_site, tmp_path, caplog, monkeypatch):
+        # The provider lacks a vector for one sentence and never fails.
+        def provider(sentences):
+            return [None] + [[1.0, 0.0]] * (len(sentences) - 1)
+
+        monkeypatch.setattr("localmine.pipeline.resolve_provider", lambda config: provider)
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        with caplog.at_level(logging.WARNING, logger="localmine.pipeline"):
+            run_pipeline(config)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "localmine.pipeline" and r.levelno == logging.WARNING]
+        assert warnings == [
+            "site example-news.jp: embedding gate dropped 1 pairs with no vector "
+            "and 0 pairs the embedding provider failed on"
+        ]
+
     def test_failing_provider_counts_every_pair(self, fixture_site, starter_lexicon,
                                                 trained_filter):
         from localmine.config import PipelineConfig
@@ -494,3 +510,42 @@ class TestCli:
             assert (mined / "example-news.jp" / name).read_bytes() == (site_dir / name).read_bytes()
         assert filtered.read_bytes() == (site_dir / "filtered.jsonl").read_bytes()
         assert corpus.read_bytes() == (tmp_path / "run" / "corpus.jsonl").read_bytes()
+
+
+# SHA-256 of the fixture `run` outputs, recorded before the sentence DP
+# moved to per-call match tables and edit distance to bit vectors.  A
+# kernel rewrite must keep every byte; a change that means to alter the
+# outputs updates these digests and says why.
+PINNED_DIGESTS = {
+    "corpus.jsonl": "8fe72d5bd71706c7e8dcb9bb52f6934622f5e908ebf0a3a9d9b76872d6eb7906",
+    "corpus.tsv": "b6a8b1550fb998d02498a97faf7069e33d09a5c19f9c5628f7a727e180875dfe",
+    "report.json": "f1e9dd6cb4c3a02e2ddc022d7a816377ce2a437aeb52c7296d289b8ea2768ad2",
+    "report.tsv": "ecbcf787c85f222250bdb8f2028a8514415ea628b30bfa64ce589fc3272c2cf2",
+    "example-news.jp/docpairs.jsonl":
+        "edb6989e8733ac9c8b57b31c810e0293512adc88ae745bcd6ee6087c9e21c672",
+    "example-news.jp/ladder.tsv":
+        "ee3f45f119a1e8cc8ac6811486cf94be425c4fc118f4fc1c00f18941561790b0",
+    "example-news.jp/raw_pairs.jsonl":
+        "312eb6b7dd9fdf8b48a83b9424febd46c2cf8bb6465982886f7904588f1b1367",
+    "example-news.jp/filtered.jsonl":
+        "4c6770016fc5bf0e2d6fb222d25248fdee370ae8381a56b38b0feb698e501540",
+}
+
+
+class TestPinnedOutputs:
+    def test_fixture_run_bytes(self, fixture_site, tmp_path, capsys):
+        import hashlib
+
+        out_dir = tmp_path / "out"
+        config = write_run_config(fixture_site, out_dir, snapshot_in_config=False)
+        assert cli_main([
+            "--config", str(config),
+            "--snapshot-dir", str(fixture_site.snapshot_dir),
+            "run",
+        ]) == 0
+        capsys.readouterr()
+        got = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in PINNED_DIGESTS
+        }
+        assert got == PINNED_DIGESTS

@@ -3,14 +3,23 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localmine.lexicon import build_lexicon
+from localmine.lexicon import Lexicon, build_lexicon, greedy_match_count
 from localmine.sentalign import (
     COST_CAP,
+    KIND_PREFERENCE,
     AlignmentLadder,
     Bead,
     BeadKind,
     LengthModel,
+    _align,
+    _band_rows,
+    _by_span,
+    _match_tables,
+    _merged,
+    _span_match_count,
     align_sentences,
     bead_cost,
     extract_pairs,
@@ -58,6 +67,114 @@ def brute_force_min_cost(src, trg, lex, model, lam):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def reference_align(
+    src: list[Sentence],
+    trg: list[Sentence],
+    lex: Lexicon | None,
+    model: LengthModel,
+    lam: float,
+    direction: LanguageTag,
+    banded: bool,
+) -> AlignmentLadder | None:
+    """The DP before its per-call match tables, kept verbatim as the
+    oracle: it calls ``greedy_match_count`` on each bead's full token
+    lists and prunes with the bound ``base - lam``.  ``_align`` must
+    reproduce its beads, costs and total bit for bit."""
+    n_src, n_trg = len(src), len(trg)
+    if n_src == 0 and n_trg == 0:
+        return AlignmentLadder([], 0.0)
+
+    rows = _band_rows(n_src, n_trg, banded)
+    inf = math.inf
+
+    # Prefix sums and per-sentence token lists for O(1) span features.
+    src_chars = [0] * (n_src + 1)
+    for i, s in enumerate(src):
+        src_chars[i + 1] = src_chars[i] + s.char_len
+    trg_chars = [0] * (n_trg + 1)
+    for j, t in enumerate(trg):
+        trg_chars[j + 1] = trg_chars[j] + t.char_len
+    src_tokens = [s.tokens for s in src]
+    trg_tokens = [t.tokens for t in trg]
+
+    use_dict = lam > 0 and lex is not None and len(lex) > 0
+    translations = lex.headwords(direction) if use_dict else {}
+
+    kinds = [(kind, kind.n_src, kind.n_trg, model.prior_cost(kind)) for kind in KIND_PREFERENCE]
+    # The model is fixed within a call, so each (l_src, l_trg) is costed once.
+    length_costs: dict[tuple[int, int], float] = {}
+
+    cost_rows: list[list[float]] = []
+    back_rows: list[list[BeadKind | None]] = []
+    for i in range(n_src + 1):
+        j_lo, j_hi = rows[i]
+        width = j_hi - j_lo + 1
+        cost_row = [inf] * width
+        back_row: list[BeadKind | None] = [None] * width
+        for j in range(j_lo, j_hi + 1):
+            if i == 0 and j == 0:
+                cost_row[0] = 0.0
+                continue
+            best = inf
+            best_kind: BeadKind | None = None
+            for kind, di, dj, prior_cost in kinds:
+                pi, pj = i - di, j - dj
+                if pi < 0 or pj < 0:
+                    continue
+                p_lo, p_hi = rows[pi]
+                if pj < p_lo or pj > p_hi:
+                    continue
+                prev = cost_rows[pi][pj - p_lo] if pi < i else cost_row[pj - j_lo]
+                if prev == inf:
+                    continue
+                l_src = src_chars[i] - src_chars[pi]
+                l_trg = trg_chars[j] - trg_chars[pj]
+                lc = length_costs.get((l_src, l_trg))
+                if lc is None:
+                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg, model)
+                base = lc + prior_cost
+                dictable = use_dict and di > 0 and dj > 0
+                lower = base - lam if (dictable and base > lam) else (0.0 if dictable else base)
+                if prev + lower >= best and best_kind is not None:
+                    continue
+                if dictable:
+                    stoks = src_tokens[pi] if di == 1 else src_tokens[pi] + src_tokens[pi + 1]
+                    ttoks = trg_tokens[pj] if dj == 1 else trg_tokens[pj] + trg_tokens[pj + 1]
+                    n = len(stoks) + len(ttoks)
+                    if n:
+                        base -= lam * (2.0 * greedy_match_count(stoks, ttoks, translations) / n)
+                    if base < 0.0:
+                        base = 0.0
+                total = prev + base
+                if total < best:
+                    best = total
+                    best_kind = kind
+            cost_row[j - j_lo] = best
+            back_row[j - j_lo] = best_kind
+        cost_rows.append(cost_row)
+        back_rows.append(back_row)
+
+    j_lo_last, _ = rows[n_src]
+    final = cost_rows[n_src][n_trg - j_lo_last] if n_trg >= j_lo_last else inf
+    if final == inf:
+        return None
+
+    # Backtrack; bead costs are recomputed as cell-cost differences.
+    beads: list[Bead] = []
+    i, j = n_src, n_trg
+    while i > 0 or j > 0:
+        j_lo, _ = rows[i]
+        kind = back_rows[i][j - j_lo]
+        assert kind is not None
+        pi, pj = i - kind.n_src, j - kind.n_trg
+        p_lo, _ = rows[pi]
+        step_cost = cost_rows[i][j - j_lo] - cost_rows[pi][pj - p_lo]
+        beads.append(Bead(kind, (pi, kind.n_src), (pj, kind.n_trg), step_cost))
+        i, j = pi, pj
+    beads.reverse()
+    return AlignmentLadder(beads, final)
 
 
 class TestLengthCost:
@@ -289,6 +406,105 @@ class TestLengthKernel:
             assert ladder.total_cost == pytest.approx(expected, abs=1e-9)
             totals.append(ladder.total_cost)
         assert totals[0] != pytest.approx(totals[1], abs=1e-3)
+
+
+# Source-side words a*, target-side words b*, and words no entry names.
+# Both directions read the same sentences: ZH headwords are the b* words.
+_WORDS_JA = ("a0", "a1", "a2", "a3")
+_WORDS_ZH = ("b0", "b1", "b2", "b3")
+_VOCAB = _WORDS_JA + _WORDS_ZH + ("u0", "u1")
+# Headwords with several translations that compete for one target token
+# in both directions (a0, a1 and a2 all name b0; b0 names a0, a1, a2).
+_COMPETING = [
+    ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b2"),
+    ("a2", "b0"), ("a2", "b3"), ("a3", "b1"),
+]
+
+_lexicons = st.one_of(
+    st.none(),
+    st.just(_COMPETING),
+    st.lists(st.tuples(st.sampled_from(_WORDS_JA), st.sampled_from(_WORDS_ZH)), max_size=12),
+).map(lambda entries: None if entries is None else build_lexicon(entries))
+
+
+@st.composite
+def _documents(draw, min_size=0, max_size=9):
+    """Sentences of 0-6 tokens; padding varies char lengths apart from
+    the tokens, so some sentences have characters but no tokens."""
+    token_lists = draw(st.lists(st.lists(st.sampled_from(_VOCAB), max_size=6),
+                                min_size=min_size, max_size=max_size))
+    return [sent("".join(toks) + "。" * draw(st.integers(0, 12)), toks) for toks in token_lists]
+
+
+_dp_settings = dict(
+    lex=_lexicons,
+    lam=st.sampled_from([0.0, 0.5, 3.0, 12.0]),
+    c=st.sampled_from([0.5, 1.0, 1.7]),
+    direction=st.sampled_from([LanguageTag.JA, LanguageTag.ZH]),
+)
+
+
+def _assert_same_ladder(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert [(b.kind, b.src_span, b.trg_span, b.cost) for b in got.beads] == [
+        (b.kind, b.src_span, b.trg_span, b.cost) for b in want.beads
+    ]
+    assert got.total_cost == want.total_cost
+
+
+class TestMatchTables:
+    """``_align`` over per-call match tables against ``reference_align``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=_documents(1), trg=_documents(1), banded=st.booleans(), **_dp_settings)
+    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, direction, banded):
+        args = (src, trg, lex, LengthModel(c=c), lam, direction, banded)
+        _assert_same_ladder(_align(*args), reference_align(*args))
+
+    @pytest.mark.parametrize("n_src, n_trg", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_sides_equal_reference(self, n_src, n_trg):
+        lex = build_lexicon(_COMPETING)
+        src = [sent("a0a1", ["a0", "a1"])] * n_src
+        trg = [sent("b0", ["b0"])] * n_trg
+        for banded in (True, False):
+            args = (src, trg, lex, LengthModel(), 3.0, LanguageTag.JA, banded)
+            _assert_same_ladder(_align(*args), reference_align(*args))
+
+    @settings(max_examples=25, deadline=None)
+    @given(src=_documents(22, 40), trg=_documents(22, 40), **_dp_settings)
+    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c, direction):
+        args = (src, trg, lex, LengthModel(c=c), lam, direction, True)
+        _assert_same_ladder(_align(*args), reference_align(*args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(src=_documents(), trg=_documents(), lex=_lexicons,
+           direction=st.sampled_from([LanguageTag.JA, LanguageTag.ZH]))
+    def test_span_count_is_greedy_match_count(self, src, trg, lex, direction):
+        translations = lex.headwords(direction) if lex is not None else {}
+        src_rows, trg_counts = _match_tables(src, trg, translations)
+        src_spans, trg_spans = _by_span(src_rows), _by_span(trg_counts, _merged)
+        for di in (1, 2):
+            for i in range(len(src) - di + 1):
+                stoks = [tok for s in src[i : i + di] for tok in s.tokens]
+                for dj in (1, 2):
+                    for j in range(len(trg) - dj + 1):
+                        ttoks = [tok for t in trg[j : j + dj] for tok in t.tokens]
+                        assert _span_match_count(src_spans[di][i], trg_spans[dj][j]) == (
+                            greedy_match_count(stoks, ttoks, translations)
+                        )
+
+    def test_competing_translations_follow_sorted_order(self):
+        # a0 tries b0 before b1, taking the one b0 that a1 also names.
+        lex = build_lexicon(_COMPETING)
+        src = [sent("a0a1", ["a0", "a1"])]
+        trg = [sent("b1b0", ["b1", "b0"])]
+        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
+        assert src_rows == [[("b0", "b1"), ("b0",)]]
+        assert trg_counts == [{"b1": 1, "b0": 1}]
+        assert _span_match_count(src_rows[0], trg_counts[0]) == 1
+        assert greedy_match_count(["a0", "a1"], ["b1", "b0"], lex.headwords(LanguageTag.JA)) == 1
 
 
 class TestExtractPairs:
