@@ -15,6 +15,7 @@ from pathlib import Path
 from .config import PipelineConfig, dump_default_config, load_config
 from .discovery import ingest_url_pairs
 from .filtering import BitextFilter, CorpusRecord
+from .jsonl import read_jsonl, write_jsonl
 from .lexicon import load_pair_tsv
 from .pipeline import (
     SiteReport,
@@ -31,8 +32,6 @@ from .pipeline import (
     run_pipeline,
     train_configured_filter,
     write_corpus_tsv,
-    _read_jsonl,
-    _write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,7 +109,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_discover_archive(args, config) -> int:
     scan, sites = discover_archive(args.archive, config)
-    _write_jsonl(args.out, (s.to_json() for s in sites))
+    write_jsonl(args.out, (s.to_json() for s in sites))
     print(f"{len(scan.hosts)} hosts scanned, {scan.skipped_records} records skipped, "
           f"{len(sites)} candidate sites -> {args.out}")
     return EXIT_OK
@@ -118,9 +117,9 @@ def _cmd_discover_archive(args, config) -> int:
 
 def _cmd_validate_urls(args, config) -> int:
     sites, rows = ingest_url_pairs(args.submissions, fetch_for(config), timeout=config.crawler.timeout)
-    _write_jsonl(args.out, (s.to_json() for s in sites))
+    write_jsonl(args.out, (s.to_json() for s in sites))
     if args.rows_out:
-        _write_jsonl(args.rows_out, (r.to_json() for r in rows))
+        write_jsonl(args.rows_out, (r.to_json() for r in rows))
     n_errors = sum(1 for r in rows if r.status == "ERROR")
     print(f"{len(rows)} submissions: {len(sites)} valid, {n_errors} errors -> {args.out}")
     return EXIT_OK
@@ -166,7 +165,7 @@ def _cmd_train_filter(args, config) -> int:
 
 
 def _cmd_filter(args, config) -> int:
-    candidates = [CorpusRecord.from_raw_json(obj) for obj in _read_jsonl(args.pairs)]
+    candidates = [CorpusRecord.from_raw_json(obj) for obj in read_jsonl(args.pairs)]
     records = filter_candidates(
         candidates,
         BitextFilter.load(args.model),
@@ -174,15 +173,15 @@ def _cmd_filter(args, config) -> int:
         config,
         resolve_provider(config),
     )
-    _write_jsonl(args.out, (r.to_json() for r in records))
+    write_jsonl(args.out, (r.to_json() for r in records))
     print(f"{len(records)}/{len(candidates)} pairs kept -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_dedup(args, config) -> int:
-    records = (CorpusRecord.from_json(obj) for obj in _read_jsonl(args.input))
+    records = (CorpusRecord.from_json(obj) for obj in read_jsonl(args.input))
     kept = list(dedupe(records, exact=not args.approximate))
-    _write_jsonl(args.out, (r.to_json() for r in kept))
+    write_jsonl(args.out, (r.to_json() for r in kept))
     if args.tsv:
         write_corpus_tsv(args.tsv, kept)
     print(f"{len(kept)} records -> {args.out}")

@@ -1,8 +1,9 @@
 """Declarative pipeline configuration: one INI file whose sections
 mirror the pipeline stages.  Each key is a tunable of a run; absent keys
-fall back to the stage defaults and unknown keys are fatal.  Stage
-parameters that every run holds at one value, such as the sentence DP's
-diagonal band, have no key.
+fall back to the stage defaults, which each stage module defines once,
+and unknown keys are fatal.  The ``[crawler]`` section is the crawl's
+own ``CrawlBudget``.  Stage parameters that every run holds at one
+value, such as the sentence DP's diagonal band, have no key.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import docalign, sentalign
+from . import charlm, docalign, embeddings, filtering, forest, sentalign, text
 from .crawl import CrawlBudget
 from .discovery import DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
+from .sentalign import BeadKind
 
 
 @dataclass
 class TextConfig:
-    kana_threshold: float = 0.05
-    han_threshold: float = 0.5
+    kana_threshold: float = text.KANA_FRACTION_JA
+    han_threshold: float = text.HAN_FRACTION_ZH
 
 
 @dataclass
@@ -27,23 +29,6 @@ class DiscoveryConfig:
     min_bytes: int = DEFAULT_MIN_BYTES
     min_balance: float = DEFAULT_MIN_BALANCE
     limit: int = 1000
-
-
-@dataclass
-class CrawlerConfig:
-    max_seconds: int = 172_800
-    max_pages: int = 10_000
-    max_bytes: int = 256 * 1024 * 1024
-    per_host_delay_ms: int = 100
-    timeout: float = 30.0
-
-    def budget(self) -> CrawlBudget:
-        return CrawlBudget(
-            max_seconds=self.max_seconds,
-            max_pages=self.max_pages,
-            max_bytes=self.max_bytes,
-            per_host_delay_ms=self.per_host_delay_ms,
-        )
 
 
 @dataclass
@@ -76,39 +61,39 @@ class SentAlignConfig:
     s2: float = 6.8
     dict_weight: float = sentalign.DEFAULT_DICT_WEIGHT
     max_bead_cost: float = sentalign.DEFAULT_MAX_BEAD_COST
-    prior_one: float = 0.89
-    prior_del: float = 0.0099
-    prior_sub: float = 0.0099
-    prior_expand: float = 0.0445
-    prior_contract: float = 0.0445
-    prior_merge: float = 0.011
+    prior_one: float = sentalign.DEFAULT_PRIORS[BeadKind.ONE]
+    prior_del: float = sentalign.DEFAULT_PRIORS[BeadKind.DEL]
+    prior_sub: float = sentalign.DEFAULT_PRIORS[BeadKind.SUB]
+    prior_expand: float = sentalign.DEFAULT_PRIORS[BeadKind.EXPAND]
+    prior_contract: float = sentalign.DEFAULT_PRIORS[BeadKind.CONTRACT]
+    prior_merge: float = sentalign.DEFAULT_PRIORS[BeadKind.MERGE]
 
     def length_model(self) -> sentalign.LengthModel:
         priors = {
-            sentalign.BeadKind.ONE: self.prior_one,
-            sentalign.BeadKind.DEL: self.prior_del,
-            sentalign.BeadKind.SUB: self.prior_sub,
-            sentalign.BeadKind.EXPAND: self.prior_expand,
-            sentalign.BeadKind.CONTRACT: self.prior_contract,
-            sentalign.BeadKind.MERGE: self.prior_merge,
+            BeadKind.ONE: self.prior_one,
+            BeadKind.DEL: self.prior_del,
+            BeadKind.SUB: self.prior_sub,
+            BeadKind.EXPAND: self.prior_expand,
+            BeadKind.CONTRACT: self.prior_contract,
+            BeadKind.MERGE: self.prior_merge,
         }
         return sentalign.LengthModel(c=self.c, s2=self.s2, bead_priors=priors)
 
 
 @dataclass
 class FilterConfig:
-    threshold: float = 0.5
+    threshold: float = filtering.DEFAULT_SCORE_THRESHOLD
     model_path: str = ""  # trained filter bundle; trained on the fly when empty
     train_corpus: str = ""  # parallel TSV used when model_path is empty
     model1_iterations: int = 10
-    lm_order: int = 5
-    lm_k: float = 0.1
-    trees: int = 100
-    depth: int = 8
-    embed_threshold: float = 0.7
+    lm_order: int = charlm.DEFAULT_ORDER
+    lm_k: float = charlm.DEFAULT_ADD_K
+    trees: int = forest.DEFAULT_TREES
+    depth: int = forest.DEFAULT_DEPTH
+    embed_threshold: float = filtering.DEFAULT_EMBED_THRESHOLD
     embed_vectors: str = ""  # precomputed-vector JSONL; empty disables the gate
     embed_endpoint: str = ""  # HTTP provider; overrides embed_vectors
-    embed_batch_size: int = 64
+    embed_batch_size: int = embeddings.DEFAULT_BATCH_SIZE
 
 
 @dataclass
@@ -127,7 +112,7 @@ class PipelineSectionConfig:
 class PipelineConfig:
     text: TextConfig = field(default_factory=TextConfig)
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
-    crawler: CrawlerConfig = field(default_factory=CrawlerConfig)
+    crawler: CrawlBudget = field(default_factory=CrawlBudget)
     lexicon: LexiconConfig = field(default_factory=LexiconConfig)
     docalign: DocAlignConfig = field(default_factory=DocAlignConfig)
     sentalign: SentAlignConfig = field(default_factory=SentAlignConfig)
@@ -138,7 +123,7 @@ class PipelineConfig:
 _SECTIONS = {
     "text": TextConfig,
     "discovery": DiscoveryConfig,
-    "crawler": CrawlerConfig,
+    "crawler": CrawlBudget,
     "lexicon": LexiconConfig,
     "docalign": DocAlignConfig,
     "sentalign": SentAlignConfig,

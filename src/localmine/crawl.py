@@ -10,7 +10,6 @@ order link expansion).
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 import urllib.robotparser
@@ -20,8 +19,9 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urldefrag, urljoin, urlsplit
 
-from .fetching import Fetch, load_manifest
+from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
 from .htmltext import extract_links
+from .jsonl import write_jsonl
 from .urls import registrable_domain
 
 logger = logging.getLogger(__name__)
@@ -40,12 +40,15 @@ _BINARY_EXTENSIONS = (".pdf", ".doc", ".docx")
 
 @dataclass
 class CrawlBudget:
-    """Hard limits; the crawl halts when ANY of them is reached."""
+    """The ``[crawler]`` config section: hard limits, where the crawl
+    halts when ANY of them is reached, the politeness delay between two
+    requests to one host, and the timeout of each request."""
 
     max_seconds: int = 172_800  # 48 h, the default wall clock per site
     max_pages: int = 10_000
     max_bytes: int = 256 * 1024 * 1024
     per_host_delay_ms: int = 100
+    timeout: float = DEFAULT_TIMEOUT
 
 
 @dataclass
@@ -133,22 +136,22 @@ def crawl_site(
     budget: CrawlBudget,
     fetch: Fetch,
     binary_extractor: BinaryExtractor | None = None,
-    timeout: float = 30.0,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> PageStore:
     """Breadth-first crawl of one candidate site under a strict budget.
 
-    ``site`` needs ``host`` and ``seed_urls`` attributes.  Only links
-    within the seeds' registrable domains are followed and robots
-    exclusion is honored.  All seeds unreachable marks the site
+    ``site`` needs ``host`` and ``seed_urls`` attributes.  Every
+    request, robots.txt included, is fetched with ``budget.timeout``.
+    Only links within the seeds' registrable domains are followed and
+    robots exclusion is honored.  All seeds unreachable marks the site
     crawl-failed.
     """
     store = PageStore(host=site.host)
     seeds = [urldefrag(u)[0] for u in site.seed_urls]
     seed_set = set(seeds)
     allowed_domains = frozenset(registrable_domain(u) for u in seeds)
-    robots = _RobotsCache(fetch, timeout)
+    robots = _RobotsCache(fetch, budget.timeout)
     start = clock()
     last_request: dict[str, float] = {}
     frontier: deque[str] = deque(seeds)
@@ -182,7 +185,7 @@ def crawl_site(
         polite_wait(netloc)
         store.fetched_pages += 1
         try:
-            resp = fetch(url, timeout=timeout)
+            resp = fetch(url, timeout=budget.timeout)
         except Exception as err:
             logger.debug("fetch failed for %s: %s", url, err)
             store.fetch_failures += 1
@@ -250,13 +253,10 @@ def dump_snapshot(store: PageStore, out_dir: str | Path) -> None:
     load_snapshot)."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    lines = []
+    entries = []
     for idx, page in enumerate(store.pages):
         suffix = ".html" if _is_html(page.content_type, page.url) else ".bin"
         name = f"page{idx:04d}{suffix}"
         (root / name).write_bytes(page.body)
-        lines.append(json.dumps(
-            {"file": name, "url": page.url, "content_type": page.content_type},
-            ensure_ascii=False,
-        ))
-    (root / "manifest.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        entries.append({"file": name, "url": page.url, "content_type": page.content_type})
+    write_jsonl(root / "manifest.jsonl", entries)

@@ -15,6 +15,7 @@ import urllib.request
 from pathlib import Path
 from typing import Sequence
 
+from .jsonl import read_jsonl, write_jsonl
 from .text import normalize_text
 
 logger = logging.getLogger(__name__)
@@ -36,14 +37,9 @@ class FileVectorProvider:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self._vectors: dict[str, list[float]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                self._vectors[obj["sha256"]] = [float(v) for v in obj["vector"]]
+        self._vectors = {
+            obj["sha256"]: [float(v) for v in obj["vector"]] for obj in read_jsonl(path)
+        }
 
     def __call__(self, sentences: Sequence[str]) -> list:
         return [self._vectors.get(sentence_key(s)) for s in sentences]
@@ -51,15 +47,10 @@ class FileVectorProvider:
 
 def write_vector_file(path: str | Path, items: dict[str, Sequence[float]]) -> None:
     """Write a precomputed-vector file mapping sentence text to vectors."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence, vector in items.items():
-            fh.write(
-                json.dumps(
-                    {"sha256": sentence_key(sentence), "vector": list(vector)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        ({"sha256": sentence_key(s), "vector": list(v)} for s, v in items.items()),
+    )
 
 
 class HttpVectorProvider:

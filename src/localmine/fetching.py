@@ -8,13 +8,14 @@ pipeline runs are reproducible offline.
 
 from __future__ import annotations
 
-import json
 import logging
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
+
+from .jsonl import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -85,10 +86,4 @@ def load_manifest(snapshot_dir: str | Path) -> list[dict]:
     manifest_path = Path(snapshot_dir) / "manifest.jsonl"
     if not manifest_path.exists():
         raise FileNotFoundError(f"snapshot manifest not found: {manifest_path}")
-    entries: list[dict] = []
-    with open(manifest_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+    return list(read_jsonl(manifest_path))

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charlm import CharLM, lm_score, train_char_lm
-from .forest import RandomForest
+from .charlm import DEFAULT_ADD_K, DEFAULT_ORDER, CharLM, lm_score, train_char_lm
+from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
 from .model1 import TranslationTable, train_model1
 from .text import LanguageTag, Segmenter
@@ -236,8 +236,8 @@ def synthesize_negatives(
 
 def train_classifier(
     rows: Sequence[tuple[FeatureVector, int]],
-    trees: int = 100,
-    depth: int = 8,
+    trees: int = DEFAULT_TREES,
+    depth: int = DEFAULT_DEPTH,
     seed: int = 0,
 ) -> RandomForest:
     """Fit the bagged-tree ensemble on labeled feature vectors."""
@@ -275,7 +275,9 @@ def embedding_gate(
     by reason, and none is fatal: ``embed_rejected`` below the
     threshold, ``embed_missing`` when the provider has no vector for a
     side (a vector-file miss), ``embed_failures`` when the provider
-    raises (an outage)."""
+    raises (an outage) or returns a batch of the wrong length, both of
+    which count every pair, or when a pair's two vectors cannot be
+    compared (different lengths, non-numeric entries)."""
     kept: list[CorpusRecord] = []
     if not pairs:
         return kept
@@ -285,13 +287,13 @@ def embedding_gate(
         sentences.append(pair.zh)
     try:
         vectors = provider(sentences)
+        if len(vectors) != len(sentences):
+            raise ValueError(f"{len(vectors)} vectors for {len(sentences)} sentences")
     except Exception as err:
         logger.warning("embedding provider failed for the whole batch: %s", err)
         if counters is not None:
             counters["embed_failures"] = counters.get("embed_failures", 0) + len(pairs)
         return kept
-    if len(vectors) != len(sentences):
-        raise ValueError("embedding provider returned a misaligned batch")
     for idx, pair in enumerate(pairs):
         vec_ja = vectors[2 * idx]
         vec_zh = vectors[2 * idx + 1]
@@ -299,7 +301,13 @@ def embedding_gate(
             if counters is not None:
                 counters["embed_missing"] = counters.get("embed_missing", 0) + 1
             continue
-        sim = cosine_similarity(vec_ja, vec_zh)
+        try:
+            sim = cosine_similarity(vec_ja, vec_zh)
+        except (TypeError, ValueError) as err:
+            logger.debug("unusable embedding vectors for %r: %s", pair.ja, err)
+            if counters is not None:
+                counters["embed_failures"] = counters.get("embed_failures", 0) + 1
+            continue
         if sim >= threshold:
             pair.embed_sim = sim
             kept.append(pair)
@@ -367,10 +375,10 @@ def train_filter(
     seg_ja: Segmenter,
     seg_zh: Segmenter,
     model1_iterations: int = 10,
-    lm_order: int = 5,
-    lm_k: float = 0.1,
-    trees: int = 100,
-    depth: int = 8,
+    lm_order: int = DEFAULT_ORDER,
+    lm_k: float = DEFAULT_ADD_K,
+    trees: int = DEFAULT_TREES,
+    depth: int = DEFAULT_DEPTH,
     seed: int = 0,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
 ) -> BitextFilter:

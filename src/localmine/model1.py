@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,28 +59,6 @@ class TranslationTable:
 
     def source_sums(self) -> dict[str, float]:
         return {src: sum(row.values()) for src, row in self.t.items()}
-
-    def to_tsv(self, path: str | Path) -> None:
-        """Export ``src<TAB>trg<TAB>p`` rows, 6 decimal places."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for src in sorted(self.t):
-                for trg in sorted(self.t[src]):
-                    fh.write(f"{src}\t{trg}\t{self.t[src][trg]:.6f}\n")
-
-    @classmethod
-    def from_tsv(cls, path: str | Path, direction: str = "") -> "TranslationTable":
-        """Import an externally produced probability table."""
-        table = cls(direction=direction)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 columns")
-                table.t.setdefault(cols[0], {})[cols[1]] = float(cols[2])
-        return table
 
 
 def train_model1(

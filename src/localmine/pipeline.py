@@ -9,9 +9,10 @@ The CLI subcommands call the same stage functions as ``run_pipeline``.
 
 The benchmark tracer (``perfbench/tracer.py``) times each layer by
 rebinding this module's globals by name (the stage functions imported
-here, ``mine_site``, ``filter_candidates`` and ``_write_jsonl``, whose
-write of ``filtered.jsonl`` ends a site), so stages must keep those
-names and reach them through the module globals at call time.
+here, ``mine_site``, ``filter_candidates`` and ``_write_jsonl``, the
+JSONL writer, whose write of ``filtered.jsonl`` ends a site), so stages
+must keep those names and reach them through the module globals at call
+time.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .filtering import (
     train_filter,
 )
 from .htmltext import EncodingError, extract_page
+from .jsonl import read_jsonl
+from .jsonl import write_jsonl as _write_jsonl
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
 from .sentalign import align_sentences, extract_pairs, format_ladder_tsv
 from .text import Document, LanguageTag, document_from_text, make_segmenter
@@ -247,11 +250,7 @@ def crawl_and_dump(
 ) -> PageStore:
     """Crawl one site under the ``[crawler]`` budget; a crawl that did
     not fail is dumped as a snapshot into ``pages_dir`` when given."""
-    store = crawl_site(
-        site, config.crawler.budget(), fetch,
-        binary_extractor=binary_extractor,
-        timeout=config.crawler.timeout,
-    )
+    store = crawl_site(site, config.crawler, fetch, binary_extractor=binary_extractor)
     if pages_dir is not None and not store.crawl_failed:
         dump_snapshot(store, pages_dir)
     return store
@@ -365,7 +364,7 @@ def filter_candidates(
 
 
 def read_sites(path: str | Path) -> list[CandidateSite]:
-    return [CandidateSite.from_json(obj) for obj in _read_jsonl(path)]
+    return [CandidateSite.from_json(obj) for obj in read_jsonl(path)]
 
 
 def discover_archive(
@@ -587,19 +586,3 @@ def write_corpus_tsv(path: str | Path, records: Iterable[CorpusRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(f"{record.ja}\t{record.zh}\n")
-
-
-def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
-def _read_jsonl(path: str | Path) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

@@ -35,16 +35,6 @@ COST_CAP = 25.0
 DEFAULT_DICT_WEIGHT = 3.0
 DEFAULT_MAX_BEAD_COST = 10.0
 
-# Classic bead-type prior mass (renormalized at model construction).
-_DEFAULT_PRIORS = {
-    "1-1": 0.89,
-    "1-0": 0.0099,
-    "0-1": 0.0099,
-    "1-2": 0.0445,
-    "2-1": 0.0445,
-    "2-2": 0.011,
-}
-
 
 class BeadKind(Enum):
     SUB = (0, 1)
@@ -66,13 +56,16 @@ class BeadKind(Enum):
     def code(self) -> str:
         return f"{self.value[0]}-{self.value[1]}"
 
-    @classmethod
-    def from_code(cls, code: str) -> "BeadKind":
-        for kind in cls:
-            if kind.code == code:
-                return kind
-        raise ValueError(f"unknown bead code: {code!r}")
 
+# Classic bead-type prior mass (renormalized at model construction).
+DEFAULT_PRIORS = {
+    BeadKind.ONE: 0.89,
+    BeadKind.DEL: 0.0099,
+    BeadKind.SUB: 0.0099,
+    BeadKind.EXPAND: 0.0445,
+    BeadKind.CONTRACT: 0.0445,
+    BeadKind.MERGE: 0.011,
+}
 
 # Tie-break preference at equal cost.
 KIND_PREFERENCE = (
@@ -83,15 +76,6 @@ KIND_PREFERENCE = (
     BeadKind.DEL,
     BeadKind.SUB,
 )
-
-_TRANSPOSED = {
-    BeadKind.SUB: BeadKind.DEL,
-    BeadKind.DEL: BeadKind.SUB,
-    BeadKind.ONE: BeadKind.ONE,
-    BeadKind.EXPAND: BeadKind.CONTRACT,
-    BeadKind.CONTRACT: BeadKind.EXPAND,
-    BeadKind.MERGE: BeadKind.MERGE,
-}
 
 
 @dataclass
@@ -109,7 +93,7 @@ class LengthModel:
         if self.s2 <= 0:
             raise ValueError("s2 must be positive")
         if not self.bead_priors:
-            self.bead_priors = {BeadKind.from_code(k): v for k, v in _DEFAULT_PRIORS.items()}
+            self.bead_priors = DEFAULT_PRIORS
         if any(p <= 0 for p in self.bead_priors.values()):
             raise ValueError("bead priors must be positive")
         total = sum(self.bead_priors.values())
@@ -118,14 +102,6 @@ class LengthModel:
     def prior_cost(self, kind: BeadKind) -> float:
         """Negative log prior of a bead kind."""
         return -math.log(self.bead_priors[kind])
-
-    def reciprocal(self) -> "LengthModel":
-        """Model for aligning in the reverse direction."""
-        return LengthModel(
-            c=1.0 / self.c,
-            s2=self.s2 / self.c,
-            bead_priors={_TRANSPOSED[k]: v for k, v in self.bead_priors.items()},
-        )
 
 
 @dataclass
@@ -164,10 +140,11 @@ def bead_cost(
     lex: Lexicon | None,
     model: LengthModel,
     lam: float = DEFAULT_DICT_WEIGHT,
-    direction: LanguageTag = LanguageTag.JA,
 ) -> float:
     """Length cost plus prior cost minus the lexical-evidence bonus,
-    clamped to be nonnegative.  SUB/DEL beads carry no dictionary term."""
+    clamped to be nonnegative.  The source side is Japanese, so the
+    bonus reads the lexicon's JA headwords.  SUB/DEL beads carry no
+    dictionary term."""
     if len(src_sents) != kind.n_src or len(trg_sents) != kind.n_trg:
         raise ValueError(f"span sizes do not match bead kind {kind.code}")
     l_src = sum(s.char_len for s in src_sents)
@@ -182,7 +159,7 @@ def bead_cost(
             trg_tokens.extend(s.tokens)
         n = len(src_tokens) + len(trg_tokens)
         if n:
-            m = greedy_match_count(src_tokens, trg_tokens, lex.headwords(direction))
+            m = greedy_match_count(src_tokens, trg_tokens, lex.headwords(LanguageTag.JA))
             cost -= lam * (2.0 * m / n)
     return max(0.0, cost)
 
@@ -270,10 +247,11 @@ def align_sentences(
     lex: Lexicon | None,
     model: LengthModel | None = None,
     lam: float = DEFAULT_DICT_WEIGHT,
-    direction: LanguageTag = LanguageTag.JA,
     banded: bool = True,
 ) -> AlignmentLadder:
-    """Minimum-cost bead tiling of two sentence lists.
+    """Minimum-cost bead tiling of a Japanese sentence list (``src``)
+    and a Chinese one (``trg``), matched through the lexicon's JA
+    headwords.
 
     Ties break deterministically preferring ONE, then CONTRACT, EXPAND,
     MERGE, DEL, SUB.  With ``banded`` the grid is pruned to a diagonal
@@ -282,9 +260,9 @@ def align_sentences(
     ``length_cost``, so a ladder's bead costs equal ``bead_cost``.
     """
     model = model or LengthModel()
-    ladder = _align(src, trg, lex, model, lam, direction, banded)
+    ladder = _align(src, trg, lex, model, lam, banded)
     if ladder is None:
-        ladder = _align(src, trg, lex, model, lam, direction, False)
+        ladder = _align(src, trg, lex, model, lam, False)
         assert ladder is not None  # the full grid always admits a tiling
     return ladder
 
@@ -295,7 +273,6 @@ def _align(
     lex: Lexicon | None,
     model: LengthModel,
     lam: float,
-    direction: LanguageTag,
     banded: bool,
 ) -> AlignmentLadder | None:
     n_src, n_trg = len(src), len(trg)
@@ -319,7 +296,7 @@ def _align(
     # the live token counts that bound each span's greedy m.
     use_dict = lam > 0 and lex is not None and len(lex) > 0
     if use_dict:
-        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(direction))
+        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
         src_spans = _by_span(src_rows)
         trg_spans = _by_span(trg_counts, _merged)
         src_live = _by_span([len(row) for row in src_rows])

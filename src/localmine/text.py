@@ -38,13 +38,6 @@ class LanguageTag(Enum):
     def __str__(self) -> str:  # serialized form
         return self.value
 
-    @classmethod
-    def parse(cls, value: str) -> "LanguageTag":
-        for tag in cls:
-            if tag.value == value:
-                return tag
-        raise ValueError(f"unknown language tag: {value!r}")
-
 
 @dataclass
 class Sentence:

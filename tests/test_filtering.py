@@ -246,6 +246,22 @@ class TestEmbeddingGate:
         assert kept == []
         assert counters == {"embed_failures": 2}
 
+    @pytest.mark.parametrize("bad", [[1.0, 0.0, 0.0], ["x", 1.0], [{}, 1.0]])
+    def test_uncomparable_vectors_count_as_failures(self, bad):
+        pairs = self._pairs([("a", "b"), ("c", "d"), ("e", "f")])
+        vectors = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], bad, [1.0, 0.0], [1.0, 0.0]]
+        counters = {}
+        kept = embedding_gate(pairs, lambda s: vectors, threshold=0.7, counters=counters)
+        assert [p.ja for p in kept] == ["a", "e"]
+        assert counters == {"embed_failures": 1}
+
+    def test_misaligned_batch_counts_every_pair(self):
+        pairs = self._pairs([("a", "b"), ("c", "d")])
+        counters = {}
+        kept = embedding_gate(pairs, lambda s: [[1.0, 0.0]] * 3, counters=counters)
+        assert kept == []
+        assert counters == {"embed_failures": 2}
+
     def test_order_preserved_subset(self):
         pairs = self._pairs([(f"j{i}", f"z{i}") for i in range(6)])
         vectors = []

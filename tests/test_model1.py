@@ -190,14 +190,3 @@ class TestTranslationTable:
         assert table.best_prob("a", {"y"}) == pytest.approx(0.3)
         assert table.best_prob("a", {"z"}) == 0.0
         assert table.best_prob("unknown", {"x"}) == 0.0
-
-    def test_tsv_roundtrip(self, tmp_path):
-        table = train_model1(CANONICAL, iterations=3, direction="ja-zh")
-        path = tmp_path / "table.tsv"
-        table.to_tsv(path)
-        again = TranslationTable.from_tsv(path, direction="ja-zh")
-        for src, row in table.t.items():
-            for trg, p in row.items():
-                assert again.prob(trg, src) == pytest.approx(p, abs=5e-7)  # 6 decimals
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert len(first.split("\t")) == 3

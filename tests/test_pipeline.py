@@ -284,7 +284,82 @@ class TestRunPipeline:
         assert result1.report_tsv.read_bytes() == result2.report_tsv.read_bytes()
 
 
+# The full default INI text, recorded before the `[crawler]` section
+# became `CrawlBudget` and the defaults became the stage modules' named
+# constants.  Refactoring the config classes keeps every key, its order
+# and its default value.
+DEFAULT_CONFIG_LINES = [
+    "[text]",
+    "kana_threshold = 0.05",
+    "han_threshold = 0.5",
+    "",
+    "[discovery]",
+    "min_bytes = 10000",
+    "min_balance = 0.3",
+    "limit = 1000",
+    "",
+    "[crawler]",
+    "max_seconds = 172800",
+    "max_pages = 10000",
+    "max_bytes = 268435456",
+    "per_host_delay_ms = 100",
+    "timeout = 30.0",
+    "",
+    "[lexicon]",
+    "dictionary = ",
+    "char_map = ",
+    "",
+    "[docalign]",
+    "weight_dict = 0.5",
+    "weight_url = 0.2",
+    "weight_struct = 0.2",
+    "weight_len = 0.1",
+    "min_score = 0.4",
+    "lang_markers = ja,zh,jp,cn",
+    "",
+    "[sentalign]",
+    "c = 1.0",
+    "s2 = 6.8",
+    "dict_weight = 3.0",
+    "max_bead_cost = 10.0",
+    "prior_one = 0.89",
+    "prior_del = 0.0099",
+    "prior_sub = 0.0099",
+    "prior_expand = 0.0445",
+    "prior_contract = 0.0445",
+    "prior_merge = 0.011",
+    "",
+    "[filter]",
+    "threshold = 0.5",
+    "model_path = ",
+    "train_corpus = ",
+    "model1_iterations = 10",
+    "lm_order = 5",
+    "lm_k = 0.1",
+    "trees = 100",
+    "depth = 8",
+    "embed_threshold = 0.7",
+    "embed_vectors = ",
+    "embed_endpoint = ",
+    "embed_batch_size = 64",
+    "",
+    "[pipeline]",
+    "output_dir = out",
+    "seed = 0",
+    "jobs = 1",
+    "sites = ",
+    "submissions = ",
+    "archive = ",
+    "snapshot_dir = ",
+    "dedup_exact = True",
+    "",
+]
+
+
 class TestConfig:
+    def test_default_config_text_is_pinned(self):
+        assert dump_default_config() == "\n".join(DEFAULT_CONFIG_LINES)
+
     def test_default_config_dump_parses(self, tmp_path):
         path = tmp_path / "default.ini"
         path.write_text(dump_default_config(), encoding="utf-8")

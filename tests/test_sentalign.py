@@ -312,33 +312,6 @@ class TestAlignSentences:
         ).total_cost
         assert worse >= base - 1e-9
 
-    def test_symmetry_on_unique_optimum(self, mirror_lexicon):
-        # Equal char lengths per bead keep the deviation term symmetric;
-        # the middle bead must flip EXPAND <-> CONTRACT under transposition.
-        src = [
-            sent("学生は新聞。", ["学生", "は", "新聞", "。"]),
-            sent("一二三四五六七八九十"),
-            sent("映画を見る。", ["映画", "を", "見る", "。"]),
-        ]
-        trg = [
-            sent("学生读报纸。", ["学生", "读", "报纸", "。"]),
-            sent("甲乙丙丁戊"),
-            sent("己庚辛壬癸"),
-            sent("看电影呀吧。", ["看", "电影", "呀", "吧", "。"]),
-        ]
-        model = LengthModel(c=1.0)
-        forward = align_sentences(src, trg, mirror_lexicon, model, banded=False)
-        assert [b.kind for b in forward.beads] == [BeadKind.ONE, BeadKind.EXPAND, BeadKind.ONE]
-        backward = align_sentences(
-            trg, src, mirror_lexicon, model.reciprocal(),
-            direction=LanguageTag.ZH, banded=False,
-        )
-        fwd = [(b.kind.code, b.src_span, b.trg_span) for b in forward.beads]
-        transposed = [
-            (f"{b.kind.n_trg}-{b.kind.n_src}", b.trg_span, b.src_span) for b in backward.beads
-        ]
-        assert fwd == transposed
-
     def test_band_feasibility_fallback(self):
         # 1 source sentence vs 100 targets: the band cannot cover the
         # required SUB chain and the aligner must rerun unbanded.
@@ -409,22 +382,32 @@ class TestLengthKernel:
 
 
 # Source-side words a*, target-side words b*, and words no entry names.
-# Both directions read the same sentences: ZH headwords are the b* words.
+# A lexicon's side-swapped copy reads the same sentences with the b*
+# words as its JA headwords: its JA table is the original's ZH table.
 _WORDS_JA = ("a0", "a1", "a2", "a3")
 _WORDS_ZH = ("b0", "b1", "b2", "b3")
 _VOCAB = _WORDS_JA + _WORDS_ZH + ("u0", "u1")
 # Headwords with several translations that compete for one target token
-# in both directions (a0, a1 and a2 all name b0; b0 names a0, a1, a2).
+# in both tables (a0, a1 and a2 all name b0; b0 names a0, a1, a2).
 _COMPETING = [
     ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b2"),
     ("a2", "b0"), ("a2", "b3"), ("a3", "b1"),
 ]
+
+
+def _side_swapped(lex):
+    return build_lexicon((e.zh, e.ja) for e in lex.entries)
+
 
 _lexicons = st.one_of(
     st.none(),
     st.just(_COMPETING),
     st.lists(st.tuples(st.sampled_from(_WORDS_JA), st.sampled_from(_WORDS_ZH)), max_size=12),
 ).map(lambda entries: None if entries is None else build_lexicon(entries))
+# Each lexicon or its side-swapped copy, so the DP reads both tables.
+_either_side = st.tuples(_lexicons, st.booleans()).map(
+    lambda drawn: _side_swapped(drawn[0]) if drawn[0] is not None and drawn[1] else drawn[0]
+)
 
 
 @st.composite
@@ -437,10 +420,9 @@ def _documents(draw, min_size=0, max_size=9):
 
 
 _dp_settings = dict(
-    lex=_lexicons,
+    lex=_either_side,
     lam=st.sampled_from([0.0, 0.5, 3.0, 12.0]),
     c=st.sampled_from([0.5, 1.0, 1.7]),
-    direction=st.sampled_from([LanguageTag.JA, LanguageTag.ZH]),
 )
 
 
@@ -459,9 +441,11 @@ class TestMatchTables:
 
     @settings(max_examples=300, deadline=None)
     @given(src=_documents(1), trg=_documents(1), banded=st.booleans(), **_dp_settings)
-    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, direction, banded):
-        args = (src, trg, lex, LengthModel(c=c), lam, direction, banded)
-        _assert_same_ladder(_align(*args), reference_align(*args))
+    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, banded):
+        args = (src, trg, lex, LengthModel(c=c), lam)
+        _assert_same_ladder(
+            _align(*args, banded), reference_align(*args, LanguageTag.JA, banded)
+        )
 
     @pytest.mark.parametrize("n_src, n_trg", [(0, 0), (0, 3), (2, 0)])
     def test_empty_sides_equal_reference(self, n_src, n_trg):
@@ -469,20 +453,21 @@ class TestMatchTables:
         src = [sent("a0a1", ["a0", "a1"])] * n_src
         trg = [sent("b0", ["b0"])] * n_trg
         for banded in (True, False):
-            args = (src, trg, lex, LengthModel(), 3.0, LanguageTag.JA, banded)
-            _assert_same_ladder(_align(*args), reference_align(*args))
+            args = (src, trg, lex, LengthModel(), 3.0)
+            _assert_same_ladder(
+                _align(*args, banded), reference_align(*args, LanguageTag.JA, banded)
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(src=_documents(22, 40), trg=_documents(22, 40), **_dp_settings)
-    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c, direction):
-        args = (src, trg, lex, LengthModel(c=c), lam, direction, True)
-        _assert_same_ladder(_align(*args), reference_align(*args))
+    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c):
+        args = (src, trg, lex, LengthModel(c=c), lam)
+        _assert_same_ladder(_align(*args, True), reference_align(*args, LanguageTag.JA, True))
 
     @settings(max_examples=150, deadline=None)
-    @given(src=_documents(), trg=_documents(), lex=_lexicons,
-           direction=st.sampled_from([LanguageTag.JA, LanguageTag.ZH]))
-    def test_span_count_is_greedy_match_count(self, src, trg, lex, direction):
-        translations = lex.headwords(direction) if lex is not None else {}
+    @given(src=_documents(), trg=_documents(), lex=_either_side)
+    def test_span_count_is_greedy_match_count(self, src, trg, lex):
+        translations = lex.headwords(LanguageTag.JA) if lex is not None else {}
         src_rows, trg_counts = _match_tables(src, trg, translations)
         src_spans, trg_spans = _by_span(src_rows), _by_span(trg_counts, _merged)
         for di in (1, 2):
