@@ -26,7 +26,7 @@ for text in ("これは日本語の文です。", "这是一个中文句子。",
 print()
 
 text = normalize_text("今日は晴れ。明日は雨。「行くよ。」と言った。円周率は3.14です。")
-for sentence in split_sentences(text, LanguageTag.JA):
+for sentence in split_sentences(text):
     print(f"sentence  {sentence.text}")
 print()
 

@@ -27,7 +27,6 @@ from .filtering import (
     LabeledPair,
     embedding_gate,
     extract_features,
-    score_pair,
     synthesize_negatives,
     train_classifier,
     train_filter,

@@ -12,10 +12,11 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import charlm, docalign, embeddings, filtering, forest, sentalign, text
+from . import charlm, docalign, embeddings, filtering, forest, model1, sentalign, text
 from .crawl import CrawlBudget
-from .discovery import DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
+from .discovery import DEFAULT_LIMIT, DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
 from .sentalign import BeadKind
+from .urls import DEFAULT_LANG_MARKERS
 
 
 @dataclass
@@ -28,7 +29,7 @@ class TextConfig:
 class DiscoveryConfig:
     min_bytes: int = DEFAULT_MIN_BYTES
     min_balance: float = DEFAULT_MIN_BALANCE
-    limit: int = 1000
+    limit: int = DEFAULT_LIMIT
 
 
 @dataclass
@@ -44,7 +45,7 @@ class DocAlignConfig:
     weight_struct: float = docalign.DEFAULT_WEIGHTS[2]
     weight_len: float = docalign.DEFAULT_WEIGHTS[3]
     min_score: float = docalign.DEFAULT_MIN_SCORE
-    lang_markers: str = ",".join(m.strip("/") for m in ("/ja/", "/zh/", "/jp/", "/cn/"))
+    lang_markers: str = ",".join(m.strip("/") for m in DEFAULT_LANG_MARKERS)
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -57,8 +58,8 @@ class DocAlignConfig:
 
 @dataclass
 class SentAlignConfig:
-    c: float = 1.0
-    s2: float = 6.8
+    c: float = sentalign.DEFAULT_C
+    s2: float = sentalign.DEFAULT_S2
     dict_weight: float = sentalign.DEFAULT_DICT_WEIGHT
     max_bead_cost: float = sentalign.DEFAULT_MAX_BEAD_COST
     prior_one: float = sentalign.DEFAULT_PRIORS[BeadKind.ONE]
@@ -85,7 +86,7 @@ class FilterConfig:
     threshold: float = filtering.DEFAULT_SCORE_THRESHOLD
     model_path: str = ""  # trained filter bundle; trained on the fly when empty
     train_corpus: str = ""  # parallel TSV used when model_path is empty
-    model1_iterations: int = 10
+    model1_iterations: int = model1.DEFAULT_ITERATIONS
     lm_order: int = charlm.DEFAULT_ORDER
     lm_k: float = charlm.DEFAULT_ADD_K
     trees: int = forest.DEFAULT_TREES

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
-from .fetching import Fetch, load_manifest
+from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
 from .htmltext import EncodingError, extract_text
 from .text import LanguageTag, detect_language
 from .urls import registrable_domain
@@ -24,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_BYTES = 10_000
 DEFAULT_MIN_BALANCE = 0.3
+DEFAULT_LIMIT = 1000
 
 SOURCE_ARCHIVE = "archive"
 SOURCE_CROWD = "crowd"
@@ -165,7 +166,7 @@ def select_balanced_hosts(
     stats: Iterable[HostStats],
     min_bytes: int = DEFAULT_MIN_BYTES,
     min_balance: float = DEFAULT_MIN_BALANCE,
-    limit: int = 1_000_000,
+    limit: int = DEFAULT_LIMIT,
 ) -> list[CandidateSite]:
     """Hosts with roughly equal JA/ZH text volume, largest first.
 
@@ -242,7 +243,7 @@ def _well_formed(url: str) -> bool:
 def ingest_url_pairs(
     submissions_file: str | Path,
     fetch: Fetch,
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[list[CandidateSite], list[UrlPairSubmission]]:
     """Validate crowdsourced top-page URL pairs.
 

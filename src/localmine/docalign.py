@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 from .lexicon import Lexicon, coverage
 from .text import Document, LanguageTag
-from .urls import (
-    DEFAULT_LANG_MARKERS,
-    DEFAULT_LANG_QUERY_KEYS,
-    normalized_similarity,
-    strip_lang_markers,
-)
+from .urls import DEFAULT_LANG_MARKERS, normalized_similarity, strip_lang_markers
 
 DEFAULT_WEIGHTS = (0.5, 0.2, 0.2, 0.1)  # dict, url, struct, length
 DEFAULT_MIN_SCORE = 0.4
@@ -64,9 +59,9 @@ def _dict_similarity(a: Document, b: Document, lex: Lexicon) -> float:
     return 2.0 * j2z * z2j / (j2z + z2j)
 
 
-def _url_similarity(a: Document, b: Document, markers, query_keys) -> float:
-    path_a = strip_lang_markers(a.url, markers, query_keys)
-    path_b = strip_lang_markers(b.url, markers, query_keys)
+def _url_similarity(a: Document, b: Document, markers) -> float:
+    path_a = strip_lang_markers(a.url, markers)
+    path_b = strip_lang_markers(b.url, markers)
     return normalized_similarity(path_a, path_b)
 
 
@@ -96,7 +91,6 @@ def doc_similarity(
     lex: Lexicon,
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
     markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
-    query_keys: tuple[str, ...] = DEFAULT_LANG_QUERY_KEYS,
 ) -> tuple[float, dict[str, float]]:
     """Weighted document-pair score plus the named feature map."""
     _check_weights(weights)
@@ -105,7 +99,7 @@ def doc_similarity(
     return _assemble(
         a, b, weights,
         _dict_similarity(a, b, lex),
-        _url_similarity(a, b, markers, query_keys),
+        _url_similarity(a, b, markers),
     )
 
 
@@ -116,7 +110,6 @@ def match_documents(
     min_score: float = DEFAULT_MIN_SCORE,
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
     markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
-    query_keys: tuple[str, ...] = DEFAULT_LANG_QUERY_KEYS,
 ) -> list[DocPair]:
     """Greedy one-to-one matching by descending score.
 
@@ -131,7 +124,7 @@ def match_documents(
         for j, doc_zh in enumerate(pages_zh):
             if doc_ja.raw_char_count == 0 or doc_zh.raw_char_count == 0:
                 continue
-            url_sim = _url_similarity(doc_ja, doc_zh, markers, query_keys)
+            url_sim = _url_similarity(doc_ja, doc_zh, markers)
             dict_sim = _dict_similarity(doc_ja, doc_zh, lex)
             if url_sim < PREFILTER_URL_SIM and dict_sim < PREFILTER_DICT_SIM:
                 continue

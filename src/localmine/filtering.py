@@ -2,7 +2,11 @@
 features feeding the bagged-tree classifier, plus the embedding gate.
 
 The trained filter bundles both translation directions, both character
-LMs and the forest into one JSON container that round-trips exactly.
+LMs and the forest into one JSON container that round-trips exactly:
+each component writes and reads its own section (``to_json`` and
+``from_json`` on ``TranslationTable``, ``CharLM`` and ``RandomForest``).
+A ``FeatureVector`` is a named tuple whose field order is the forest's
+column order.
 """
 
 from __future__ import annotations
@@ -14,26 +18,20 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .charlm import DEFAULT_ADD_K, DEFAULT_ORDER, CharLM, lm_score, train_char_lm
 from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
-from .model1 import TranslationTable, train_model1
+from .model1 import DEFAULT_ITERATIONS, TranslationTable, train_model1
 from .text import LanguageTag, Segmenter
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_EMBED_THRESHOLD = 0.7
-
-FEATURE_NAMES = (
-    "len_ja", "len_zh", "len_ratio", "tok_ratio",
-    "cov_j2z", "cov_z2j", "avgmaxp_j2z", "avgmaxp_z2j",
-    "lm_ja", "lm_zh", "num_match", "punct_diff",
-)
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
 _PUNCT_SET = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
@@ -42,8 +40,9 @@ EmbeddingProvider = Callable[[Sequence[str]], "list[list[float] | None]"]
 """Batch sentence-vector capability; None marks a per-sentence failure."""
 
 
-@dataclass
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """The 12 filter features, in the forest's column order."""
+
     len_ja: float = 0.0
     len_zh: float = 0.0
     len_ratio: float = 0.0
@@ -57,8 +56,8 @@ class FeatureVector:
     num_match: float = 0.0
     punct_diff: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+
+FEATURE_NAMES = FeatureVector._fields
 
 
 @dataclass
@@ -243,16 +242,10 @@ def train_classifier(
     """Fit the bagged-tree ensemble on labeled feature vectors."""
     if not rows:
         raise ValueError("no training rows")
-    x = np.stack([fv.as_array() for fv, _ in rows])
+    x = np.array([fv for fv, _ in rows], dtype=np.float64)
     y = np.array([label for _, label in rows], dtype=np.int64)
     model = RandomForest(n_trees=trees, max_depth=depth, seed=seed)
     return model.fit(x, y)
-
-
-def score_pair(model: RandomForest, fv: FeatureVector) -> float:
-    """Ensemble vote fraction in [0, 1]; the pipeline keeps pairs whose
-    score reaches the configured threshold (default 0.5, inclusive)."""
-    return model.score_one([getattr(fv, name) for name in FEATURE_NAMES])
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -336,17 +329,19 @@ class BitextFilter:
         )
 
     def score(self, fv: FeatureVector) -> float:
-        return score_pair(self.forest, fv)
+        """Ensemble vote fraction in [0, 1]; the pipeline keeps pairs whose
+        score reaches the threshold (default 0.5, inclusive)."""
+        return self.forest.score_one(fv)
 
     def save(self, path: str | Path) -> None:
         payload = {
             "version": 1,
             "seed": self.seed,
             "threshold": self.threshold,
-            "table_j2z": _table_to_json(self.table_j2z),
-            "table_z2j": _table_to_json(self.table_z2j),
-            "lm_ja": _lm_to_json(self.lm_ja),
-            "lm_zh": _lm_to_json(self.lm_zh),
+            "table_j2z": self.table_j2z.to_json(),
+            "table_z2j": self.table_z2j.to_json(),
+            "lm_ja": self.lm_ja.to_json(),
+            "lm_zh": self.lm_zh.to_json(),
             "forest": self.forest.to_json(),
         }
         Path(path).write_text(
@@ -359,10 +354,10 @@ class BitextFilter:
         if payload.get("version") != 1:
             raise ValueError(f"unsupported filter model version: {payload.get('version')}")
         return cls(
-            table_j2z=_table_from_json(payload["table_j2z"]),
-            table_z2j=_table_from_json(payload["table_z2j"]),
-            lm_ja=_lm_from_json(payload["lm_ja"]),
-            lm_zh=_lm_from_json(payload["lm_zh"]),
+            table_j2z=TranslationTable.from_json(payload["table_j2z"]),
+            table_z2j=TranslationTable.from_json(payload["table_z2j"]),
+            lm_ja=CharLM.from_json(payload["lm_ja"]),
+            lm_zh=CharLM.from_json(payload["lm_zh"]),
             forest=RandomForest.from_json(payload["forest"]),
             seed=int(payload.get("seed", 0)),
             threshold=float(payload.get("threshold", DEFAULT_SCORE_THRESHOLD)),
@@ -374,7 +369,7 @@ def train_filter(
     lex: Lexicon,
     seg_ja: Segmenter,
     seg_zh: Segmenter,
-    model1_iterations: int = 10,
+    model1_iterations: int = DEFAULT_ITERATIONS,
     lm_order: int = DEFAULT_ORDER,
     lm_k: float = DEFAULT_ADD_K,
     trees: int = DEFAULT_TREES,
@@ -415,44 +410,3 @@ def train_filter(
         seed=seed,
         threshold=threshold,
     )
-
-
-def _table_to_json(table: TranslationTable) -> dict:
-    return {
-        "direction": table.direction,
-        "entries": [
-            [src, trg, p]
-            for src in sorted(table.t)
-            for trg, p in sorted(table.t[src].items())
-        ],
-    }
-
-
-def _table_from_json(obj: dict) -> TranslationTable:
-    table = TranslationTable(direction=obj.get("direction", ""))
-    for src, trg, p in obj["entries"]:
-        table.t.setdefault(src, {})[trg] = float(p)
-    return table
-
-
-def _lm_to_json(lm: CharLM) -> dict:
-    return {
-        "n": lm.n,
-        "k": lm.k,
-        "vocabulary": sorted(lm.vocabulary),
-        "counts": [
-            [["\x00".join(ctx), row] for ctx, row in sorted(level.items())]
-            for level in lm.counts
-        ],
-    }
-
-
-def _lm_from_json(obj: dict) -> CharLM:
-    counts: list[dict[tuple[str, ...], dict[str, int]]] = []
-    for level in obj["counts"]:
-        restored: dict[tuple[str, ...], dict[str, int]] = {}
-        for ctx_key, row in level:
-            ctx = tuple(ctx_key.split("\x00")) if ctx_key else ()
-            restored[ctx] = {ch: int(cnt) for ch, cnt in row.items()}
-        counts.append(restored)
-    return CharLM(n=int(obj["n"]), k=float(obj["k"]), vocabulary=set(obj["vocabulary"]), counts=counts)

@@ -47,11 +47,6 @@ class Lexicon:
     def max_headword_len(self, lang: LanguageTag) -> int:
         return self._max_len_ja if lang is LanguageTag.JA else self._max_len_zh
 
-    def translations(self, token: str, direction: LanguageTag) -> tuple[str, ...]:
-        """Translations of ``token`` reading it as ``direction`` text,
-        in sorted order for determinism."""
-        return self.headwords(direction).get(token, ())
-
 
 def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
     """Deduplicate entries (first occurrence wins) and build both indices,

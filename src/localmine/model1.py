@@ -32,6 +32,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 NULL_TOKEN = "<null>"
+DEFAULT_ITERATIONS = 10
 
 
 @dataclass
@@ -60,10 +61,29 @@ class TranslationTable:
     def source_sums(self) -> dict[str, float]:
         return {src: sum(row.values()) for src, row in self.t.items()}
 
+    def to_json(self) -> dict:
+        """Direction and sorted (src, trg, p) entries; the EM history is
+        not kept."""
+        return {
+            "direction": self.direction,
+            "entries": [
+                [src, trg, p]
+                for src in sorted(self.t)
+                for trg, p in sorted(self.t[src].items())
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TranslationTable":
+        table = cls(direction=obj.get("direction", ""))
+        for src, trg, p in obj["entries"]:
+            table.t.setdefault(src, {})[trg] = float(p)
+        return table
+
 
 def train_model1(
     corpus: Sequence[tuple[Sequence[str], Sequence[str]]],
-    iterations: int = 20,
+    iterations: int = DEFAULT_ITERATIONS,
     direction: str = "",
 ) -> TranslationTable:
     """Estimate t(trg|src) by EM over a tokenized parallel corpus.

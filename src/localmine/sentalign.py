@@ -32,6 +32,8 @@ from .lexicon import Lexicon, greedy_match_count
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
+DEFAULT_C = 1.0
+DEFAULT_S2 = 6.8
 DEFAULT_DICT_WEIGHT = 3.0
 DEFAULT_MAX_BEAD_COST = 10.0
 
@@ -83,8 +85,8 @@ class LengthModel:
     """Mean target/source character ratio, per-character variance and
     bead-type priors (normalized to sum to 1)."""
 
-    c: float = 1.0
-    s2: float = 6.8
+    c: float = DEFAULT_C
+    s2: float = DEFAULT_S2
     bead_priors: dict[BeadKind, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

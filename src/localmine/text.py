@@ -138,16 +138,15 @@ def detect_language(
     return LanguageTag.OTHER, other_frac
 
 
-def split_sentences(text: str, lang: LanguageTag) -> list[Sentence]:
+def split_sentences(text: str) -> list[Sentence]:
     """Split normalized text into sentences.
 
     Splits after terminal punctuation (and any closing quotes/brackets
     that immediately follow it); newlines always split.  Fragments
     shorter than 2 characters are merged into the preceding sentence.
     Joining the outputs reconstructs the input minus whitespace at the
-    split points.
+    split points.  JA and ZH share the rule set.
     """
-    del lang  # the rule set is shared by JA and ZH
     segments: list[str] = []
     buf: list[str] = []
     n = len(text)
@@ -234,7 +233,6 @@ def document_from_text(
     url: str,
     text: str,
     tag_digest: Sequence[str] = (),
-    lang: LanguageTag | None = None,
     kana_threshold: float = KANA_FRACTION_JA,
     han_threshold: float = HAN_FRACTION_ZH,
 ) -> Document:
@@ -242,14 +240,13 @@ def document_from_text(
     split sentences per line and record the raw size."""
     normalized_lines = [normalize_text(line) for line in text.split("\n")]
     body = "\n".join(line for line in normalized_lines if line)
-    if lang is None:
-        if not body:
-            lang = LanguageTag.OTHER
-        else:
-            lang, _ = detect_language(body, kana_threshold, han_threshold)
+    if not body:
+        lang = LanguageTag.OTHER
+    else:
+        lang, _ = detect_language(body, kana_threshold, han_threshold)
     sentences: list[Sentence] = []
     for line in body.split("\n"):
-        sentences.extend(split_sentences(line, lang))
+        sentences.extend(split_sentences(line))
     return Document(
         url=url,
         lang=lang,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
 DEFAULT_LANG_MARKERS = ("/ja/", "/zh/", "/jp/", "/cn/")
-DEFAULT_LANG_QUERY_KEYS = ("lang", "language", "locale")
+LANG_QUERY_KEYS = ("lang", "language", "locale")
 
 # Two-level public suffixes under which the registrable domain takes a
 # third label (e.g. example.co.jp).
@@ -48,13 +48,10 @@ def registrable_domain(url_or_host: str) -> str:
     return ".".join(labels[-2:])
 
 
-def strip_lang_markers(
-    url: str,
-    markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
-    query_keys: tuple[str, ...] = DEFAULT_LANG_QUERY_KEYS,
-) -> str:
-    """Remove language path segments and language query keys from a URL,
-    keeping only the path(+query) residue used for URL similarity."""
+def strip_lang_markers(url: str, markers: tuple[str, ...] = DEFAULT_LANG_MARKERS) -> str:
+    """Remove language path segments and ``LANG_QUERY_KEYS`` query keys
+    from a URL, keeping only the path(+query) residue used for URL
+    similarity."""
     parts = urlsplit(url)
     path = parts.path or "/"
     lowered = path.lower()
@@ -67,7 +64,7 @@ def strip_lang_markers(
     query_pairs = [
         (k, v)
         for k, v in parse_qsl(parts.query, keep_blank_values=True)
-        if k.lower() not in query_keys
+        if k.lower() not in LANG_QUERY_KEYS
     ]
     residue = path
     if query_pairs:

@@ -20,7 +20,6 @@ from localmine.filtering import (
     CorpusRecord,
     embedding_gate,
     extract_features,
-    score_pair,
     synthesize_negatives,
     train_classifier,
 )
@@ -147,7 +146,7 @@ class TestAcceptance:
         model = train_classifier(train_feats, trees=100, depth=8, seed=5)
         correct = sum(
             1 for fv, label in test_feats
-            if (score_pair(model, fv) >= 0.5) == bool(label)
+            if (model.score_one(fv) >= 0.5) == bool(label)
         )
         accuracy = correct / len(test_feats)
 
@@ -158,7 +157,7 @@ class TestAcceptance:
         perm_model = train_classifier(perm_rows, trees=100, depth=8, seed=6)
         perm_correct = sum(
             1 for fv, label in test_feats
-            if (score_pair(perm_model, fv) >= 0.5) == bool(label)
+            if (perm_model.score_one(fv) >= 0.5) == bool(label)
         )
         perm_accuracy = perm_correct / len(test_feats)
         elapsed = time.monotonic() - start

@@ -14,7 +14,6 @@ from localmine.filtering import (
     cosine_similarity,
     embedding_gate,
     extract_features,
-    score_pair,
     synthesize_negatives,
     train_classifier,
     train_filter,
@@ -93,7 +92,7 @@ class TestExtractFeatures:
         assert fv.num_match in (0.0, 1.0)
         assert 0.0 <= fv.punct_diff <= 1.0
         assert fv.len_ja >= 0 and fv.len_zh >= 0
-        assert list(fv.as_array()) == [getattr(fv, n) for n in FEATURE_NAMES]
+        assert fv._fields == FEATURE_NAMES
 
 
 class TestSynthesizeNegatives:
@@ -149,8 +148,8 @@ class TestClassifier:
             bad = FeatureVector(len_ja=20, len_zh=7, len_ratio=0.35, tok_ratio=0.3,
                                 cov_j2z=0.05, cov_z2j=0.1, avgmaxp_j2z=0.02, avgmaxp_z2j=0.05,
                                 lm_ja=-2.0, lm_zh=-6.0, num_match=0.0, punct_diff=0.6)
-            good.len_ja += i % 5
-            bad.len_zh += i % 3
+            good = good._replace(len_ja=good.len_ja + i % 5)
+            bad = bad._replace(len_zh=bad.len_zh + i % 3)
             rows.append((good, 1))
             rows.append((bad, 0))
         return rows
@@ -159,7 +158,7 @@ class TestClassifier:
         rows = self._rows()
         model = train_classifier(rows, trees=30, depth=6, seed=0)
         correct = sum(
-            1 for fv, label in rows if (score_pair(model, fv) >= 0.5) == bool(label)
+            1 for fv, label in rows if (model.score_one(fv) >= 0.5) == bool(label)
         )
         assert correct / len(rows) >= 0.99
 
@@ -169,7 +168,7 @@ class TestClassifier:
         rows = self._rows()
         model = train_classifier(rows, trees=2, depth=1, seed=1)
         fv = rows[0][0]
-        score = score_pair(model, fv)
+        score = model.score_one(fv)
         assert score in (0.0, 0.5, 1.0)
 
     def test_empty_rows_error(self):
@@ -290,6 +289,20 @@ class TestPersistence:
         fv2 = again.features(ja, zh, list(ja), list(zh), starter_lexicon)
         assert fv1 == fv2
         assert trained_filter.score(fv1) == again.score(fv2)
+
+    def test_nul_in_training_text_round_trips(self, tmp_path, starter_lexicon):
+        parallel = [(f"学生は\x00新聞を{i}回読む。", f"学生读了\x00{i}次报纸。") for i in range(12)]
+        seg_ja = make_segmenter(starter_lexicon, LanguageTag.JA)
+        seg_zh = make_segmenter(starter_lexicon, LanguageTag.ZH)
+        trained = train_filter(parallel, starter_lexicon, seg_ja, seg_zh, trees=3, depth=3)
+        path = tmp_path / "model.json"
+        trained.save(path)
+        again = BitextFilter.load(path)
+        assert again.lm_ja.counts == trained.lm_ja.counts
+        assert again.lm_zh.counts == trained.lm_zh.counts
+        ja, zh = parallel[0]
+        fv = trained.features(ja, zh, seg_ja(ja), seg_zh(zh), starter_lexicon)
+        assert again.features(ja, zh, seg_ja(ja), seg_zh(zh), starter_lexicon) == fv
 
     def test_version_check(self, tmp_path):
         bad = tmp_path / "bad.json"

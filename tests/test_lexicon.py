@@ -166,8 +166,8 @@ class TestFrozenKernelOracle:
         index_ja = _set_index(entries, "ja")
         index_zh = _set_index(entries, "zh")
         for token in set(src) | set(trg):
-            assert lex.translations(token, LanguageTag.JA) == _oracle_translations(index_ja, token)
-            assert lex.translations(token, LanguageTag.ZH) == _oracle_translations(index_zh, token)
+            assert lex.headwords(LanguageTag.JA).get(token, ()) == _oracle_translations(index_ja, token)
+            assert lex.headwords(LanguageTag.ZH).get(token, ()) == _oracle_translations(index_zh, token)
         got = greedy_match_count(src, trg, lex.headwords(LanguageTag.JA))
         assert got == _oracle_match_count(src, trg, index_ja)
         got_rev = greedy_match_count(trg, src, lex.headwords(LanguageTag.ZH))
@@ -182,8 +182,8 @@ class TestLoaders:
 
     def test_bundled_data_loads(self, starter_lexicon):
         assert len(starter_lexicon) > 2000
-        assert starter_lexicon.translations("日本", LanguageTag.JA) == ("日本",)
-        assert "经" in starter_lexicon.translations("経", LanguageTag.JA)
+        assert starter_lexicon.headwords(LanguageTag.JA).get("日本", ()) == ("日本",)
+        assert "经" in starter_lexicon.headwords(LanguageTag.JA).get("経", ())
 
     def test_load_lexicon_reduces_and_augments(self, tmp_path):
         dict_path = tmp_path / "d.tsv"

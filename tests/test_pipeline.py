@@ -606,6 +606,11 @@ PINNED_DIGESTS = {
         "4c6770016fc5bf0e2d6fb222d25248fdee370ae8381a56b38b0feb698e501540",
 }
 
+# SHA-256 of the fixture's `train-filter` model, recorded while the
+# language model still kept its contexts as tuples and `filtering` wrote
+# every component's section.  The file format did not change.
+PINNED_MODEL_DIGEST = "ff68f6363784a078d6444774a73c5c053ce08a353a0bd306b91dd5fe101e6c9b"
+
 
 class TestPinnedOutputs:
     def test_fixture_run_bytes(self, fixture_site, tmp_path, capsys):
@@ -624,3 +629,15 @@ class TestPinnedOutputs:
             for name in PINNED_DIGESTS
         }
         assert got == PINNED_DIGESTS
+
+    def test_fixture_model_bytes(self, fixture_site, tmp_path, capsys):
+        import hashlib
+
+        config = write_run_config(fixture_site, tmp_path / "run")
+        model = tmp_path / "model.json"
+        assert cli_main([
+            "--config", str(config),
+            "train-filter", "--parallel", str(fixture_site.train_tsv), "--out", str(model),
+        ]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == PINNED_MODEL_DIGEST

@@ -69,40 +69,40 @@ class TestDetectLanguage:
 
 class TestSplitSentences:
     def test_two_terminals(self):
-        got = [s.text for s in split_sentences("今日は晴れ。明日は雨。", LanguageTag.JA)]
+        got = [s.text for s in split_sentences("今日は晴れ。明日は雨。")]
         assert got == ["今日は晴れ。", "明日は雨。"]
 
     def test_single_sentence(self):
-        got = [s.text for s in split_sentences("你好！", LanguageTag.ZH)]
+        got = [s.text for s in split_sentences("你好！")]
         assert got == ["你好！"]
 
     def test_closing_quote_stays_attached(self):
-        got = [s.text for s in split_sentences("「行く。」と言った。", LanguageTag.JA)]
+        got = [s.text for s in split_sentences("「行く。」と言った。")]
         assert got == ["「行く。」", "と言った。"]
 
     def test_halfwidth_period_spares_decimals(self):
-        got = [s.text for s in split_sentences("円周率は3.14です。次へ。", LanguageTag.JA)]
+        got = [s.text for s in split_sentences("円周率は3.14です。次へ。")]
         assert got == ["円周率は3.14です。", "次へ。"]
 
     def test_newline_always_splits(self):
-        got = [s.text for s in split_sentences("一行目\n二行目", LanguageTag.JA)]
+        got = [s.text for s in split_sentences("一行目\n二行目")]
         assert got == ["一行目", "二行目"]
 
     def test_short_fragment_merges_backward(self):
-        got = [s.text for s in split_sentences("これが本文。あ", LanguageTag.JA)]
+        got = [s.text for s in split_sentences("これが本文。あ")]
         assert got == ["これが本文。あ"]
 
     def test_ten_sentence_fixture_roundtrip(self):
         sentences = [f"第{i}文は説明である。" for i in range(1, 11)]
         text = "".join(sentences)
-        got = split_sentences(text, LanguageTag.JA)
+        got = split_sentences(text)
         assert [s.text for s in got] == sentences
         assert "".join(s.text for s in got) == text
 
     @given(st.text(alphabet="あい。！？ \n「」abc.3", max_size=80))
     @settings(max_examples=300)
     def test_roundtrip_property(self, text):
-        got = split_sentences(text, LanguageTag.JA)
+        got = split_sentences(text)
         joined = "".join(s.text for s in got)
         assert joined.replace(" ", "") == "".join(text.split())
         assert all(s.text.strip() for s in got)
