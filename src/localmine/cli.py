@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, dump_default_config, load_config
-from .discovery import ingest_url_pairs
 from .filtering import BitextFilter, CorpusRecord
 from .jsonl import read_jsonl, write_jsonl
 from .lexicon import load_pair_tsv
@@ -31,6 +30,7 @@ from .pipeline import (
     resolve_provider,
     run_pipeline,
     train_configured_filter,
+    validate_submissions,
     write_corpus_tsv,
 )
 
@@ -81,11 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="raw_pairs JSONL")
     p.add_argument("--out", required=True, help="filtered JSONL to write")
 
-    p = sub.add_parser("dedup", help="drop duplicate pairs")
+    p = sub.add_parser("dedup", help="drop exact duplicate pairs")
     p.add_argument("--input", required=True, help="filtered JSONL")
     p.add_argument("--out", required=True, help="deduped JSONL to write")
     p.add_argument("--tsv", help="also write a two-column TSV")
-    p.add_argument("--approximate", action="store_true", help="64-bit hash set instead of exact")
 
     p = sub.add_parser("report", help="render a mining report")
     p.add_argument("--input", required=True, help="report JSON")
@@ -116,7 +115,7 @@ def _cmd_discover_archive(args, config) -> int:
 
 
 def _cmd_validate_urls(args, config) -> int:
-    sites, rows = ingest_url_pairs(args.submissions, fetch_for(config), timeout=config.crawler.timeout)
+    sites, rows = validate_submissions(args.submissions, config, fetch_for(config))
     write_jsonl(args.out, (s.to_json() for s in sites))
     if args.rows_out:
         write_jsonl(args.rows_out, (r.to_json() for r in rows))
@@ -180,7 +179,7 @@ def _cmd_filter(args, config) -> int:
 
 def _cmd_dedup(args, config) -> int:
     records = (CorpusRecord.from_json(obj) for obj in read_jsonl(args.input))
-    kept = list(dedupe(records, exact=not args.approximate))
+    kept = list(dedupe(records))
     write_jsonl(args.out, (r.to_json() for r in kept))
     if args.tsv:
         write_corpus_tsv(args.tsv, kept)

@@ -106,7 +106,6 @@ class PipelineSectionConfig:
     submissions: str = ""  # crowdsourced URL-pair TSV
     archive: str = ""  # WARC file or record directory
     snapshot_dir: str = ""  # offline fetch binding
-    dedup_exact: bool = True
 
 
 @dataclass
@@ -121,18 +120,6 @@ class PipelineConfig:
     pipeline: PipelineSectionConfig = field(default_factory=PipelineSectionConfig)
 
 
-_SECTIONS = {
-    "text": TextConfig,
-    "discovery": DiscoveryConfig,
-    "crawler": CrawlBudget,
-    "lexicon": LexiconConfig,
-    "docalign": DocAlignConfig,
-    "sentalign": SentAlignConfig,
-    "filter": FilterConfig,
-    "pipeline": PipelineSectionConfig,
-}
-
-
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse an INI config; unknown sections or keys are fatal (they are
     silent misconfiguration otherwise)."""
@@ -141,41 +128,27 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     config = PipelineConfig()
+    sections = {f.name for f in fields(PipelineConfig)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         target = getattr(config, section)
-        known = {f.name: f.type for f in fields(target)}
+        known = {f.name for f in fields(target)}
         for key, raw in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            current = getattr(target, key)
-            setattr(target, key, _coerce(raw, type(current)))
+            # Every key is an int, float or str; its default's type parses it.
+            setattr(target, key, type(getattr(target, key))(raw.strip()))
     return config
-
-
-def _coerce(raw: str, kind: type):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if kind is int:
-        return int(raw.strip())
-    if kind is float:
-        return float(raw.strip())
-    return raw.strip()
 
 
 def dump_default_config() -> str:
     """Render the full default configuration as INI text."""
     lines: list[str] = []
     config = PipelineConfig()
-    for section, _ in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        target = getattr(config, section)
+    for section in fields(PipelineConfig):
+        lines.append(f"[{section.name}]")
+        target = getattr(config, section.name)
         for f in fields(target):
             lines.append(f"{f.name} = {getattr(target, f.name)}")
         lines.append("")

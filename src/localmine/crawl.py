@@ -1,11 +1,10 @@
 """Budgeted polite BFS crawler confined to one site's registrable domain.
 
 The crawl halts as soon as any budget limit (wall clock, page count,
-stored bytes) is reached.  HTML bodies are always stored; PDF/Word
-bodies only when a binary-extractor plug-in is registered, otherwise
-they are counted and skipped.  With a deterministic fetch capability
-the resulting PageStore is bit-reproducible (FIFO frontier, document-
-order link expansion).
+stored bytes) is reached.  Only HTML bodies are stored; PDF/Word bodies
+and other types are counted and skipped.  With a deterministic fetch
+capability the resulting PageStore is bit-reproducible (FIFO frontier,
+document-order link expansion).
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from .jsonl import write_jsonl
 from .urls import registrable_domain
 
 logger = logging.getLogger(__name__)
-
-BinaryExtractor = Callable[[bytes, str], str]
-"""Plug-in for PDF/Word text extraction: (body, content_type) -> text."""
 
 _HTML_TYPES = ("text/html", "application/xhtml+xml", "application/xhtml")
 _BINARY_TYPES = (
@@ -91,9 +87,8 @@ def _is_html(content_type: str, url: str) -> bool:
     return path.endswith((".html", ".htm", "/")) or "." not in path.rsplit("/", 1)[-1]
 
 
-def is_binary_document(content_type: str, url: str) -> bool:
-    """PDF/Word by declared type or URL extension: the rule that decides
-    which stored pages go to a binary extractor."""
+def _is_binary_document(content_type: str, url: str) -> bool:
+    """PDF/Word by declared type or URL extension."""
     if content_type.lower() in _BINARY_TYPES:
         return True
     return urlsplit(url).path.lower().endswith(_BINARY_EXTENSIONS)
@@ -135,7 +130,6 @@ def crawl_site(
     site,
     budget: CrawlBudget,
     fetch: Fetch,
-    binary_extractor: BinaryExtractor | None = None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> PageStore:
@@ -143,6 +137,8 @@ def crawl_site(
 
     ``site`` needs ``host`` and ``seed_urls`` attributes.  Every
     request, robots.txt included, is fetched with ``budget.timeout``.
+    Only HTML bodies are stored and parsed for links; PDF/Word bodies
+    count in ``skipped_binary`` and other types in ``skipped_other``.
     Only links within the seeds' registrable domains are followed and
     robots exclusion is honored.  All seeds unreachable marks the site
     crawl-failed.
@@ -195,12 +191,10 @@ def crawl_site(
             continue
         if url in seed_set:
             any_seed_ok = True
-        html = _is_html(resp.content_type, url)
-        if is_binary_document(resp.content_type, url):
-            if binary_extractor is None:
-                store.skipped_binary += 1
-                continue
-        elif not html:
+        if _is_binary_document(resp.content_type, url):
+            store.skipped_binary += 1
+            continue
+        if not _is_html(resp.content_type, url):
             store.skipped_other += 1
             continue
         body = resp.body
@@ -208,22 +202,21 @@ def crawl_site(
             break
         stored_bytes += len(body)
         store.pages.append(Page(url, resp.content_type, body, clock() - start))
-        if html:
-            try:
-                links = extract_links(body)
-            except Exception as err:  # no markup may abort a crawl
-                logger.debug("link extraction failed for %s: %s", url, err)
-                links = []
-            for href in links:
-                child = urldefrag(urljoin(url, href))[0]
-                scheme = urlsplit(child).scheme
-                if scheme not in ("http", "https"):
-                    continue
-                if registrable_domain(child) not in allowed_domains:
-                    continue
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
+        try:
+            links = extract_links(body)
+        except Exception as err:  # no markup may abort a crawl
+            logger.debug("link extraction failed for %s: %s", url, err)
+            links = []
+        for href in links:
+            child = urldefrag(urljoin(url, href))[0]
+            scheme = urlsplit(child).scheme
+            if scheme not in ("http", "https"):
+                continue
+            if registrable_domain(child) not in allowed_domains:
+                continue
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
 
     if not store.pages:
         store.crawl_failed = True

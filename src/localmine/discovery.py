@@ -17,7 +17,7 @@ from urllib.parse import urlsplit
 
 from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
 from .htmltext import EncodingError, extract_text
-from .text import LanguageTag, detect_language
+from .text import HAN_FRACTION_ZH, KANA_FRACTION_JA, LanguageTag, detect_language
 from .urls import registrable_domain
 
 logger = logging.getLogger(__name__)
@@ -134,23 +134,39 @@ class ArchiveScan:
     skipped_records: int = 0
 
 
-def scan_archive(records: Iterable[tuple[str, bytes]]) -> ArchiveScan:
-    """Accumulate per-host extracted-text byte counts by detected language.
+def _page_text(
+    body: bytes, kana_threshold: float, han_threshold: float
+) -> tuple[str, LanguageTag] | None:
+    """Extracted text of an HTML body and its detected language, None
+    when the body is undecodable or holds no text."""
+    try:
+        text, _ = extract_text(body)
+    except EncodingError:
+        return None
+    if not text:
+        return None
+    lang, _ = detect_language(text, kana_threshold, han_threshold)
+    return text, lang
+
+
+def scan_archive(
+    records: Iterable[tuple[str, bytes]],
+    kana_threshold: float = KANA_FRACTION_JA,
+    han_threshold: float = HAN_FRACTION_ZH,
+) -> ArchiveScan:
+    """Accumulate per-host extracted-text byte counts by detected language
+    (``detect_language`` under the two thresholds).
 
     Streaming and order-independent; undecodable payloads increment the
     skip counter and never abort the scan.
     """
     scan = ArchiveScan()
     for url, payload in records:
-        try:
-            text, _ = extract_text(payload)
-        except EncodingError:
+        page = _page_text(payload, kana_threshold, han_threshold)
+        if page is None:
             scan.skipped_records += 1
             continue
-        if not text:
-            scan.skipped_records += 1
-            continue
-        lang, _ = detect_language(text)
+        text, lang = page
         host = registrable_domain(url)
         if not host:
             scan.skipped_records += 1
@@ -214,7 +230,9 @@ def _parse_submissions(path: str | Path) -> list[UrlPairSubmission]:
     return rows
 
 
-def _page_language(fetch: Fetch, url: str, timeout: float) -> LanguageTag | None:
+def _page_language(
+    fetch: Fetch, url: str, timeout: float, kana_threshold: float, han_threshold: float
+) -> LanguageTag | None:
     """Detected language of a fetched top page, None when unreachable."""
     try:
         resp = fetch(url, timeout=timeout)
@@ -222,14 +240,8 @@ def _page_language(fetch: Fetch, url: str, timeout: float) -> LanguageTag | None
         return None
     if not resp.ok:
         return None
-    try:
-        text, _ = extract_text(resp.body)
-    except EncodingError:
-        return None
-    if not text:
-        return None
-    lang, _ = detect_language(text)
-    return lang
+    page = _page_text(resp.body, kana_threshold, han_threshold)
+    return None if page is None else page[1]
 
 
 def _well_formed(url: str) -> bool:
@@ -244,11 +256,14 @@ def ingest_url_pairs(
     submissions_file: str | Path,
     fetch: Fetch,
     timeout: float = DEFAULT_TIMEOUT,
+    kana_threshold: float = KANA_FRACTION_JA,
+    han_threshold: float = HAN_FRACTION_ZH,
 ) -> tuple[list[CandidateSite], list[UrlPairSubmission]]:
     """Validate crowdsourced top-page URL pairs.
 
     Every input row comes back with a final status; VALID pairs become
-    crowd candidate sites seeded with both URLs.  Rows fail with a
+    crowd candidate sites seeded with both URLs.  A top page's language
+    is ``detect_language`` under the two thresholds.  Rows fail with a
     machine-readable reason; an unreadable submissions file is fatal.
     """
     rows = _parse_submissions(submissions_file)
@@ -265,8 +280,8 @@ def ingest_url_pairs(
         if host in taken_hosts:
             row.mark_error(ERR_DUPLICATE_HOST)
             continue
-        lang_ja = _page_language(fetch, row.url_ja, timeout)
-        lang_zh = _page_language(fetch, row.url_zh, timeout)
+        lang_ja = _page_language(fetch, row.url_ja, timeout, kana_threshold, han_threshold)
+        lang_zh = _page_language(fetch, row.url_zh, timeout, kana_threshold, han_threshold)
         if lang_ja is None or lang_zh is None:
             row.mark_error(ERR_UNREACHABLE)
             continue

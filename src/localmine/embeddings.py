@@ -15,13 +15,13 @@ import urllib.request
 from pathlib import Path
 from typing import Sequence
 
+from .fetching import DEFAULT_TIMEOUT
 from .jsonl import read_jsonl, write_jsonl
 from .text import normalize_text
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 64
-DEFAULT_TIMEOUT = 30.0
 
 
 def sentence_key(sentence: str) -> str:

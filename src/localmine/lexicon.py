@@ -169,12 +169,10 @@ def load_pair_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 
 def load_lexicon(
-    dictionary_path: str | Path,
-    char_map_path: str | Path | None = None,
-    seg_ja: Segmenter = whitespace_segmenter,
-    seg_zh: Segmenter = whitespace_segmenter,
+    dictionary_path: str | Path, char_map_path: str | Path | None = None
 ) -> Lexicon:
-    """Load, reduce and augment a lexicon from TSV files."""
-    entries = reduce_dictionary(load_pair_tsv(dictionary_path), seg_ja, seg_zh)
+    """Load, reduce and augment a lexicon from TSV files; headwords are
+    reduced with the whitespace segmenter."""
+    entries = reduce_dictionary(load_pair_tsv(dictionary_path))
     char_map = load_pair_tsv(char_map_path) if char_map_path else []
     return augment_with_char_map(entries, char_map)

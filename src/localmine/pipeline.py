@@ -1,6 +1,6 @@
 """End-to-end orchestration: discovery -> crawl -> document alignment ->
-sentence alignment -> filtering -> dedup, with per-site checkpointing
-and the mining report.
+sentence alignment -> filtering -> exact dedup, with per-site
+checkpointing and the mining report.
 
 Per-site results are written as soon as a site finishes, so a crash
 loses at most one site.  Runs are deterministic: with the same config,
@@ -18,7 +18,6 @@ time.
 from __future__ import annotations
 
 import json
-import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .config import PipelineConfig
-from .crawl import BinaryExtractor, PageStore, crawl_site, dump_snapshot, is_binary_document
+from .crawl import PageStore, crawl_site, dump_snapshot
 from .discovery import (
     SOURCE_ARCHIVE,
     SOURCE_CROWD,
@@ -139,32 +138,15 @@ def emit_report(reports: Iterable[SiteReport], format: str = "tsv") -> bytes:
     raise ValueError(f"unknown report format: {format!r}")
 
 
-def dedupe(
-    records: Iterable[CorpusRecord],
-    exact: bool = True,
-) -> Iterator[CorpusRecord]:
+def dedupe(records: Iterable[CorpusRecord]) -> Iterator[CorpusRecord]:
     """Drop exact (ja, zh) duplicates keeping the first occurrence, and
-    records whose two sides are identical.  The approximate mode keeps a
-    64-bit hash set instead of the full text (bounded memory)."""
-    seen_exact: set[tuple[str, str]] = set()
-    seen_hash: set[int] = set()
+    records whose two sides are identical."""
+    seen: set[tuple[str, str]] = set()
     for record in records:
-        if record.ja == record.zh:
+        key = (record.ja, record.zh)
+        if record.ja == record.zh or key in seen:
             continue
-        if exact:
-            key = (record.ja, record.zh)
-            if key in seen_exact:
-                continue
-            seen_exact.add(key)
-        else:
-            digest = hashlib.blake2b(
-                record.ja.encode("utf-8") + b"\x00" + record.zh.encode("utf-8"),
-                digest_size=8,
-            ).digest()
-            key64 = int.from_bytes(digest, "big")
-            if key64 in seen_hash:
-                continue
-            seen_hash.add(key64)
+        seen.add(key)
         yield record
 
 
@@ -194,16 +176,11 @@ class RunResult:
 
 
 def pages_to_documents(
-    store: PageStore,
-    lexicon: Lexicon,
-    config: PipelineConfig,
-    binary_extractor: BinaryExtractor | None = None,
+    store: PageStore, lexicon: Lexicon, config: PipelineConfig
 ) -> tuple[list[Document], list[Document]]:
-    """Language-tagged, segmented documents from stored pages, split into
-    the JA and ZH lists (other languages dropped).  PDF/Word bodies, by
-    the crawl's own rule, go through the extractor plug-in when one is
-    registered (they are only stored in that case) and carry an empty
-    structure digest."""
+    """Language-tagged, segmented documents from stored HTML pages, split
+    into the JA and ZH lists (other languages and undecodable pages
+    dropped)."""
     docs_ja: list[Document] = []
     docs_zh: list[Document] = []
     seg = {
@@ -211,18 +188,10 @@ def pages_to_documents(
         LanguageTag.ZH: make_segmenter(lexicon, LanguageTag.ZH),
     }
     for page in store.pages:
-        digest: list[str] = []
-        if binary_extractor is not None and is_binary_document(page.content_type, page.url):
-            try:
-                text = binary_extractor(page.body, page.content_type)
-            except Exception as err:
-                logger.warning("binary extraction failed for %s: %s", page.url, err)
-                continue
-        else:
-            try:
-                text, digest, _ = extract_page(page.body)
-            except EncodingError:
-                continue
+        try:
+            text, digest, _ = extract_page(page.body)
+        except EncodingError:
+            continue
         if not text:
             continue
         doc = document_from_text(
@@ -242,15 +211,11 @@ def pages_to_documents(
 
 
 def crawl_and_dump(
-    site: CandidateSite,
-    config: PipelineConfig,
-    fetch: Fetch,
-    pages_dir: Path | None,
-    binary_extractor: BinaryExtractor | None = None,
+    site: CandidateSite, config: PipelineConfig, fetch: Fetch, pages_dir: Path | None
 ) -> PageStore:
     """Crawl one site under the ``[crawler]`` budget; a crawl that did
     not fail is dumped as a snapshot into ``pages_dir`` when given."""
-    store = crawl_site(site, config.crawler, fetch, binary_extractor=binary_extractor)
+    store = crawl_site(site, config.crawler, fetch)
     if pages_dir is not None and not store.crawl_failed:
         dump_snapshot(store, pages_dir)
     return store
@@ -262,7 +227,6 @@ def mine_site(
     config: PipelineConfig,
     fetch: Fetch,
     site_dir: Path | None = None,
-    binary_extractor: BinaryExtractor | None = None,
 ) -> tuple[SiteOutcome, list[CorpusRecord]]:
     """Crawl one site and align it down to candidate sentence pairs.
 
@@ -272,13 +236,13 @@ def mine_site(
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
     pages_dir = site_dir / "pages" if site_dir is not None else None
-    store = crawl_and_dump(site, config, fetch, pages_dir, binary_extractor)
+    store = crawl_and_dump(site, config, fetch, pages_dir)
     if store.crawl_failed:
         outcome.error = f"crawl failed: {store.failure_reason}"
         return outcome, []
     outcome.n_pages = len(store.pages)
 
-    docs_ja, docs_zh = pages_to_documents(store, lexicon, config, binary_extractor)
+    docs_ja, docs_zh = pages_to_documents(store, lexicon, config)
     outcome.n_docs_ja = len(docs_ja)
     outcome.n_docs_zh = len(docs_zh)
     doc_pairs = match_documents(
@@ -374,7 +338,11 @@ def discover_archive(
     hosts under the ``[discovery]`` settings."""
     archive = Path(path)
     records = iter_directory_records(archive) if archive.is_dir() else iter_warc_records(archive)
-    scan = scan_archive(records)
+    scan = scan_archive(
+        records,
+        kana_threshold=config.text.kana_threshold,
+        han_threshold=config.text.han_threshold,
+    )
     sites = select_balanced_hosts(
         scan.hosts.values(),
         min_bytes=config.discovery.min_bytes,
@@ -382,6 +350,20 @@ def discover_archive(
         limit=config.discovery.limit,
     )
     return scan, sites
+
+
+def validate_submissions(
+    path: str | Path, config: PipelineConfig, fetch: Fetch
+) -> tuple[list[CandidateSite], list[UrlPairSubmission]]:
+    """Validate a crowdsourced URL-pair TSV with the ``[crawler]``
+    timeout and the ``[text]`` language thresholds."""
+    return ingest_url_pairs(
+        path,
+        fetch,
+        timeout=config.crawler.timeout,
+        kana_threshold=config.text.kana_threshold,
+        han_threshold=config.text.han_threshold,
+    )
 
 
 def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite], dict[str, int], list[UrlPairSubmission]]:
@@ -399,9 +381,7 @@ def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite
         sites.extend(found)
         intake[SOURCE_ARCHIVE] += len(found)
     if config.pipeline.submissions:
-        crowd_sites, rows = ingest_url_pairs(
-            config.pipeline.submissions, fetch, timeout=config.crawler.timeout
-        )
+        crowd_sites, rows = validate_submissions(config.pipeline.submissions, config, fetch)
         sites.extend(crowd_sites)
         submissions = rows
         intake[SOURCE_CROWD] += len(rows)
@@ -466,10 +446,7 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
     return None
 
 
-def run_pipeline(
-    config: PipelineConfig,
-    binary_extractor: BinaryExtractor | None = None,
-) -> RunResult:
+def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,9 +462,7 @@ def run_pipeline(
         site_dir = out_dir / site.host
         site_dir.mkdir(parents=True, exist_ok=True)
         try:
-            outcome, candidates = mine_site(
-                site, lexicon, config, fetch, site_dir, binary_extractor
-            )
+            outcome, candidates = mine_site(site, lexicon, config, fetch, site_dir)
             if not outcome.error:
                 counters: dict[str, int] = {}
                 outcome.records = filter_candidates(
@@ -515,12 +490,7 @@ def run_pipeline(
             outcomes = list(pool.map(process, sites))
 
     # Global dedup; the first occurrence of a pair is the one kept.
-    deduped = list(
-        dedupe(
-            (r for outcome in outcomes for r in outcome.records),
-            exact=config.pipeline.dedup_exact,
-        )
-    )
+    deduped = list(dedupe(r for outcome in outcomes for r in outcome.records))
 
     corpus_jsonl = out_dir / "corpus.jsonl"
     corpus_tsv = out_dir / "corpus.tsv"

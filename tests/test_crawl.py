@@ -159,36 +159,39 @@ class TestFailureModes:
         assert store.fetch_failures == 1
 
     def test_binary_documents_skipped_without_extractor(self):
-        class PdfFetch(CountingFetch):
+        """PDF/Word bodies, by declared type or by URL extension, are
+        counted in ``skipped_binary`` and never stored or parsed."""
+        binary = {
+            "https://site.example.com/doc.pdf": "application/pdf",
+            "https://site.example.com/download?id=7": "application/pdf",
+            "https://site.example.com/report.docx": "text/html",
+            "https://site.example.com/memo": "application/msword",
+        }
+        # Were a skipped body parsed, its link would be followed.
+        linked = '<html><body><a href="/hidden.html">more</a></body></html>'
+
+        class BinaryFetch(CountingFetch):
             def __call__(self, url, timeout=30.0):
-                if url.endswith(".pdf"):
+                if url in binary:
                     self.calls.append(url)
-                    return FetchResponse(200, "application/pdf", b"%PDF-1.4")
+                    return FetchResponse(200, binary[url], linked.encode("utf-8"))
                 return super().__call__(url, timeout)
 
         pages = chain_pages(2)
-        pages["https://site.example.com/index.html"] += '<a href="/doc.pdf">d</a>'
-        fetch = PdfFetch(pages)
-        store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
-        assert store.skipped_binary == 1
-        assert all(not u.endswith(".pdf") for u in store.urls())
-
-    def test_binary_documents_stored_with_extractor(self):
-        class PdfFetch(CountingFetch):
-            def __call__(self, url, timeout=30.0):
-                if url.endswith(".pdf"):
-                    self.calls.append(url)
-                    return FetchResponse(200, "application/pdf", b"%PDF-1.4")
-                return super().__call__(url, timeout)
-
-        pages = chain_pages(2)
-        pages["https://site.example.com/index.html"] += '<a href="/doc.pdf">d</a>'
-        fetch = PdfFetch(pages)
-        store = crawl_site(
-            make_site(), CrawlBudget(per_host_delay_ms=0), fetch,
-            binary_extractor=lambda body, ctype: "",
+        pages["https://site.example.com/index.html"] += "".join(
+            f'<a href="{url}">d</a>' for url in binary
         )
-        assert "https://site.example.com/doc.pdf" in store.urls()
+        pages["https://site.example.com/hidden.html"] = "<p>only linked from binaries</p>"
+        fetch = BinaryFetch(pages)
+        store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
+        assert set(binary) <= set(fetch.page_fetches)
+        assert "https://site.example.com/hidden.html" not in fetch.calls
+        assert store.skipped_binary == len(binary)
+        assert store.skipped_other == 0
+        assert store.urls() == [
+            "https://site.example.com/index.html",
+            "https://site.example.com/p1.html",
+        ]
 
 
 class TestSnapshot:

@@ -180,6 +180,28 @@ class TestIngestUrlPairs:
             ingest_url_pairs(tmp_path / "missing.tsv", FakeFetch({}))
 
 
+class TestLanguageThresholds:
+    """A page's language in discovery follows the two thresholds that
+    mining uses.  The sample JA page's kana share of CJK is 6/11."""
+
+    def test_scan_archive(self):
+        records = [("https://a.example.com/1", ja_page(1000))]
+        assert scan_archive(records).hosts["example.com"].bytes_ja > 0
+        strict = scan_archive(records, kana_threshold=0.99).hosts["example.com"]
+        assert (strict.bytes_ja, strict.page_count) == (0, 1)
+
+    def test_crowd_validation(self, tmp_path):
+        f = tmp_path / "s.tsv"
+        write_submissions(f, [("https://a.jp/ja", "https://a.jp/zh", "w1")])
+        fetch = FakeFetch({"https://a.jp/ja": ja_page(), "https://a.jp/zh": zh_page()})
+        assert ingest_url_pairs(f, fetch)[1][0].status == "VALID"
+        sites, rows = ingest_url_pairs(f, fetch, kana_threshold=0.99)
+        assert sites == []
+        assert rows[0].error == ERR_WRONG_LANGUAGE
+        sites, rows = ingest_url_pairs(f, fetch, han_threshold=0.99)
+        assert rows[0].error == ERR_WRONG_LANGUAGE
+
+
 class TestWarc:
     def test_roundtrip(self, tmp_path):
         records = [

@@ -35,12 +35,7 @@ class TestDedupe:
             rows.append(record(f"文{i}。", f"句{i}。"))
         for i in range(1000):  # exact duplicates of the first thousand
             rows.append(record(f"文{i}。", f"句{i}。"))
-        assert len(list(dedupe(iter(rows), exact=True))) == 9000
-
-    def test_approximate_mode(self):
-        rows = [record(f"文{i}。", f"句{i}。") for i in range(500)]
-        rows += rows[:100]
-        assert len(list(dedupe(iter(rows), exact=False))) == 500
+        assert len(list(dedupe(iter(rows)))) == 9000
 
     def test_order_stable(self):
         rows = [record("一。", "1。"), record("二。", "2。"), record("一。", "1。")]
@@ -175,42 +170,17 @@ class TestRunPipeline:
         ("", "https://example-news.jp/ja/page.html"),
     ])
     def test_html_pages_bypass_binary_extractor(self, content_type, url, starter_lexicon):
-        """Pages the crawl stored as HTML are parsed as HTML even when a
-        binary extractor is registered."""
+        """Each page the crawl stored as HTML, whatever form its type
+        takes, becomes one segmented document."""
         from localmine.config import PipelineConfig
         from localmine.crawl import Page, PageStore
         from localmine.pipeline import pages_to_documents
-
-        def broken_extractor(body, ctype):
-            raise RuntimeError("not a binary document")
 
         store = PageStore(host="example-news.jp")
         body = "<html><body><p>これは日本語の文です。</p></body></html>".encode("utf-8")
         store.pages.append(Page(url, content_type, body, 0.0))
-        docs_ja, docs_zh = pages_to_documents(
-            store, starter_lexicon, PipelineConfig(), binary_extractor=broken_extractor
-        )
+        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon, PipelineConfig())
         assert len(docs_ja) == 1 and docs_zh == []
-        assert docs_ja[0].sentences[0].tokens
-
-    def test_binary_extractor_plugin(self, fixture_site, tmp_path, starter_lexicon):
-        """A registered PDF extractor turns stored binary bodies into
-        plain-text documents (empty structure digest)."""
-        from localmine.config import PipelineConfig
-        from localmine.crawl import Page, PageStore
-        from localmine.pipeline import pages_to_documents
-
-        store = PageStore(host="example-news.jp")
-        store.pages.append(Page(
-            "https://example-news.jp/ja/doc.pdf", "application/pdf",
-            b"%PDF-stand-in", 0.0,
-        ))
-        docs_ja, docs_zh = pages_to_documents(
-            store, starter_lexicon, PipelineConfig(),
-            binary_extractor=lambda body, ctype: "これは抽出された日本語の文です。",
-        )
-        assert len(docs_ja) == 1 and docs_zh == []
-        assert docs_ja[0].tag_digest == []
         assert docs_ja[0].sentences[0].tokens
 
     def test_embedding_gate_in_pipeline(self, fixture_site, tmp_path, caplog):
@@ -351,7 +321,6 @@ DEFAULT_CONFIG_LINES = [
     "submissions = ",
     "archive = ",
     "snapshot_dir = ",
-    "dedup_exact = True",
     "",
 ]
 
@@ -376,13 +345,32 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("sentalign", "banded"), ("sentalign", "refit"), ("filter", "embed_keep_below")],
+        [
+            ("sentalign", "banded"),
+            ("sentalign", "refit"),
+            ("filter", "embed_keep_below"),
+            ("pipeline", "dedup_exact"),
+        ],
     )
     def test_removed_key_fatal(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = false\n", encoding="utf-8")
         with pytest.raises(ValueError, match=key):
             load_config(path)
+
+    def test_every_key_parses_with_its_default_type(self):
+        """``load_config`` parses a value with its default's type, which
+        is exact for int, float and str but not for bool."""
+        from dataclasses import fields
+
+        from localmine.config import PipelineConfig
+
+        config = PipelineConfig()
+        for section in fields(config):
+            target = getattr(config, section.name)
+            for key in fields(target):
+                value = getattr(target, key.name)
+                assert type(value) in (int, float, str), (section.name, key.name)
 
     def test_unknown_section_fatal(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -447,6 +435,43 @@ class TestCli:
         assert sites and sites[0]["host"] == "example-news.jp"
         assert sites[0]["source"] == "archive"
         assert sites[0]["balance"] > 0.3
+
+    def test_text_thresholds_reach_discovery(self, fixture_site, tmp_path, capsys):
+        """``[text] kana_threshold = 0.99`` tags no top page as JA, so
+        archive discovery, ``validate-urls`` and a run's site loading
+        all find no candidate site, as mining would tag the pages."""
+        from localmine.pipeline import discover_archive, fetch_for, load_sites
+
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(
+            "[text]\nkana_threshold = 0.99\n[discovery]\nmin_bytes = 1000\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sites.jsonl"
+        rows_out = tmp_path / "rows.jsonl"
+        code = cli_main([
+            "--config", str(config_path),
+            "--snapshot-dir", str(fixture_site.snapshot_dir),
+            "validate-urls",
+            "--submissions", str(fixture_site.submissions_tsv),
+            "--out", str(out),
+            "--rows-out", str(rows_out),
+        ])
+        assert code == 0
+        rows = [json.loads(l) for l in open(rows_out, encoding="utf-8")]
+        assert [r["error"] for r in rows] == ["WRONG_LANGUAGE", "SAME_URL", "WRONG_LANGUAGE"]
+        assert out.read_text(encoding="utf-8") == ""
+        capsys.readouterr()
+
+        config = load_config(config_path)
+        config.pipeline.snapshot_dir = str(fixture_site.snapshot_dir)
+        config.pipeline.submissions = str(fixture_site.submissions_tsv)
+        sites, intake, _ = load_sites(config, fetch_for(config))
+        assert sites == [] and intake["crowd_errors"] == 3
+
+        scan, found = discover_archive(fixture_site.snapshot_dir, config)
+        assert found == []
+        assert scan.hosts["example-news.jp"].bytes_ja == 0
 
     def test_train_filter_and_filter_and_dedup_and_report(self, fixture_site, tmp_path):
         model_path = tmp_path / "model.json"
