@@ -5,10 +5,23 @@ A bead maps 0-2 source sentences to 0-2 target sentences; a ladder is
 an ordered bead sequence tiling both documents exactly.  The cost of a
 bead is a normal-deviate length term plus a bead-type prior, reduced by
 lexical evidence across the bead's spans.  The DP returns the
-minimum-total-cost tiling; a diagonal band prunes the grid for long
-documents and is disabled automatically when it would cut off every
-tiling.  The DP is the length-based bead search of Gale & Church (1993)
-with a dictionary term added to each bead.
+minimum-total-cost tiling.  The DP is the length-based bead search of
+Gale & Church (1993) with a dictionary term added to each bead.
+
+The DP runs in a band of ``BAND_HALF_WIDTH`` target sentences on each
+side of the diagonal, so a call costs time linear in the document
+length; Moore (2002) and Vecalign (Thompson & Koehn 2019) also search
+a narrow region around the likely path.  The band doubles and the DP
+reruns while the band admits no tiling or a ladder vertex comes closer
+than half the half-width to a band edge that is not a grid edge; at
+``len(trg)`` the band is the full grid.  When the unbanded optimum lies
+inside the band, the banded DP returns it bit for bit: every cell on
+its path keeps its unbanded cost, and ``KIND_PREFERENCE`` breaks ties
+as before.  The margin is needed because a band too narrow for a drift
+can hold a ladder that shifts part of the document instead of following
+the drift, and that ladder may come near the edge without touching it.
+A path that drifts pays for each rerun, up to about twice the cells of
+the band it ends in.
 
 The dictionary term's greedy match count comes from tables built once
 per call (``_match_tables``): each source sentence's translation tuples
@@ -36,6 +49,9 @@ DEFAULT_C = 1.0
 DEFAULT_S2 = 6.8
 DEFAULT_DICT_WEIGHT = 3.0
 DEFAULT_MAX_BEAD_COST = 10.0
+# Starting half-width of the DP band, in target sentences.  Aligned
+# documents rarely stray more than a few sentences from the diagonal.
+BAND_HALF_WIDTH = 10
 
 
 class BeadKind(Enum):
@@ -166,16 +182,33 @@ def bead_cost(
     return max(0.0, cost)
 
 
-def _band_rows(n_src: int, n_trg: int, banded: bool) -> list[tuple[int, int]]:
-    """Inclusive (j_lo, j_hi) range per source index i."""
-    if not banded or n_src == 0 or n_trg == 0:
-        return [(0, n_trg) for _ in range(n_src + 1)]
-    width = max(20.0, 0.15 * n_trg)
+def _band_rows(n_src: int, n_trg: int, half_width: int) -> list[tuple[int, int]]:
+    """Inclusive (j_lo, j_hi) range per source index i: the target
+    indices within ``half_width`` of the diagonal, and the full grid
+    once ``half_width`` reaches ``n_trg``."""
+    if n_src == 0 or half_width >= n_trg:
+        return [(0, n_trg)] * (n_src + 1)
     rows = []
     for i in range(n_src + 1):
         center = i * n_trg / n_src
-        rows.append((max(0, math.ceil(center - width)), min(n_trg, math.floor(center + width))))
+        rows.append(
+            (max(0, math.ceil(center - half_width)), min(n_trg, math.floor(center + half_width)))
+        )
     return rows
+
+
+def _near_band_edge(
+    ladder: AlignmentLadder, rows: list[tuple[int, int]], n_trg: int, margin: float
+) -> bool:
+    """Whether a ladder vertex lies closer than ``margin`` target
+    sentences to a band edge that is not a grid edge.  The bead starts
+    are every vertex but the last, the grid's far corner."""
+    for bead in ladder.beads:
+        i, j = bead.src_span[0], bead.trg_span[0]
+        j_lo, j_hi = rows[i]
+        if (j_lo > 0 and j - j_lo < margin) or (j_hi < n_trg and j_hi - j < margin):
+            return True
+    return False
 
 
 def _by_span(values: list, join=operator.add) -> tuple[None, list, list]:
@@ -256,17 +289,29 @@ def align_sentences(
     headwords.
 
     Ties break deterministically preferring ONE, then CONTRACT, EXPAND,
-    MERGE, DEL, SUB.  With ``banded`` the grid is pruned to a diagonal
-    band; if the band admits no tiling (extreme length ratios) the
-    alignment silently reruns unbanded.  Each bead's length term is
-    ``length_cost``, so a ladder's bead costs equal ``bead_cost``.
+    MERGE, DEL, SUB.  With ``banded`` the DP first runs in a band of
+    ``BAND_HALF_WIDTH`` target sentences on each side of the diagonal.
+    It reruns with the half-width doubled while the band admits no
+    tiling or a ladder vertex comes closer than half the half-width to
+    a band edge that is not a grid edge, and runs the full grid once the
+    half-width reaches ``len(trg)``.  When the unbanded optimum lies
+    inside the starting band, the result is that optimum bit for bit; a
+    path that drifts costs up to about twice the cells of the band it
+    ends in.  Each bead's length term is ``length_cost``, so a ladder's
+    bead costs equal ``bead_cost``.
     """
     model = model or LengthModel()
-    ladder = _align(src, trg, lex, model, lam, banded)
-    if ladder is None:
-        ladder = _align(src, trg, lex, model, lam, False)
-        assert ladder is not None  # the full grid always admits a tiling
-    return ladder
+    n_src, n_trg = len(src), len(trg)
+    half_width = BAND_HALF_WIDTH if banded else n_trg
+    while True:
+        rows = _band_rows(n_src, n_trg, half_width)
+        ladder = _align(src, trg, lex, model, lam, rows)
+        if half_width >= n_trg:
+            assert ladder is not None  # the full grid always admits a tiling
+            return ladder
+        if ladder is not None and not _near_band_edge(ladder, rows, n_trg, half_width / 2):
+            return ladder
+        half_width *= 2
 
 
 def _align(
@@ -275,13 +320,14 @@ def _align(
     lex: Lexicon | None,
     model: LengthModel,
     lam: float,
-    banded: bool,
+    rows: list[tuple[int, int]],
 ) -> AlignmentLadder | None:
+    """The DP over the inclusive (j_lo, j_hi) target range ``rows[i]``
+    of each source index i; None when those cells admit no tiling."""
     n_src, n_trg = len(src), len(trg)
     if n_src == 0 and n_trg == 0:
         return AlignmentLadder([], 0.0)
 
-    rows = _band_rows(n_src, n_trg, banded)
     inf = math.inf
 
     # Prefix sums for O(1) span lengths; token counts per span of 1 or 2.

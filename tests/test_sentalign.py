@@ -3,11 +3,12 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localmine.lexicon import Lexicon, build_lexicon, greedy_match_count
 from localmine.sentalign import (
+    BAND_HALF_WIDTH,
     COST_CAP,
     KIND_PREFERENCE,
     AlignmentLadder,
@@ -69,6 +70,19 @@ def brute_force_min_cost(src, trg, lex, model, lam):
     return best[0]
 
 
+def reference_band_rows(n_src: int, n_trg: int, banded: bool) -> list[tuple[int, int]]:
+    """The proportional band the DP once ran in, kept verbatim: a
+    half-width of ``max(20, 0.15 * n_trg)`` target sentences."""
+    if not banded or n_src == 0 or n_trg == 0:
+        return [(0, n_trg) for _ in range(n_src + 1)]
+    width = max(20.0, 0.15 * n_trg)
+    rows = []
+    for i in range(n_src + 1):
+        center = i * n_trg / n_src
+        rows.append((max(0, math.ceil(center - width)), min(n_trg, math.floor(center + width))))
+    return rows
+
+
 def reference_align(
     src: list[Sentence],
     trg: list[Sentence],
@@ -76,17 +90,17 @@ def reference_align(
     model: LengthModel,
     lam: float,
     direction: LanguageTag,
-    banded: bool,
+    rows: list[tuple[int, int]],
 ) -> AlignmentLadder | None:
     """The DP before its per-call match tables, kept verbatim as the
     oracle: it calls ``greedy_match_count`` on each bead's full token
     lists and prunes with the bound ``base - lam``.  ``_align`` must
-    reproduce its beads, costs and total bit for bit."""
+    reproduce its beads, costs and total bit for bit over the same
+    band ``rows``."""
     n_src, n_trg = len(src), len(trg)
     if n_src == 0 and n_trg == 0:
         return AlignmentLadder([], 0.0)
 
-    rows = _band_rows(n_src, n_trg, banded)
     inf = math.inf
 
     # Prefix sums and per-sentence token lists for O(1) span features.
@@ -436,33 +450,44 @@ def _assert_same_ladder(got, want):
     assert got.total_cost == want.total_cost
 
 
+# Band rows per source index: the proportional band, the fixed
+# starting band and the full grid.
+_BANDS = {
+    "proportional": lambda n_src, n_trg: reference_band_rows(n_src, n_trg, True),
+    "fixed": lambda n_src, n_trg: _band_rows(n_src, n_trg, BAND_HALF_WIDTH),
+    "full": lambda n_src, n_trg: reference_band_rows(n_src, n_trg, False),
+}
+
+
+def _assert_kernel_equals_reference(src, trg, lex, model, lam, band):
+    rows = _BANDS[band](len(src), len(trg))
+    args = (src, trg, lex, model, lam)
+    _assert_same_ladder(_align(*args, rows), reference_align(*args, LanguageTag.JA, rows))
+
+
 class TestMatchTables:
-    """``_align`` over per-call match tables against ``reference_align``."""
+    """``_align`` over per-call match tables against ``reference_align``,
+    both over the same band rows."""
 
     @settings(max_examples=300, deadline=None)
-    @given(src=_documents(1), trg=_documents(1), banded=st.booleans(), **_dp_settings)
-    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, banded):
-        args = (src, trg, lex, LengthModel(c=c), lam)
-        _assert_same_ladder(
-            _align(*args, banded), reference_align(*args, LanguageTag.JA, banded)
-        )
+    @given(src=_documents(1), trg=_documents(1), band=st.sampled_from(sorted(_BANDS)),
+           **_dp_settings)
+    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, band):
+        _assert_kernel_equals_reference(src, trg, lex, LengthModel(c=c), lam, band)
 
     @pytest.mark.parametrize("n_src, n_trg", [(0, 0), (0, 3), (2, 0)])
     def test_empty_sides_equal_reference(self, n_src, n_trg):
         lex = build_lexicon(_COMPETING)
         src = [sent("a0a1", ["a0", "a1"])] * n_src
         trg = [sent("b0", ["b0"])] * n_trg
-        for banded in (True, False):
-            args = (src, trg, lex, LengthModel(), 3.0)
-            _assert_same_ladder(
-                _align(*args, banded), reference_align(*args, LanguageTag.JA, banded)
-            )
+        for band in _BANDS:
+            _assert_kernel_equals_reference(src, trg, lex, LengthModel(), 3.0, band)
 
     @settings(max_examples=25, deadline=None)
-    @given(src=_documents(22, 40), trg=_documents(22, 40), **_dp_settings)
-    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c):
-        args = (src, trg, lex, LengthModel(c=c), lam)
-        _assert_same_ladder(_align(*args, True), reference_align(*args, LanguageTag.JA, True))
+    @given(src=_documents(22, 40), trg=_documents(22, 40),
+           band=st.sampled_from(["proportional", "fixed"]), **_dp_settings)
+    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c, band):
+        _assert_kernel_equals_reference(src, trg, lex, LengthModel(c=c), lam, band)
 
     @settings(max_examples=150, deadline=None)
     @given(src=_documents(), trg=_documents(), lex=_either_side)
@@ -490,6 +515,110 @@ class TestMatchTables:
         assert trg_counts == [{"b1": 1, "b0": 1}]
         assert _span_match_count(src_rows[0], trg_counts[0]) == 1
         assert greedy_match_count(["a0", "a1"], ["b1", "b0"], lex.headwords(LanguageTag.JA)) == 1
+
+
+# Each a_k translates as b_k; u0 and u1 are words no entry names.
+_PLANTED_LEXICON = build_lexicon((f"a{k}", f"b{k}") for k in range(4))
+
+
+def _parallel_pair(src_toks, trg_toks, pad_src, pad_trg):
+    return (sent("".join(src_toks) + "。" * pad_src, src_toks),
+            sent("".join(trg_toks) + "。" * pad_trg, trg_toks))
+
+
+@st.composite
+def _planted_documents(draw):
+    """A translated document pair of 22-60 sentences a side: 28-54
+    sentence pairs, then up to six planted edits, each an unrelated
+    sentence inserted on one side or two neighbours merged on one."""
+    src, trg = [], []
+    for _ in range(draw(st.integers(28, 54))):
+        ids = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+        pad = draw(st.integers(0, 12))
+        s, t = _parallel_pair([f"a{k}" for k in ids], [f"b{k}" for k in ids],
+                              pad, max(0, pad + draw(st.integers(-2, 2))))
+        src.append(s)
+        trg.append(t)
+    for _ in range(draw(st.integers(0, 6))):
+        side = draw(st.sampled_from([src, trg]))
+        i = draw(st.integers(0, len(side) - 2))
+        if draw(st.booleans()):
+            toks = draw(st.lists(st.sampled_from(["u0", "u1"]), min_size=1, max_size=6))
+            side.insert(i, sent("".join(toks), toks))
+        else:
+            b = side.pop(i + 1)
+            side[i] = sent(side[i].text + b.text, side[i].tokens + b.tokens)
+    return src, trg
+
+
+# One entry per content word: w_k translates as z_k.
+_CONTENT_LEXICON = build_lexicon((f"w{k}", f"z{k}") for k in range(300))
+
+
+def _documents_with_block(seed, n_body, pad_range, at):
+    """``n_body`` translated sentence pairs of three content words each,
+    whose target side holds, before its sentence ``at``, 3x the starting
+    half-width of unrelated sentences of one or two characters.  The
+    optimum drops that block as SUB beads, which takes it outside the
+    starting band."""
+    rng = random.Random(seed)
+    words = rng.sample(range(300), 3 * n_body)
+    src, trg = [], []
+    for k in range(n_body):
+        ids = words[3 * k : 3 * k + 3]
+        pad = rng.randrange(*pad_range)
+        s, t = _parallel_pair([f"w{i}" for i in ids], [f"z{i}" for i in ids], pad, pad)
+        src.append(s)
+        trg.append(t)
+    block = [sent("う" * rng.randrange(1, 3), ["u0"]) for _ in range(3 * BAND_HALF_WIDTH)]
+    return src, trg[:at] + block + trg[at:]
+
+
+def _full_grid(src, trg, lex, model, lam):
+    return _align(src, trg, lex, model, lam, reference_band_rows(len(src), len(trg), False))
+
+
+def _inside_starting_band(ladder, n_src, n_trg):
+    """Whether every ladder vertex lies strictly within
+    ``BAND_HALF_WIDTH`` target sentences of the diagonal."""
+    return all(
+        abs(b.trg_span[0] * n_src - b.src_span[0] * n_trg) < BAND_HALF_WIDTH * n_src
+        for b in ladder.beads
+    )
+
+
+class TestBand:
+    """The fixed starting band and its widening against the full grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(docs=_planted_documents(), lam=st.sampled_from([0.0, 3.0]))
+    def test_optimum_inside_band_equals_full_grid(self, docs, lam):
+        src, trg = docs
+        args = (src, trg, _PLANTED_LEXICON, LengthModel(), lam)
+        full = _full_grid(*args)
+        assume(_inside_starting_band(full, len(src), len(trg)))
+        _assert_same_ladder(align_sentences(*args, banded=True), full)
+
+    # Long and short documents, the block prepended or in the middle.
+    # Within a band too narrow for the drift, the cheapest ladder may
+    # shift the body instead of running along the edge, so widening
+    # only for a vertex on the edge fails several of these cases.
+    @pytest.mark.parametrize("n_body, pad_range, at", [
+        (80, (0, 21), 0), (40, (20, 61), 0), (60, (0, 21), 30),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drift_beyond_band_widens_to_full_grid_optimum(self, seed, n_body, pad_range, at):
+        src, trg = _documents_with_block(seed, n_body, pad_range, at)
+        for lam in (0.0, 3.0):
+            args = (src, trg, _CONTENT_LEXICON, LengthModel(), lam)
+            full = _full_grid(*args)
+            assert not _inside_starting_band(full, len(src), len(trg))
+            _assert_same_ladder(align_sentences(*args, banded=True), full)
+
+    def test_starting_band_cells_are_linear(self):
+        n = 1000
+        rows = _band_rows(n, n, BAND_HALF_WIDTH)
+        assert sum(j_hi - j_lo + 1 for j_lo, j_hi in rows) <= (2 * BAND_HALF_WIDTH + 1) * (n + 1)
 
 
 class TestExtractPairs:
