@@ -50,7 +50,7 @@ print("mirrored passage:")
 show(ladder, src, trg)
 
 print("\nextracted candidate pairs (cost ceiling 10):")
-for ja, zh, cost in extract_pairs(ladder, src, trg, max_cost=10.0):
+for ja, zh, cost, _, _ in extract_pairs(ladder, src, trg, max_cost=10.0):
     print(f"  ({cost:4.2f}) {ja} ||| {zh}")
 
 # One long Japanese sentence split over two Chinese sentences: the

@@ -49,7 +49,6 @@ from .sentalign import (
     BeadKind,
     LengthModel,
     align_sentences,
-    bead_cost,
     extract_pairs,
     length_cost,
 )

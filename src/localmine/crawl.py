@@ -72,9 +72,6 @@ class PageStore:
     def __len__(self) -> int:
         return len(self.pages)
 
-    def urls(self) -> list[str]:
-        return [page.url for page in self.pages]
-
     def stored_bytes(self) -> int:
         return sum(len(page.body) for page in self.pages)
 

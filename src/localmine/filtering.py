@@ -16,7 +16,7 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,7 +63,12 @@ FEATURE_NAMES = FeatureVector._fields
 @dataclass
 class CorpusRecord:
     """One sentence pair from alignment candidate to corpus line: the
-    filter sets ``filter_score``, the embedding gate ``embed_sim``."""
+    filter sets ``filter_score``, the embedding gate ``embed_sim``.
+
+    ``tokens_ja`` and ``tokens_zh`` are a side's tokens as mining
+    segmented them, or None when the filter must segment that side;
+    the filter drops them once it has the features, and they are never
+    serialized."""
 
     ja: str
     zh: str
@@ -73,6 +78,8 @@ class CorpusRecord:
     bead_cost: float = 0.0
     filter_score: float = 0.0
     embed_sim: float | None = None
+    tokens_ja: list[str] | None = field(default=None, repr=False, compare=False)
+    tokens_zh: list[str] | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -328,10 +335,16 @@ class BitextFilter:
             self.table_j2z, self.table_z2j, self.lm_ja, self.lm_zh, lex,
         )
 
+    def score_batch(self, fvs: Sequence[FeatureVector]) -> list[float]:
+        """Ensemble vote fraction in [0, 1] per feature vector, all scored
+        in one forest call; the pipeline keeps pairs whose score reaches
+        the threshold (default 0.5, inclusive).  A row's score does not
+        depend on the rest of the batch."""
+        return self.forest.predict_proba(np.array(fvs, dtype=np.float64)).tolist()
+
     def score(self, fv: FeatureVector) -> float:
-        """Ensemble vote fraction in [0, 1]; the pipeline keeps pairs whose
-        score reaches the threshold (default 0.5, inclusive)."""
-        return self.forest.score_one(fv)
+        """``score_batch`` of one feature vector."""
+        return self.score_batch([fv])[0]
 
     def save(self, path: str | Path) -> None:
         payload = {

@@ -5,6 +5,19 @@ feature subset (sqrt of the feature count) for the Gini-optimal
 threshold.  All randomness flows from one seeded generator drawn
 sequentially, so a fixed seed gives a bit-identical model and
 predictions.  The prediction is the fraction of trees voting 1.
+
+The trees are held as flat arrays, node by node in pre-order and one
+tree after another, the order ``to_json`` writes.  Node i splits on
+column ``feature[i]`` at ``threshold[i]``: a row goes to ``left[i]``
+when its value is ``<=`` the threshold and to ``right[i]`` otherwise.
+A leaf has ``feature[i] == -1``, votes ``vote[i]`` and is its own left
+and right child.  ``predict_proba`` walks every row of a batch down
+every tree at once, one tree level per numpy step, so a site's
+candidates are scored in one call, the way Bicleaner batches its tree
+classifier.  A row's score does not depend on the batch around it:
+scaling is the element-wise ``(x - mean) / std``, and each vote is 0
+or 1, so the float64 vote sum is an integer far below 2**53 and exact
+in any order of summation.
 """
 
 from __future__ import annotations
@@ -16,41 +29,6 @@ import numpy as np
 
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 8
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    vote: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_json(self) -> dict:
-        if self.is_leaf:
-            return {"vote": self.vote}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "_Node":
-        if "vote" in obj:
-            return cls(vote=int(obj["vote"]))
-        return cls(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
-            left=cls.from_json(obj["left"]),
-            right=cls.from_json(obj["right"]),
-        )
-
 
 def _gini_best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
     """Best (threshold, impurity) for one feature column, or None when the
@@ -78,6 +56,14 @@ def _gini_best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None
     return float(threshold), float(gini[best])
 
 
+def _leaf(nodes: list[list], vote: int) -> int:
+    """Append a leaf to ``nodes``, the [feature, threshold, left, right,
+    vote] rows of a forest being built, and return its index."""
+    index = len(nodes)
+    nodes.append([-1, 0.0, index, index, vote])
+    return index
+
+
 def _grow(
     x: np.ndarray,
     y: np.ndarray,
@@ -85,11 +71,14 @@ def _grow(
     max_depth: int,
     n_subset: int,
     rng: np.random.Generator,
-) -> _Node:
+    nodes: list[list],
+) -> int:
+    """Append the tree grown on (x, y) to ``nodes`` in pre-order and
+    return the index of its root."""
     ones = int(y.sum())
     vote = 1 if 2 * ones > len(y) else 0
     if depth >= max_depth or ones == 0 or ones == len(y):
-        return _Node(vote=vote)
+        return _leaf(nodes, vote)
     features = rng.choice(x.shape[1], size=n_subset, replace=False)
     best_feature = -1
     best_threshold = 0.0
@@ -104,31 +93,55 @@ def _grow(
             best_feature = f
             best_threshold = threshold
     if best_feature < 0:
-        return _Node(vote=vote)
+        return _leaf(nodes, vote)
+    index = len(nodes)
+    nodes.append([best_feature, best_threshold, -1, -1, 0])
     mask = x[:, best_feature] <= best_threshold
-    return _Node(
-        feature=best_feature,
-        threshold=best_threshold,
-        left=_grow(x[mask], y[mask], depth + 1, max_depth, n_subset, rng),
-        right=_grow(x[~mask], y[~mask], depth + 1, max_depth, n_subset, rng),
-    )
+    nodes[index][2] = _grow(x[mask], y[mask], depth + 1, max_depth, n_subset, rng, nodes)
+    nodes[index][3] = _grow(x[~mask], y[~mask], depth + 1, max_depth, n_subset, rng, nodes)
+    return index
 
 
-def _traverse(node: _Node, row) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.vote
+def _read_tree(obj: dict, nodes: list[list]) -> int:
+    """Append a tree in ``to_json``'s nested form to ``nodes`` in
+    pre-order and return the index of its root."""
+    if "vote" in obj:
+        return _leaf(nodes, int(obj["vote"]))
+    index = len(nodes)
+    nodes.append([int(obj["feature"]), float(obj["threshold"]), -1, -1, 0])
+    nodes[index][2] = _read_tree(obj["left"], nodes)
+    nodes[index][3] = _read_tree(obj["right"], nodes)
+    return index
 
 
-@dataclass
+@dataclass(eq=False)
 class RandomForest:
     n_trees: int = DEFAULT_TREES
     max_depth: int = DEFAULT_DEPTH
     seed: int = 0
-    trees: list[_Node] = field(default_factory=list)
     feature_means: list[float] = field(default_factory=list)
     feature_stds: list[float] = field(default_factory=list)
     n_training_rows: int = 0
+    # The flat trees (see the module docstring); ``roots`` holds the
+    # index of each tree's root.  Empty until ``fit`` or ``from_json``.
+    roots: np.ndarray = field(init=False, repr=False)
+    feature: np.ndarray = field(init=False, repr=False)
+    threshold: np.ndarray = field(init=False, repr=False)
+    left: np.ndarray = field(init=False, repr=False)
+    right: np.ndarray = field(init=False, repr=False)
+    vote: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._set_trees([], [])
+
+    def _set_trees(self, roots: list[int], nodes: list[list]) -> None:
+        self.roots = np.array(roots, dtype=np.intp)
+        feature, threshold, left, right, vote = zip(*nodes) if nodes else ((),) * 5
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.vote = np.array(vote, dtype=np.float64)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
@@ -147,40 +160,54 @@ class RandomForest:
         scaled = (x - means) / stds
         n_subset = max(1, int(math.isqrt(x.shape[1])))
         rng = np.random.default_rng(self.seed)
-        self.trees = []
+        roots: list[int] = []
+        nodes: list[list] = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, len(y), size=len(y))
-            self.trees.append(_grow(scaled[idx], y[idx], 0, self.max_depth, n_subset, rng))
+            roots.append(_grow(scaled[idx], y[idx], 0, self.max_depth, n_subset, rng, nodes))
+        self._set_trees(roots, nodes)
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Fraction of trees voting 1, per row."""
-        if not self.trees:
+        """Fraction of trees voting 1, per row of the (rows, features)
+        matrix ``x``; an empty batch gives an empty array."""
+        if not len(self.roots):
             raise ValueError("model is not trained")
         x = np.asarray(x, dtype=np.float64)
-        scaled = (x - np.array(self.feature_means)) / np.array(self.feature_stds)
-        votes = np.zeros(len(scaled), dtype=np.float64)
-        for tree in self.trees:
-            votes += np.fromiter(
-                (_traverse(tree, row) for row in scaled), dtype=np.float64, count=len(scaled)
-            )
-        return votes / len(self.trees)
-
-    def score_one(self, row) -> float:
-        """``predict_proba`` of one row, walked in plain Python: the same
-        float operations in the same order, so the same score."""
-        if not self.trees:
-            raise ValueError("model is not trained")
-        scaled = [
-            (float(v) - mean) / std
-            for v, mean, std in zip(row, self.feature_means, self.feature_stds)
-        ]
-        votes = 0.0
-        for tree in self.trees:
-            votes += _traverse(tree, scaled)
-        return votes / len(self.trees)
+        if len(x) == 0:
+            return np.zeros(0, dtype=np.float64)
+        scaled = ((x - np.array(self.feature_means)) / np.array(self.feature_stds)).ravel()
+        n_rows, n_trees, n_nodes = len(x), len(self.roots), len(self.feature)
+        # One walker per (row, tree), row by row: ``node`` is where it
+        # stands and ``cell`` where its row starts in ``scaled``.
+        node = np.tile(self.roots, n_rows)
+        cell = np.repeat(np.arange(n_rows) * x.shape[1], n_trees)
+        children = np.concatenate([self.right, self.left])
+        while True:
+            feature = np.take(self.feature, node)
+            if (feature < 0).all():
+                break
+            # A leaf reads some cell through its -1, but both of its
+            # children are itself.
+            goes_left = np.take(scaled, cell + feature) <= np.take(self.threshold, node)
+            node = np.take(children, node + n_nodes * goes_left)
+        return np.take(self.vote, node).reshape(n_rows, n_trees).sum(axis=1) / n_trees
 
     def to_json(self) -> dict:
+        feature, threshold, left, right, vote = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.vote)
+        )
+
+        def node_json(index: int) -> dict:
+            if feature[index] < 0:
+                return {"vote": int(vote[index])}
+            return {
+                "feature": feature[index],
+                "threshold": threshold[index],
+                "left": node_json(left[index]),
+                "right": node_json(right[index]),
+            }
+
         return {
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
@@ -188,7 +215,7 @@ class RandomForest:
             "feature_means": self.feature_means,
             "feature_stds": self.feature_stds,
             "n_training_rows": self.n_training_rows,
-            "trees": [tree.to_json() for tree in self.trees],
+            "trees": [node_json(root) for root in self.roots.tolist()],
         }
 
     @classmethod
@@ -201,5 +228,7 @@ class RandomForest:
         model.feature_means = [float(v) for v in obj["feature_means"]]
         model.feature_stds = [float(v) for v in obj["feature_stds"]]
         model.n_training_rows = int(obj.get("n_training_rows", 0))
-        model.trees = [_Node.from_json(t) for t in obj["trees"]]
+        nodes: list[list] = []
+        roots = [_read_tree(tree, nodes) for tree in obj["trees"]]
+        model._set_trees(roots, nodes)
         return model

@@ -280,8 +280,10 @@ def mine_site(
                 src_url_zh=pair.doc_zh.url,
                 doc_score=pair.score,
                 bead_cost=cost,
+                tokens_ja=tokens_ja,
+                tokens_zh=tokens_zh,
             )
-            for ja, zh, cost in pairs
+            for ja, zh, cost, tokens_ja, tokens_zh in pairs
         )
         ladder_dump.append(f"# {pair.doc_ja.url}\t{pair.doc_zh.url}")
         ladder_dump.append(format_ladder_tsv(ladder).rstrip("\n"))
@@ -304,18 +306,32 @@ def filter_candidates(
     provider: EmbeddingProvider | None,
     counters: dict | None = None,
 ) -> list[CorpusRecord]:
-    """Set each candidate's classifier score and keep those reaching the
-    threshold, then apply the optional embedding gate, which adds its
-    drop counts to ``counters`` when given."""
+    """Score a site's candidates in one batched classifier call, keep
+    those whose score reaches the threshold, then apply the optional
+    embedding gate, which adds its drop counts to ``counters`` when
+    given.
+
+    A side that carries its tokens (one sentence, segmented by
+    ``pages_to_documents`` with the same segmenters) is not segmented
+    again.  A side without them is: two sentences joined, or a row read
+    back from ``raw_pairs.jsonl``.  Each candidate's tokens are dropped
+    once its features are taken."""
+    if not candidates:
+        return []
     seg_ja = make_segmenter(lexicon, LanguageTag.JA)
     seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
-    survivors: list[CorpusRecord] = []
+    features = []
     for record in candidates:
-        fv = bitext_filter.features(
-            record.ja, record.zh, seg_ja(record.ja), seg_zh(record.zh), lexicon
+        tokens_ja = seg_ja(record.ja) if record.tokens_ja is None else record.tokens_ja
+        tokens_zh = seg_zh(record.zh) if record.tokens_zh is None else record.tokens_zh
+        features.append(
+            bitext_filter.features(record.ja, record.zh, tokens_ja, tokens_zh, lexicon)
         )
-        record.filter_score = bitext_filter.score(fv)
-        if record.filter_score >= config.filter.threshold:
+        record.tokens_ja = record.tokens_zh = None
+    survivors: list[CorpusRecord] = []
+    for record, score in zip(candidates, bitext_filter.score_batch(features)):
+        record.filter_score = score
+        if score >= config.filter.threshold:
             survivors.append(record)
     if provider is not None:
         survivors = embedding_gate(

@@ -41,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lexicon import Lexicon, greedy_match_count
+from .lexicon import Lexicon
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
@@ -142,44 +142,13 @@ def _normal_cdf(x: float) -> float:
 
 def length_cost(l_src: int, l_trg: int, model: LengthModel) -> float:
     """Two-sided tail cost of the normal length deviation, floored at 0
-    and capped so the DP never saturates on outliers.  The one length
-    term of both ``bead_cost`` and the DP in ``align_sentences``."""
+    and capped so the DP never saturates on outliers.  The length term
+    of every bead the DP in ``align_sentences`` costs."""
     delta = (l_trg - model.c * l_src) / math.sqrt(max(l_src, 1) * model.s2)
     tail = 2.0 * (1.0 - _normal_cdf(abs(delta)))
     if tail <= 0.0:
         return COST_CAP
     return min(COST_CAP, max(0.0, -math.log(tail)))
-
-
-def bead_cost(
-    kind: BeadKind,
-    src_sents: list[Sentence],
-    trg_sents: list[Sentence],
-    lex: Lexicon | None,
-    model: LengthModel,
-    lam: float = DEFAULT_DICT_WEIGHT,
-) -> float:
-    """Length cost plus prior cost minus the lexical-evidence bonus,
-    clamped to be nonnegative.  The source side is Japanese, so the
-    bonus reads the lexicon's JA headwords.  SUB/DEL beads carry no
-    dictionary term."""
-    if len(src_sents) != kind.n_src or len(trg_sents) != kind.n_trg:
-        raise ValueError(f"span sizes do not match bead kind {kind.code}")
-    l_src = sum(s.char_len for s in src_sents)
-    l_trg = sum(s.char_len for s in trg_sents)
-    cost = length_cost(l_src, l_trg, model) + model.prior_cost(kind)
-    if kind not in (BeadKind.SUB, BeadKind.DEL) and lam > 0 and lex is not None and len(lex):
-        src_tokens: list[str] = []
-        for s in src_sents:
-            src_tokens.extend(s.tokens)
-        trg_tokens: list[str] = []
-        for s in trg_sents:
-            trg_tokens.extend(s.tokens)
-        n = len(src_tokens) + len(trg_tokens)
-        if n:
-            m = greedy_match_count(src_tokens, trg_tokens, lex.headwords(LanguageTag.JA))
-            cost -= lam * (2.0 * m / n)
-    return max(0.0, cost)
 
 
 def _band_rows(n_src: int, n_trg: int, half_width: int) -> list[tuple[int, int]]:
@@ -297,8 +266,9 @@ def align_sentences(
     half-width reaches ``len(trg)``.  When the unbanded optimum lies
     inside the starting band, the result is that optimum bit for bit; a
     path that drifts costs up to about twice the cells of the band it
-    ends in.  Each bead's length term is ``length_cost``, so a ladder's
-    bead costs equal ``bead_cost``.
+    ends in.  A bead costs its ``length_cost`` plus its kind's prior
+    cost, less ``lam * 2m / n`` for the m greedy dictionary matches
+    among its n tokens (none for SUB and DEL beads), floored at 0.
     """
     model = model or LengthModel()
     n_src, n_trg = len(src), len(trg)
@@ -440,14 +410,18 @@ def extract_pairs(
     src: list[Sentence],
     trg: list[Sentence],
     max_cost: float = DEFAULT_MAX_BEAD_COST,
-) -> list[tuple[str, str, float]]:
-    """(source text, target text, bead cost) per qualifying bead.
+) -> list[tuple[str, str, float, list[str] | None, list[str] | None]]:
+    """(source text, target text, bead cost, source tokens, target
+    tokens) per qualifying bead.
 
     ONE beads emit the pair directly; EXPAND/CONTRACT/MERGE emit the
     span concatenation (no separator); SUB/DEL emit nothing; beads
-    costlier than ``max_cost`` are dropped.
+    costlier than ``max_cost`` are dropped.  A side of one sentence
+    carries that sentence's ``tokens``; a side of two carries None,
+    since greedy segmentation of the joined text can match across the
+    join.
     """
-    pairs: list[tuple[str, str, float]] = []
+    pairs = []
     for bead in ladder.beads:
         if bead.kind in (BeadKind.SUB, BeadKind.DEL):
             continue
@@ -457,7 +431,9 @@ def extract_pairs(
         t0, tn = bead.trg_span
         src_text = "".join(s.text for s in src[s0 : s0 + sn])
         trg_text = "".join(t.text for t in trg[t0 : t0 + tn])
-        pairs.append((src_text, trg_text, bead.cost))
+        src_tokens = src[s0].tokens if sn == 1 else None
+        trg_tokens = trg[t0].tokens if tn == 1 else None
+        pairs.append((src_text, trg_text, bead.cost, src_tokens, trg_tokens))
     return pairs
 
 

@@ -144,9 +144,10 @@ class TestAcceptance:
         train_feats = featurize(train_rows)
         test_feats = featurize(test_rows)
         model = train_classifier(train_feats, trees=100, depth=8, seed=5)
+        test_x = [fv for fv, _ in test_feats]
         correct = sum(
-            1 for fv, label in test_feats
-            if (model.score_one(fv) >= 0.5) == bool(label)
+            1 for score, (_, label) in zip(model.predict_proba(test_x), test_feats)
+            if (score >= 0.5) == bool(label)
         )
         accuracy = correct / len(test_feats)
 
@@ -156,8 +157,8 @@ class TestAcceptance:
         perm_rows = [(fv, label) for (fv, _), label in zip(train_feats, perm_labels)]
         perm_model = train_classifier(perm_rows, trees=100, depth=8, seed=6)
         perm_correct = sum(
-            1 for fv, label in test_feats
-            if (perm_model.score_one(fv) >= 0.5) == bool(label)
+            1 for score, (_, label) in zip(perm_model.predict_proba(test_x), test_feats)
+            if (score >= 0.5) == bool(label)
         )
         perm_accuracy = perm_correct / len(test_feats)
         elapsed = time.monotonic() - start

@@ -55,8 +55,8 @@ class TestBudget:
         assert len(store.pages) == 5
         assert len(fetch.page_fetches) <= 5
         # BFS chain order from the seed
-        assert store.urls()[0] == "https://site.example.com/index.html"
-        assert store.urls()[1] == "https://site.example.com/p1.html"
+        assert store.pages[0].url == "https://site.example.com/index.html"
+        assert store.pages[1].url == "https://site.example.com/p1.html"
 
     def test_max_bytes_cap(self):
         fetch = CountingFetch(chain_pages(10))
@@ -99,7 +99,7 @@ class TestPoliteness:
         pages = chain_pages(5)
         fetch = CountingFetch(pages, robots="User-agent: *\nDisallow: /p2.html\n")
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
-        assert "https://site.example.com/p2.html" not in store.urls()
+        assert "https://site.example.com/p2.html" not in [p.url for p in store.pages]
 
     def test_per_host_delay(self):
         fetch = CountingFetch(chain_pages(4))
@@ -134,7 +134,7 @@ class TestConfinement:
         pages["https://ja.example.com/s.html"] = "<p>sub</p>"
         fetch = CountingFetch(pages)
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
-        assert "https://ja.example.com/s.html" in store.urls()
+        assert "https://ja.example.com/s.html" in [p.url for p in store.pages]
 
 
 class TestFailureModes:
@@ -147,7 +147,7 @@ class TestFailureModes:
         monkeypatch.setattr("localmine.crawl.extract_links", broken)
         fetch = CountingFetch(chain_pages(4))
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
-        assert store.urls() == [
+        assert [p.url for p in store.pages] == [
             "https://site.example.com/index.html",
             "https://site.example.com/p1.html",
         ]
@@ -188,7 +188,7 @@ class TestFailureModes:
         assert "https://site.example.com/hidden.html" not in fetch.calls
         assert store.skipped_binary == len(binary)
         assert store.skipped_other == 0
-        assert store.urls() == [
+        assert [p.url for p in store.pages] == [
             "https://site.example.com/index.html",
             "https://site.example.com/p1.html",
         ]
@@ -232,7 +232,7 @@ class TestSnapshot:
         )
         store = crawl_site(site, CrawlBudget(per_host_delay_ms=0), fetch)
         loaded = load_snapshot(fixture_site.snapshot_dir)
-        linked = set(store.urls())
+        linked = {p.url for p in store.pages}
         from_manifest = {p.url for p in loaded.pages if not p.url.endswith("robots.txt")}
         assert linked == from_manifest
 
@@ -241,5 +241,5 @@ class TestSnapshot:
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
         dump_snapshot(store, tmp_path / "dump")
         again = load_snapshot(tmp_path / "dump")
-        assert again.urls() == store.urls()
+        assert [p.url for p in again.pages] == [p.url for p in store.pages]
         assert [p.body for p in again.pages] == [p.body for p in store.pages]

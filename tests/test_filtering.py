@@ -157,8 +157,9 @@ class TestClassifier:
     def test_separable_rows(self):
         rows = self._rows()
         model = train_classifier(rows, trees=30, depth=6, seed=0)
+        scores = model.predict_proba([fv for fv, _ in rows])
         correct = sum(
-            1 for fv, label in rows if (model.score_one(fv) >= 0.5) == bool(label)
+            1 for score, (_, label) in zip(scores, rows) if (score >= 0.5) == bool(label)
         )
         assert correct / len(rows) >= 0.99
 
@@ -168,7 +169,7 @@ class TestClassifier:
         rows = self._rows()
         model = train_classifier(rows, trees=2, depth=1, seed=1)
         fv = rows[0][0]
-        score = model.score_one(fv)
+        score = model.predict_proba([fv])[0]
         assert score in (0.0, 0.5, 1.0)
 
     def test_empty_rows_error(self):

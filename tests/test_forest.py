@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmine.forest import RandomForest
 
@@ -12,6 +14,35 @@ def separable_data(n=400, seed=0):
     x = rng.normal(size=(n, 12))
     y = (x[:, 3] + 0.5 * x[:, 7] > 0).astype(np.int64)
     return x, y
+
+
+def nested_walk(model, row):
+    """Oracle: one row scaled in plain Python floats and walked down each
+    nested tree of ``to_json``, ``<=`` going left, votes summed in tree
+    order."""
+    obj = model.to_json()
+    scaled = [
+        (float(v) - mean) / std
+        for v, mean, std in zip(row, obj["feature_means"], obj["feature_stds"])
+    ]
+    votes = 0.0
+    for node in obj["trees"]:
+        while "vote" not in node:
+            node = node["left"] if scaled[node["feature"]] <= node["threshold"] else node["right"]
+        votes += node["vote"]
+    return votes / len(obj["trees"])
+
+
+def thresholds(model):
+    """Every (feature, threshold) split of the model's nested trees."""
+    found = []
+    stack = list(model.to_json()["trees"])
+    while stack:
+        node = stack.pop()
+        if "vote" not in node:
+            found.append((node["feature"], node["threshold"]))
+            stack.extend((node["left"], node["right"]))
+    return found
 
 
 class TestRandomForest:
@@ -66,15 +97,73 @@ class TestRandomForest:
         votes = proba * 40
         assert np.allclose(votes, np.round(votes))
 
-    def test_score_one_equals_predict_proba_exactly(self):
-        x, y = separable_data(n=300, seed=12)
-        model = RandomForest(n_trees=30, max_depth=6, seed=13).fit(x, y)
-        rng = np.random.default_rng(14)
-        probe = np.vstack([x[:50], rng.normal(scale=2.0, size=(200, 12))])
-        for row in probe:
-            assert model.score_one(row) == model.predict_proba(row[None])[0]
-            assert model.score_one(row.tolist()) == model.predict_proba(row[None])[0]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_trees=st.integers(1, 12),
+        depth=st.integers(1, 7),
+        unit_scale=st.booleans(),
+        data=st.data(),
+    )
+    def test_predict_proba_equals_nested_walk(self, seed, n_trees, depth, unit_scale, data):
+        x, y = separable_data(n=120, seed=seed)
+        model = RandomForest(n_trees=n_trees, max_depth=depth, seed=seed).fit(x, y)
+        if unit_scale:
+            # Scaling becomes the identity, so a raw value can equal a
+            # split threshold exactly.
+            obj = model.to_json()
+            obj["feature_means"] = [0.0] * 12
+            obj["feature_stds"] = [1.0] * 12
+            model = RandomForest.from_json(obj)
+        splits = thresholds(model)
+        special = [np.inf, -np.inf, 0.0]
+        rng = np.random.default_rng(seed)
+        rows = [x[i] for i in range(0, 120, 7)]
+        for _ in range(data.draw(st.integers(1, 30))):
+            row = rng.normal(scale=2.0, size=12)
+            for _ in range(data.draw(st.integers(0, 4))):
+                col = data.draw(st.integers(0, 11))
+                if splits and data.draw(st.booleans()):
+                    col, t = data.draw(st.sampled_from(splits))
+                    row[col] = t if unit_scale else t * model.feature_stds[col] + model.feature_means[col]
+                else:
+                    row[col] = data.draw(st.sampled_from(special))
+            rows.append(row)
+        batch = np.array(rows)
+        proba = model.predict_proba(batch)
+        assert proba.tolist() == [nested_walk(model, row) for row in rows]
+        # A row scores the same alone as in the batch.
+        for row, score in zip(rows[:5], proba):
+            assert model.predict_proba(row[None])[0] == score
+            assert model.predict_proba([row.tolist()])[0] == score
 
-    def test_score_one_untrained_is_error(self):
+    def test_split_ties_go_left(self):
+        x, y = separable_data(n=200, seed=15)
+        obj = RandomForest(n_trees=5, max_depth=4, seed=16).fit(x, y).to_json()
+        obj["feature_means"] = [0.0] * 12
+        obj["feature_stds"] = [1.0] * 12
+        obj["trees"] = obj["trees"][:1]
+        model = RandomForest.from_json(obj)
+        root = obj["trees"][0]
+        assert "vote" not in root
+        row = np.zeros(12)
+        row[root["feature"]] = root["threshold"]
+        assert model.predict_proba(row[None])[0] == nested_walk(model, row)
+        node = root["left"]
+        while "vote" not in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        assert model.predict_proba(row[None])[0] == node["vote"]
+
+    def test_empty_batch_gives_empty_array(self):
+        x, y = separable_data(n=100, seed=17)
+        model = RandomForest(n_trees=5, max_depth=3, seed=18).fit(x, y)
+        for empty in (np.array([]), np.zeros((0, 12)), []):
+            proba = model.predict_proba(empty)
+            assert proba.shape == (0,)
+            assert proba.dtype == np.float64
+
+    def test_untrained_is_error(self):
         with pytest.raises(ValueError):
-            RandomForest(seed=0).score_one([0.0] * 12)
+            RandomForest(seed=0).predict_proba(np.zeros((1, 12)))
+        with pytest.raises(ValueError):
+            RandomForest(seed=0).predict_proba(np.zeros((0, 12)))

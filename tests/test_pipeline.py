@@ -666,3 +666,90 @@ class TestPinnedOutputs:
         ]) == 0
         capsys.readouterr()
         assert hashlib.sha256(model.read_bytes()).hexdigest() == PINNED_MODEL_DIGEST
+
+
+class TestFilterTokens:
+    """``filter_candidates`` reuses the tokens mining carried on a
+    candidate and segments only the sides that carry none."""
+
+    def _mine(self, fixture_site, tmp_path, monkeypatch):
+        from localmine import pipeline
+        from localmine.sentalign import BeadKind
+
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        lexicon = pipeline.resolve_lexicon(config)
+        fetch = pipeline.fetch_for(config)
+        (site,) = pipeline.load_sites(config, fetch)[0]
+        multi_sides = []
+        extract_pairs = pipeline.extract_pairs
+
+        def counting_extract(ladder, src, trg, max_cost):
+            multi_sides.extend(
+                (b.src_span[1] > 1) + (b.trg_span[1] > 1)
+                for b in ladder.beads
+                if b.kind not in (BeadKind.SUB, BeadKind.DEL) and b.cost <= max_cost
+            )
+            return extract_pairs(ladder, src, trg, max_cost=max_cost)
+
+        monkeypatch.setattr(pipeline, "extract_pairs", counting_extract)
+        outcome, candidates = pipeline.mine_site(site, lexicon, config, fetch)
+        monkeypatch.setattr(pipeline, "extract_pairs", extract_pairs)
+        assert not outcome.error and candidates
+        return config, lexicon, candidates, sum(multi_sides)
+
+    def test_carried_tokens_equal_segmentation(self, fixture_site, tmp_path, monkeypatch):
+        from localmine.text import LanguageTag, make_segmenter
+
+        _, lexicon, candidates, n_multi = self._mine(fixture_site, tmp_path, monkeypatch)
+        seg_ja = make_segmenter(lexicon, LanguageTag.JA)
+        seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
+        missing = 0
+        for c in candidates:
+            for text, tokens, segment in ((c.ja, c.tokens_ja, seg_ja), (c.zh, c.tokens_zh, seg_zh)):
+                if tokens is None:
+                    missing += 1
+                else:
+                    assert tokens == segment(text)
+        assert missing == n_multi
+
+    def test_segments_only_multi_sentence_sides(self, fixture_site, tmp_path, monkeypatch,
+                                                trained_filter):
+        from localmine import pipeline
+
+        config, lexicon, candidates, n_multi = self._mine(fixture_site, tmp_path, monkeypatch)
+        assert n_multi > 0  # the fixture site has merged beads
+        stripped = [CorpusRecord.from_raw_json(c.to_raw_json()) for c in candidates]
+        calls = []
+        make_segmenter = pipeline.make_segmenter
+
+        def counting_make_segmenter(lexicon, lang):
+            segment = make_segmenter(lexicon, lang)
+            return lambda text: calls.append(text) or segment(text)
+
+        monkeypatch.setattr(pipeline, "make_segmenter", counting_make_segmenter)
+        kept = filter_candidates(candidates, trained_filter, lexicon, config, None)
+        assert len(calls) == n_multi
+        assert all(c.tokens_ja is None and c.tokens_zh is None for c in candidates)
+
+        # Rows read back without tokens (the CLI ``filter`` stage) are
+        # segmented on both sides and score the same.
+        calls.clear()
+        kept_again = filter_candidates(stripped, trained_filter, lexicon, config, None)
+        assert len(calls) == 2 * len(stripped)
+        assert [c.filter_score for c in stripped] == [c.filter_score for c in candidates]
+        assert [r.to_json() for r in kept_again] == [r.to_json() for r in kept]
+        assert all(type(c.filter_score) is float for c in candidates)
+
+    def test_empty_site_calls_no_scorer(self, starter_lexicon):
+        from localmine.config import PipelineConfig
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} reached on an empty site")
+
+        def provider(sentences):
+            raise AssertionError("provider called on an empty site")
+
+        assert filter_candidates(
+            [], Untouchable(), starter_lexicon, PipelineConfig(), provider
+        ) == []

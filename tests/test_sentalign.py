@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localmine import sentalign
 from localmine.lexicon import Lexicon, build_lexicon, greedy_match_count
 from localmine.sentalign import (
     BAND_HALF_WIDTH,
     COST_CAP,
+    DEFAULT_DICT_WEIGHT,
     KIND_PREFERENCE,
     AlignmentLadder,
     Bead,
@@ -22,7 +24,6 @@ from localmine.sentalign import (
     _merged,
     _span_match_count,
     align_sentences,
-    bead_cost,
     extract_pairs,
     format_ladder_tsv,
     length_cost,
@@ -36,9 +37,31 @@ def sent(text, tokens=None):
     return s
 
 
+def bead_cost(kind, src_sents, trg_sents, lex, model, lam=DEFAULT_DICT_WEIGHT):
+    """Oracle for one bead's cost in the DP: length cost plus prior cost
+    minus the lexical-evidence bonus, clamped to be nonnegative.  The
+    source side is Japanese, so the bonus reads the lexicon's JA
+    headwords.  SUB/DEL beads carry no dictionary term.  The length term
+    is read from the module, so a test that rebinds
+    ``sentalign.length_cost`` changes the oracle and the DP alike."""
+    if len(src_sents) != kind.n_src or len(trg_sents) != kind.n_trg:
+        raise ValueError(f"span sizes do not match bead kind {kind.code}")
+    l_src = sum(s.char_len for s in src_sents)
+    l_trg = sum(s.char_len for s in trg_sents)
+    cost = sentalign.length_cost(l_src, l_trg, model) + model.prior_cost(kind)
+    if kind not in (BeadKind.SUB, BeadKind.DEL) and lam > 0 and lex is not None and len(lex):
+        src_tokens = [tok for s in src_sents for tok in s.tokens]
+        trg_tokens = [tok for s in trg_sents for tok in s.tokens]
+        n = len(src_tokens) + len(trg_tokens)
+        if n:
+            m = greedy_match_count(src_tokens, trg_tokens, lex.headwords(LanguageTag.JA))
+            cost -= lam * (2.0 * m / n)
+    return max(0.0, cost)
+
+
 def brute_force_min_cost(src, trg, lex, model, lam):
     """Exhaustive enumeration of every bead tiling; independent of the DP
-    (recursive search, costs via the public bead_cost)."""
+    (recursive search, costs via the bead_cost oracle)."""
     cache = {}
 
     def bead(kind, i, j):
@@ -637,9 +660,9 @@ class TestExtractPairs:
         ladder = self._ladder([(BeadKind.ONE, 0.1)] * 3)
         pairs = extract_pairs(ladder, src, trg, max_cost=10.0)
         assert pairs == [
-            ("一文目。", "第一句。", 0.1),
-            ("二文目。", "第二句。", 0.1),
-            ("三文目。", "第三句。", 0.1),
+            ("一文目。", "第一句。", 0.1, src[0].tokens, trg[0].tokens),
+            ("二文目。", "第二句。", 0.1, src[1].tokens, trg[1].tokens),
+            ("三文目。", "第三句。", 0.1, src[2].tokens, trg[2].tokens),
         ]
 
     def test_del_emits_nothing(self):
@@ -651,7 +674,8 @@ class TestExtractPairs:
         trg = [sent("前半。"), sent("后半。")]
         ladder = self._ladder([(BeadKind.EXPAND, 0.3)])
         pairs = extract_pairs(ladder, src, trg, max_cost=10.0)
-        assert pairs == [("長い一文。", "前半。后半。", 0.3)]
+        # The two-sentence side carries no tokens: it must be segmented.
+        assert pairs == [("長い一文。", "前半。后半。", 0.3, src[0].tokens, None)]
 
     def test_costly_beads_dropped(self):
         src = [sent("一。"), sent("二。")]
