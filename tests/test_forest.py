@@ -137,23 +137,6 @@ class TestRandomForest:
             assert model.predict_proba(row[None])[0] == score
             assert model.predict_proba([row.tolist()])[0] == score
 
-    def test_split_ties_go_left(self):
-        x, y = separable_data(n=200, seed=15)
-        obj = RandomForest(n_trees=5, max_depth=4, seed=16).fit(x, y).to_json()
-        obj["feature_means"] = [0.0] * 12
-        obj["feature_stds"] = [1.0] * 12
-        obj["trees"] = obj["trees"][:1]
-        model = RandomForest.from_json(obj)
-        root = obj["trees"][0]
-        assert "vote" not in root
-        row = np.zeros(12)
-        row[root["feature"]] = root["threshold"]
-        assert model.predict_proba(row[None])[0] == nested_walk(model, row)
-        node = root["left"]
-        while "vote" not in node:
-            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-        assert model.predict_proba(row[None])[0] == node["vote"]
-
     def test_empty_batch_gives_empty_array(self):
         x, y = separable_data(n=100, seed=17)
         model = RandomForest(n_trees=5, max_depth=3, seed=18).fit(x, y)

@@ -693,7 +693,6 @@ class TestFilterTokens:
 
         monkeypatch.setattr(pipeline, "extract_pairs", counting_extract)
         outcome, candidates = pipeline.mine_site(site, lexicon, config, fetch)
-        monkeypatch.setattr(pipeline, "extract_pairs", extract_pairs)
         assert not outcome.error and candidates
         return config, lexicon, candidates, sum(multi_sides)
 
