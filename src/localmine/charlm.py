@@ -10,12 +10,21 @@ so any string gets a finite score.
 
 On disk a context is written as its symbols joined by NUL, and read
 back with ``key[::2]``, which is exact for every symbol, NUL included.
+A model file must satisfy ``train_char_lm``'s rules (order in [2, 7],
+positive smoothing constant) and hold one count level per order.
+
+``CharLM.denominators`` keeps each context's add-k denominator,
+``count total + k * alphabet_size``, built once on first use: the same
+float expression evaluated on the same integers, so ``prob`` and
+``lm_score`` return the same bits as when they summed each row per
+call.  The table is never serialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 BOS = "\x02"  # context padding, never a continuation
@@ -37,15 +46,24 @@ class CharLM:
     def alphabet_size(self) -> int:
         return len(self.vocabulary) + 1  # +1: end/unknown slot
 
+    @cached_property
+    def denominators(self) -> list[dict[str, float]]:
+        """``denominators[m][context]`` is that row's add-k denominator,
+        ``count total + k * alphabet_size``; built on first use and never
+        serialized."""
+        extra = self.k * self.alphabet_size
+        return [{ctx: sum(row.values()) + extra for ctx, row in level.items()}
+                for level in self.counts]
+
     def prob(self, char: str, context: str) -> float:
         """Add-k probability of ``char`` after ``context``, backing off to
         shorter contexts and finally to the uniform distribution."""
         for m in range(min(self.n - 1, len(context)), -1, -1):
-            row = self.counts[m].get(context[len(context) - m :])
+            ctx = context[len(context) - m :]
+            row = self.counts[m].get(ctx)
             if row is None:
                 continue
-            total = sum(row.values())
-            return (row.get(char, 0) + self.k) / (total + self.k * self.alphabet_size)
+            return (row.get(char, 0) + self.k) / self.denominators[m][ctx]
         return 1.0 / self.alphabet_size
 
     def to_json(self) -> dict:
@@ -61,9 +79,17 @@ class CharLM:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharLM":
+        """Read ``to_json`` output; a model that ``train_char_lm`` could
+        not have made (order, smoothing constant or number of count
+        levels) is a ``ValueError``."""
+        n = int(obj["n"])
+        k = float(obj["k"])
+        _check_parameters(n, k)
+        if len(obj["counts"]) != n:
+            raise ValueError(f"order {n} model has {len(obj['counts'])} count levels")
         return cls(
-            n=int(obj["n"]),
-            k=float(obj["k"]),
+            n=n,
+            k=k,
             vocabulary=set(obj["vocabulary"]),
             counts=[
                 {key[::2]: {ch: int(cnt) for ch, cnt in row.items()} for key, row in level}
@@ -72,12 +98,16 @@ class CharLM:
         )
 
 
-def train_char_lm(corpus: Iterable[str], n: int = DEFAULT_ORDER, k: float = DEFAULT_ADD_K) -> CharLM:
-    """Count padded character n-grams of every order up to ``n``."""
+def _check_parameters(n: int, k: float) -> None:
     if not (2 <= n <= 7):
         raise ValueError("order must be in [2, 7]")
-    if k <= 0:
+    if not k > 0:
         raise ValueError("smoothing constant must be positive")
+
+
+def train_char_lm(corpus: Iterable[str], n: int = DEFAULT_ORDER, k: float = DEFAULT_ADD_K) -> CharLM:
+    """Count padded character n-grams of every order up to ``n``."""
+    _check_parameters(n, k)
     strings = [s for s in corpus if s]
     if not strings:
         raise ValueError("empty corpus")
@@ -97,8 +127,22 @@ def lm_score(lm: CharLM, text: str) -> float:
     """Mean log-probability per character, end symbol included (<= 0)."""
     if not text:
         raise ValueError("empty text")
-    padded = BOS * (lm.n - 1) + text + EOS
+    n = lm.n
+    k = lm.k
+    # ``CharLM.prob`` inlined: the context is always n - 1 symbols long,
+    # so the back-off tries every order from n - 1 down to 0.
+    orders = [(m, lm.counts[m], lm.denominators[m]) for m in range(n - 1, -1, -1)]
+    uniform = 1.0 / lm.alphabet_size
+    padded = BOS * (n - 1) + text + EOS
     total = 0.0
-    for pos in range(lm.n - 1, len(padded)):
-        total += math.log(lm.prob(padded[pos], padded[pos - lm.n + 1 : pos]))
-    return total / (len(padded) - lm.n + 1)
+    for pos in range(n - 1, len(padded)):
+        char = padded[pos]
+        for m, level, denominators in orders:
+            ctx = padded[pos - m : pos]
+            row = level.get(ctx)
+            if row is not None:
+                total += math.log((row.get(char, 0) + k) / denominators[ctx])
+                break
+        else:
+            total += math.log(uniform)
+    return total / (len(padded) - n + 1)

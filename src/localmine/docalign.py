@@ -81,7 +81,12 @@ def _assemble(
             / max(a.raw_char_count, b.raw_char_count)
         ),
     }
-    score = sum(w * features[name] for w, name in zip(weights, FEATURE_NAMES))
+    # A left fold from 0.0: Python 3.12's ``sum`` compensates float
+    # rounding, which would change the score's low bits, and the
+    # matching sorts on the exact score.
+    score = 0.0
+    for w, name in zip(weights, FEATURE_NAMES):
+        score += w * features[name]
     return score, features
 
 

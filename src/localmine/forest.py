@@ -11,13 +11,14 @@ tree after another, the order ``to_json`` writes.  Node i splits on
 column ``feature[i]`` at ``threshold[i]``: a row goes to ``left[i]``
 when its value is ``<=`` the threshold and to ``right[i]`` otherwise.
 A leaf has ``feature[i] == -1``, votes ``vote[i]`` and is its own left
-and right child.  ``predict_proba`` walks every row of a batch down
-every tree at once, one tree level per numpy step, so a site's
-candidates are scored in one call, the way Bicleaner batches its tree
-classifier.  A row's score does not depend on the batch around it:
-scaling is the element-wise ``(x - mean) / std``, and each vote is 0
-or 1, so the float64 vote sum is an integer far below 2**53 and exact
-in any order of summation.
+and right child.  ``predict_proba`` walks the rows of a batch down
+every tree together, one tree level per numpy step and at most
+``BLOCK_ROWS`` rows at a time, so a site's candidates are scored in
+one call, the way Bicleaner batches its tree classifier.  A row's
+score does not depend on the batch around it: scaling is the
+element-wise ``(x - mean) / std``, and each vote is 0 or 1, so the
+float64 vote sum is an integer far below 2**53 and exact in any order
+of summation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import numpy as np
 
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 8
+# Rows per walk in ``predict_proba``: at the default 100 trees, each of
+# the walk's index arrays stays at 200 kB.
+BLOCK_ROWS = 256
 
 def _gini_best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
     """Best (threshold, impurity) for one feature column, or None when the
@@ -170,12 +174,19 @@ class RandomForest:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Fraction of trees voting 1, per row of the (rows, features)
-        matrix ``x``; an empty batch gives an empty array."""
+        matrix ``x``; an empty batch gives an empty array.  Rows are
+        walked ``BLOCK_ROWS`` at a time, which bounds the walkers'
+        arrays and changes no score."""
         if not len(self.roots):
             raise ValueError("model is not trained")
         x = np.asarray(x, dtype=np.float64)
         if len(x) == 0:
             return np.zeros(0, dtype=np.float64)
+        return np.concatenate(
+            [self._walk(x[start : start + BLOCK_ROWS]) for start in range(0, len(x), BLOCK_ROWS)]
+        )
+
+    def _walk(self, x: np.ndarray) -> np.ndarray:
         scaled = ((x - np.array(self.feature_means)) / np.array(self.feature_stds)).ravel()
         n_rows, n_trees, n_nodes = len(x), len(self.roots), len(self.feature)
         # One walker per (row, tree), row by row: ``node`` is where it

@@ -5,12 +5,20 @@ document alignment, sentence alignment and the filter features share.
 The normal build path: load a raw ``ja<TAB>zh`` dictionary, keep the
 entries whose headwords are single tokens on both sides, then union in
 Kanji/simplified-Chinese character correspondences.
+
+For segmentation, ``Lexicon.headword_widths`` keeps, per language and
+first character, the distinct headword lengths >= 2 in descending
+order, built once on first use.  A headword matching at a position
+starts with that position's character, so its length is in the list:
+trying only those widths, longest first, finds the same longest match
+as trying every width down from the longest headword.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -33,8 +41,6 @@ class Lexicon:
     entries: list[LexiconEntry] = field(default_factory=list)
     index_ja: dict[str, tuple[str, ...]] = field(default_factory=dict)
     index_zh: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _max_len_ja: int = 1
-    _max_len_zh: int = 1
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -44,8 +50,24 @@ class Lexicon:
         table every dictionary-match kernel reads."""
         return self.index_ja if lang is LanguageTag.JA else self.index_zh
 
-    def max_headword_len(self, lang: LanguageTag) -> int:
-        return self._max_len_ja if lang is LanguageTag.JA else self._max_len_zh
+    def headword_widths(self, lang: LanguageTag) -> dict[str, tuple[int, ...]]:
+        """First character -> the distinct lengths >= 2 of the ``lang``
+        headwords it starts, longest first: the only widths at which a
+        longest-match segmenter can find a headword there."""
+        widths_ja, widths_zh = self._widths
+        return widths_ja if lang is LanguageTag.JA else widths_zh
+
+    @cached_property
+    def _widths(self) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+        return _widths_by_first_char(self.index_ja), _widths_by_first_char(self.index_zh)
+
+
+def _widths_by_first_char(index: dict[str, tuple[str, ...]]) -> dict[str, tuple[int, ...]]:
+    by_first: dict[str, set[int]] = {}
+    for head in index:
+        if len(head) >= 2:
+            by_first.setdefault(head[0], set()).add(len(head))
+    return {first: tuple(sorted(lengths, reverse=True)) for first, lengths in by_first.items()}
 
 
 def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
@@ -55,7 +77,6 @@ def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
     ordered: list[LexiconEntry] = []
     index_ja: dict[str, set[str]] = {}
     index_zh: dict[str, set[str]] = {}
-    max_ja = max_zh = 1
     for raw in entries:
         entry = LexiconEntry(*raw)
         if not entry.ja or not entry.zh or entry in seen:
@@ -64,9 +85,7 @@ def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
         ordered.append(entry)
         index_ja.setdefault(entry.ja, set()).add(entry.zh)
         index_zh.setdefault(entry.zh, set()).add(entry.ja)
-        max_ja = max(max_ja, len(entry.ja))
-        max_zh = max(max_zh, len(entry.zh))
-    return Lexicon(ordered, _freeze(index_ja), _freeze(index_zh), max_ja, max_zh)
+    return Lexicon(ordered, _freeze(index_ja), _freeze(index_zh))
 
 
 def _freeze(index: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:

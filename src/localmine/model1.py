@@ -18,6 +18,14 @@ order a per-token loop visits them in, so every sum, and so the table,
 its row order and the log-likelihoods, is bit-identical to that loop.
 The log-likelihood is summed in Python with ``math.log`` for the same
 reason.  A cell whose probability reaches exactly 0.0 leaves its row.
+
+For scoring, ``TranslationTable.ranked`` keeps each source's targets of
+positive probability in descending order, built once on first use.
+``best_prob`` returns the first ranked target present among the
+candidates: no later target can be larger, and the float returned is
+the row's own, so the result equals the loop over the candidates.  It
+looks at most ``len(candidates)`` ranked targets and, when none of them
+is present in a longer row, runs that loop instead.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -46,10 +55,32 @@ class TranslationTable:
     def prob(self, trg: str, src: str) -> float:
         return self.t.get(src, {}).get(trg, 0.0)
 
-    def best_prob(self, src: str, candidates: Iterable[str]) -> float:
-        """Max t(trg|src) over the given candidate targets."""
-        row = self.t.get(src)
-        if not row:
+    @cached_property
+    def ranked(self) -> dict[str, tuple[str, ...]]:
+        """Per source, its targets of positive probability by descending
+        probability; built on first use and never serialized."""
+        return {
+            src: tuple(sorted((trg for trg, p in row.items() if p > 0.0),
+                              key=row.__getitem__, reverse=True))
+            for src, row in self.t.items()
+        }
+
+    def best_prob(self, src: str, candidates: AbstractSet[str]) -> float:
+        """Max t(trg|src) over the given candidate targets, 0.0 when none
+        has a positive probability.
+
+        Scans at most ``len(candidates)`` ranked targets: the first one
+        present is the maximum.  When none of those is present and the
+        row ranks more, the candidates are looped over instead."""
+        ranked = self.ranked.get(src)
+        if not ranked:
+            return 0.0
+        row = self.t[src]
+        limit = len(candidates)
+        for trg in ranked[:limit]:
+            if trg in candidates:
+                return row[trg]
+        if len(ranked) <= limit:
             return 0.0
         best = 0.0
         for trg in candidates:

@@ -200,18 +200,21 @@ def segment_words(text: str, lang: LanguageTag, lexicon) -> list[str]:
     space (each whitespace-free run of ``text.split()`` is matched on its
     own; ``str.split`` and ``str.isspace`` share one whitespace table)."""
     headwords = lexicon.headwords(lang) if lexicon is not None else frozenset()
-    max_len = lexicon.max_headword_len(lang) if lexicon is not None else 1
+    widths = lexicon.headword_widths(lang) if lexicon is not None else {}
     tokens: list[str] = []
     for run in text.split():
         n = len(run)
         i = 0
         while i < n:
             match = run[i]
-            for width in range(min(max_len, n - i), 1, -1):
-                candidate = run[i : i + width]
-                if candidate in headwords:
-                    match = candidate
-                    break
+            # Only the lengths of headwords that start with this character
+            # can match here, tried longest first.
+            for width in widths.get(match, ()):
+                if width <= n - i:
+                    candidate = run[i : i + width]
+                    if candidate in headwords:
+                        match = candidate
+                        break
             tokens.append(match)
             i += len(match)
     return tokens

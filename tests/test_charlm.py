@@ -187,6 +187,10 @@ class TestTupleOracle:
             context = probe[start:]
             for char in probe + EOS:
                 assert lm.prob(char, context) == ref.prob(char, list(context))
+        # Scoring built the denominator table; the model itself is as
+        # it was.
+        assert "denominators" in vars(lm)
+        assert lm.to_json() == tuple_lm_to_json(ref)
 
 
 class TestSerialization:
@@ -200,6 +204,22 @@ class TestSerialization:
         assert (again.n, again.k) == (lm.n, lm.k)
         for probe in ("b\x00c", "\x00", "abc", "未知"):
             assert lm_score(again, probe) == lm_score(lm, probe)
+
+    def test_from_json_rejects_what_training_cannot_make(self):
+        obj = train_char_lm(self.CORPUS, n=3, k=0.1).to_json()
+        assert CharLM.from_json(obj).to_json() == obj
+        bad = [
+            {**obj, "counts": obj["counts"][:2]},  # fewer count levels than the order
+            {**obj, "counts": obj["counts"] + [[]]},
+            {**obj, "n": 1, "counts": obj["counts"][:1]},
+            {**obj, "n": 8, "counts": (obj["counts"] * 3)[:8]},
+            {**obj, "k": 0.0},
+            {**obj, "k": -0.1},
+            {**obj, "k": float("nan")},
+        ]
+        for broken in bad:
+            with pytest.raises(ValueError):
+                CharLM.from_json(broken)
 
     def test_missing_order_zero_row_is_uniform(self):
         lm = CharLM(n=2, k=0.1, vocabulary={"a", "b"}, counts=[{}, {"a": {"b": 3}}])

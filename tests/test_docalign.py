@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from localmine.docalign import doc_similarity, match_documents
+from localmine.docalign import DEFAULT_WEIGHTS, FEATURE_NAMES, doc_similarity, match_documents
 from localmine.lexicon import build_lexicon
 from localmine.text import Document, LanguageTag, Sentence
 
@@ -57,6 +58,29 @@ class TestDocSimilarity:
         score, features = doc_similarity(a, b, perfect_lexicon)
         assert score == 0.0
         assert all(v == 0.0 for v in features.values())
+
+    def test_score_is_a_left_fold(self, perfect_lexicon):
+        """The weighted terms are added left to right from 0.0, so the
+        score's bits do not depend on whether ``sum`` compensates
+        (Python 3.12 does)."""
+        a = make_doc("https://x.jp/ja/news/1.html", LanguageTag.JA,
+                     [["犬", "猫"], ["鳥", "魚", "山"]], digest=("p", "p", "h1"))
+        b = make_doc("https://x.jp/zh/news/1.html", LanguageTag.ZH,
+                     [["狗", "猫"], ["鸟"]], digest=("p", "p", "p", "div"))
+        c = make_doc("https://x.jp/zh/n/2.html", LanguageTag.ZH,
+                     [["狗", "海", "鱼"], ["猫"]], digest=("p", "h1"))
+        exact_differs = False
+        for other in (b, c):
+            for weights in (DEFAULT_WEIGHTS, (0.1, 0.2, 0.3, 0.4)):
+                score, features = doc_similarity(a, other, perfect_lexicon, weights=weights)
+                terms = [w * features[name] for w, name in zip(weights, FEATURE_NAMES)]
+                fold = 0.0
+                for term in terms:
+                    fold += term
+                assert score == fold
+                exact_differs |= math.fsum(terms) != fold
+        # The inputs are ones where an exactly rounded sum would differ.
+        assert exact_differs
 
     def test_weights_must_sum_to_one(self, perfect_lexicon):
         a = make_doc("https://x.jp/a", LanguageTag.JA, [["犬"]])

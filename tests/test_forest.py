@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localmine.forest import RandomForest
+from localmine.forest import BLOCK_ROWS, RandomForest
 
 
 def separable_data(n=400, seed=0):
@@ -136,6 +136,13 @@ class TestRandomForest:
         for row, score in zip(rows[:5], proba):
             assert model.predict_proba(row[None])[0] == score
             assert model.predict_proba([row.tolist()])[0] == score
+
+    def test_blocks_score_like_single_rows(self):
+        x, y = separable_data(n=200, seed=5)
+        model = RandomForest(n_trees=7, max_depth=5, seed=6).fit(x, y)
+        probe = np.random.default_rng(7).normal(size=(2 * BLOCK_ROWS + 3, 12))
+        proba = model.predict_proba(probe)
+        assert proba.tolist() == [model.predict_proba(row[None])[0] for row in probe]
 
     def test_empty_batch_gives_empty_array(self):
         x, y = separable_data(n=100, seed=17)

@@ -184,9 +184,84 @@ class TestArrayKernelOracle:
         assert len(got[0][NULL_TOKEN]) == 2  # three co-occurring targets, one dropped
 
 
+def reference_best_prob(table: TranslationTable, src: str, candidates) -> float:
+    """The per-candidate loop that the ranked rows replaced, kept as the
+    oracle: ``best_prob`` must return the same float."""
+    row = table.t.get(src)
+    if not row:
+        return 0.0
+    best = 0.0
+    for trg in candidates:
+        p = row.get(trg, 0.0)
+        if p > best:
+            best = p
+    return best
+
+
+_TARGETS = ["w", "x", "y", "z", "v"]
+# Few distinct values, so that probabilities tie; a model file can also
+# hold zeros, NaN and infinity, which the ranked rows must not reorder.
+_PROBS = st.sampled_from(
+    [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 1e-300, 5e-324, 0.3, math.nan, math.inf]
+)
+
+
 class TestTranslationTable:
     def test_best_prob_restricted_to_candidates(self):
         table = TranslationTable(t={"a": {"x": 0.7, "y": 0.3}})
         assert table.best_prob("a", {"y"}) == pytest.approx(0.3)
         assert table.best_prob("a", {"z"}) == 0.0
         assert table.best_prob("unknown", {"x"}) == 0.0
+
+    @given(
+        rows=st.dictionaries(
+            st.sampled_from(["a", "b", NULL_TOKEN]),
+            st.dictionaries(st.sampled_from(_TARGETS), _PROBS, max_size=5),
+            max_size=3,
+        ),
+        queries=st.lists(
+            st.tuples(st.sampled_from(["a", "b", NULL_TOKEN, "unknown"]),
+                      st.sets(st.sampled_from(_TARGETS + ["missing"]), max_size=6)),
+            min_size=1, max_size=10,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_best_prob_equals_reference_from_json(self, rows, queries):
+        obj = {"direction": "ja-zh",
+               "entries": [[src, trg, p] for src, row in rows.items() for trg, p in row.items()]}
+        table = TranslationTable.from_json(obj)
+        before = table.to_json()
+        for src, candidates in queries:
+            got = table.best_prob(src, candidates)
+            want = reference_best_prob(table, src, candidates)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert table.to_json() == before
+
+    @given(
+        corpus=st.lists(st.tuples(_SIDE_SRC, _SIDE_TRG), min_size=1, max_size=6),
+        iterations=st.integers(min_value=1, max_value=12),
+        queries=st.lists(st.sets(st.sampled_from(["w", "x", "y", "z", "q"]), max_size=5),
+                         min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_best_prob_equals_reference_trained(self, corpus, iterations, queries):
+        try:
+            table = train_model1(corpus, iterations=iterations)
+        except ValueError:
+            return
+        before = table.to_json()
+        for src in list(table.t) + ["unknown"]:
+            for candidates in queries:
+                assert table.best_prob(src, candidates) == reference_best_prob(table, src, candidates)
+        assert table.to_json() == before
+
+    def test_long_row_falls_back_to_the_candidates(self):
+        # The row ranks more targets than there are candidates and the
+        # top ones are absent, so the candidate loop decides.
+        row = {f"t{i}": 1.0 / (i + 2) for i in range(20)}
+        table = TranslationTable(t={"a": row})
+        assert table.ranked["a"][:2] == ("t0", "t1")
+        assert table.best_prob("a", {"t7", "t12"}) == row["t7"]
+        assert table.best_prob("a", {"t7", "nope"}) == row["t7"]
+        assert table.best_prob("a", {"nope", "gone"}) == 0.0
+        assert table.best_prob("a", set()) == 0.0

@@ -114,6 +114,25 @@ class TestRunPipeline:
             assert row["filter_score"] >= config.filter.threshold
             assert row["ja"] != row["zh"]
 
+    @pytest.mark.parametrize("corrupt,message", [
+        # lm_ja truncated to 2 of its 5 count levels
+        (lambda lm: lm.update(counts=lm["counts"][:2]), "count levels"),
+        (lambda lm: lm.update(k=0.0), "smoothing constant"),
+    ], ids=["truncated-counts", "zero-k"])
+    def test_malformed_model_stops_before_any_site(
+        self, fixture_site, trained_filter, tmp_path, corrupt, message
+    ):
+        model = tmp_path / "model.json"
+        trained_filter.save(model)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        corrupt(payload["lm_ja"])
+        model.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        config.filter.model_path = str(model)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(config)
+        assert not (tmp_path / "out" / "example-news.jp").exists()
+
     def test_zero_sites(self, fixture_site, tmp_path):
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.pipeline.sites = str(tmp_path / "empty.jsonl")

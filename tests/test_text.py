@@ -113,7 +113,7 @@ def reference_segment_words(text, lang, lexicon):
     """The per-character segmenter that ``segment_words`` replaced, kept
     as the oracle: it scans every candidate substring for whitespace."""
     headwords = lexicon.headwords(lang) if lexicon is not None else frozenset()
-    max_len = lexicon.max_headword_len(lang) if lexicon is not None else 1
+    max_len = max(map(len, headwords), default=1)
     tokens: list[str] = []
     n = len(text)
     i = 0
@@ -153,6 +153,16 @@ class TestSegmentWords:
     def test_longest_match_wins(self):
         lex = build_lexicon([("ABA", "x"), ("AB", "y")])
         assert segment_words("ABAB", LanguageTag.JA, lex) == ["ABA", "B"]
+
+    def test_widths_of_one_first_character(self):
+        # "日" starts headwords of lengths 2, 3 and 5; near the end of a
+        # run the longer ones do not fit and a shorter one must still match.
+        lex = build_lexicon([("日本", "a"), ("日本語", "b"), ("日本語学校", "c"), ("本語", "d")])
+        assert lex.headword_widths(LanguageTag.JA)["日"] == (5, 3, 2)
+        for text in ("日本語学校", "日本語学", "日本語", "日本", "日", "本語日本語学", "日本語学校日本語"):
+            got = segment_words(text, LanguageTag.JA, lex)
+            assert got == reference_segment_words(text, LanguageTag.JA, lex)
+        assert segment_words("日本語学日本", LanguageTag.JA, lex) == ["日本語", "学", "日本"]
 
     def test_tokens_never_span_spaces(self):
         lex = build_lexicon([("AB", "x")])
