@@ -6,7 +6,6 @@ Run: python demos/04_align_documents.py
 """
 
 from localmine import LanguageTag, build_lexicon, match_documents
-from localmine.docalign import doc_similarity
 from localmine.htmltext import extract_page
 from localmine.text import document_from_text, segment_words
 
@@ -44,10 +43,15 @@ docs_zh = [d for d in documents if d.lang is LanguageTag.ZH]
 print("pairwise similarity features:")
 for a in docs_ja:
     for b in docs_zh:
-        score, features = doc_similarity(a, b, lexicon)
-        cells = ", ".join(f"{k}={v:.2f}" for k, v in features.items())
-        print(f"  {a.url.rsplit('/', 1)[1]} vs {b.url.rsplit('/', 1)[1]}: "
-              f"score={score:.2f} ({cells})")
+        names = f"  {a.url.rsplit('/', 1)[1]} vs {b.url.rsplit('/', 1)[1]}"
+        # A 1x1 match at min_score 0 keeps the pair unless the URL and
+        # dictionary pre-filter rules it out.
+        scored = match_documents([a], [b], lexicon, min_score=0.0)
+        if not scored:
+            print(f"{names}: not scored (fails the URL and dictionary pre-filter)")
+            continue
+        cells = ", ".join(f"{k}={v:.2f}" for k, v in scored[0].features.items())
+        print(f"{names}: score={scored[0].score:.2f} ({cells})")
 
 print("\ngreedy one-to-one matching:")
 for pair in match_documents(docs_ja, docs_zh, lexicon, min_score=0.4):

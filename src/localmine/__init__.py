@@ -8,7 +8,7 @@ candidates with a feature classifier plus an embedding-similarity gate.
 """
 
 from .charlm import CharLM, lm_score, train_char_lm
-from .crawl import CrawlBudget, Page, PageStore, crawl_site, dump_snapshot, load_snapshot
+from .crawl import CrawlBudget, Page, PageStore, crawl_site, dump_snapshot
 from .discovery import (
     ArchiveScan,
     CandidateSite,
@@ -18,7 +18,7 @@ from .discovery import (
     scan_archive,
     select_balanced_hosts,
 )
-from .docalign import DocPair, doc_similarity, match_documents
+from .docalign import DocPair, match_documents
 from .fetching import Fetch, FetchResponse, http_fetch, snapshot_fetch
 from .filtering import (
     BitextFilter,
@@ -31,7 +31,7 @@ from .filtering import (
     train_classifier,
     train_filter,
 )
-from .htmltext import EncodingError, extract_links, extract_text
+from .htmltext import EncodingError, extract_links
 from .lexicon import (
     Lexicon,
     LexiconEntry,

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urldefrag, urljoin, urlsplit
 
-from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
+from .fetching import DEFAULT_TIMEOUT, Fetch
 from .htmltext import extract_links
 from .jsonl import write_jsonl
 from .urls import registrable_domain
@@ -52,7 +52,6 @@ class Page:
     url: str
     content_type: str
     body: bytes
-    fetch_time: float
 
 
 @dataclass
@@ -68,9 +67,6 @@ class PageStore:
     fetch_failures: int = 0
     skipped_binary: int = 0
     skipped_other: int = 0
-
-    def __len__(self) -> int:
-        return len(self.pages)
 
     def stored_bytes(self) -> int:
         return sum(len(page.body) for page in self.pages)
@@ -198,7 +194,7 @@ def crawl_site(
         if stored_bytes + len(body) > budget.max_bytes:
             break
         stored_bytes += len(body)
-        store.pages.append(Page(url, resp.content_type, body, clock() - start))
+        store.pages.append(Page(url, resp.content_type, body))
         try:
             links = extract_links(body)
         except Exception as err:  # no markup may abort a crawl
@@ -224,23 +220,9 @@ def crawl_site(
     return store
 
 
-def load_snapshot(snapshot_dir: str | Path) -> PageStore:
-    """PageStore equivalent to an unlimited-budget crawl over a snapshot
-    directory (manifest order).  Missing manifest is fatal."""
-    root = Path(snapshot_dir)
-    entries = load_manifest(root)
-    host = registrable_domain(entries[0]["url"]) if entries else root.name
-    store = PageStore(host=host)
-    for entry in entries:
-        body = (root / entry["file"]).read_bytes()
-        store.pages.append(Page(entry["url"], entry.get("content_type", "text/html"), body, 0.0))
-        store.fetched_pages += 1
-    return store
-
-
 def dump_snapshot(store: PageStore, out_dir: str | Path) -> None:
     """Write a PageStore as a snapshot directory (round-trips through
-    load_snapshot)."""
+    ``snapshot_fetch``)."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
-from .htmltext import EncodingError, extract_text
+from .htmltext import EncodingError, extract_page
 from .text import HAN_FRACTION_ZH, KANA_FRACTION_JA, LanguageTag, detect_language
 from .urls import registrable_domain
 
@@ -140,7 +140,7 @@ def _page_text(
     """Extracted text of an HTML body and its detected language, None
     when the body is undecodable or holds no text."""
     try:
-        text, _ = extract_text(body)
+        text, _, _ = extract_page(body)
     except EncodingError:
         return None
     if not text:

@@ -1,7 +1,10 @@
 """Pair JA documents with their ZH translations within one site.
 
-The similarity score combines bidirectional dictionary coverage, URL
-path similarity after language-marker stripping, HTML structure digest
+``match_documents`` builds each document's key once per call: its URL
+with the language markers stripped and its token bag.  A pair is
+scored only when its URL similarity or its dictionary similarity (the
+harmonic mean of the two coverage directions over the bags) clears a
+pre-filter; its score weighs those two with HTML structure digest
 similarity and a length ratio.  Matching is greedy over descending
 scores: near-mirror translations dominate their column/row, so greedy
 stays near the optimal assignment at a fraction of the cost.
@@ -47,31 +50,26 @@ def _check_weights(weights: tuple[float, float, float, float]) -> None:
         raise ValueError("weights must sum to 1")
 
 
-def _dict_similarity(a: Document, b: Document, lex: Lexicon) -> float:
-    """Harmonic mean of the two coverage directions over full-document
-    token bags."""
-    bag_ja = a.token_bag()
-    bag_zh = b.token_bag()
-    j2z = coverage(bag_ja, bag_zh, lex, LanguageTag.JA)
-    z2j = coverage(bag_zh, bag_ja, lex, LanguageTag.ZH)
-    if j2z + z2j == 0.0:
-        return 0.0
-    return 2.0 * j2z * z2j / (j2z + z2j)
-
-
-def _url_similarity(a: Document, b: Document, markers) -> float:
-    path_a = strip_lang_markers(a.url, markers)
-    path_b = strip_lang_markers(b.url, markers)
-    return normalized_similarity(path_a, path_b)
-
-
-def _assemble(
+def _score(
     a: Document,
+    key_a: tuple[str, list[str]],
     b: Document,
+    key_b: tuple[str, list[str]],
+    lex: Lexicon,
     weights,
-    dict_sim: float,
-    url_sim: float,
-) -> tuple[float, dict[str, float]]:
+) -> tuple[float, dict[str, float]] | None:
+    """Weighted score and named features of one JA/ZH pair, given each
+    document's (URL residue, token bag); None for an empty document or
+    a pair that fails the pre-filter."""
+    if a.raw_char_count == 0 or b.raw_char_count == 0:
+        return None
+    url_sim = normalized_similarity(key_a[0], key_b[0])
+    # Harmonic mean of the two coverage directions over the full bags.
+    j2z = coverage(key_a[1], key_b[1], lex, LanguageTag.JA)
+    z2j = coverage(key_b[1], key_a[1], lex, LanguageTag.ZH)
+    dict_sim = 0.0 if j2z + z2j == 0.0 else 2.0 * j2z * z2j / (j2z + z2j)
+    if url_sim < PREFILTER_URL_SIM and dict_sim < PREFILTER_DICT_SIM:
+        return None
     features = {
         "dict_sim": dict_sim,
         "url_sim": url_sim,
@@ -90,24 +88,6 @@ def _assemble(
     return score, features
 
 
-def doc_similarity(
-    a: Document,
-    b: Document,
-    lex: Lexicon,
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
-    markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
-) -> tuple[float, dict[str, float]]:
-    """Weighted document-pair score plus the named feature map."""
-    _check_weights(weights)
-    if a.raw_char_count == 0 or b.raw_char_count == 0:
-        return 0.0, dict.fromkeys(FEATURE_NAMES, 0.0)
-    return _assemble(
-        a, b, weights,
-        _dict_similarity(a, b, lex),
-        _url_similarity(a, b, markers),
-    )
-
-
 def match_documents(
     pages_ja: list[Document],
     pages_zh: list[Document],
@@ -124,19 +104,16 @@ def match_documents(
     (url_sim desc, URL pair lexicographic).
     """
     _check_weights(weights)
+    keys_ja = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_ja]
+    keys_zh = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_zh]
     scored: list[tuple[float, float, str, str, int, int, dict[str, float]]] = []
-    for i, doc_ja in enumerate(pages_ja):
-        for j, doc_zh in enumerate(pages_zh):
-            if doc_ja.raw_char_count == 0 or doc_zh.raw_char_count == 0:
+    for i, (doc_ja, key_ja) in enumerate(zip(pages_ja, keys_ja)):
+        for j, (doc_zh, key_zh) in enumerate(zip(pages_zh, keys_zh)):
+            found = _score(doc_ja, key_ja, doc_zh, key_zh, lex, weights)
+            if found is None or found[0] < min_score:
                 continue
-            url_sim = _url_similarity(doc_ja, doc_zh, markers)
-            dict_sim = _dict_similarity(doc_ja, doc_zh, lex)
-            if url_sim < PREFILTER_URL_SIM and dict_sim < PREFILTER_DICT_SIM:
-                continue
-            score, features = _assemble(doc_ja, doc_zh, weights, dict_sim, url_sim)
-            if score < min_score:
-                continue
-            scored.append((score, url_sim, doc_ja.url, doc_zh.url, i, j, features))
+            score, features = found
+            scored.append((score, features["url_sim"], doc_ja.url, doc_zh.url, i, j, features))
 
     scored.sort(key=lambda row: (-row[0], -row[1], row[2], row[3]))
     used_ja: set[int] = set()

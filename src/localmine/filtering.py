@@ -278,6 +278,8 @@ def embedding_gate(
     raises (an outage) or returns a batch of the wrong length, both of
     which count every pair, or when a pair's two vectors cannot be
     compared (different lengths, non-numeric entries)."""
+    if counters is None:
+        counters = {}
     kept: list[CorpusRecord] = []
     if not pairs:
         return kept
@@ -291,27 +293,24 @@ def embedding_gate(
             raise ValueError(f"{len(vectors)} vectors for {len(sentences)} sentences")
     except Exception as err:
         logger.warning("embedding provider failed for the whole batch: %s", err)
-        if counters is not None:
-            counters["embed_failures"] = counters.get("embed_failures", 0) + len(pairs)
+        counters["embed_failures"] = counters.get("embed_failures", 0) + len(pairs)
         return kept
     for idx, pair in enumerate(pairs):
         vec_ja = vectors[2 * idx]
         vec_zh = vectors[2 * idx + 1]
         if vec_ja is None or vec_zh is None:
-            if counters is not None:
-                counters["embed_missing"] = counters.get("embed_missing", 0) + 1
+            counters["embed_missing"] = counters.get("embed_missing", 0) + 1
             continue
         try:
             sim = cosine_similarity(vec_ja, vec_zh)
         except (TypeError, ValueError) as err:
             logger.debug("unusable embedding vectors for %r: %s", pair.ja, err)
-            if counters is not None:
-                counters["embed_failures"] = counters.get("embed_failures", 0) + 1
+            counters["embed_failures"] = counters.get("embed_failures", 0) + 1
             continue
         if sim >= threshold:
             pair.embed_sim = sim
             kept.append(pair)
-        elif counters is not None:
+        else:
             counters["embed_rejected"] = counters.get("embed_rejected", 0) + 1
     return kept
 

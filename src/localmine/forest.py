@@ -106,15 +106,20 @@ def _grow(
     return index
 
 
-def _read_tree(obj: dict, nodes: list[list]) -> int:
+def _read_tree(obj: dict, nodes: list[list], n_features: int) -> int:
     """Append a tree in ``to_json``'s nested form to ``nodes`` in
-    pre-order and return the index of its root."""
+    pre-order and return the index of its root.  A split on a column
+    outside ``[0, n_features)`` is a ``ValueError``: scoring would read
+    another row's value or past the batch."""
     if "vote" in obj:
         return _leaf(nodes, int(obj["vote"]))
+    feature = int(obj["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"node splits on feature {feature} of a {n_features}-feature model")
     index = len(nodes)
-    nodes.append([int(obj["feature"]), float(obj["threshold"]), -1, -1, 0])
-    nodes[index][2] = _read_tree(obj["left"], nodes)
-    nodes[index][3] = _read_tree(obj["right"], nodes)
+    nodes.append([feature, float(obj["threshold"]), -1, -1, 0])
+    nodes[index][2] = _read_tree(obj["left"], nodes, n_features)
+    nodes[index][3] = _read_tree(obj["right"], nodes, n_features)
     return index
 
 
@@ -231,6 +236,9 @@ class RandomForest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RandomForest":
+        """Read ``to_json`` output; feature means and stds of different
+        lengths, or a split on a feature they do not cover, is a
+        ``ValueError``."""
         model = cls(
             n_trees=int(obj["n_trees"]),
             max_depth=int(obj["max_depth"]),
@@ -238,8 +246,13 @@ class RandomForest:
         )
         model.feature_means = [float(v) for v in obj["feature_means"]]
         model.feature_stds = [float(v) for v in obj["feature_stds"]]
+        n_features = len(model.feature_means)
+        if len(model.feature_stds) != n_features:
+            raise ValueError(
+                f"{n_features} feature means but {len(model.feature_stds)} feature stds"
+            )
         model.n_training_rows = int(obj.get("n_training_rows", 0))
         nodes: list[list] = []
-        roots = [_read_tree(tree, nodes) for tree in obj["trees"]]
+        roots = [_read_tree(tree, nodes, n_features) for tree in obj["trees"]]
         model._set_trees(roots, nodes)
         return model

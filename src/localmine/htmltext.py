@@ -121,13 +121,6 @@ def extract_page(html: bytes | str) -> tuple[str, list[str], list[str]]:
     return "\n".join(out_lines), parser.digest, parser.links
 
 
-def extract_text(html: bytes | str) -> tuple[str, list[str]]:
-    """Extracted text (one line per block, LF separated, normalized) and
-    the structural tag digest of the page."""
-    text, digest, _ = extract_page(html)
-    return text, digest
-
-
 def extract_links(html: bytes | str) -> list[str]:
     """Href values of anchors, in document order."""
     return _parse(html).links

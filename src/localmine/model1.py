@@ -89,9 +89,6 @@ class TranslationTable:
                 best = p
         return best
 
-    def source_sums(self) -> dict[str, float]:
-        return {src: sum(row.values()) for src, row in self.t.items()}
-
     def to_json(self) -> dict:
         """Direction and sorted (src, trg, p) entries; the EM history is
         not kept."""

@@ -114,7 +114,12 @@ class LengthModel:
             self.bead_priors = DEFAULT_PRIORS
         if any(p <= 0 for p in self.bead_priors.values()):
             raise ValueError("bead priors must be positive")
-        total = sum(self.bead_priors.values())
+        # A left fold from 0.0, as in ``docalign``: Python 3.12's ``sum``
+        # compensates float rounding, which would change the priors'
+        # low bits and so the ladder at ties.
+        total = 0.0
+        for p in self.bead_priors.values():
+            total += p
         self.bead_priors = {k: v / total for k, v in self.bead_priors.items()}
 
     def prior_cost(self, kind: BeadKind) -> float:

@@ -96,7 +96,7 @@ class TestAcceptance:
         lls = table.log_likelihoods
         ll_ok = all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
         sums_ok = all(
-            abs(total - 1.0) <= 1e-6 for total in table.source_sums().values()
+            abs(sum(row.values()) - 1.0) <= 1e-6 for row in table.t.values()
         )
         p_xa, p_yb = table.prob("x", "a"), table.prob("y", "b")
         ok = p_xa >= 0.9 and p_yb >= 0.9 and ll_ok and sums_ok

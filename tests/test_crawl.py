@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from localmine.crawl import CrawlBudget, crawl_site, dump_snapshot, load_snapshot
+from localmine.crawl import CrawlBudget, crawl_site, dump_snapshot
 from localmine.discovery import CandidateSite
-from localmine.fetching import FetchResponse, snapshot_fetch
+from localmine.fetching import FetchResponse, load_manifest, snapshot_fetch
 from localmine.htmltext import extract_links
 
 
@@ -195,8 +195,8 @@ class TestFailureModes:
 
 
 class TestSnapshot:
-    def test_load_snapshot(self, tmp_path):
-        (tmp_path / "a.html").write_text("<p>a</p>", encoding="utf-8")
+    def test_snapshot_fetch_serves_the_manifest(self, tmp_path):
+        (tmp_path / "a.html").write_text("<a href='b.html'>a</a>", encoding="utf-8")
         (tmp_path / "b.html").write_text("<p>b</p>", encoding="utf-8")
         manifest = [
             {"file": "a.html", "url": "https://s.example.com/a.html", "content_type": "text/html"},
@@ -205,18 +205,23 @@ class TestSnapshot:
         (tmp_path / "manifest.jsonl").write_text(
             "\n".join(json.dumps(m) for m in manifest) + "\n", encoding="utf-8"
         )
-        store = load_snapshot(tmp_path)
-        assert len(store.pages) == 2
-        assert store.host == "example.com"
+        fetch = snapshot_fetch(tmp_path)
+        site = make_site("https://s.example.com/a.html")
+        store = crawl_site(site, CrawlBudget(per_host_delay_ms=0), fetch)
+        assert [p.url for p in store.pages] == [m["url"] for m in manifest]
+        assert store.pages[1].body == b"<p>b</p>"
+        assert fetch("https://s.example.com/c.html").status == 404
 
     def test_empty_snapshot(self, tmp_path):
         (tmp_path / "manifest.jsonl").write_text("", encoding="utf-8")
-        store = load_snapshot(tmp_path)
+        assert load_manifest(tmp_path) == []
+        store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), snapshot_fetch(tmp_path))
         assert len(store.pages) == 0
+        assert store.crawl_failed
 
     def test_missing_manifest_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_snapshot(tmp_path)
+            snapshot_fetch(tmp_path)
 
     def test_crawl_equals_snapshot_content(self, tmp_path, fixture_site):
         """An unlimited-budget crawl over the snapshot covers exactly the
@@ -231,15 +236,20 @@ class TestSnapshot:
             source="crowd",
         )
         store = crawl_site(site, CrawlBudget(per_host_delay_ms=0), fetch)
-        loaded = load_snapshot(fixture_site.snapshot_dir)
         linked = {p.url for p in store.pages}
-        from_manifest = {p.url for p in loaded.pages if not p.url.endswith("robots.txt")}
+        from_manifest = {
+            e["url"] for e in load_manifest(fixture_site.snapshot_dir)
+            if not e["url"].endswith("robots.txt")
+        }
         assert linked == from_manifest
 
     def test_dump_roundtrip(self, tmp_path):
         fetch = CountingFetch(chain_pages(3))
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
         dump_snapshot(store, tmp_path / "dump")
-        again = load_snapshot(tmp_path / "dump")
+        assert [e["url"] for e in load_manifest(tmp_path / "dump")] == [p.url for p in store.pages]
+        again = crawl_site(
+            make_site(), CrawlBudget(per_host_delay_ms=0), snapshot_fetch(tmp_path / "dump")
+        )
         assert [p.url for p in again.pages] == [p.url for p in store.pages]
         assert [p.body for p in again.pages] == [p.body for p in store.pages]

@@ -333,7 +333,7 @@ class TestDirectoryRecords:
         from localmine.crawl import Page, PageStore, dump_snapshot
 
         store = PageStore(host="b.jp")
-        store.pages = [Page(url, ctype, body, 0.0) for url, ctype, body in pages]
+        store.pages = [Page(url, ctype, body) for url, ctype, body in pages]
         dump_snapshot(store, tmp_path / "snap")
         return tmp_path / "snap"
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from localmine.docalign import DEFAULT_WEIGHTS, FEATURE_NAMES, doc_similarity, match_documents
+from localmine import docalign
+from localmine.docalign import DEFAULT_WEIGHTS, FEATURE_NAMES, match_documents
 from localmine.lexicon import build_lexicon
 from localmine.text import Document, LanguageTag, Sentence
 
@@ -23,6 +24,13 @@ def make_doc(url, lang, token_rows, digest=("p", "p"), chars=None):
     return doc
 
 
+def score_pair(a, b, lexicon, weights=DEFAULT_WEIGHTS):
+    """The pair ``match_documents`` keeps from one JA and one ZH
+    document at ``min_score=0.0``; None when the pair is not scored."""
+    pairs = match_documents([a], [b], lexicon, min_score=0.0, weights=weights)
+    return pairs[0] if pairs else None
+
+
 @pytest.fixture()
 def perfect_lexicon():
     return build_lexicon([("犬", "狗"), ("猫", "猫"), ("鳥", "鸟"), ("魚", "鱼")])
@@ -33,31 +41,29 @@ class TestDocSimilarity:
         a = make_doc("https://x.jp/ja/p.html", LanguageTag.JA, [["犬", "猫"], ["鳥", "魚"]])
         b = make_doc("https://x.jp/zh/p.html", LanguageTag.ZH, [["狗", "猫"], ["鸟", "鱼"]],
                      chars=a.raw_char_count)
-        score, features = doc_similarity(a, b, perfect_lexicon)
-        assert features["dict_sim"] == pytest.approx(1.0)
-        assert features["struct_sim"] == pytest.approx(1.0)
-        assert features["len_ratio"] == pytest.approx(1.0)
-        assert features["url_sim"] == pytest.approx(1.0)
-        assert score == pytest.approx(1.0)
+        pair = score_pair(a, b, perfect_lexicon)
+        assert pair.features["dict_sim"] == pytest.approx(1.0)
+        assert pair.features["struct_sim"] == pytest.approx(1.0)
+        assert pair.features["len_ratio"] == pytest.approx(1.0)
+        assert pair.features["url_sim"] == pytest.approx(1.0)
+        assert pair.score == pytest.approx(1.0)
 
     def test_url_similarity_after_marker_stripping(self, perfect_lexicon):
         a = make_doc("https://x.jp/ja/news/1.html", LanguageTag.JA, [["犬"]])
         b = make_doc("https://x.jp/zh/news/1.html", LanguageTag.ZH, [["狗"]])
-        _, features = doc_similarity(a, b, perfect_lexicon)
-        assert features["url_sim"] == pytest.approx(1.0)
+        assert score_pair(a, b, perfect_lexicon).features["url_sim"] == pytest.approx(1.0)
 
     def test_struct_similarity_edit_distance(self, perfect_lexicon):
         a = make_doc("https://x.jp/a", LanguageTag.JA, [["犬"]], digest=("p", "p", "h1"))
         b = make_doc("https://x.jp/b", LanguageTag.ZH, [["狗"]], digest=("p", "h1"))
-        _, features = doc_similarity(a, b, perfect_lexicon)
+        features = score_pair(a, b, perfect_lexicon).features
         assert features["struct_sim"] == pytest.approx(1 - 1 / 3)
 
     def test_zero_length_document(self, perfect_lexicon):
         a = make_doc("https://x.jp/a", LanguageTag.JA, [])
         b = make_doc("https://x.jp/b", LanguageTag.ZH, [["狗"]])
-        score, features = doc_similarity(a, b, perfect_lexicon)
-        assert score == 0.0
-        assert all(v == 0.0 for v in features.values())
+        assert score_pair(a, b, perfect_lexicon) is None
+        assert score_pair(b, a, perfect_lexicon) is None
 
     def test_score_is_a_left_fold(self, perfect_lexicon):
         """The weighted terms are added left to right from 0.0, so the
@@ -72,12 +78,12 @@ class TestDocSimilarity:
         exact_differs = False
         for other in (b, c):
             for weights in (DEFAULT_WEIGHTS, (0.1, 0.2, 0.3, 0.4)):
-                score, features = doc_similarity(a, other, perfect_lexicon, weights=weights)
-                terms = [w * features[name] for w, name in zip(weights, FEATURE_NAMES)]
+                pair = score_pair(a, other, perfect_lexicon, weights=weights)
+                terms = [w * pair.features[name] for w, name in zip(weights, FEATURE_NAMES)]
                 fold = 0.0
                 for term in terms:
                     fold += term
-                assert score == fold
+                assert pair.score == fold
                 exact_differs |= math.fsum(terms) != fold
         # The inputs are ones where an exactly rounded sum would differ.
         assert exact_differs
@@ -86,7 +92,7 @@ class TestDocSimilarity:
         a = make_doc("https://x.jp/a", LanguageTag.JA, [["犬"]])
         b = make_doc("https://x.jp/b", LanguageTag.ZH, [["狗"]])
         with pytest.raises(ValueError):
-            doc_similarity(a, b, perfect_lexicon, weights=(0.5, 0.5, 0.5, 0.5))
+            match_documents([a], [b], perfect_lexicon, weights=(0.5, 0.5, 0.5, 0.5))
 
 
 class TestMatchDocuments:
@@ -128,13 +134,46 @@ class TestMatchDocuments:
             assert len({id(p.doc_zh) for p in pairs}) == len(pairs)
             assert all(0.0 <= p.score <= 1.0 for p in pairs)
 
+    def test_per_document_work_is_linear(self, monkeypatch, perfect_lexicon):
+        """Each document's URL residue and token bag are computed once
+        per call, not once per pair."""
+        calls = {"strip_lang_markers": 0, "token_bag": 0}
+        strip, token_bag = docalign.strip_lang_markers, Document.token_bag
+
+        def counting_strip(*args):
+            calls["strip_lang_markers"] += 1
+            return strip(*args)
+
+        def counting_token_bag(doc):
+            calls["token_bag"] += 1
+            return token_bag(doc)
+
+        monkeypatch.setattr(docalign, "strip_lang_markers", counting_strip)
+        monkeypatch.setattr(Document, "token_bag", counting_token_bag)
+        n, m = 3, 5
+        docs_ja = [make_doc(f"https://x.jp/ja/{i}", LanguageTag.JA, [["犬", "猫"]]) for i in range(n)]
+        docs_zh = [make_doc(f"https://x.jp/zh/{j}", LanguageTag.ZH, [["狗", "猫"]]) for j in range(m)]
+        assert len(match_documents(docs_ja, docs_zh, perfect_lexicon, min_score=0.0)) == n
+        assert calls == {"strip_lang_markers": n + m, "token_bag": n + m}
+
     def test_mirror_site_matches_mapping(self, starter_lexicon, fixture_site):
         """10x10 mirror fixture: at least 9 of 10 matches are correct."""
-        from localmine.crawl import load_snapshot
-        from localmine.pipeline import pages_to_documents
         from localmine.config import PipelineConfig
+        from localmine.crawl import CrawlBudget, crawl_site
+        from localmine.discovery import CandidateSite
+        from localmine.fetching import snapshot_fetch
+        from localmine.pipeline import pages_to_documents
 
-        store = load_snapshot(fixture_site.snapshot_dir)
+        site = CandidateSite(
+            host="example-news.jp",
+            seed_urls=[
+                "https://example-news.jp/ja/index.html",
+                "https://example-news.jp/zh/index.html",
+            ],
+            source="crowd",
+        )
+        fetch = snapshot_fetch(fixture_site.snapshot_dir)
+        store = crawl_site(site, CrawlBudget(per_host_delay_ms=0), fetch)
         docs_ja, docs_zh = pages_to_documents(store, starter_lexicon, PipelineConfig())
         pairs = match_documents(docs_ja, docs_zh, starter_lexicon)
         correct = 0
@@ -168,7 +207,7 @@ class TestMatchDocuments:
 
 def _mirror_instance(n, seed, lexicon):
     """n JA docs and their mirrors with noisy lengths/digests; returns the
-    full score matrix computed through doc_similarity."""
+    full score matrix, each cell scored by ``match_documents`` alone."""
     rng = random.Random(1000 * n + seed)
     animals = [("犬", "狗"), ("猫", "猫"), ("鳥", "鸟"), ("魚", "鱼")]
     docs_ja, docs_zh = [], []
@@ -187,7 +226,7 @@ def _mirror_instance(n, seed, lexicon):
     matrix = np.zeros((n, n))
     for i, dj in enumerate(docs_ja):
         for j, dz in enumerate(docs_zh):
-            matrix[i, j], _ = doc_similarity(dj, dz, lexicon)
+            matrix[i, j] = score_pair(dj, dz, lexicon).score
     return docs_ja, docs_zh, matrix
 
 

@@ -152,6 +152,27 @@ class TestRandomForest:
             assert proba.shape == (0,)
             assert proba.dtype == np.float64
 
+    def test_from_json_rejects_a_split_outside_the_features(self):
+        """A split on column 3 of a 3-feature model would score a row
+        with its neighbour's value; it is refused at load."""
+        obj = {
+            "n_trees": 1, "max_depth": 1, "seed": 0,
+            "feature_means": [0.0, 0.0, 0.0], "feature_stds": [1.0, 1.0, 1.0],
+            "trees": [{"feature": 2, "threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}}],
+        }
+        RandomForest.from_json(obj)
+        for feature in (3, -1):
+            obj["trees"][0]["feature"] = feature
+            with pytest.raises(ValueError, match=f"feature {feature} of a 3-feature"):
+                RandomForest.from_json(obj)
+
+    def test_from_json_rejects_unequal_means_and_stds(self):
+        x, y = separable_data(n=100, seed=3)
+        obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
+        for short in ("feature_means", "feature_stds"):
+            with pytest.raises(ValueError, match="feature means but"):
+                RandomForest.from_json({**obj, short: obj[short][:-1]})
+
     def test_untrained_is_error(self):
         with pytest.raises(ValueError):
             RandomForest(seed=0).predict_proba(np.zeros((1, 12)))

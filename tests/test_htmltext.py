@@ -1,20 +1,20 @@
 import pytest
 
-from localmine.htmltext import EncodingError, decode_html, extract_links, extract_text
+from localmine.htmltext import EncodingError, decode_html, extract_links, extract_page
 
 
 class TestExtractText:
     def test_paragraphs_and_digest(self):
-        text, digest = extract_text("<p>你好</p><p>世界</p>")
+        text, digest, _ = extract_page("<p>你好</p><p>世界</p>")
         assert text == "你好\n世界"
         assert digest == ["p", "p"]
 
     def test_script_stripped(self):
-        text, _ = extract_text("<script>x=1</script><p>hi</p>")
+        text, _, _ = extract_page("<script>x=1</script><p>hi</p>")
         assert text == "hi"
 
     def test_style_and_comments_stripped(self):
-        text, _ = extract_text("<style>p{}</style><!-- c --><p>a</p>")
+        text, _, _ = extract_page("<style>p{}</style><!-- c --><p>a</p>")
         assert text == "a"
 
     def test_golden_page(self):
@@ -23,20 +23,20 @@ class TestExtractText:
             "<h1>記事</h1><p>一文目。</p><div><a href='/x'>リンク</a></div>"
             "<ul><li>項目</li></ul><img src='a.png'></body></html>"
         )
-        text, digest = extract_text(html)
+        text, digest, _ = extract_page(html)
         assert text == "見出し\n記事\n一文目。\nリンク\n項目"
         assert digest == ["title", "h1", "p", "div", "a", "li", "img"]
 
     def test_entities_decoded(self):
-        text, _ = extract_text("<p>a&amp;b</p>")
+        text, _, _ = extract_page("<p>a&amp;b</p>")
         assert text == "a&b"
 
     def test_no_control_chars_except_lf(self):
-        text, _ = extract_text("<p>a\x01b\tc</p><p>d</p>")
+        text, _, _ = extract_page("<p>a\x01b\tc</p><p>d</p>")
         assert all(ch == "\n" or ord(ch) >= 0x20 for ch in text)
 
     def test_malformed_html_is_not_fatal(self):
-        text, _ = extract_text("<p>open<div<b>odd</p> tail")
+        text, _, _ = extract_page("<p>open<div<b>odd</p> tail")
         assert "open" in text
 
 
@@ -47,13 +47,13 @@ class TestDecoding:
     def test_meta_shift_jis_fallback(self):
         body = "<html><head><meta charset=shift_jis></head><body><p>日本語</p></body></html>"
         raw = body.encode("cp932")
-        text, _ = extract_text(raw)
+        text, _, _ = extract_page(raw)
         assert "日本語" in text
 
     def test_meta_gbk_fallback(self):
         body = '<html><head><meta http-equiv="Content-Type" content="text/html; charset=gbk"></head><body><p>中文页面</p></body></html>'
         raw = body.encode("gbk")
-        text, _ = extract_text(raw)
+        text, _, _ = extract_page(raw)
         assert "中文页面" in text
 
     def test_undecodable_raises_encoding_error(self):

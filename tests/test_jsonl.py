@@ -24,8 +24,8 @@ class TestWriters:
 
     def test_snapshot_manifest(self, tmp_path):
         store = PageStore(host="例え.jp", pages=[
-            Page("https://例え.jp/ページ.html", "text/html", b"<p>x</p>", 0.0),
-            Page("https://例え.jp/a.pdf", "application/pdf", b"%PDF", 0.0),
+            Page("https://例え.jp/ページ.html", "text/html", b"<p>x</p>"),
+            Page("https://例え.jp/a.pdf", "application/pdf", b"%PDF"),
         ])
         dump_snapshot(store, tmp_path / "pages")
         assert (tmp_path / "pages" / "manifest.jsonl").read_bytes() == (

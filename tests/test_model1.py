@@ -122,8 +122,8 @@ class TestTrainModel1:
     def test_source_rows_normalized_every_iteration(self):
         for iterations in (1, 2, 5, 20):
             table = train_model1(CANONICAL, iterations=iterations)
-            for src, total in table.source_sums().items():
-                assert total == pytest.approx(1.0, abs=1e-6), src
+            for src, row in table.t.items():
+                assert sum(row.values()) == pytest.approx(1.0, abs=1e-6), src
 
     def test_log_likelihood_non_decreasing(self):
         table = train_model1(CANONICAL, iterations=25)

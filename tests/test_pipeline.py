@@ -116,16 +116,20 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("corrupt,message", [
         # lm_ja truncated to 2 of its 5 count levels
-        (lambda lm: lm.update(counts=lm["counts"][:2]), "count levels"),
-        (lambda lm: lm.update(k=0.0), "smoothing constant"),
-    ], ids=["truncated-counts", "zero-k"])
+        (lambda m: m["lm_ja"].update(counts=m["lm_ja"]["counts"][:2]), "count levels"),
+        (lambda m: m["lm_ja"].update(k=0.0), "smoothing constant"),
+        # the first tree's root splits on the column past the last feature
+        (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
+         "splits on feature"),
+        (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
+    ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
         model = tmp_path / "model.json"
         trained_filter.save(model)
         payload = json.loads(model.read_text(encoding="utf-8"))
-        corrupt(payload["lm_ja"])
+        corrupt(payload)
         model.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.filter.model_path = str(model)
@@ -188,7 +192,7 @@ class TestRunPipeline:
         ("Text/HTML; charset=utf-8", "https://example-news.jp/ja/page"),
         ("", "https://example-news.jp/ja/page.html"),
     ])
-    def test_html_pages_bypass_binary_extractor(self, content_type, url, starter_lexicon):
+    def test_every_html_content_type_form_is_one_document(self, content_type, url, starter_lexicon):
         """Each page the crawl stored as HTML, whatever form its type
         takes, becomes one segmented document."""
         from localmine.config import PipelineConfig
@@ -197,7 +201,7 @@ class TestRunPipeline:
 
         store = PageStore(host="example-news.jp")
         body = "<html><body><p>これは日本語の文です。</p></body></html>".encode("utf-8")
-        store.pages.append(Page(url, content_type, body, 0.0))
+        store.pages.append(Page(url, content_type, body))
         docs_ja, docs_zh = pages_to_documents(store, starter_lexicon, PipelineConfig())
         assert len(docs_ja) == 1 and docs_zh == []
         assert docs_ja[0].sentences[0].tokens

@@ -357,6 +357,22 @@ class TestAlignSentences:
         ladder = align_sentences(src, trg, None, LengthModel(), banded=True)
         assert sum(b.trg_span[1] for b in ladder.beads) == 100
 
+    def test_priors_normalized_by_a_left_fold(self):
+        """Each prior is divided by the left fold of the priors, so the
+        compensated ``sum`` of Python 3.12 cannot move their low bits."""
+        priors = {
+            BeadKind.ONE: 0.8425, BeadKind.DEL: 0.0422, BeadKind.SUB: 0.0106,
+            BeadKind.EXPAND: 0.015, BeadKind.CONTRACT: 0.0332, BeadKind.MERGE: 0.0476,
+        }
+        fold = 0.0
+        for v in priors.values():
+            fold += v
+        # A prior set on which an exactly rounded sum differs.
+        assert fold != math.fsum(priors.values())
+        model = LengthModel(bead_priors=dict(priors))
+        for kind, v in priors.items():
+            assert model.bead_priors[kind] == v / fold
+
     def test_priors_renormalized(self):
         model = LengthModel()
         assert sum(model.bead_priors.values()) == pytest.approx(1.0, abs=1e-12)
