@@ -3,7 +3,9 @@ mirror the pipeline stages.  Each key is a tunable of a run; absent keys
 fall back to the stage defaults, which each stage module defines once,
 and unknown keys are fatal.  The ``[crawler]`` section is the crawl's
 own ``CrawlBudget``.  Stage parameters that every run holds at one
-value, such as the sentence DP's diagonal band, have no key.
+value have no key: the sentence DP's diagonal band and bead priors, the
+document-score weights and the JA/ZH detection thresholds are constants
+of the module that reads them.
 """
 
 from __future__ import annotations
@@ -12,17 +14,10 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import charlm, docalign, embeddings, filtering, forest, model1, sentalign, text
+from . import charlm, docalign, embeddings, filtering, forest, model1, sentalign
 from .crawl import CrawlBudget
 from .discovery import DEFAULT_LIMIT, DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
-from .sentalign import BeadKind
 from .urls import DEFAULT_LANG_MARKERS
-
-
-@dataclass
-class TextConfig:
-    kana_threshold: float = text.KANA_FRACTION_JA
-    han_threshold: float = text.HAN_FRACTION_ZH
 
 
 @dataclass
@@ -40,16 +35,8 @@ class LexiconConfig:
 
 @dataclass
 class DocAlignConfig:
-    weight_dict: float = docalign.DEFAULT_WEIGHTS[0]
-    weight_url: float = docalign.DEFAULT_WEIGHTS[1]
-    weight_struct: float = docalign.DEFAULT_WEIGHTS[2]
-    weight_len: float = docalign.DEFAULT_WEIGHTS[3]
     min_score: float = docalign.DEFAULT_MIN_SCORE
     lang_markers: str = ",".join(m.strip("/") for m in DEFAULT_LANG_MARKERS)
-
-    @property
-    def weights(self) -> tuple[float, float, float, float]:
-        return (self.weight_dict, self.weight_url, self.weight_struct, self.weight_len)
 
     @property
     def marker_list(self) -> tuple[str, ...]:
@@ -62,23 +49,9 @@ class SentAlignConfig:
     s2: float = sentalign.DEFAULT_S2
     dict_weight: float = sentalign.DEFAULT_DICT_WEIGHT
     max_bead_cost: float = sentalign.DEFAULT_MAX_BEAD_COST
-    prior_one: float = sentalign.DEFAULT_PRIORS[BeadKind.ONE]
-    prior_del: float = sentalign.DEFAULT_PRIORS[BeadKind.DEL]
-    prior_sub: float = sentalign.DEFAULT_PRIORS[BeadKind.SUB]
-    prior_expand: float = sentalign.DEFAULT_PRIORS[BeadKind.EXPAND]
-    prior_contract: float = sentalign.DEFAULT_PRIORS[BeadKind.CONTRACT]
-    prior_merge: float = sentalign.DEFAULT_PRIORS[BeadKind.MERGE]
 
     def length_model(self) -> sentalign.LengthModel:
-        priors = {
-            BeadKind.ONE: self.prior_one,
-            BeadKind.DEL: self.prior_del,
-            BeadKind.SUB: self.prior_sub,
-            BeadKind.EXPAND: self.prior_expand,
-            BeadKind.CONTRACT: self.prior_contract,
-            BeadKind.MERGE: self.prior_merge,
-        }
-        return sentalign.LengthModel(c=self.c, s2=self.s2, bead_priors=priors)
+        return sentalign.LengthModel(c=self.c, s2=self.s2)
 
 
 @dataclass
@@ -110,7 +83,6 @@ class PipelineSectionConfig:
 
 @dataclass
 class PipelineConfig:
-    text: TextConfig = field(default_factory=TextConfig)
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
     crawler: CrawlBudget = field(default_factory=CrawlBudget)
     lexicon: LexiconConfig = field(default_factory=LexiconConfig)

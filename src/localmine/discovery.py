@@ -17,7 +17,7 @@ from urllib.parse import urlsplit
 
 from .fetching import DEFAULT_TIMEOUT, Fetch, load_manifest
 from .htmltext import EncodingError, extract_page
-from .text import HAN_FRACTION_ZH, KANA_FRACTION_JA, LanguageTag, detect_language
+from .text import LanguageTag, detect_language
 from .urls import registrable_domain
 
 logger = logging.getLogger(__name__)
@@ -134,9 +134,7 @@ class ArchiveScan:
     skipped_records: int = 0
 
 
-def _page_text(
-    body: bytes, kana_threshold: float, han_threshold: float
-) -> tuple[str, LanguageTag] | None:
+def _page_text(body: bytes) -> tuple[str, LanguageTag] | None:
     """Extracted text of an HTML body and its detected language, None
     when the body is undecodable or holds no text."""
     try:
@@ -145,24 +143,20 @@ def _page_text(
         return None
     if not text:
         return None
-    lang, _ = detect_language(text, kana_threshold, han_threshold)
+    lang, _ = detect_language(text)
     return text, lang
 
 
-def scan_archive(
-    records: Iterable[tuple[str, bytes]],
-    kana_threshold: float = KANA_FRACTION_JA,
-    han_threshold: float = HAN_FRACTION_ZH,
-) -> ArchiveScan:
+def scan_archive(records: Iterable[tuple[str, bytes]]) -> ArchiveScan:
     """Accumulate per-host extracted-text byte counts by detected language
-    (``detect_language`` under the two thresholds).
+    (``detect_language``).
 
     Streaming and order-independent; undecodable payloads increment the
     skip counter and never abort the scan.
     """
     scan = ArchiveScan()
     for url, payload in records:
-        page = _page_text(payload, kana_threshold, han_threshold)
+        page = _page_text(payload)
         if page is None:
             scan.skipped_records += 1
             continue
@@ -230,9 +224,7 @@ def _parse_submissions(path: str | Path) -> list[UrlPairSubmission]:
     return rows
 
 
-def _page_language(
-    fetch: Fetch, url: str, timeout: float, kana_threshold: float, han_threshold: float
-) -> LanguageTag | None:
+def _page_language(fetch: Fetch, url: str, timeout: float) -> LanguageTag | None:
     """Detected language of a fetched top page, None when unreachable."""
     try:
         resp = fetch(url, timeout=timeout)
@@ -240,7 +232,7 @@ def _page_language(
         return None
     if not resp.ok:
         return None
-    page = _page_text(resp.body, kana_threshold, han_threshold)
+    page = _page_text(resp.body)
     return None if page is None else page[1]
 
 
@@ -256,15 +248,13 @@ def ingest_url_pairs(
     submissions_file: str | Path,
     fetch: Fetch,
     timeout: float = DEFAULT_TIMEOUT,
-    kana_threshold: float = KANA_FRACTION_JA,
-    han_threshold: float = HAN_FRACTION_ZH,
 ) -> tuple[list[CandidateSite], list[UrlPairSubmission]]:
     """Validate crowdsourced top-page URL pairs.
 
     Every input row comes back with a final status; VALID pairs become
     crowd candidate sites seeded with both URLs.  A top page's language
-    is ``detect_language`` under the two thresholds.  Rows fail with a
-    machine-readable reason; an unreadable submissions file is fatal.
+    is ``detect_language``'s.  Rows fail with a machine-readable reason;
+    an unreadable submissions file is fatal.
     """
     rows = _parse_submissions(submissions_file)
     sites: list[CandidateSite] = []
@@ -280,8 +270,8 @@ def ingest_url_pairs(
         if host in taken_hosts:
             row.mark_error(ERR_DUPLICATE_HOST)
             continue
-        lang_ja = _page_language(fetch, row.url_ja, timeout, kana_threshold, han_threshold)
-        lang_zh = _page_language(fetch, row.url_zh, timeout, kana_threshold, han_threshold)
+        lang_ja = _page_language(fetch, row.url_ja, timeout)
+        lang_zh = _page_language(fetch, row.url_zh, timeout)
         if lang_ja is None or lang_zh is None:
             row.mark_error(ERR_UNREACHABLE)
             continue
@@ -402,8 +392,10 @@ def write_warc(records: Iterable[tuple[str, bytes]], path: str | Path) -> int:
     record count.  Counterpart of iter_warc_records, used by fixtures and
     snapshot tooling."""
     count = 0
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
+    # mtime=0 keeps the clock out of the gzip header, so the same records
+    # always give the same file bytes.
+    gz = str(path).endswith(".gz")
+    with gzip.GzipFile(path, "wb", mtime=0) if gz else open(path, "wb") as fh:
         for url, payload in records:
             head = (
                 "WARC/1.0\r\n"

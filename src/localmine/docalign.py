@@ -5,9 +5,10 @@ with the language markers stripped and its token bag.  A pair is
 scored only when its URL similarity or its dictionary similarity (the
 harmonic mean of the two coverage directions over the bags) clears a
 pre-filter; its score weighs those two with HTML structure digest
-similarity and a length ratio.  Matching is greedy over descending
-scores: near-mirror translations dominate their column/row, so greedy
-stays near the optimal assignment at a fraction of the cost.
+similarity and a length ratio by the fixed ``DEFAULT_WEIGHTS``, which
+no config key changes.  Matching is greedy over descending scores:
+near-mirror translations dominate their column/row, so greedy stays
+near the optimal assignment at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -43,20 +44,12 @@ class DocPair:
         return row
 
 
-def _check_weights(weights: tuple[float, float, float, float]) -> None:
-    if len(weights) != 4 or any(w < 0 for w in weights):
-        raise ValueError("need 4 nonnegative weights")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-
-
 def _score(
     a: Document,
     key_a: tuple[str, list[str]],
     b: Document,
     key_b: tuple[str, list[str]],
     lex: Lexicon,
-    weights,
 ) -> tuple[float, dict[str, float]] | None:
     """Weighted score and named features of one JA/ZH pair, given each
     document's (URL residue, token bag); None for an empty document or
@@ -83,7 +76,7 @@ def _score(
     # rounding, which would change the score's low bits, and the
     # matching sorts on the exact score.
     score = 0.0
-    for w, name in zip(weights, FEATURE_NAMES):
+    for w, name in zip(DEFAULT_WEIGHTS, FEATURE_NAMES):
         score += w * features[name]
     return score, features
 
@@ -93,7 +86,6 @@ def match_documents(
     pages_zh: list[Document],
     lex: Lexicon,
     min_score: float = DEFAULT_MIN_SCORE,
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
     markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
 ) -> list[DocPair]:
     """Greedy one-to-one matching by descending score.
@@ -103,13 +95,12 @@ def match_documents(
     most once; pairs below ``min_score`` are discarded.  Ties break on
     (url_sim desc, URL pair lexicographic).
     """
-    _check_weights(weights)
     keys_ja = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_ja]
     keys_zh = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_zh]
     scored: list[tuple[float, float, str, str, int, int, dict[str, float]]] = []
     for i, (doc_ja, key_ja) in enumerate(zip(pages_ja, keys_ja)):
         for j, (doc_zh, key_zh) in enumerate(zip(pages_zh, keys_zh)):
-            found = _score(doc_ja, key_ja, doc_zh, key_zh, lex, weights)
+            found = _score(doc_ja, key_ja, doc_zh, key_zh, lex)
             if found is None or found[0] < min_score:
                 continue
             score, features = found

@@ -73,9 +73,6 @@ class _TextExtractor(HTMLParser):
         if tag in _BLOCK_TAGS:
             self._break_line()
 
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        self.handle_starttag(tag, attrs)
-
     def handle_data(self, data: str) -> None:
         if self._skip_depth == 0 and data:
             self.lines[-1].append(data)

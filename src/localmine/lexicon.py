@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .text import LanguageTag, Segmenter, whitespace_segmenter
+from .text import LanguageTag
 
 logger = logging.getLogger(__name__)
 
@@ -92,17 +92,13 @@ def _freeze(index: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:
     return {head: tuple(sorted(targets)) for head, targets in index.items()}
 
 
-def reduce_dictionary(
-    raw_entries: Iterable[tuple[str, str]],
-    seg_ja: Segmenter = whitespace_segmenter,
-    seg_zh: Segmenter = whitespace_segmenter,
-) -> list[LexiconEntry]:
-    """Keep exactly the entries whose headwords segment to one token on
-    both sides; deduplicated, first-occurrence order."""
+def reduce_dictionary(raw_entries: Iterable[tuple[str, str]]) -> list[LexiconEntry]:
+    """Keep exactly the entries whose two headwords are each one token
+    under ``str.split()``; deduplicated, first-occurrence order."""
     seen: set[LexiconEntry] = set()
     kept: list[LexiconEntry] = []
     for ja, zh in raw_entries:
-        if len(seg_ja(ja)) != 1 or len(seg_zh(zh)) != 1:
+        if len(ja.split()) != 1 or len(zh.split()) != 1:
             continue
         entry = LexiconEntry(ja, zh)
         if entry in seen:

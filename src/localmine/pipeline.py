@@ -176,7 +176,7 @@ class RunResult:
 
 
 def pages_to_documents(
-    store: PageStore, lexicon: Lexicon, config: PipelineConfig
+    store: PageStore, lexicon: Lexicon
 ) -> tuple[list[Document], list[Document]]:
     """Language-tagged, segmented documents from stored HTML pages, split
     into the JA and ZH lists (other languages and undecodable pages
@@ -194,13 +194,7 @@ def pages_to_documents(
             continue
         if not text:
             continue
-        doc = document_from_text(
-            page.url,
-            text,
-            tag_digest=digest,
-            kana_threshold=config.text.kana_threshold,
-            han_threshold=config.text.han_threshold,
-        )
+        doc = document_from_text(page.url, text, tag_digest=digest)
         if doc.lang not in seg:
             continue
         segment = seg[doc.lang]
@@ -242,7 +236,7 @@ def mine_site(
         return outcome, []
     outcome.n_pages = len(store.pages)
 
-    docs_ja, docs_zh = pages_to_documents(store, lexicon, config)
+    docs_ja, docs_zh = pages_to_documents(store, lexicon)
     outcome.n_docs_ja = len(docs_ja)
     outcome.n_docs_zh = len(docs_zh)
     doc_pairs = match_documents(
@@ -250,7 +244,6 @@ def mine_site(
         docs_zh,
         lexicon,
         min_score=config.docalign.min_score,
-        weights=config.docalign.weights,
         markers=config.docalign.marker_list,
     )
     outcome.n_doc_pairs = len(doc_pairs)
@@ -354,11 +347,7 @@ def discover_archive(
     hosts under the ``[discovery]`` settings."""
     archive = Path(path)
     records = iter_directory_records(archive) if archive.is_dir() else iter_warc_records(archive)
-    scan = scan_archive(
-        records,
-        kana_threshold=config.text.kana_threshold,
-        han_threshold=config.text.han_threshold,
-    )
+    scan = scan_archive(records)
     sites = select_balanced_hosts(
         scan.hosts.values(),
         min_bytes=config.discovery.min_bytes,
@@ -372,14 +361,8 @@ def validate_submissions(
     path: str | Path, config: PipelineConfig, fetch: Fetch
 ) -> tuple[list[CandidateSite], list[UrlPairSubmission]]:
     """Validate a crowdsourced URL-pair TSV with the ``[crawler]``
-    timeout and the ``[text]`` language thresholds."""
-    return ingest_url_pairs(
-        path,
-        fetch,
-        timeout=config.crawler.timeout,
-        kana_threshold=config.text.kana_threshold,
-        han_threshold=config.text.han_threshold,
-    )
+    timeout."""
+    return ingest_url_pairs(path, fetch, timeout=config.crawler.timeout)
 
 
 def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite], dict[str, int], list[UrlPairSubmission]]:

@@ -36,6 +36,7 @@ ladder is the one the unpruned DP finds.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -75,7 +76,7 @@ class BeadKind(Enum):
         return f"{self.value[0]}-{self.value[1]}"
 
 
-# Classic bead-type prior mass (renormalized at model construction).
+# Classic bead-type prior mass of Gale & Church (1993).
 DEFAULT_PRIORS = {
     BeadKind.ONE: 0.89,
     BeadKind.DEL: 0.0099,
@@ -84,6 +85,12 @@ DEFAULT_PRIORS = {
     BeadKind.CONTRACT: 0.0445,
     BeadKind.MERGE: 0.011,
 }
+# Negative log of each kind's share of the mass.  The total is a left
+# fold, as in ``docalign``: Python 3.12's ``sum`` compensates float
+# rounding, which would change the costs' low bits and so the ladder at
+# ties.
+_PRIOR_TOTAL = functools.reduce(operator.add, DEFAULT_PRIORS.values())
+PRIOR_COSTS = {kind: -math.log(p / _PRIOR_TOTAL) for kind, p in DEFAULT_PRIORS.items()}
 
 # Tie-break preference at equal cost.
 KIND_PREFERENCE = (
@@ -98,33 +105,21 @@ KIND_PREFERENCE = (
 
 @dataclass
 class LengthModel:
-    """Mean target/source character ratio, per-character variance and
-    bead-type priors (normalized to sum to 1)."""
+    """Mean target/source character ratio and per-character variance.
+    The bead-type priors are the fixed ``DEFAULT_PRIORS``."""
 
     c: float = DEFAULT_C
     s2: float = DEFAULT_S2
-    bead_priors: dict[BeadKind, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.s2 <= 0:
             raise ValueError("s2 must be positive")
-        if not self.bead_priors:
-            self.bead_priors = DEFAULT_PRIORS
-        if any(p <= 0 for p in self.bead_priors.values()):
-            raise ValueError("bead priors must be positive")
-        # A left fold from 0.0, as in ``docalign``: Python 3.12's ``sum``
-        # compensates float rounding, which would change the priors'
-        # low bits and so the ladder at ties.
-        total = 0.0
-        for p in self.bead_priors.values():
-            total += p
-        self.bead_priors = {k: v / total for k, v in self.bead_priors.items()}
 
     def prior_cost(self, kind: BeadKind) -> float:
-        """Negative log prior of a bead kind."""
-        return -math.log(self.bead_priors[kind])
+        """Negative log prior of a bead kind (``PRIOR_COSTS``)."""
+        return PRIOR_COSTS[kind]
 
 
 @dataclass

@@ -16,8 +16,8 @@ Segmenter = Callable[[str], list[str]]
 """Plug-in segmentation interface: text in, tokens out.  External
 morphological analyzers can be wrapped to this signature."""
 
-# Detection thresholds: any visible kana marks a page as Japanese, a
-# Han-dominated page without kana is Chinese.
+# Detection thresholds, the same for every stage: any visible kana
+# marks a page as Japanese, a Han-dominated page without kana is Chinese.
 KANA_FRACTION_JA = 0.05
 HAN_FRACTION_ZH = 0.5
 
@@ -105,16 +105,14 @@ def _is_han(ch: str) -> bool:
     )
 
 
-def detect_language(
-    text: str,
-    kana_threshold: float = KANA_FRACTION_JA,
-    han_threshold: float = HAN_FRACTION_ZH,
-) -> tuple[LanguageTag, float]:
-    """Character-class language detector for the JA/ZH pair.
+def detect_language(text: str) -> tuple[LanguageTag, float]:
+    """Character-class language detector for the JA/ZH pair, the one rule
+    by which discovery, crowd validation and mining tag a page.
 
     Returns JA when the kana share of CJK characters reaches
-    ``kana_threshold``, ZH when Han characters dominate the text without
-    kana, OTHER otherwise.  The confidence is the fraction that decided.
+    ``KANA_FRACTION_JA``, ZH when Han characters make up at least
+    ``HAN_FRACTION_ZH`` of the text and kana less than that share, OTHER
+    otherwise.  The confidence is the fraction that decided.
     """
     if not text:
         raise ValueError("empty input")
@@ -130,9 +128,9 @@ def detect_language(
     cjk = kana + han
     kana_frac = kana / cjk if cjk else 0.0
     han_frac = han / total if total else 0.0
-    if cjk and kana_frac >= kana_threshold:
+    if cjk and kana_frac >= KANA_FRACTION_JA:
         return LanguageTag.JA, kana_frac
-    if han_frac >= han_threshold and kana_frac < kana_threshold:
+    if han_frac >= HAN_FRACTION_ZH and kana_frac < KANA_FRACTION_JA:
         return LanguageTag.ZH, han_frac
     other_frac = 1.0 - (cjk / total if total else 0.0)
     return LanguageTag.OTHER, other_frac
@@ -225,28 +223,16 @@ def make_segmenter(lexicon, lang: LanguageTag) -> Segmenter:
     return lambda text: segment_words(text, lang, lexicon)
 
 
-def whitespace_segmenter(text: str) -> list[str]:
-    """Treat space-free strings as single tokens (conservative default
-    when reducing raw dictionary headwords without a morphological
-    analyzer)."""
-    return text.split()
-
-
-def document_from_text(
-    url: str,
-    text: str,
-    tag_digest: Sequence[str] = (),
-    kana_threshold: float = KANA_FRACTION_JA,
-    han_threshold: float = HAN_FRACTION_ZH,
-) -> Document:
-    """Build a Document from extracted page text: detect the language,
-    split sentences per line and record the raw size."""
+def document_from_text(url: str, text: str, tag_digest: Sequence[str] = ()) -> Document:
+    """Build a Document from extracted page text: detect the language
+    (``detect_language``), split sentences per line and record the raw
+    size."""
     normalized_lines = [normalize_text(line) for line in text.split("\n")]
     body = "\n".join(line for line in normalized_lines if line)
     if not body:
         lang = LanguageTag.OTHER
     else:
-        lang, _ = detect_language(body, kana_threshold, han_threshold)
+        lang, _ = detect_language(body)
     sentences: list[Sentence] = []
     for line in body.split("\n"):
         sentences.extend(split_sentences(line))

@@ -180,28 +180,6 @@ class TestIngestUrlPairs:
             ingest_url_pairs(tmp_path / "missing.tsv", FakeFetch({}))
 
 
-class TestLanguageThresholds:
-    """A page's language in discovery follows the two thresholds that
-    mining uses.  The sample JA page's kana share of CJK is 6/11."""
-
-    def test_scan_archive(self):
-        records = [("https://a.example.com/1", ja_page(1000))]
-        assert scan_archive(records).hosts["example.com"].bytes_ja > 0
-        strict = scan_archive(records, kana_threshold=0.99).hosts["example.com"]
-        assert (strict.bytes_ja, strict.page_count) == (0, 1)
-
-    def test_crowd_validation(self, tmp_path):
-        f = tmp_path / "s.tsv"
-        write_submissions(f, [("https://a.jp/ja", "https://a.jp/zh", "w1")])
-        fetch = FakeFetch({"https://a.jp/ja": ja_page(), "https://a.jp/zh": zh_page()})
-        assert ingest_url_pairs(f, fetch)[1][0].status == "VALID"
-        sites, rows = ingest_url_pairs(f, fetch, kana_threshold=0.99)
-        assert sites == []
-        assert rows[0].error == ERR_WRONG_LANGUAGE
-        sites, rows = ingest_url_pairs(f, fetch, han_threshold=0.99)
-        assert rows[0].error == ERR_WRONG_LANGUAGE
-
-
 class TestWarc:
     def test_roundtrip(self, tmp_path):
         records = [
@@ -212,6 +190,20 @@ class TestWarc:
         assert write_warc(records, path) == 2
         got = list(iter_warc_records(path))
         assert got == records
+
+    def test_same_records_give_the_same_bytes(self, tmp_path, monkeypatch):
+        """The gzip header carries no write time, so a rewrite of the
+        same records at a later clock reads back byte-equal."""
+        import time
+
+        records = [("https://a.example.jp/1", ja_page(300))]
+        path = tmp_path / "records.warc.gz"
+        write_warc(records, path)
+        first = path.read_bytes()
+        later = time.time() + 3600.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        write_warc(records, path)
+        assert path.read_bytes() == first
 
     def test_http_payload_header_stripping(self, tmp_path):
         payload = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<p>body</p>"

@@ -24,10 +24,10 @@ def make_doc(url, lang, token_rows, digest=("p", "p"), chars=None):
     return doc
 
 
-def score_pair(a, b, lexicon, weights=DEFAULT_WEIGHTS):
+def score_pair(a, b, lexicon):
     """The pair ``match_documents`` keeps from one JA and one ZH
     document at ``min_score=0.0``; None when the pair is not scored."""
-    pairs = match_documents([a], [b], lexicon, min_score=0.0, weights=weights)
+    pairs = match_documents([a], [b], lexicon, min_score=0.0)
     return pairs[0] if pairs else None
 
 
@@ -77,22 +77,15 @@ class TestDocSimilarity:
                      [["狗", "海", "鱼"], ["猫"]], digest=("p", "h1"))
         exact_differs = False
         for other in (b, c):
-            for weights in (DEFAULT_WEIGHTS, (0.1, 0.2, 0.3, 0.4)):
-                pair = score_pair(a, other, perfect_lexicon, weights=weights)
-                terms = [w * pair.features[name] for w, name in zip(weights, FEATURE_NAMES)]
-                fold = 0.0
-                for term in terms:
-                    fold += term
-                assert pair.score == fold
-                exact_differs |= math.fsum(terms) != fold
+            pair = score_pair(a, other, perfect_lexicon)
+            terms = [w * pair.features[name] for w, name in zip(DEFAULT_WEIGHTS, FEATURE_NAMES)]
+            fold = 0.0
+            for term in terms:
+                fold += term
+            assert pair.score == fold
+            exact_differs |= math.fsum(terms) != fold
         # The inputs are ones where an exactly rounded sum would differ.
         assert exact_differs
-
-    def test_weights_must_sum_to_one(self, perfect_lexicon):
-        a = make_doc("https://x.jp/a", LanguageTag.JA, [["犬"]])
-        b = make_doc("https://x.jp/b", LanguageTag.ZH, [["狗"]])
-        with pytest.raises(ValueError):
-            match_documents([a], [b], perfect_lexicon, weights=(0.5, 0.5, 0.5, 0.5))
 
 
 class TestMatchDocuments:
@@ -158,7 +151,6 @@ class TestMatchDocuments:
 
     def test_mirror_site_matches_mapping(self, starter_lexicon, fixture_site):
         """10x10 mirror fixture: at least 9 of 10 matches are correct."""
-        from localmine.config import PipelineConfig
         from localmine.crawl import CrawlBudget, crawl_site
         from localmine.discovery import CandidateSite
         from localmine.fetching import snapshot_fetch
@@ -174,7 +166,7 @@ class TestMatchDocuments:
         )
         fetch = snapshot_fetch(fixture_site.snapshot_dir)
         store = crawl_site(site, CrawlBudget(per_host_delay_ms=0), fetch)
-        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon, PipelineConfig())
+        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon)
         pairs = match_documents(docs_ja, docs_zh, starter_lexicon)
         correct = 0
         for pair in pairs:

@@ -13,6 +13,14 @@ class TestExtractText:
         text, _, _ = extract_page("<script>x=1</script><p>hi</p>")
         assert text == "hi"
 
+    @pytest.mark.parametrize("tag", ["script", "style"])
+    def test_self_closing_skip_tag_keeps_the_rest(self, tag):
+        """A self-closing ``<script/>`` or ``<style/>`` has no content to
+        drop, so the text after it survives."""
+        text, digest, _ = extract_page(f"<{tag} src='a.js'/><p>本文</p>".encode("utf-8"))
+        assert text == "本文"
+        assert digest == ["p"]
+
     def test_style_and_comments_stripped(self):
         text, _, _ = extract_page("<style>p{}</style><!-- c --><p>a</p>")
         assert text == "a"

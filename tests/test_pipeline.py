@@ -195,14 +195,13 @@ class TestRunPipeline:
     def test_every_html_content_type_form_is_one_document(self, content_type, url, starter_lexicon):
         """Each page the crawl stored as HTML, whatever form its type
         takes, becomes one segmented document."""
-        from localmine.config import PipelineConfig
         from localmine.crawl import Page, PageStore
         from localmine.pipeline import pages_to_documents
 
         store = PageStore(host="example-news.jp")
         body = "<html><body><p>これは日本語の文です。</p></body></html>".encode("utf-8")
         store.pages.append(Page(url, content_type, body))
-        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon, PipelineConfig())
+        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon)
         assert len(docs_ja) == 1 and docs_zh == []
         assert docs_ja[0].sentences[0].tokens
 
@@ -280,12 +279,10 @@ class TestRunPipeline:
 # The full default INI text, recorded before the `[crawler]` section
 # became `CrawlBudget` and the defaults became the stage modules' named
 # constants.  Refactoring the config classes keeps every key, its order
-# and its default value.
+# and its default value.  The `[text]` section, the `[docalign]` weights
+# and the `[sentalign]` priors are gone: no run set them, and their
+# values are now constants of `text`, `docalign` and `sentalign`.
 DEFAULT_CONFIG_LINES = [
-    "[text]",
-    "kana_threshold = 0.05",
-    "han_threshold = 0.5",
-    "",
     "[discovery]",
     "min_bytes = 10000",
     "min_balance = 0.3",
@@ -303,10 +300,6 @@ DEFAULT_CONFIG_LINES = [
     "char_map = ",
     "",
     "[docalign]",
-    "weight_dict = 0.5",
-    "weight_url = 0.2",
-    "weight_struct = 0.2",
-    "weight_len = 0.1",
     "min_score = 0.4",
     "lang_markers = ja,zh,jp,cn",
     "",
@@ -315,12 +308,6 @@ DEFAULT_CONFIG_LINES = [
     "s2 = 6.8",
     "dict_weight = 3.0",
     "max_bead_cost = 10.0",
-    "prior_one = 0.89",
-    "prior_del = 0.0099",
-    "prior_sub = 0.0099",
-    "prior_expand = 0.0445",
-    "prior_contract = 0.0445",
-    "prior_merge = 0.011",
     "",
     "[filter]",
     "threshold = 0.5",
@@ -373,12 +360,25 @@ class TestConfig:
             ("sentalign", "refit"),
             ("filter", "embed_keep_below"),
             ("pipeline", "dedup_exact"),
+            ("docalign", "weight_dict"),
+            ("docalign", "weight_url"),
+            ("docalign", "weight_struct"),
+            ("docalign", "weight_len"),
+            ("sentalign", "prior_one"),
+            ("sentalign", "prior_del"),
+            ("sentalign", "prior_sub"),
+            ("sentalign", "prior_expand"),
+            ("sentalign", "prior_contract"),
+            ("sentalign", "prior_merge"),
+            ("text", "kana_threshold"),
+            ("text", "han_threshold"),
         ],
     )
     def test_removed_key_fatal(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = false\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=key):
+        # The whole [text] section is gone, so its error names the section.
+        with pytest.raises(ValueError, match=r"section \[text\]" if section == "text" else key):
             load_config(path)
 
     def test_every_key_parses_with_its_default_type(self):
@@ -458,43 +458,6 @@ class TestCli:
         assert sites and sites[0]["host"] == "example-news.jp"
         assert sites[0]["source"] == "archive"
         assert sites[0]["balance"] > 0.3
-
-    def test_text_thresholds_reach_discovery(self, fixture_site, tmp_path, capsys):
-        """``[text] kana_threshold = 0.99`` tags no top page as JA, so
-        archive discovery, ``validate-urls`` and a run's site loading
-        all find no candidate site, as mining would tag the pages."""
-        from localmine.pipeline import discover_archive, fetch_for, load_sites
-
-        config_path = tmp_path / "cfg.ini"
-        config_path.write_text(
-            "[text]\nkana_threshold = 0.99\n[discovery]\nmin_bytes = 1000\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "sites.jsonl"
-        rows_out = tmp_path / "rows.jsonl"
-        code = cli_main([
-            "--config", str(config_path),
-            "--snapshot-dir", str(fixture_site.snapshot_dir),
-            "validate-urls",
-            "--submissions", str(fixture_site.submissions_tsv),
-            "--out", str(out),
-            "--rows-out", str(rows_out),
-        ])
-        assert code == 0
-        rows = [json.loads(l) for l in open(rows_out, encoding="utf-8")]
-        assert [r["error"] for r in rows] == ["WRONG_LANGUAGE", "SAME_URL", "WRONG_LANGUAGE"]
-        assert out.read_text(encoding="utf-8") == ""
-        capsys.readouterr()
-
-        config = load_config(config_path)
-        config.pipeline.snapshot_dir = str(fixture_site.snapshot_dir)
-        config.pipeline.submissions = str(fixture_site.submissions_tsv)
-        sites, intake, _ = load_sites(config, fetch_for(config))
-        assert sites == [] and intake["crowd_errors"] == 3
-
-        scan, found = discover_archive(fixture_site.snapshot_dir, config)
-        assert found == []
-        assert scan.hosts["example-news.jp"].bytes_ja == 0
 
     def test_train_filter_and_filter_and_dedup_and_report(self, fixture_site, tmp_path):
         model_path = tmp_path / "model.json"

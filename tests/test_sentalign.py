@@ -247,7 +247,7 @@ class TestBeadCost:
         lam = 3.0
         expected = max(
             0.0,
-            length_cost(1, 1, model) - math.log(model.bead_priors[BeadKind.ONE]) - lam * 1.0,
+            length_cost(1, 1, model) + model.prior_cost(BeadKind.ONE) - lam * 1.0,
         )
         got = bead_cost(BeadKind.ONE, src, trg, lex, model, lam)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -255,7 +255,7 @@ class TestBeadCost:
     def test_del_bead_has_no_dictionary_term(self):
         model = LengthModel()
         src = [sent("あ" * 40)]
-        expected = length_cost(40, 0, model) - math.log(model.bead_priors[BeadKind.DEL])
+        expected = length_cost(40, 0, model) + model.prior_cost(BeadKind.DEL)
         got = bead_cost(BeadKind.DEL, src, [], build_lexicon([("あ", "a")]), model, lam=3.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -357,25 +357,10 @@ class TestAlignSentences:
         ladder = align_sentences(src, trg, None, LengthModel(), banded=True)
         assert sum(b.trg_span[1] for b in ladder.beads) == 100
 
-    def test_priors_normalized_by_a_left_fold(self):
-        """Each prior is divided by the left fold of the priors, so the
-        compensated ``sum`` of Python 3.12 cannot move their low bits."""
-        priors = {
-            BeadKind.ONE: 0.8425, BeadKind.DEL: 0.0422, BeadKind.SUB: 0.0106,
-            BeadKind.EXPAND: 0.015, BeadKind.CONTRACT: 0.0332, BeadKind.MERGE: 0.0476,
-        }
-        fold = 0.0
-        for v in priors.values():
-            fold += v
-        # A prior set on which an exactly rounded sum differs.
-        assert fold != math.fsum(priors.values())
-        model = LengthModel(bead_priors=dict(priors))
-        for kind, v in priors.items():
-            assert model.bead_priors[kind] == v / fold
-
     def test_priors_renormalized(self):
         model = LengthModel()
-        assert sum(model.bead_priors.values()) == pytest.approx(1.0, abs=1e-12)
+        priors = [math.exp(-model.prior_cost(kind)) for kind in BeadKind]
+        assert sum(priors) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             LengthModel(c=-1.0)
         with pytest.raises(ValueError):
