@@ -10,14 +10,18 @@ so any string gets a finite score.
 
 On disk a context is written as its symbols joined by NUL, and read
 back with ``key[::2]``, which is exact for every symbol, NUL included.
-A model file must satisfy ``train_char_lm``'s rules (order in [2, 7],
-positive smoothing constant) and hold one count level per order.
+``from_json`` keeps each parsed count row as the model's row, without
+copying it.  A model file must satisfy ``train_char_lm``'s rules (order
+in [2, 7], positive smoothing constant) and hold one count level per
+order; a count row that is not an object, or whose counts do not sum to
+a positive integer, is a ``ValueError``.
 
 ``CharLM.denominators`` keeps each context's add-k denominator,
-``count total + k * alphabet_size``, built once on first use: the same
-float expression evaluated on the same integers, so ``prob`` and
-``lm_score`` return the same bits as when they summed each row per
-call.  The table is never serialized.
+``count total + k * alphabet_size``: the same float expression
+evaluated on the same integers, so ``prob`` and ``lm_score`` return the
+same bits as when they summed each row per call.  A trained model
+builds the table on first use; ``from_json`` builds it in the pass that
+reads the rows.  The table is never serialized.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ class CharLM:
     @cached_property
     def denominators(self) -> list[dict[str, float]]:
         """``denominators[m][context]`` is that row's add-k denominator,
-        ``count total + k * alphabet_size``; built on first use and never
-        serialized."""
+        ``count total + k * alphabet_size``; built on first use, or by
+        ``from_json`` as it reads the rows, and never serialized."""
         extra = self.k * self.alphabet_size
-        return [{ctx: sum(row.values()) + extra for ctx, row in level.items()}
+        return [{ctx: _denominator(row, extra) for ctx, row in level.items()}
                 for level in self.counts]
 
     def prob(self, char: str, context: str) -> float:
@@ -79,23 +83,38 @@ class CharLM:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharLM":
-        """Read ``to_json`` output; a model that ``train_char_lm`` could
-        not have made (order, smoothing constant or number of count
-        levels) is a ``ValueError``."""
+        """Read ``to_json`` output, keeping each parsed count row as the
+        row.  A model that ``train_char_lm`` could not have made (order,
+        smoothing constant, number of count levels, or a row that is not
+        counts with a positive integer total) is a ``ValueError``."""
         n = int(obj["n"])
         k = float(obj["k"])
         _check_parameters(n, k)
         if len(obj["counts"]) != n:
             raise ValueError(f"order {n} model has {len(obj['counts'])} count levels")
-        return cls(
-            n=n,
-            k=k,
-            vocabulary=set(obj["vocabulary"]),
-            counts=[
-                {key[::2]: {ch: int(cnt) for ch, cnt in row.items()} for key, row in level}
-                for level in obj["counts"]
-            ],
-        )
+        lm = cls(n=n, k=k, vocabulary=set(obj["vocabulary"]))
+        extra = k * lm.alphabet_size
+        denominators: list[dict[str, float]] = []
+        for level in obj["counts"]:
+            rows = {key[::2]: row for key, row in level}
+            denominators.append({ctx: _denominator(row, extra) for ctx, row in rows.items()})
+            lm.counts.append(rows)
+        lm.denominators = denominators
+        return lm
+
+
+def _denominator(row: dict[str, int], extra: float) -> float:
+    """A count row's add-k denominator, ``count total + extra``; a row
+    that is not counts summing to a positive integer is a ``ValueError``."""
+    try:
+        total = sum(row.values())
+    except AttributeError:
+        raise ValueError(f"count row is a {type(row).__name__}, not an object") from None
+    except TypeError:
+        raise ValueError("count row holds a count that is not a number") from None
+    if type(total) is not int or total <= 0:
+        raise ValueError(f"count row totals {total!r}, not a positive integer")
+    return total + extra
 
 
 def _check_parameters(n: int, k: float) -> None:

@@ -5,6 +5,11 @@ The trained filter bundles both translation directions, both character
 LMs and the forest into one JSON container that round-trips exactly:
 each component writes and reads its own section (``to_json`` and
 ``from_json`` on ``TranslationTable``, ``CharLM`` and ``RandomForest``).
+``BitextFilter.load`` builds the components from the parsed JSON as it
+is, without copying it, and frees each section once it is built, so the
+load's peak memory stays near the size of the model it keeps.  A file
+whose top level is not an object, or whose sections a component
+rejects (see each ``from_json``), is a ``ValueError``.
 A ``FeatureVector`` is a named tuple whose field order is the forest's
 column order.
 """
@@ -362,15 +367,19 @@ class BitextFilter:
 
     @classmethod
     def load(cls, path: str | Path) -> "BitextFilter":
+        """Read ``save`` output; see the module docstring."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"filter model is a JSON {type(payload).__name__}, not an object")
         if payload.get("version") != 1:
             raise ValueError(f"unsupported filter model version: {payload.get('version')}")
+        # Keyword arguments are evaluated in order: tables, LMs, forest.
         return cls(
-            table_j2z=TranslationTable.from_json(payload["table_j2z"]),
-            table_z2j=TranslationTable.from_json(payload["table_z2j"]),
-            lm_ja=CharLM.from_json(payload["lm_ja"]),
-            lm_zh=CharLM.from_json(payload["lm_zh"]),
-            forest=RandomForest.from_json(payload["forest"]),
+            table_j2z=TranslationTable.from_json(payload.pop("table_j2z")),
+            table_z2j=TranslationTable.from_json(payload.pop("table_z2j")),
+            lm_ja=CharLM.from_json(payload.pop("lm_ja")),
+            lm_zh=CharLM.from_json(payload.pop("lm_zh")),
+            forest=RandomForest.from_json(payload.pop("forest")),
             seed=int(payload.get("seed", 0)),
             threshold=float(payload.get("threshold", DEFAULT_SCORE_THRESHOLD)),
         )

@@ -52,7 +52,7 @@ from .htmltext import EncodingError, extract_page
 from .jsonl import read_jsonl
 from .jsonl import write_jsonl as _write_jsonl
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
-from .sentalign import align_sentences, extract_pairs, format_ladder_tsv
+from .sentalign import LengthModel, align_sentences, extract_pairs, format_ladder_tsv
 from .text import Document, LanguageTag, document_from_text, make_segmenter
 
 logger = logging.getLogger(__name__)
@@ -218,15 +218,18 @@ def crawl_and_dump(
 def mine_site(
     site: CandidateSite,
     lexicon: Lexicon,
+    length_model: LengthModel,
     config: PipelineConfig,
     fetch: Fetch,
     site_dir: Path | None = None,
 ) -> tuple[SiteOutcome, list[CorpusRecord]]:
     """Crawl one site and align it down to candidate sentence pairs.
 
-    Returns the outcome shell (records still empty) plus the unscored
-    candidates in document-pair order; the caller applies the filter
-    stage.
+    ``length_model`` is the run's ``config.sentalign.length_model()``,
+    built once by the caller so that a bad ``[sentalign]`` value stops
+    the run before any site.  Returns the outcome shell (records still
+    empty) plus the unscored candidates in document-pair order; the
+    caller applies the filter stage.
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
     pages_dir = site_dir / "pages" if site_dir is not None else None
@@ -248,7 +251,6 @@ def mine_site(
     )
     outcome.n_doc_pairs = len(doc_pairs)
 
-    model = config.sentalign.length_model()
     candidates: list[CorpusRecord] = []
     ladder_dump: list[str] = []
     for pair in doc_pairs:
@@ -256,7 +258,7 @@ def mine_site(
             pair.doc_ja.sentences,
             pair.doc_zh.sentences,
             lexicon,
-            model,
+            length_model,
             lam=config.sentalign.dict_weight,
         )
         pairs = extract_pairs(
@@ -447,6 +449,7 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
+    length_model = config.sentalign.length_model()  # fatal before any output
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fetch = fetch_for(config)
@@ -461,7 +464,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         site_dir = out_dir / site.host
         site_dir.mkdir(parents=True, exist_ok=True)
         try:
-            outcome, candidates = mine_site(site, lexicon, config, fetch, site_dir)
+            outcome, candidates = mine_site(site, lexicon, length_model, config, fetch, site_dir)
             if not outcome.error:
                 counters: dict[str, int] = {}
                 outcome.records = filter_candidates(

@@ -94,6 +94,16 @@ class TestSiteReport:
         assert again == report
 
 
+def _first_count_entry(model: dict) -> list:
+    """``[context, row]`` of lm_ja's first order-1 context."""
+    return model["lm_ja"]["counts"][1][0]
+
+
+def _set_counts(model: dict, value) -> None:
+    row = _first_count_entry(model)[1]
+    row.update(dict.fromkeys(row, value))
+
+
 class TestRunPipeline:
     def test_end_to_end_fixture(self, fixture_site, tmp_path):
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
@@ -122,14 +132,26 @@ class TestRunPipeline:
         (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
          "splits on feature"),
         (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
-    ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds"])
+        (lambda m: [m], "JSON list, not an object"),
+        (lambda m: _first_count_entry(m).__setitem__(1, [1]), "count row is a list"),
+        (lambda m: _set_counts(m, 2.5), r"totals \d+\.\d+, not a positive integer"),
+        (lambda m: _set_counts(m, "2"), "count that is not a number"),
+        (lambda m: _set_counts(m, 0), "totals 0, not a positive integer"),
+        (lambda m: m["table_j2z"]["entries"][0].__setitem__(2, [0.5]), r"\[0\.5\], not a number"),
+    ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds",
+            "top-level-list", "row-list", "fractional-count", "string-count", "zero-total",
+            "list-probability"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
         model = tmp_path / "model.json"
         trained_filter.save(model)
         payload = json.loads(model.read_text(encoding="utf-8"))
-        corrupt(payload)
+        # A corruption edits the payload in place or returns a list to
+        # write in its stead.
+        replacement = corrupt(payload)
+        if isinstance(replacement, list):
+            payload = replacement
         model.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.filter.model_path = str(model)
@@ -526,6 +548,32 @@ class TestCli:
         code = cli_main(["--config", str(tmp_path / "missing.ini"), "run"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["run", "mine"])
+    @pytest.mark.parametrize("key", ["c", "s2"])
+    def test_bad_length_model_stops_before_any_site(self, fixture_site, tmp_path, key, command):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+            + f"[sentalign]\n{key} = 0\n",
+            encoding="utf-8",
+        )
+        argv = {"run": ["run"],
+                "mine": ["mine", "--sites", str(fixture_site.sites_jsonl),
+                         "--out-dir", str(tmp_path / "out")]}[command]
+        assert cli_main(["--config", str(config)] + argv) == 1
+        assert not (tmp_path / "out" / "example-news.jp").exists()
+
+    def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
+        model = tmp_path / "bad.json"
+        model.write_text("[]", encoding="utf-8")
+        pairs = tmp_path / "empty.jsonl"
+        pairs.write_text("", encoding="utf-8")
+        code = cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
+                         "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert "filter model is a JSON list, not an object" in caplog.text
+        assert "Traceback" not in caplog.text
+
     def test_site_errors_exit_code(self, fixture_site, tmp_path, capsys):
         sites = tmp_path / "sites.jsonl"
         rows = [
@@ -678,7 +726,9 @@ class TestFilterTokens:
             return extract_pairs(ladder, src, trg, max_cost=max_cost)
 
         monkeypatch.setattr(pipeline, "extract_pairs", counting_extract)
-        outcome, candidates = pipeline.mine_site(site, lexicon, config, fetch)
+        outcome, candidates = pipeline.mine_site(
+            site, lexicon, config.sentalign.length_model(), config, fetch
+        )
         assert not outcome.error and candidates
         return config, lexicon, candidates, sum(multi_sides)
 
