@@ -17,11 +17,10 @@ order; a count row that is not an object, or whose counts do not sum to
 a positive integer, is a ``ValueError``.
 
 ``CharLM.denominators`` keeps each context's add-k denominator,
-``count total + k * alphabet_size``: the same float expression
-evaluated on the same integers, so ``prob`` and ``lm_score`` return the
-same bits as when they summed each row per call.  A trained model
-builds the table on first use; ``from_json`` builds it in the pass that
-reads the rows.  The table is never serialized.
+``count total + k * alphabet_size``, built once on first use: the same
+float expression evaluated on the same integers, so ``prob`` and
+``lm_score`` return the same bits as when they summed each row per
+call.  The table is never serialized.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class CharLM:
     @cached_property
     def denominators(self) -> list[dict[str, float]]:
         """``denominators[m][context]`` is that row's add-k denominator,
-        ``count total + k * alphabet_size``; built on first use, or by
-        ``from_json`` as it reads the rows, and never serialized."""
+        ``count total + k * alphabet_size``; built on first use and never
+        serialized."""
         extra = self.k * self.alphabet_size
         return [{ctx: _denominator(row, extra) for ctx, row in level.items()}
                 for level in self.counts]
@@ -92,14 +91,13 @@ class CharLM:
         _check_parameters(n, k)
         if len(obj["counts"]) != n:
             raise ValueError(f"order {n} model has {len(obj['counts'])} count levels")
-        lm = cls(n=n, k=k, vocabulary=set(obj["vocabulary"]))
-        extra = k * lm.alphabet_size
-        denominators: list[dict[str, float]] = []
-        for level in obj["counts"]:
-            rows = {key[::2]: row for key, row in level}
-            denominators.append({ctx: _denominator(row, extra) for ctx, row in rows.items()})
-            lm.counts.append(rows)
-        lm.denominators = denominators
+        lm = cls(
+            n=n,
+            k=k,
+            vocabulary=set(obj["vocabulary"]),
+            counts=[{key[::2]: row for key, row in level} for level in obj["counts"]],
+        )
+        lm.denominators  # checks every row
         return lm
 
 

@@ -106,14 +106,10 @@ class TranslationTable:
         """Read ``to_json`` output; a probability that is not a number is
         a ``ValueError``."""
         table = cls(direction=obj.get("direction", ""))
-        t = table.t
         for src, trg, p in obj["entries"]:
             if type(p) not in (float, int):
                 raise ValueError(f"t({trg!r} | {src!r}) is {p!r}, not a number")
-            row = t.get(src)
-            if row is None:
-                row = t[src] = {}
-            row[trg] = float(p)
+            table.t.setdefault(src, {})[trg] = float(p)
         return table
 
 

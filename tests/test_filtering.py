@@ -309,16 +309,23 @@ class TestPersistence:
     def test_load_does_not_copy_the_parsed_model(self, tmp_path, trained_filter):
         path = tmp_path / "model.json"
         trained_filter.save(path)
+        text = path.read_text(encoding="utf-8")
         tracemalloc.start()
         try:
+            parsed = json.loads(text)
+            parsed_size = tracemalloc.get_traced_memory()[0]
+            del parsed
+            tracemalloc.reset_peak()
             again = BitextFilter.load(path)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Memory freed again by the end of the load: 6.8x the file size
-        # when every count row was copied and the payload was kept whole
-        # until the end, 3.5x with rows kept as parsed (Python 3.11).
-        assert peak - retained < 4.5 * path.stat().st_size
+        # Memory freed again by the end of the load, against the parsed
+        # payload's size on the same interpreter.  On Python 3.11 a load
+        # that copies the count rows frees 1.06x, and one that keeps them
+        # but holds every section until it returns frees 0.75x; keeping
+        # the rows and dropping each section once built frees 0.55x.
+        assert peak - retained < 0.7 * parsed_size
         for lm in (again.lm_ja, again.lm_zh):
             fresh = CharLM(n=lm.n, k=lm.k, vocabulary=lm.vocabulary, counts=lm.counts)
             assert lm.denominators == fresh.denominators

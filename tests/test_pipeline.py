@@ -132,14 +132,13 @@ class TestRunPipeline:
         (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
          "splits on feature"),
         (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
-        (lambda m: [m], "JSON list, not an object"),
         (lambda m: _first_count_entry(m).__setitem__(1, [1]), "count row is a list"),
         (lambda m: _set_counts(m, 2.5), r"totals \d+\.\d+, not a positive integer"),
         (lambda m: _set_counts(m, "2"), "count that is not a number"),
         (lambda m: _set_counts(m, 0), "totals 0, not a positive integer"),
         (lambda m: m["table_j2z"]["entries"][0].__setitem__(2, [0.5]), r"\[0\.5\], not a number"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds",
-            "top-level-list", "row-list", "fractional-count", "string-count", "zero-total",
+            "row-list", "fractional-count", "string-count", "zero-total",
             "list-probability"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
@@ -147,11 +146,7 @@ class TestRunPipeline:
         model = tmp_path / "model.json"
         trained_filter.save(model)
         payload = json.loads(model.read_text(encoding="utf-8"))
-        # A corruption edits the payload in place or returns a list to
-        # write in its stead.
-        replacement = corrupt(payload)
-        if isinstance(replacement, list):
-            payload = replacement
+        corrupt(payload)
         model.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.filter.model_path = str(model)
