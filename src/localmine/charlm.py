@@ -13,8 +13,8 @@ back with ``key[::2]``, which is exact for every symbol, NUL included.
 ``from_json`` keeps each parsed count row as the model's row, without
 copying it.  A model file must satisfy ``train_char_lm``'s rules (order
 in [2, 7], positive smoothing constant) and hold one count level per
-order; a count row that is not an object, or whose counts do not sum to
-a positive integer, is a ``ValueError``.
+order; a count row that is not an object, that holds a negative count,
+or whose counts do not sum to a positive integer, is a ``ValueError``.
 
 ``CharLM.denominators`` keeps each context's add-k denominator,
 ``count total + k * alphabet_size``, built once on first use: the same
@@ -85,7 +85,8 @@ class CharLM:
         """Read ``to_json`` output, keeping each parsed count row as the
         row.  A model that ``train_char_lm`` could not have made (order,
         smoothing constant, number of count levels, or a row that is not
-        counts with a positive integer total) is a ``ValueError``."""
+        non-negative counts with a positive integer total) is a
+        ``ValueError``."""
         n = int(obj["n"])
         k = float(obj["k"])
         _check_parameters(n, k)
@@ -103,7 +104,8 @@ class CharLM:
 
 def _denominator(row: dict[str, int], extra: float) -> float:
     """A count row's add-k denominator, ``count total + extra``; a row
-    that is not counts summing to a positive integer is a ``ValueError``."""
+    that is not non-negative counts summing to a positive integer is a
+    ``ValueError``."""
     try:
         total = sum(row.values())
     except AttributeError:
@@ -112,6 +114,8 @@ def _denominator(row: dict[str, int], extra: float) -> float:
         raise ValueError("count row holds a count that is not a number") from None
     if type(total) is not int or total <= 0:
         raise ValueError(f"count row totals {total!r}, not a positive integer")
+    if len(row) > 1 and min(row.values()) < 0:  # a lone count is the positive total
+        raise ValueError("count row holds a negative count")
     return total + extra
 
 

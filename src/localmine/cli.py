@@ -19,11 +19,11 @@ from .lexicon import load_pair_tsv
 from .pipeline import (
     SiteReport,
     crawl_and_dump,
-    dedupe,
     discover_archive,
     emit_report,
     fetch_for,
     filter_candidates,
+    merge_corpus,
     mine_site,
     read_sites,
     resolve_lexicon,
@@ -31,7 +31,6 @@ from .pipeline import (
     run_pipeline,
     train_configured_filter,
     validate_submissions,
-    write_corpus_tsv,
 )
 
 logger = logging.getLogger(__name__)
@@ -181,12 +180,8 @@ def _cmd_filter(args, config) -> int:
 
 
 def _cmd_dedup(args, config) -> int:
-    records = (CorpusRecord.from_json(obj) for obj in read_jsonl(args.input))
-    kept = list(dedupe(records))
-    write_jsonl(args.out, (r.to_json() for r in kept))
-    if args.tsv:
-        write_corpus_tsv(args.tsv, kept)
-    print(f"{len(kept)} records -> {args.out}")
+    (kept,) = merge_corpus([Path(args.input)], args.out, args.tsv)
+    print(f"{kept} records -> {args.out}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ of the module that reads them.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -93,8 +94,8 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse an INI config; unknown sections or keys are fatal (they are
-    silent misconfiguration otherwise)."""
+    """Parse an INI config; unknown sections or keys, and NaN values, are
+    fatal (they are silent misconfiguration otherwise)."""
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path, encoding="utf-8")
     if not read:
@@ -110,7 +111,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             # Every key is an int, float or str; its default's type parses it.
-            setattr(target, key, type(getattr(target, key))(raw.strip()))
+            value = type(getattr(target, key))(raw.strip())
+            if isinstance(value, float) and math.isnan(value):  # passes every range check
+                raise ValueError(f"key {key!r} in section [{section}] is NaN")
+            setattr(target, key, value)
     return config
 
 

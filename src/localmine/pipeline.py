@@ -3,9 +3,14 @@ sentence alignment -> filtering -> exact dedup, with per-site
 checkpointing and the mining report.
 
 Per-site results are written as soon as a site finishes, so a crash
-loses at most one site.  Runs are deterministic: with the same config,
-seed and snapshot inputs the corpus and report files are byte-identical.
-The CLI subcommands call the same stage functions as ``run_pipeline``.
+loses at most one site.  A site's records reach the corpus only through
+its ``filtered.jsonl`` checkpoint: once it is written the site keeps no
+record in memory, and ``merge_corpus`` streams the checkpoints of the
+sites that did not fail, in site order, through one global dedup.  Runs
+are deterministic: with the same config, seed and snapshot inputs the
+corpus and report files are byte-identical.  The CLI subcommands call
+the same stage functions as ``run_pipeline``; ``localmine dedup`` is
+``merge_corpus`` on one file.
 
 The benchmark tracer (``perfbench/tracer.py``) times each layer by
 rebinding this module's globals by name (the stage functions imported
@@ -20,7 +25,8 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -140,7 +146,8 @@ def emit_report(reports: Iterable[SiteReport], format: str = "tsv") -> bytes:
 
 def dedupe(records: Iterable[CorpusRecord]) -> Iterator[CorpusRecord]:
     """Drop exact (ja, zh) duplicates keeping the first occurrence, and
-    records whose two sides are identical."""
+    records whose two sides are identical.  Lazy: a kept record is
+    yielded before the next one is read."""
     seen: set[tuple[str, str]] = set()
     for record in records:
         key = (record.ja, record.zh)
@@ -154,7 +161,6 @@ def dedupe(records: Iterable[CorpusRecord]) -> Iterator[CorpusRecord]:
 class SiteOutcome:
     host: str
     source: str
-    records: list[CorpusRecord] = field(default_factory=list)
     error: str = ""
     n_pages: int = 0
     n_docs_ja: int = 0
@@ -227,9 +233,9 @@ def mine_site(
 
     ``length_model`` is the run's ``config.sentalign.length_model()``,
     built once by the caller so that a bad ``[sentalign]`` value stops
-    the run before any site.  Returns the outcome shell (records still
-    empty) plus the unscored candidates in document-pair order; the
-    caller applies the filter stage.
+    the run before any site.  Returns the site's outcome plus the
+    unscored candidates in document-pair order; the caller applies the
+    filter stage and writes the survivors to ``filtered.jsonl``.
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
     pages_dir = site_dir / "pages" if site_dir is not None else None
@@ -465,20 +471,20 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         site_dir.mkdir(parents=True, exist_ok=True)
         try:
             outcome, candidates = mine_site(site, lexicon, length_model, config, fetch, site_dir)
-            if not outcome.error:
-                counters: dict[str, int] = {}
-                outcome.records = filter_candidates(
-                    candidates, bitext_filter, lexicon, config, provider, counters
+            counters: dict[str, int] = {}
+            # A site whose crawl failed has no candidates, so no records.
+            records = filter_candidates(
+                candidates, bitext_filter, lexicon, config, provider, counters
+            )
+            missing = counters.get("embed_missing", 0)
+            failed = counters.get("embed_failures", 0)
+            if missing or failed:
+                logger.warning(
+                    "site %s: embedding gate dropped %d pairs with no vector "
+                    "and %d pairs the embedding provider failed on",
+                    site.host, missing, failed,
                 )
-                missing = counters.get("embed_missing", 0)
-                failed = counters.get("embed_failures", 0)
-                if missing or failed:
-                    logger.warning(
-                        "site %s: embedding gate dropped %d pairs with no vector "
-                        "and %d pairs the embedding provider failed on",
-                        site.host, missing, failed,
-                    )
-            _write_jsonl(site_dir / "filtered.jsonl", (r.to_json() for r in outcome.records))
+            _write_jsonl(site_dir / "filtered.jsonl", (r.to_json() for r in records))
         except Exception as err:  # per-site failures never abort the run
             logger.exception("site %s failed", site.host)
             outcome = SiteOutcome(host=site.host, source=site.source, error=str(err))
@@ -491,15 +497,15 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(process, sites))
 
-    # Global dedup; the first occurrence of a pair is the one kept.
-    deduped = list(dedupe(r for outcome in outcomes for r in outcome.records))
-
+    # A failed site's filtered.jsonl may be left from an earlier run.
+    merged = [o for o in outcomes if not o.error]
     corpus_jsonl = out_dir / "corpus.jsonl"
     corpus_tsv = out_dir / "corpus.tsv"
-    _write_jsonl(corpus_jsonl, (r.to_json() for r in deduped))
-    write_corpus_tsv(corpus_tsv, deduped)
+    kept = merge_corpus(
+        [out_dir / o.host / "filtered.jsonl" for o in merged], corpus_jsonl, corpus_tsv
+    )
 
-    reports = _build_reports(outcomes, intake, deduped)
+    reports = _build_reports(outcomes, intake, {o.host: n for o, n in zip(merged, kept)})
     report_json = out_dir / "report.json"
     report_tsv = out_dir / "report.tsv"
     report_json.write_bytes(emit_report(reports, "json"))
@@ -509,7 +515,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     return RunResult(
         output_dir=out_dir,
         reports=reports,
-        n_records=len(deduped),
+        n_records=sum(kept),
         site_errors=site_errors,
         corpus_jsonl=corpus_jsonl,
         corpus_tsv=corpus_tsv,
@@ -518,14 +524,41 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     )
 
 
+def merge_corpus(
+    inputs: list[Path], corpus_jsonl: str | Path, corpus_tsv: str | Path | None = None
+) -> list[int]:
+    """Stream the ``filtered.jsonl`` files ``inputs``, in order, through
+    ``dedupe`` into ``corpus_jsonl`` and, when given, the two-column
+    ``corpus_tsv``; return how many records each input kept."""
+    outputs = {Path(p).resolve() for p in (corpus_jsonl, corpus_tsv) if p}
+    if any(Path(p).resolve() in outputs for p in inputs):  # it would be emptied first
+        raise ValueError("a corpus output is also a merge input")
+    kept = [0] * len(inputs)
+    current = 0
+
+    def records() -> Iterator[CorpusRecord]:
+        nonlocal current
+        for current, path in enumerate(inputs):
+            yield from map(CorpusRecord.from_json, read_jsonl(path))
+
+    def rows(tsv) -> Iterator[dict]:
+        # dedupe is lazy, so a kept record comes from input ``current``.
+        for record in dedupe(records()):
+            kept[current] += 1
+            if tsv is not None:
+                tsv.write(f"{record.ja}\t{record.zh}\n")
+            yield record.to_json()
+
+    with open(corpus_tsv, "w", encoding="utf-8") if corpus_tsv else nullcontext() as tsv:
+        _write_jsonl(corpus_jsonl, rows(tsv))
+    return kept
+
+
 def _build_reports(
-    outcomes: list[SiteOutcome],
-    intake: dict[str, int],
-    deduped: list[CorpusRecord],
+    outcomes: list[SiteOutcome], intake: dict[str, int], kept: dict[str, int]
 ) -> list[SiteReport]:
-    """One row per source; a site counts as extracted when at least one
-    of its records survives into ``deduped``."""
-    kept = {id(r) for r in deduped}
+    """One row per source; a site counts as extracted when the corpus
+    kept at least one of its records (``kept[host]``)."""
     reports: list[SiteReport] = []
     for source in (SOURCE_ARCHIVE, SOURCE_CROWD):
         source_outcomes = [o for o in outcomes if o.source == source]
@@ -535,26 +568,14 @@ def _build_reports(
         n_errors = sum(1 for o in source_outcomes if o.error)
         if source == SOURCE_CROWD:
             n_errors += intake.get("crowd_errors", 0)
-        n_extracted = n_sentences = 0
-        for outcome in source_outcomes:
-            n_kept = sum(1 for r in outcome.records if id(r) in kept)
-            n_sentences += n_kept
-            if n_kept:
-                n_extracted += 1
+        site_kept = [kept.get(o.host, 0) for o in source_outcomes]
         reports.append(
             SiteReport(
                 source=SOURCE_LABELS.get(source, source),
                 n_urls=n_urls,
                 n_errors=n_errors,
-                n_extracted=n_extracted,
-                n_sentences=n_sentences,
+                n_extracted=sum(1 for n in site_kept if n),
+                n_sentences=sum(site_kept),
             )
         )
     return reports
-
-
-def write_corpus_tsv(path: str | Path, records: Iterable[CorpusRecord]) -> None:
-    """The plain two-column corpus: ``ja<TAB>zh`` per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(f"{record.ja}\t{record.zh}\n")

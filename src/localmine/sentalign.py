@@ -112,9 +112,9 @@ class LengthModel:
     s2: float = DEFAULT_S2
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
+        if not self.c > 0:  # NaN included
             raise ValueError("c must be positive")
-        if self.s2 <= 0:
+        if not self.s2 > 0:
             raise ValueError("s2 must be positive")
 
     def prior_cost(self, kind: BeadKind) -> float:

@@ -216,6 +216,8 @@ class TestSerialization:
             {**obj, "k": 0.0},
             {**obj, "k": -0.1},
             {**obj, "k": float("nan")},
+            # a negative count in a row whose total is still positive
+            {**obj, "counts": [obj["counts"][0], [["a", {"a": 3, "b": -1}]], obj["counts"][2]]},
         ]
         for broken in bad:
             with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from localmine.pipeline import (
     dedupe,
     emit_report,
     filter_candidates,
+    merge_corpus,
     run_pipeline,
 )
 
@@ -41,6 +42,22 @@ class TestDedupe:
         rows = [record("一。", "1。"), record("二。", "2。"), record("一。", "1。")]
         kept = list(dedupe(rows))
         assert [(r.ja, r.zh) for r in kept] == [("一。", "1。"), ("二。", "2。")]
+
+    def test_merge_counts_what_each_input_kept(self, tmp_path):
+        inputs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"]
+        contents = [
+            [record("一。", "1。"), record("二。", "2。")],
+            [record("二。", "2。"), record("同じ", "同じ"), record("三。", "3。")],
+            [],
+        ]
+        for path, rows in zip(inputs, contents):
+            path.write_text("".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n"
+                                    for r in rows), encoding="utf-8")
+        out, tsv = tmp_path / "corpus.jsonl", tmp_path / "corpus.tsv"
+        assert merge_corpus(inputs, out, tsv) == [2, 1, 0]
+        lines = [l for path in inputs[:2] for l in path.read_text(encoding="utf-8").splitlines()]
+        assert out.read_text(encoding="utf-8").splitlines() == [lines[0], lines[1], lines[4]]
+        assert tsv.read_text(encoding="utf-8") == "一。\t1。\n二。\t2。\n三。\t3。\n"
 
 
 class TestEmitReport:
@@ -136,10 +153,11 @@ class TestRunPipeline:
         (lambda m: _set_counts(m, 2.5), r"totals \d+\.\d+, not a positive integer"),
         (lambda m: _set_counts(m, "2"), "count that is not a number"),
         (lambda m: _set_counts(m, 0), "totals 0, not a positive integer"),
+        (lambda m: _first_count_entry(m).__setitem__(1, {"a": 3, "b": -1}), "negative count"),
         (lambda m: m["table_j2z"]["entries"][0].__setitem__(2, [0.5]), r"\[0\.5\], not a number"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds",
             "row-list", "fractional-count", "string-count", "zero-total",
-            "list-probability"])
+            "negative-count", "list-probability"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
@@ -183,6 +201,68 @@ class TestRunPipeline:
         archive_row = result.reports[0]
         assert (archive_row.n_urls, archive_row.n_errors, archive_row.n_crawled) == (1, 1, 0)
         assert archive_row.n_extracted == 0
+
+    def test_failed_site_leaves_out_its_old_checkpoint(self, fixture_site, tmp_path, monkeypatch):
+        # the site mined records in an earlier run into the same output
+        # directory, then fails in this one: its filtered.jsonl is stale
+        from localmine import pipeline
+
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        assert run_pipeline(config).n_records > 0
+
+        def failing_mine_site(site, *args, **kwargs):
+            raise RuntimeError("site went away")
+
+        monkeypatch.setattr(pipeline, "mine_site", failing_mine_site)
+        result = run_pipeline(config)
+        stale = result.output_dir / "example-news.jp" / "filtered.jsonl"
+        assert stale.read_text(encoding="utf-8")
+        assert (result.site_errors, result.n_records) == (1, 0)
+        assert result.corpus_jsonl.read_text(encoding="utf-8") == ""
+        assert result.corpus_tsv.read_text(encoding="utf-8") == ""
+        (row,) = result.reports
+        assert (row.n_errors, row.n_extracted, row.n_sentences) == (1, 0, 0)
+
+    def test_no_site_records_outlive_the_site(self, fixture_site, tmp_path, monkeypatch):
+        # with one worker, a site's records are freed before the next
+        # site starts: the corpus is merged from the checkpoints
+        import gc
+        import weakref
+
+        from localmine import pipeline
+
+        sites = tmp_path / "sites.jsonl"
+        rows = [
+            json.loads(fixture_site.sites_jsonl.read_text(encoding="utf-8")),
+            {"host": "dead.example.org", "seed_urls": ["https://dead.example.org/"],
+             "source": "archive", "balance": 0.5, "bytes_ja": 1, "bytes_zh": 1},
+        ]
+        sites.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8"
+        )
+        refs: list[weakref.ref] = []
+        alive_at_start: list[int] = []
+        filter_candidates = pipeline.filter_candidates
+        mine_site = pipeline.mine_site
+
+        def tracking_filter(*args, **kwargs):
+            records = filter_candidates(*args, **kwargs)
+            refs.extend(weakref.ref(r) for r in records)
+            return records
+
+        def checking_mine_site(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            return mine_site(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "filter_candidates", tracking_filter)
+        monkeypatch.setattr(pipeline, "mine_site", checking_mine_site)
+        config = load_config(write_run_config(fixture_site, tmp_path / "out"))
+        config.pipeline.sites = str(sites)
+        config.pipeline.jobs = 1
+        result = run_pipeline(config)
+        assert result.n_records > 0 and len(refs) >= result.n_records
+        assert alive_at_start == [0, 0]
 
     def test_mirror_site_records_go_to_the_first_site(self, fixture_site, tmp_path):
         # a second host crawling the same seeds mines the same pairs; dedup
@@ -544,12 +624,15 @@ class TestCli:
         assert code == 1
 
     @pytest.mark.parametrize("command", ["run", "mine"])
-    @pytest.mark.parametrize("key", ["c", "s2"])
-    def test_bad_length_model_stops_before_any_site(self, fixture_site, tmp_path, key, command):
+    @pytest.mark.parametrize("key, value", [("c", "0"), ("s2", "0"), ("c", "nan"), ("s2", "nan")],
+                             ids=["c", "s2", "c-nan", "s2-nan"])
+    def test_bad_length_model_stops_before_any_site(
+        self, fixture_site, tmp_path, key, value, command
+    ):
         config = tmp_path / "run.ini"
         config.write_text(
             write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
-            + f"[sentalign]\n{key} = 0\n",
+            + f"[sentalign]\n{key} = {value}\n",
             encoding="utf-8",
         )
         argv = {"run": ["run"],
@@ -557,6 +640,27 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")]}[command]
         assert cli_main(["--config", str(config)] + argv) == 1
         assert not (tmp_path / "out" / "example-news.jp").exists()
+
+    def test_nan_threshold_stops_before_any_site(self, fixture_site, tmp_path, caplog):
+        config = tmp_path / "run.ini"
+        config.write_text(  # the fixture config ends in its [filter] section
+            write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+            + "threshold = nan\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        assert "key 'threshold' in section [filter] is NaN" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_dedup_never_overwrites_its_input(self, tmp_path, caplog):
+        path = tmp_path / "filtered.jsonl"
+        path.write_text(2 * (json.dumps(record("一。", "1。").to_json()) + "\n"), encoding="utf-8")
+        before = path.read_bytes()
+        out = str(tmp_path / "o.jsonl")
+        for outputs in (["--out", str(path)], ["--out", out, "--tsv", str(path)]):
+            assert cli_main(["dedup", "--input", str(path)] + outputs) == 1, outputs
+            assert path.read_bytes() == before
+        assert "a corpus output is also a merge input" in caplog.text
 
     def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
         model = tmp_path / "bad.json"

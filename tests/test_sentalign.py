@@ -238,6 +238,12 @@ class TestLengthCost:
         got = length_cost(0, 40, LengthModel())
         assert 0.0 < got <= COST_CAP
 
+    @pytest.mark.parametrize("key", ["c", "s2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_model_rejects_non_positive_parameters(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            LengthModel(**{key: value})
+
 
 class TestBeadCost:
     def test_one_bead_assembles_parts(self):
