@@ -8,6 +8,15 @@ shorter order, down to the empty context, and finally to the uniform
 distribution over the alphabet (vocabulary plus the end/unknown slot),
 so any string gets a finite score.
 
+Training counts each padded string's ``n``-grams, its windows of ``n``
+symbols, in one ``Counter``, and then folds every distinct n-gram's
+count into each order's row: an n-gram ``gram`` is the event
+``gram[-1]`` after the ``m``-symbol context ``gram[n - 1 - m : n - 1]``,
+for every ``m`` below ``n``.  The counts equal a per-position count of
+every order; only the order in which rows and their entries enter the
+dicts differs, which no integer sum sees and which a saved model sorts
+away (``to_json`` sorts the contexts, ``BitextFilter.save`` the keys).
+
 On disk a context is written as its symbols joined by NUL, and read
 back with ``key[::2]``, which is exact for every symbol, NUL included.
 ``from_json`` keeps each parsed count row as the model's row, without
@@ -26,6 +35,7 @@ call.  The table is never serialized.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -133,14 +143,16 @@ def train_char_lm(corpus: Iterable[str], n: int = DEFAULT_ORDER, k: float = DEFA
     if not strings:
         raise ValueError("empty corpus")
     lm = CharLM(n=n, k=k, counts=[{} for _ in range(n)])
+    grams: Counter[str] = Counter()
     for text in strings:
         lm.vocabulary.update(text)
         padded = BOS * (n - 1) + text + EOS
-        for pos in range(n - 1, len(padded)):
-            char = padded[pos]
-            for m in range(n):
-                row = lm.counts[m].setdefault(padded[pos - m : pos], {})
-                row[char] = row.get(char, 0) + 1
+        grams.update(padded[start : start + n] for start in range(len(padded) - n + 1))
+    for gram, count in grams.items():
+        char = gram[-1]
+        for m, level in enumerate(lm.counts):
+            row = level.setdefault(gram[n - 1 - m : n - 1], {})
+            row[char] = row.get(char, 0) + count
     return lm
 
 

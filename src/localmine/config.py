@@ -95,9 +95,15 @@ class PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse an INI config; unknown sections or keys, and NaN values, are
-    fatal (they are silent misconfiguration otherwise)."""
+    fatal (they are silent misconfiguration otherwise).  So is a file
+    that is not INI, such as one repeating a section or key, or setting
+    a key before any section header: a one-line ``ValueError`` that
+    names the file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as err:
+        raise ValueError(f"malformed config file {path}: {' '.join(str(err).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     config = PipelineConfig()

@@ -5,6 +5,25 @@ feature subset (sqrt of the feature count) for the Gini-optimal
 threshold.  All randomness flows from one seeded generator drawn
 sequentially, so a fixed seed gives a bit-identical model and
 predictions.  The prediction is the fraction of trees voting 1.
+Training values must be finite.
+
+The split search never sorts at a node.  ``fit`` ranks each scaled
+column once, against its distinct values (presorting, as in SLIQ), and
+a node holds only the ids of its training rows, bootstrap repeats
+included.  For a drawn feature, the node counts its rows and its
+positives at each rank with ``np.bincount``: a histogram with one bin
+per distinct value, as in LightGBM's split finding, so nothing is lost
+to binning.  A split falls in each gap between two ranks the node
+holds; the row and positive counts left of it are cumulative sums, the
+Gini impurity is computed from them, and the threshold is the midpoint
+of the two values beside the best gap.  This grows the trees a sort of
+the node's column would: a gap's counts are sums over whole groups of
+equal values, which are exact integers in any order, and the impurity,
+its argmin and the midpoint are the same float expressions on the same
+numbers.  (-0.0 and 0.0 share a rank; a midpoint's other value is
+nonzero, so either zero gives the same sum.)  Rows are sent left by
+``value <= threshold``, not by rank, because the midpoint of two
+adjacent floats can round up to the upper one, which then goes left too.
 
 The trees are held as flat arrays, node by node in pre-order and one
 tree after another, the order ``to_json`` writes.  Node i splits on
@@ -34,30 +53,22 @@ DEFAULT_DEPTH = 8
 # the walk's index arrays stays at 200 kB.
 BLOCK_ROWS = 256
 
-def _gini_best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Best (threshold, impurity) for one feature column, or None when the
-    column cannot split the node."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    n = len(ys)
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # split between distinct values
-    if len(boundaries) == 0:
-        return None
-    left_pos = np.cumsum(ys)[boundaries].astype(np.float64)
-    left_n = (boundaries + 1).astype(np.float64)
-    right_n = n - left_n
-    total_pos = float(ys.sum())
-    right_pos = total_pos - left_pos
-    p_left = left_pos / left_n
-    p_right = right_pos / right_n
-    gini = (
-        left_n * (2.0 * p_left * (1.0 - p_left))
-        + right_n * (2.0 * p_right * (1.0 - p_right))
-    ) / n
-    best = int(np.argmin(gini))
-    threshold = 0.5 * (xs[boundaries[best]] + xs[boundaries[best] + 1])
-    return float(threshold), float(gini[best])
+
+@dataclass
+class _Columns:
+    """A fit's scaled training matrix with, per column, its distinct
+    values in ascending order and each row's rank among them, so that
+    ``values[f][ranks[f][i]] == scaled[i, f]``."""
+
+    scaled: np.ndarray
+    y: np.ndarray
+    values: list[np.ndarray]
+    ranks: list[np.ndarray]
+
+    @classmethod
+    def of(cls, scaled: np.ndarray, y: np.ndarray) -> "_Columns":
+        columns = [np.unique(col, return_inverse=True) for col in scaled.T]
+        return cls(scaled, y, [values for values, _ in columns], [ranks for _, ranks in columns])
 
 
 def _leaf(nodes: list[list], vote: int) -> int:
@@ -69,40 +80,63 @@ def _leaf(nodes: list[list], vote: int) -> int:
 
 
 def _grow(
-    x: np.ndarray,
-    y: np.ndarray,
+    rows: np.ndarray,
+    data: _Columns,
     depth: int,
     max_depth: int,
     n_subset: int,
     rng: np.random.Generator,
     nodes: list[list],
 ) -> int:
-    """Append the tree grown on (x, y) to ``nodes`` in pre-order and
-    return the index of its root."""
+    """Append the tree grown on the training rows ``rows`` (row ids,
+    repeats included) to ``nodes`` in pre-order and return the index of
+    its root."""
+    y = data.y[rows]
+    n = len(y)
     ones = int(y.sum())
-    vote = 1 if 2 * ones > len(y) else 0
-    if depth >= max_depth or ones == 0 or ones == len(y):
+    vote = 1 if 2 * ones > n else 0
+    if depth >= max_depth or ones == 0 or ones == n:
         return _leaf(nodes, vote)
-    features = rng.choice(x.shape[1], size=n_subset, replace=False)
+    features = rng.choice(data.scaled.shape[1], size=n_subset, replace=False)
+    weights = y.astype(np.float64)
+    total_pos = float(ones)
     best_feature = -1
     best_threshold = 0.0
     best_impurity = math.inf
-    for f in sorted(int(v) for v in features):
-        found = _gini_best_split(x[:, f], y)
-        if found is None:
+    for f in sorted(features.tolist()):
+        # Rows and positives per distinct value of the column, in value
+        # order; a split falls in each gap between values the node holds.
+        ranks = data.ranks[f][rows]
+        n_at = np.bincount(ranks)
+        (present,) = n_at.nonzero()
+        if len(present) < 2:
             continue
-        threshold, impurity = found
-        if impurity < best_impurity:
-            best_impurity = impurity
+        pos_at = np.bincount(ranks, weights=weights, minlength=len(n_at))
+        left_n = n_at[present[:-1]].cumsum().astype(np.float64)
+        left_pos = pos_at[present[:-1]].cumsum()
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        p_left = left_pos / left_n
+        p_right = right_pos / right_n
+        gini = (
+            left_n * (2.0 * p_left * (1.0 - p_left))
+            + right_n * (2.0 * p_right * (1.0 - p_right))
+        ) / n
+        best = int(gini.argmin())
+        if gini[best] < best_impurity:
+            values = data.values[f]
+            best_impurity = float(gini[best])
             best_feature = f
-            best_threshold = threshold
+            best_threshold = float(0.5 * (values[present[best]] + values[present[best + 1]]))
     if best_feature < 0:
         return _leaf(nodes, vote)
     index = len(nodes)
     nodes.append([best_feature, best_threshold, -1, -1, 0])
-    mask = x[:, best_feature] <= best_threshold
-    nodes[index][2] = _grow(x[mask], y[mask], depth + 1, max_depth, n_subset, rng, nodes)
-    nodes[index][3] = _grow(x[~mask], y[~mask], depth + 1, max_depth, n_subset, rng, nodes)
+    # Split on the values, not the ranks: the midpoint of two adjacent
+    # floats can round up to the upper one, which then goes left too.
+    mask = data.scaled[rows, best_feature] <= best_threshold
+    nodes[index][2] = _grow(rows[mask], data, depth + 1, max_depth, n_subset, rng, nodes)
+    nodes[index][3] = _grow(rows[~mask], data, depth + 1, max_depth, n_subset, rng, nodes)
     return index
 
 
@@ -141,6 +175,8 @@ class RandomForest:
     vote: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError(f"a forest needs at least one tree, not {self.n_trees}")
         self._set_trees([], [])
 
     def _set_trees(self, roots: list[int], nodes: list[list]) -> None:
@@ -160,20 +196,25 @@ class RandomForest:
             raise ValueError("labels must be 0/1")
         if len(classes) < 2:
             raise ValueError("both classes must be present")
+        if not np.isfinite(x).all():
+            raise ValueError("feature values must be finite")
         means = x.mean(axis=0)
         stds = x.std(axis=0)
         stds[stds == 0.0] = 1.0
+        scaled = (x - means) / stds
+        if not (np.isfinite(stds).all() and np.isfinite(scaled).all()):
+            raise ValueError("feature values overflow when scaled")
         self.feature_means = [float(v) for v in means]
         self.feature_stds = [float(v) for v in stds]
         self.n_training_rows = len(y)
-        scaled = (x - means) / stds
+        data = _Columns.of(scaled, y)
         n_subset = max(1, int(math.isqrt(x.shape[1])))
         rng = np.random.default_rng(self.seed)
         roots: list[int] = []
         nodes: list[list] = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, len(y), size=len(y))
-            roots.append(_grow(scaled[idx], y[idx], 0, self.max_depth, n_subset, rng, nodes))
+            roots.append(_grow(idx, data, 0, self.max_depth, n_subset, rng, nodes))
         self._set_trees(roots, nodes)
         return self
 
@@ -236,9 +277,9 @@ class RandomForest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RandomForest":
-        """Read ``to_json`` output; feature means and stds of different
-        lengths, or a split on a feature they do not cover, is a
-        ``ValueError``."""
+        """Read ``to_json`` output; no trees, feature means and stds of
+        different lengths, or a split on a feature they do not cover, is
+        a ``ValueError``."""
         model = cls(
             n_trees=int(obj["n_trees"]),
             max_depth=int(obj["max_depth"]),
@@ -252,6 +293,8 @@ class RandomForest:
                 f"{n_features} feature means but {len(model.feature_stds)} feature stds"
             )
         model.n_training_rows = int(obj.get("n_training_rows", 0))
+        if not obj["trees"]:
+            raise ValueError("forest has no trees")
         nodes: list[list] = []
         roots = [_read_tree(tree, nodes, n_features) for tree in obj["trees"]]
         model._set_trees(roots, nodes)

@@ -227,3 +227,47 @@ class TestSerialization:
         lm = CharLM(n=2, k=0.1, vocabulary={"a", "b"}, counts=[{}, {"a": {"b": 3}}])
         assert lm.prob("b", "a") == pytest.approx(3.1 / 3.3)
         assert lm.prob("a", "b") == 1.0 / 3
+
+
+# ``train_char_lm``'s per-position loop, which the one-pass n-gram count
+# replaced, kept verbatim as the oracle.
+def reference_train_char_lm(corpus: Iterable[str], n: int = DEFAULT_ORDER,
+                            k: float = DEFAULT_ADD_K) -> CharLM:
+    """Count padded character n-grams of every order up to ``n``."""
+    strings = [s for s in corpus if s]
+    lm = CharLM(n=n, k=k, counts=[{} for _ in range(n)])
+    for text in strings:
+        lm.vocabulary.update(text)
+        padded = BOS * (n - 1) + text + EOS
+        for pos in range(n - 1, len(padded)):
+            char = padded[pos]
+            for m in range(n):
+                row = lm.counts[m].setdefault(padded[pos - m : pos], {})
+                row[char] = row.get(char, 0) + 1
+    return lm
+
+
+# Padding and end symbols inside the text, NUL, and characters outside
+# the Basic Multilingual Plane.
+_HOSTILE = st.text(
+    alphabet=st.sampled_from(list("あい日本ab.") + [BOS, EOS, "\x00", "😀", "𠀋", "𝕏"]),
+    max_size=14,
+)
+
+
+class TestLoopOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(_HOSTILE, min_size=1, max_size=8).filter(any),
+        n=st.integers(min_value=2, max_value=7),
+        k=st.sampled_from([0.05, 0.1, 1.0]),
+    )
+    def test_one_pass_count_equals_the_position_loop(self, corpus, n, k):
+        lm = train_char_lm(corpus, n=n, k=k)
+        ref = reference_train_char_lm(corpus, n=n, k=k)
+        assert lm.counts == ref.counts
+        assert lm.vocabulary == ref.vocabulary
+        assert json.dumps(lm.to_json(), sort_keys=True) == json.dumps(ref.to_json(), sort_keys=True)
+        for text in corpus + ["未知😀", BOS + EOS]:
+            if text:
+                assert lm_score(lm, text) == lm_score(ref, text)

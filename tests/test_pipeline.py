@@ -149,13 +149,14 @@ class TestRunPipeline:
         (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
          "splits on feature"),
         (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
+        (lambda m: m["forest"].update(trees=[]), "forest has no trees"),
         (lambda m: _first_count_entry(m).__setitem__(1, [1]), "count row is a list"),
         (lambda m: _set_counts(m, 2.5), r"totals \d+\.\d+, not a positive integer"),
         (lambda m: _set_counts(m, "2"), "count that is not a number"),
         (lambda m: _set_counts(m, 0), "totals 0, not a positive integer"),
         (lambda m: _first_count_entry(m).__setitem__(1, {"a": 3, "b": -1}), "negative count"),
         (lambda m: m["table_j2z"]["entries"][0].__setitem__(2, [0.5]), r"\[0\.5\], not a number"),
-    ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds",
+    ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds", "no-trees",
             "row-list", "fractional-count", "string-count", "zero-total",
             "negative-count", "list-probability"])
     def test_malformed_model_stops_before_any_site(
@@ -651,6 +652,31 @@ class TestCli:
         assert cli_main(["--config", str(config), "run"]) == 1
         assert "key 'threshold' in section [filter] is NaN" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[filter]\nthreshold = 0.4\n[filter]\ndepth = 3\n", "section 'filter' already exists"),
+        ("threshold = 0.4\n[filter]\n", "File contains no section headers"),
+    ], ids=["duplicate-section", "key-before-header"])
+    def test_malformed_config_is_one_error(self, tmp_path, caplog, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text, encoding="utf-8")
+        assert cli_main(["--config", str(config), "run"]) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage().startswith(f"malformed config file {config}: ")
+        assert message in error.getMessage()
+        assert "\n" not in error.getMessage()
+        assert error.exc_info is None
+
+    def test_zero_trees_stops_before_any_site(self, fixture_site, tmp_path, caplog):
+        config = tmp_path / "run.ini"
+        config.write_text(  # the fixture config ends in its [filter] section
+            write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+            + "trees = 0\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        assert "a forest needs at least one tree, not 0" in caplog.text
+        assert not (tmp_path / "out" / "example-news.jp").exists()
 
     def test_dedup_never_overwrites_its_input(self, tmp_path, caplog):
         path = tmp_path / "filtered.jsonl"
