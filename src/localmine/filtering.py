@@ -27,10 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .charlm import DEFAULT_ADD_K, DEFAULT_ORDER, CharLM, lm_score, train_char_lm
+from .charlm import DEFAULT_ADD_K, DEFAULT_ORDER, CharLM, _check_parameters, lm_score, train_char_lm
 from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
-from .model1 import DEFAULT_ITERATIONS, TranslationTable, train_model1
+from .model1 import DEFAULT_ITERATIONS, TranslationTable, _check_iterations, train_model1
 from .text import LanguageTag, Segmenter
 
 logger = logging.getLogger(__name__)
@@ -97,19 +97,6 @@ class CorpusRecord:
             "filter_score": round(self.filter_score, 4),
             "embed_sim": None if self.embed_sim is None else round(self.embed_sim, 4),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CorpusRecord":
-        return cls(
-            ja=obj["ja"],
-            zh=obj["zh"],
-            src_url_ja=obj.get("src_url_ja", ""),
-            src_url_zh=obj.get("src_url_zh", ""),
-            doc_score=float(obj.get("doc_score", 0.0)),
-            bead_cost=float(obj.get("bead_cost", 0.0)),
-            filter_score=float(obj.get("filter_score", 0.0)),
-            embed_sim=(None if obj.get("embed_sim") is None else float(obj["embed_sim"])),
-        )
 
     def to_raw_json(self) -> dict:
         """The unscored candidate row of ``raw_pairs.jsonl``."""
@@ -398,9 +385,14 @@ def train_filter(
     seed: int = 0,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
 ) -> BitextFilter:
-    """Train every component of the filter from one parallel corpus."""
+    """Train every component of the filter from one parallel corpus.
+    Every setting is checked, by the check its component runs, before
+    any training work, so a bad one costs no training time."""
     if len(parallel) < 10:
         raise ValueError("need at least 10 parallel pairs to train the filter")
+    RandomForest(n_trees=trees, max_depth=depth)  # checks the forest settings
+    _check_parameters(lm_order, lm_k)
+    _check_iterations(model1_iterations)
     tokenized = [(seg_ja(ja), seg_zh(zh)) for ja, zh in parallel]
     table_j2z = train_model1(tokenized, iterations=model1_iterations, direction="ja-zh")
     table_z2j = train_model1(

@@ -5,7 +5,9 @@ feature subset (sqrt of the feature count) for the Gini-optimal
 threshold.  All randomness flows from one seeded generator drawn
 sequentially, so a fixed seed gives a bit-identical model and
 predictions.  The prediction is the fraction of trees voting 1.
-Training values must be finite.
+Training values must be finite.  A forest has at least one tree, and
+a depth of at least 1: at depth 0 every tree is one leaf, so every row
+gets the same score.
 
 The split search never sorts at a node.  ``fit`` ranks each scaled
 column once, against its distinct values (presorting, as in SLIQ), and
@@ -177,6 +179,8 @@ class RandomForest:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError(f"a forest needs at least one tree, not {self.n_trees}")
+        if self.max_depth < 1:
+            raise ValueError(f"a tree needs a depth of at least 1, not {self.max_depth}")
         self._set_trees([], [])
 
     def _set_trees(self, roots: list[int], nodes: list[list]) -> None:

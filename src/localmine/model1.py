@@ -113,6 +113,11 @@ class TranslationTable:
         return table
 
 
+def _check_iterations(iterations: int) -> None:
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+
+
 def train_model1(
     corpus: Sequence[tuple[Sequence[str], Sequence[str]]],
     iterations: int = DEFAULT_ITERATIONS,
@@ -125,8 +130,7 @@ def train_model1(
     """
     if not corpus:
         raise ValueError("empty corpus")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _check_iterations(iterations)
 
     pairs = [
         ([NULL_TOKEN] + list(src), list(trg))

@@ -3,21 +3,25 @@ sentence alignment -> filtering -> exact dedup, with per-site
 checkpointing and the mining report.
 
 Per-site results are written as soon as a site finishes, so a crash
-loses at most one site.  A site's records reach the corpus only through
-its ``filtered.jsonl`` checkpoint: once it is written the site keeps no
-record in memory, and ``merge_corpus`` streams the checkpoints of the
-sites that did not fail, in site order, through one global dedup.  Runs
-are deterministic: with the same config, seed and snapshot inputs the
-corpus and report files are byte-identical.  The CLI subcommands call
-the same stage functions as ``run_pipeline``; ``localmine dedup`` is
-``merge_corpus`` on one file.
+loses at most one site.  Every JSON Lines checkpoint and both corpus
+files are written whole or not at all (``jsonl.whole_file``), so a
+complete ``filtered.jsonl`` marks a finished site; the snapshot's page
+files, ``ladder.tsv`` and the ``report.*`` files are still written in
+place.  A site's records reach the corpus only through its
+``filtered.jsonl``: once it is written the site keeps no record in
+memory, and ``merge_corpus`` streams the rows of the sites that did
+not fail, in site order and as they were written, through one global
+dedup.  Runs are deterministic: with the same config, seed and
+snapshot inputs the corpus and report files are byte-identical.  The
+CLI subcommands call the same stage functions as ``run_pipeline``;
+``localmine dedup`` is ``merge_corpus`` on one file.
 
 The benchmark tracer (``perfbench/tracer.py``) times each layer by
 rebinding this module's globals by name (the stage functions imported
-here, ``mine_site``, ``filter_candidates`` and ``_write_jsonl``, the
-JSONL writer, whose write of ``filtered.jsonl`` ends a site), so stages
-must keep those names and reach them through the module globals at call
-time.
+here, ``mine_site``, ``filter_candidates``, ``dedupe`` and
+``_write_jsonl``, the JSONL writer, whose write of ``filtered.jsonl``
+ends a site), so stages must keep those names and reach them through
+the module globals at call time.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .filtering import (
     train_filter,
 )
 from .htmltext import EncodingError, extract_page
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, whole_file
 from .jsonl import write_jsonl as _write_jsonl
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
 from .sentalign import LengthModel, align_sentences, extract_pairs, format_ladder_tsv
@@ -144,17 +148,18 @@ def emit_report(reports: Iterable[SiteReport], format: str = "tsv") -> bytes:
     raise ValueError(f"unknown report format: {format!r}")
 
 
-def dedupe(records: Iterable[CorpusRecord]) -> Iterator[CorpusRecord]:
-    """Drop exact (ja, zh) duplicates keeping the first occurrence, and
-    records whose two sides are identical.  Lazy: a kept record is
-    yielded before the next one is read."""
+def dedupe(rows: Iterable[dict]) -> Iterator[dict]:
+    """Drop corpus rows whose (``ja``, ``zh``) pair an earlier row had,
+    and rows whose two sides are identical; the rows pass as they are.
+    Lazy: a kept row is yielded before the next one is read, so only
+    the set of kept pairs is held."""
     seen: set[tuple[str, str]] = set()
-    for record in records:
-        key = (record.ja, record.zh)
-        if record.ja == record.zh or key in seen:
+    for row in rows:
+        key = row["ja"], row["zh"]
+        if key[0] == key[1] or key in seen:
             continue
         seen.add(key)
-        yield record
+        yield row
 
 
 @dataclass
@@ -211,12 +216,12 @@ def pages_to_documents(
 
 
 def crawl_and_dump(
-    site: CandidateSite, config: PipelineConfig, fetch: Fetch, pages_dir: Path | None
+    site: CandidateSite, config: PipelineConfig, fetch: Fetch, pages_dir: Path
 ) -> PageStore:
     """Crawl one site under the ``[crawler]`` budget; a crawl that did
-    not fail is dumped as a snapshot into ``pages_dir`` when given."""
+    not fail is dumped as a snapshot into ``pages_dir``."""
     store = crawl_site(site, config.crawler, fetch)
-    if pages_dir is not None and not store.crawl_failed:
+    if not store.crawl_failed:
         dump_snapshot(store, pages_dir)
     return store
 
@@ -227,19 +232,20 @@ def mine_site(
     length_model: LengthModel,
     config: PipelineConfig,
     fetch: Fetch,
-    site_dir: Path | None = None,
+    site_dir: Path,
 ) -> tuple[SiteOutcome, list[CorpusRecord]]:
     """Crawl one site and align it down to candidate sentence pairs.
 
     ``length_model`` is the run's ``config.sentalign.length_model()``,
     built once by the caller so that a bad ``[sentalign]`` value stops
     the run before any site.  Returns the site's outcome plus the
-    unscored candidates in document-pair order; the caller applies the
-    filter stage and writes the survivors to ``filtered.jsonl``.
+    unscored candidates in document-pair order, and writes the site's
+    snapshot and alignment checkpoints under ``site_dir``; the caller
+    applies the filter stage and writes the survivors to
+    ``filtered.jsonl``.
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
-    pages_dir = site_dir / "pages" if site_dir is not None else None
-    store = crawl_and_dump(site, config, fetch, pages_dir)
+    store = crawl_and_dump(site, config, fetch, site_dir / "pages")
     if store.crawl_failed:
         outcome.error = f"crawl failed: {store.failure_reason}"
         return outcome, []
@@ -286,16 +292,13 @@ def mine_site(
             )
             for ja, zh, cost, tokens_ja, tokens_zh in pairs
         )
-        ladder_dump.append(f"# {pair.doc_ja.url}\t{pair.doc_zh.url}")
-        ladder_dump.append(format_ladder_tsv(ladder).rstrip("\n"))
+        ladder_dump.append(f"# {pair.doc_ja.url}\t{pair.doc_zh.url}\n")
+        ladder_dump.append(format_ladder_tsv(ladder).rstrip("\n") + "\n")
     outcome.n_candidates = len(candidates)
 
-    if site_dir is not None:
-        _write_jsonl(site_dir / "docpairs.jsonl", (p.to_json() for p in doc_pairs))
-        (site_dir / "ladder.tsv").write_text(
-            "\n".join(ladder_dump) + ("\n" if ladder_dump else ""), encoding="utf-8"
-        )
-        _write_jsonl(site_dir / "raw_pairs.jsonl", (c.to_raw_json() for c in candidates))
+    _write_jsonl(site_dir / "docpairs.jsonl", (p.to_json() for p in doc_pairs))
+    (site_dir / "ladder.tsv").write_text("".join(ladder_dump), encoding="utf-8")
+    _write_jsonl(site_dir / "raw_pairs.jsonl", (c.to_raw_json() for c in candidates))
     return outcome, candidates
 
 
@@ -468,7 +471,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     def process(site: CandidateSite) -> SiteOutcome:
         site_dir = out_dir / site.host
-        site_dir.mkdir(parents=True, exist_ok=True)
         try:
             outcome, candidates = mine_site(site, lexicon, length_model, config, fetch, site_dir)
             counters: dict[str, int] = {}
@@ -527,30 +529,34 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 def merge_corpus(
     inputs: list[Path], corpus_jsonl: str | Path, corpus_tsv: str | Path | None = None
 ) -> list[int]:
-    """Stream the ``filtered.jsonl`` files ``inputs``, in order, through
-    ``dedupe`` into ``corpus_jsonl`` and, when given, the two-column
-    ``corpus_tsv``; return how many records each input kept."""
+    """Stream the rows of the ``filtered.jsonl`` files ``inputs``, in
+    order, through ``dedupe`` into ``corpus_jsonl``, each kept row as it
+    was written, and, when given, its two sides into the two-column
+    ``corpus_tsv``; return how many rows each input kept.  Only the
+    dedup key set grows with the corpus.  Each output is written whole
+    or not at all (``jsonl.whole_file``), so a missing or malformed
+    input leaves both as they were."""
     outputs = {Path(p).resolve() for p in (corpus_jsonl, corpus_tsv) if p}
-    if any(Path(p).resolve() in outputs for p in inputs):  # it would be emptied first
+    if any(Path(p).resolve() in outputs for p in inputs):
         raise ValueError("a corpus output is also a merge input")
     kept = [0] * len(inputs)
     current = 0
 
-    def records() -> Iterator[CorpusRecord]:
+    def rows() -> Iterator[dict]:
         nonlocal current
         for current, path in enumerate(inputs):
-            yield from map(CorpusRecord.from_json, read_jsonl(path))
+            yield from read_jsonl(path)
 
-    def rows(tsv) -> Iterator[dict]:
-        # dedupe is lazy, so a kept record comes from input ``current``.
-        for record in dedupe(records()):
+    def kept_rows(tsv) -> Iterator[dict]:
+        # dedupe is lazy, so a kept row comes from input ``current``.
+        for row in dedupe(rows()):
             kept[current] += 1
             if tsv is not None:
-                tsv.write(f"{record.ja}\t{record.zh}\n")
-            yield record.to_json()
+                tsv.write(f"{row['ja']}\t{row['zh']}\n")
+            yield row
 
-    with open(corpus_tsv, "w", encoding="utf-8") if corpus_tsv else nullcontext() as tsv:
-        _write_jsonl(corpus_jsonl, rows(tsv))
+    with whole_file(corpus_tsv) if corpus_tsv else nullcontext() as tsv:
+        _write_jsonl(corpus_jsonl, kept_rows(tsv))
     return kept
 
 

@@ -372,6 +372,22 @@ class TestTrainFilter:
             assert tokens_ja == seg_ja(ja)
             assert tokens_zh == seg_zh(zh)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"trees": 0}, "at least one tree"),
+        ({"depth": 0}, "depth of at least 1"),
+        ({"lm_order": 1}, "order must be in"),
+        ({"lm_k": 0.0}, "smoothing constant must be positive"),
+        ({"model1_iterations": 0}, "iterations must be >= 1"),
+    ])
+    def test_settings_checked_before_any_training(self, monkeypatch, starter_lexicon,
+                                                  setting, message):
+        def untouched(*args, **kwargs):
+            raise AssertionError("training ran before the settings were checked")
+
+        monkeypatch.setattr(filtering, "train_model1", untouched)
+        with pytest.raises(ValueError, match=message):
+            train_filter(self.PARALLEL, starter_lexicon, untouched, untouched, **setting)
+
 
 def test_cosine_similarity_basics():
     assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)

@@ -187,6 +187,15 @@ class TestFitChecks:
             with pytest.raises(ValueError, match="at least one tree"):
                 RandomForest(n_trees=n_trees)
 
+    def test_trees_need_a_depth(self):
+        x, y = separable_data(n=100, seed=3)
+        obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="depth of at least 1"):
+                RandomForest(max_depth=depth)
+            with pytest.raises(ValueError, match="depth of at least 1"):
+                RandomForest.from_json({**obj, "max_depth": depth})
+
     def test_from_json_rejects_a_forest_with_no_trees(self):
         x, y = separable_data(n=100, seed=3)
         obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
@@ -327,7 +336,7 @@ class TestArgsortOracle:
     @given(
         data=training_sets(),
         n_trees=st.integers(1, 5),
-        depth=st.integers(0, 8),
+        depth=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_rank_search_grows_the_argsort_forest(self, data, n_trees, depth, seed):

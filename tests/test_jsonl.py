@@ -4,6 +4,8 @@ Each writer and reader here is one the miner itself uses."""
 
 import json
 
+import pytest
+
 from localmine import pipeline
 from localmine.crawl import Page, PageStore, dump_snapshot
 from localmine.discovery import SOURCE_CROWD, CandidateSite
@@ -21,6 +23,21 @@ class TestWriters:
         assert path.read_bytes() == (
             '{"ja": "学生は新聞を読む。", "zh": "学生读报纸。"}\n{"n": 1}\n'.encode("utf-8")
         )
+
+    def test_rows_that_fail_midway_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "example.jp" / "filtered.jsonl"
+
+        def failing_rows():
+            yield {"ja": JA, "zh": ZH}
+            raise RuntimeError("row 2")
+
+        for old in (None, b'{"n": 1}\n'):
+            if old is not None:
+                path.write_bytes(old)
+            with pytest.raises(RuntimeError, match="row 2"):
+                pipeline._write_jsonl(path, failing_rows())
+            assert (path.read_bytes() if path.exists() else None) == old
+            assert [p.name for p in path.parent.iterdir()] == ([] if old is None else [path.name])
 
     def test_snapshot_manifest(self, tmp_path):
         store = PageStore(host="例え.jp", pages=[

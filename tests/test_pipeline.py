@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,7 @@ from sitegen import write_run_config
 
 
 def record(ja, zh):
-    return CorpusRecord(ja=ja, zh=zh, filter_score=0.9)
+    return CorpusRecord(ja=ja, zh=zh, filter_score=0.9).to_json()
 
 
 class TestDedupe:
@@ -41,7 +42,7 @@ class TestDedupe:
     def test_order_stable(self):
         rows = [record("一。", "1。"), record("二。", "2。"), record("一。", "1。")]
         kept = list(dedupe(rows))
-        assert [(r.ja, r.zh) for r in kept] == [("一。", "1。"), ("二。", "2。")]
+        assert [(r["ja"], r["zh"]) for r in kept] == [("一。", "1。"), ("二。", "2。")]
 
     def test_merge_counts_what_each_input_kept(self, tmp_path):
         inputs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"]
@@ -51,13 +52,42 @@ class TestDedupe:
             [],
         ]
         for path, rows in zip(inputs, contents):
-            path.write_text("".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n"
+            path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
                                     for r in rows), encoding="utf-8")
         out, tsv = tmp_path / "corpus.jsonl", tmp_path / "corpus.tsv"
         assert merge_corpus(inputs, out, tsv) == [2, 1, 0]
         lines = [l for path in inputs[:2] for l in path.read_text(encoding="utf-8").splitlines()]
         assert out.read_text(encoding="utf-8").splitlines() == [lines[0], lines[1], lines[4]]
         assert tsv.read_text(encoding="utf-8") == "一。\t1。\n二。\t2。\n三。\t3。\n"
+
+    def test_merge_peak_memory_grows_only_with_the_key_set(self, tmp_path):
+        """32 copies of one checkpoint add no key to the dedup set, so
+        the merge's peak stays where one copy puts it; a merge that held
+        the rows it reads would grow 32-fold."""
+        path = tmp_path / "filtered.jsonl"
+        path.write_text("".join(
+            json.dumps(CorpusRecord(
+                ja=f"学生は新聞を{i}回読む。", zh=f"学生读了{i}次报纸。",
+                src_url_ja=f"https://example.jp/ja/{i // 20}.html",
+                src_url_zh=f"https://example.jp/zh/{i // 20}.html",
+                doc_score=0.8, bead_cost=0.25, filter_score=0.9,
+            ).to_json(), ensure_ascii=False) + "\n"
+            for i in range(2000)
+        ), encoding="utf-8")
+
+        def merge_peak(copies):
+            tracemalloc.start()
+            try:
+                kept = merge_corpus([path] * copies, tmp_path / "c.jsonl", tmp_path / "c.tsv")
+                return tracemalloc.get_traced_memory()[1], kept
+            finally:
+                tracemalloc.stop()
+
+        merge_peak(1)  # warm-up: first-call allocations
+        peak_1, kept_1 = merge_peak(1)
+        peak_32, kept_32 = merge_peak(32)
+        assert kept_1 == [2000] and kept_32 == [2000] + [0] * 31
+        assert peak_32 <= 1.1 * peak_1, (peak_1, peak_32)
 
 
 class TestEmitReport:
@@ -680,13 +710,53 @@ class TestCli:
 
     def test_dedup_never_overwrites_its_input(self, tmp_path, caplog):
         path = tmp_path / "filtered.jsonl"
-        path.write_text(2 * (json.dumps(record("一。", "1。").to_json()) + "\n"), encoding="utf-8")
+        path.write_text(2 * (json.dumps(record("一。", "1。")) + "\n"), encoding="utf-8")
         before = path.read_bytes()
         out = str(tmp_path / "o.jsonl")
         for outputs in (["--out", str(path)], ["--out", out, "--tsv", str(path)]):
             assert cli_main(["dedup", "--input", str(path)] + outputs) == 1, outputs
             assert path.read_bytes() == before
         assert "a corpus output is also a merge input" in caplog.text
+
+    @pytest.mark.parametrize(
+        "content", [None, '{"ja": "一。", "zh": "1。"}\n{"ja": \n'], ids=["missing", "malformed"]
+    )
+    def test_dedup_of_a_bad_input_leaves_its_outputs(self, tmp_path, caplog, content):
+        """A missing input, or one malformed after a good row, exits 1
+        and leaves each output as it was: absent, or its old bytes."""
+        path = tmp_path / "filtered.jsonl"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        out, tsv = tmp_path / "o.jsonl", tmp_path / "o.tsv"
+        args = ["dedup", "--input", str(path), "--out", str(out), "--tsv", str(tsv)]
+        assert cli_main(args) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["filtered.jsonl"] if content is not None else []
+        )
+        out.write_bytes(b"old corpus\n")
+        tsv.write_bytes(b"old\ttsv\n")
+        assert cli_main(args) == 1
+        assert out.read_bytes() == b"old corpus\n" and tsv.read_bytes() == b"old\ttsv\n"
+        assert not list(tmp_path.glob("*.partial"))
+        assert "Traceback" not in caplog.text
+
+    def test_dedup_copies_rows_as_they_are(self, tmp_path, capsys):
+        """A row passes with its extra keys and values unrounded; no
+        missing key is filled in."""
+        rows = [
+            {"zh": "1。", "ja": "一。", "doc_score": 0.123456789, "extra": [1, None]},
+            {"ja": "一。", "zh": "1。", "doc_score": 0.5},
+            {"ja": "二。", "zh": "2。"},
+        ]
+        path = tmp_path / "filtered.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8"
+        )
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["dedup", "--input", str(path), "--out", str(out)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert out.read_text(encoding="utf-8").splitlines() == [lines[0], lines[2]]
+        assert capsys.readouterr().out == f"2 records -> {out}\n"
 
     def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
         model = tmp_path / "bad.json"
@@ -852,7 +922,7 @@ class TestFilterTokens:
 
         monkeypatch.setattr(pipeline, "extract_pairs", counting_extract)
         outcome, candidates = pipeline.mine_site(
-            site, lexicon, config.sentalign.length_model(), config, fetch
+            site, lexicon, config.sentalign.length_model(), config, fetch, tmp_path / "site"
         )
         assert not outcome.error and candidates
         return config, lexicon, candidates, sum(multi_sides)
