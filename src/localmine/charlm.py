@@ -15,21 +15,26 @@ count into each order's row: an n-gram ``gram`` is the event
 for every ``m`` below ``n``.  The counts equal a per-position count of
 every order; only the order in which rows and their entries enter the
 dicts differs, which no integer sum sees and which a saved model sorts
-away (``to_json`` sorts the contexts, ``BitextFilter.save`` the keys).
+away (``to_json`` sorts the contexts and each row's characters).
 
-On disk a context is written as its symbols joined by NUL, and read
-back with ``key[::2]``, which is exact for every symbol, NUL included.
-``from_json`` keeps each parsed count row as the model's row, without
-copying it.  A model file must satisfy ``train_char_lm``'s rules (order
-in [2, 7], positive smoothing constant) and hold one count level per
-order; a count row that is not an object, that holds a negative count,
-or whose counts do not sum to a positive integer, is a ``ValueError``.
+On disk (filter model version 2) each order's count level is four
+columns (``columns``): its contexts as plain sorted strings, each
+row's length, one string of every row's continuation characters (each
+is one code point) and their counts.  ``from_json`` builds
+each row from the columns, every distinct continuation character one
+shared string, and each row's denominator from the exact integer sum
+of its counts.  A model file must satisfy ``train_char_lm``'s rules
+(order in [2, 7], positive smoothing constant) and hold one count
+level per order; a level that is not an object, a count that is not a
+non-negative integer (a float or a bool included), a row whose counts
+total 0, or columns that ``columns.from_columns`` rejects, is a
+``ValueError``.
 
 ``CharLM.denominators`` keeps each context's add-k denominator,
-``count total + k * alphabet_size``, built once on first use: the same
-float expression evaluated on the same integers, so ``prob`` and
-``lm_score`` return the same bits as when they summed each row per
-call.  The table is never serialized.
+``count total + k * alphabet_size``, built on first use or by
+``from_json``: the same float expression evaluated on the same
+integers, so ``prob`` and ``lm_score`` return the same bits as when
+they summed each row per call.  The table is never serialized.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
+
+from .columns import column, from_columns, to_columns
 
 BOS = "\x02"  # context padding, never a continuation
 EOS = "\x03"  # end symbol, the vocabulary's +1 slot
@@ -62,10 +70,10 @@ class CharLM:
     @cached_property
     def denominators(self) -> list[dict[str, float]]:
         """``denominators[m][context]`` is that row's add-k denominator,
-        ``count total + k * alphabet_size``; built on first use and never
-        serialized."""
+        ``count total + k * alphabet_size``; built on first use, or by
+        ``from_json`` from the count columns, and never serialized."""
         extra = self.k * self.alphabet_size
-        return [{ctx: _denominator(row, extra) for ctx, row in level.items()}
+        return [{ctx: sum(row.values()) + extra for ctx, row in level.items()}
                 for level in self.counts]
 
     def prob(self, char: str, context: str) -> float:
@@ -80,53 +88,59 @@ class CharLM:
         return 1.0 / self.alphabet_size
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "vocabulary": sorted(self.vocabulary),
-            "counts": [
-                [["\x00".join(ctx), row] for ctx, row in sorted(level.items())]
-                for level in self.counts
-            ],
-        }
+        """Order, smoothing constant, vocabulary and, per order, the
+        count level's columns (see ``columns``), its continuation
+        characters joined into one string."""
+        levels = []
+        for level in self.counts:
+            contexts, row_lengths, chars, counts = to_columns(level)
+            levels.append({"contexts": contexts, "row_lengths": row_lengths,
+                           "chars": "".join(chars), "counts": counts})
+        return {"n": self.n, "k": self.k, "vocabulary": sorted(self.vocabulary),
+                "levels": levels}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharLM":
-        """Read ``to_json`` output, keeping each parsed count row as the
-        row.  A model that ``train_char_lm`` could not have made (order,
-        smoothing constant, number of count levels, or a row that is not
-        non-negative counts with a positive integer total) is a
+        """Read ``to_json`` output and build the denominators.  A model
+        that ``train_char_lm`` could not have made (order, smoothing
+        constant, number of count levels, a count that is not a
+        non-negative integer, or a row whose counts total 0), or a
+        level whose columns ``columns.from_columns`` rejects, is a
         ``ValueError``."""
         n = int(obj["n"])
         k = float(obj["k"])
         _check_parameters(n, k)
-        if len(obj["counts"]) != n:
-            raise ValueError(f"order {n} model has {len(obj['counts'])} count levels")
-        lm = cls(
-            n=n,
-            k=k,
-            vocabulary=set(obj["vocabulary"]),
-            counts=[{key[::2]: row for key, row in level} for level in obj["counts"]],
-        )
-        lm.denominators  # checks every row
+        levels = obj["levels"]
+        if len(levels) != n:
+            raise ValueError(f"order {n} model has {len(levels)} count levels")
+        lm = cls(n=n, k=k, vocabulary=set(obj["vocabulary"]))
+        extra = k * lm.alphabet_size
+        memo: dict[str, str] = {}
+        denominators = []
+        for level in levels:
+            if type(level) is not dict:
+                raise ValueError(f"count level is a {type(level).__name__}, not an object")
+            chars = level.get("chars")
+            if type(chars) is not str:
+                raise ValueError(f"chars is a {type(chars).__name__}, not a string")
+            counts = column(level, "counts", int)
+            if min(counts, default=0) < 0:
+                raise ValueError("count level holds a negative count")
+            lengths = column(level, "row_lengths", int)
+            rows = from_columns(column(level, "contexts", str), lengths, chars, counts, memo)
+            totals = _row_totals(counts, lengths)
+            if 0 in totals:
+                raise ValueError("count level holds a row whose counts total 0")
+            lm.counts.append(rows)
+            denominators.append(dict(zip(rows, [total + extra for total in totals])))
+        lm.denominators = denominators
         return lm
 
 
-def _denominator(row: dict[str, int], extra: float) -> float:
-    """A count row's add-k denominator, ``count total + extra``; a row
-    that is not non-negative counts summing to a positive integer is a
-    ``ValueError``."""
-    try:
-        total = sum(row.values())
-    except AttributeError:
-        raise ValueError(f"count row is a {type(row).__name__}, not an object") from None
-    except TypeError:
-        raise ValueError("count row holds a count that is not a number") from None
-    if type(total) is not int or total <= 0:
-        raise ValueError(f"count row totals {total!r}, not a positive integer")
-    if len(row) > 1 and min(row.values()) < 0:  # a lone count is the positive total
-        raise ValueError("count row holds a negative count")
-    return total + extra
+def _row_totals(counts: list[int], lengths: list[int]) -> list[int]:
+    """Each row's exact integer total, from prefix sums of the counts."""
+    prefix = [0, *accumulate(counts)]
+    return [prefix[end] - prefix[end - length] for end, length in zip(accumulate(lengths), lengths)]
 
 
 def _check_parameters(n: int, k: float) -> None:

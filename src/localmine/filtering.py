@@ -2,14 +2,23 @@
 features feeding the bagged-tree classifier, plus the embedding gate.
 
 The trained filter bundles both translation directions, both character
-LMs and the forest into one JSON container that round-trips exactly:
-each component writes and reads its own section (``to_json`` and
-``from_json`` on ``TranslationTable``, ``CharLM`` and ``RandomForest``).
-``BitextFilter.load`` builds the components from the parsed JSON as it
-is, without copying it, and frees each section once it is built, so the
-load's peak memory stays near the size of the model it keeps.  A file
-whose top level is not an object, or whose sections a component
-rejects (see each ``from_json``), is a ``ValueError``.
+LMs and the forest into one JSON object, written with sorted keys and
+unescaped UTF-8, that round-trips exactly: each component writes and
+reads its own section (``to_json`` and ``from_json`` on
+``TranslationTable``, ``CharLM`` and ``RandomForest``).  The file is
+model version 2: the tables and language models are stored as columns
+(``columns``), a few long lists per section instead of a JSON list or
+object per entry or row, so the file is about half the size of
+version 1 and its parse makes far fewer objects.  ``BitextFilter.load``
+parses the file once, builds the forest, the tables and then the
+language models from their sections, and frees each section once its
+component is built; building the forest first, while the other
+sections are still parsed, keeps its temporary node lists under the
+load's final size, so the load's peak stays near the size of the model
+it keeps.  A file whose top level or one of whose five sections is not
+an object, whose version is not 2, or whose sections a component
+rejects (see each ``from_json``) is a ``ValueError``; for a version-1
+file the message says to retrain.
 A ``FeatureVector`` is a named tuple whose field order is the forest's
 column order.
 """
@@ -37,6 +46,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_EMBED_THRESHOLD = 0.7
+MODEL_VERSION = 2
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
 _PUNCT_SET = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
@@ -339,7 +349,7 @@ class BitextFilter:
 
     def save(self, path: str | Path) -> None:
         payload = {
-            "version": 1,
+            "version": MODEL_VERSION,
             "seed": self.seed,
             "threshold": self.threshold,
             "table_j2z": self.table_j2z.to_json(),
@@ -358,15 +368,22 @@ class BitextFilter:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError(f"filter model is a JSON {type(payload).__name__}, not an object")
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported filter model version: {payload.get('version')}")
-        # Keyword arguments are evaluated in order: tables, LMs, forest.
+        version = payload.get("version")
+        if version == 1:
+            raise ValueError("filter model version 1 is no longer read; "
+                             "retrain it with `localmine train-filter`")
+        if version != MODEL_VERSION:
+            raise ValueError(f"unsupported filter model version: {version}")
+        for name in ("forest", "table_j2z", "table_z2j", "lm_ja", "lm_zh"):
+            if type(payload.get(name)) is not dict:
+                raise ValueError(f"filter model section {name!r} is missing or not an object")
+        # Keyword arguments are evaluated in order: forest, tables, LMs.
         return cls(
+            forest=RandomForest.from_json(payload.pop("forest")),
             table_j2z=TranslationTable.from_json(payload.pop("table_j2z")),
             table_z2j=TranslationTable.from_json(payload.pop("table_z2j")),
             lm_ja=CharLM.from_json(payload.pop("lm_ja")),
             lm_zh=CharLM.from_json(payload.pop("lm_zh")),
-            forest=RandomForest.from_json(payload.pop("forest")),
             seed=int(payload.get("seed", 0)),
             threshold=float(payload.get("threshold", DEFAULT_SCORE_THRESHOLD)),
         )

@@ -2,7 +2,8 @@
 and ``whole_file``, the one way the miner writes its line files.
 
 One JSON object per line, UTF-8 with non-ASCII text left unescaped, each
-line ended by LF.  Readers skip blank lines.
+line ended by LF.  Readers skip blank lines and reject a line that is
+not an object.
 
 A file is written whole or not at all: ``whole_file`` writes
 ``<name>.partial`` next to it and renames that over the file only once
@@ -43,9 +44,15 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """The objects of a JSON Lines file, in file order."""
+    """The objects of a JSON Lines file, in file order; a line that
+    holds JSON but not an object is a ``ValueError`` naming the file
+    and line number."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                row = json.loads(line)
+                if type(row) is not dict:
+                    raise ValueError(f"{path}:{number}: a JSON {type(row).__name__}, "
+                                     "not an object")
+                yield row

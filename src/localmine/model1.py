@@ -26,10 +26,21 @@ candidates: no later target can be larger, and the float returned is
 the row's own, so the result equals the loop over the candidates.  It
 looks at most ``len(candidates)`` ranked targets and, when none of them
 is present in a longer row, runs that loop instead.
+
+On disk (filter model version 2) a table is four columns
+(``columns``): the sources, sorted; each row's length; each row's
+targets, sorted; and the probabilities as one base64 string of
+little-endian float64s, which ``tobytes`` and ``frombuffer`` carry
+bit for bit, so no float is written as text or parsed from it.
+``from_json`` builds each row from the columns, every distinct target
+one shared string.  A probability that is negative, NaN or infinite,
+which training cannot make, is a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import logging
 import math
 from dataclasses import dataclass, field
@@ -37,6 +48,8 @@ from functools import cached_property
 from typing import AbstractSet, Sequence
 
 import numpy as np
+
+from .columns import column, from_columns, to_columns
 
 logger = logging.getLogger(__name__)
 
@@ -90,27 +103,44 @@ class TranslationTable:
         return best
 
     def to_json(self) -> dict:
-        """Direction and sorted (src, trg, p) entries; the EM history is
-        not kept."""
+        """Direction and the table's columns (see ``columns``), the
+        probabilities as one base64 string of little-endian float64;
+        the EM history is not kept."""
+        sources, row_lengths, targets, probs = to_columns(self.t)
         return {
             "direction": self.direction,
-            "entries": [
-                [src, trg, p]
-                for src in sorted(self.t)
-                for trg, p in sorted(self.t[src].items())
-            ],
+            "sources": sources,
+            "row_lengths": row_lengths,
+            "targets": targets,
+            "probs": base64.b64encode(np.array(probs, dtype="<f8").tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TranslationTable":
-        """Read ``to_json`` output; a probability that is not a number is
-        a ``ValueError``."""
-        table = cls(direction=obj.get("direction", ""))
-        for src, trg, p in obj["entries"]:
-            if type(p) not in (float, int):
-                raise ValueError(f"t({trg!r} | {src!r}) is {p!r}, not a number")
-            table.t.setdefault(src, {})[trg] = float(p)
-        return table
+        """Read ``to_json`` output.  Besides the column checks of
+        ``columns.from_columns``, ``probs`` that is not base64 of whole
+        float64s, or holds a probability that is negative, NaN or
+        infinite, is a ``ValueError``."""
+        encoded = obj.get("probs")
+        if type(encoded) is not str:
+            raise ValueError(f"probs is a {type(encoded).__name__}, not a base64 string")
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except binascii.Error as err:
+            raise ValueError(f"probs is not base64: {err}") from None
+        if len(raw) % 8:
+            raise ValueError(f"probs holds {len(raw)} bytes, not whole float64s")
+        probs = np.frombuffer(raw, dtype="<f8")
+        if not ((probs >= 0.0) & (probs < math.inf)).all():
+            raise ValueError("probs holds a probability that is negative, NaN or infinite")
+        t = from_columns(
+            column(obj, "sources", str),
+            column(obj, "row_lengths", int),
+            column(obj, "targets", str),
+            probs.tolist(),
+            memo={},
+        )
+        return cls(t=t, direction=obj.get("direction", ""))
 
 
 def _check_iterations(iterations: int) -> None:

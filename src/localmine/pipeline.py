@@ -152,10 +152,14 @@ def dedupe(rows: Iterable[dict]) -> Iterator[dict]:
     """Drop corpus rows whose (``ja``, ``zh``) pair an earlier row had,
     and rows whose two sides are identical; the rows pass as they are.
     Lazy: a kept row is yielded before the next one is read, so only
-    the set of kept pairs is held."""
+    the set of kept pairs is held.  A row without ``ja`` or ``zh`` is a
+    ``ValueError`` naming the missing key."""
     seen: set[tuple[str, str]] = set()
     for row in rows:
-        key = row["ja"], row["zh"]
+        try:
+            key = row["ja"], row["zh"]
+        except KeyError as err:
+            raise ValueError(f"corpus row has no {err} key") from None
         if key[0] == key[1] or key in seen:
             continue
         seen.add(key)
@@ -458,13 +462,14 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
-    length_model = config.sentalign.length_model()  # fatal before any output
-    out_dir = Path(config.pipeline.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Each of these is fatal before any output, the output directory included.
+    length_model = config.sentalign.length_model()
     fetch = fetch_for(config)
     lexicon = resolve_lexicon(config)
-    bitext_filter = resolve_filter(config, lexicon)  # fatal before any site runs
+    bitext_filter = resolve_filter(config, lexicon)
     provider = resolve_provider(config)
+    out_dir = Path(config.pipeline.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sites, intake, submissions = load_sites(config, fetch)
     if submissions:
         _write_jsonl(out_dir / "submissions.jsonl", (r.to_json() for r in submissions))

@@ -151,15 +151,17 @@ def tuple_lm_score(lm: TupleCharLM, text: str) -> float:
 
 
 def tuple_lm_to_json(lm: TupleCharLM) -> dict:
-    return {
-        "n": lm.n,
-        "k": lm.k,
-        "vocabulary": sorted(lm.vocabulary),
-        "counts": [
-            [["\x00".join(ctx), row] for ctx, row in sorted(level.items())]
-            for level in lm.counts
-        ],
-    }
+    """The tuple model in the column layout ``CharLM.to_json`` writes."""
+    levels = []
+    for level in lm.counts:
+        rows = sorted(("".join(ctx), sorted(row.items())) for ctx, row in level.items())
+        levels.append({
+            "contexts": [ctx for ctx, _ in rows],
+            "row_lengths": [len(row) for _, row in rows],
+            "chars": "".join(char for _, row in rows for char, _ in row),
+            "counts": [count for _, row in rows for _, count in row],
+        })
+    return {"n": lm.n, "k": lm.k, "vocabulary": sorted(lm.vocabulary), "levels": levels}
 
 
 _SYMBOLS = st.sampled_from(list("あいうかがー日本語学生ab .Z") + ["\x00"])
@@ -208,17 +210,21 @@ class TestSerialization:
     def test_from_json_rejects_what_training_cannot_make(self):
         obj = train_char_lm(self.CORPUS, n=3, k=0.1).to_json()
         assert CharLM.from_json(obj).to_json() == obj
+        level1 = obj["levels"][1]
         bad = [
-            {**obj, "counts": obj["counts"][:2]},  # fewer count levels than the order
-            {**obj, "counts": obj["counts"] + [[]]},
-            {**obj, "n": 1, "counts": obj["counts"][:1]},
-            {**obj, "n": 8, "counts": (obj["counts"] * 3)[:8]},
+            {**obj, "levels": obj["levels"][:2]},  # fewer count levels than the order
+            {**obj, "levels": obj["levels"] + [obj["levels"][0]]},
+            {**obj, "n": 1, "levels": obj["levels"][:1]},
+            {**obj, "n": 8, "levels": (obj["levels"] * 3)[:8]},
             {**obj, "k": 0.0},
             {**obj, "k": -0.1},
             {**obj, "k": float("nan")},
             # a negative count in a row whose total is still positive
-            {**obj, "counts": [obj["counts"][0], [["a", {"a": 3, "b": -1}]], obj["counts"][2]]},
+            {**obj, "levels": [obj["levels"][0],
+                               {**level1, "counts": [3, -1] + level1["counts"][2:]},
+                               obj["levels"][2]]},
         ]
+        assert level1["row_lengths"][0] >= 2  # the negative count shares its row
         for broken in bad:
             with pytest.raises(ValueError):
                 CharLM.from_json(broken)
@@ -271,3 +277,82 @@ class TestLoopOracle:
         for text in corpus + ["未知😀", BOS + EOS]:
             if text:
                 assert lm_score(lm, text) == lm_score(ref, text)
+
+
+# Text that the column layout must carry exactly: NUL, the padding and
+# end symbols, other control characters, JSON's escaped characters and
+# characters outside the Basic Multilingual Plane.
+_COLUMN_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("あい日本ab") + [BOS, EOS, "\x00", "\x01", "\x1f", "\x7f", "\n", "\t", '"',
+                              "\\", " ", "😀", "𠀋", "𝕏"]
+    ),
+    max_size=12,
+)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestColumns:
+    """The column layout of a saved language model (model version 2)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(_COLUMN_TEXT, min_size=1, max_size=8).filter(any),
+        probes=st.lists(_COLUMN_TEXT.filter(bool), min_size=1, max_size=4),
+        n=st.integers(min_value=2, max_value=7),
+        k=st.sampled_from([0.001, 0.1, 0.3, 1.0, 2.5]),
+    )
+    def test_round_trip_through_json_text(self, corpus, probes, n, k):
+        lm = train_char_lm(corpus, n=n, k=k)
+        text = json.dumps(lm.to_json(), ensure_ascii=False, sort_keys=True)
+        again = CharLM.from_json(json.loads(text))
+        assert again.counts == lm.counts
+        assert (again.n, again.k, again.vocabulary) == (lm.n, lm.k, lm.vocabulary)
+        assert [list(level) for level in again.denominators] == [list(level) for level in again.counts]
+        for loaded, trained in zip(again.denominators, lm.denominators):
+            assert _bits(loaded[ctx] for ctx in trained) == _bits(trained.values())
+        for probe in [t for t in corpus if t] + probes:
+            assert lm_score(again, probe).hex() == lm_score(lm, probe).hex()
+        assert json.dumps(again.to_json(), ensure_ascii=False, sort_keys=True) == text
+
+    def test_each_continuation_character_is_one_shared_object(self):
+        lm = train_char_lm(["日本語の文。", "日本の語。", "😀日本"], n=3, k=0.1)
+        again = CharLM.from_json(json.loads(json.dumps(lm.to_json(), ensure_ascii=False)))
+        objects = {}
+        for level in again.counts:
+            for row in level.values():
+                for char in row:
+                    assert objects.setdefault(char, char) is char
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda lv: lv["contexts"].pop(), "row names but"),
+        (lambda lv: lv.update(chars=lv["chars"][:-1]), "entries hold"),
+        (lambda lv: lv["counts"].pop(), "entries hold"),
+        (lambda lv: lv["row_lengths"].__setitem__(0, lv["row_lengths"][0] + 1), "entries hold"),
+        (lambda lv: lv["row_lengths"].__setitem__(0, 0), "row length is not positive"),
+        (lambda lv: lv["row_lengths"].__setitem__(0, 1.0), "'row_lengths' is not a list of int"),
+        (lambda lv: lv["row_lengths"].__setitem__(0, True), "'row_lengths' is not a list of int"),
+        (lambda lv: lv["counts"].__setitem__(0, -1), "negative count"),
+        (lambda lv: lv["counts"].__setitem__(0, 2.0), "'counts' is not a list of int"),
+        (lambda lv: lv["counts"].__setitem__(0, True), "'counts' is not a list of int"),
+        (lambda lv: lv["counts"].__setitem__(0, "2"), "'counts' is not a list of int"),
+        (lambda lv: lv.update(counts=[0] * len(lv["counts"])), "total 0"),
+        (lambda lv: lv["contexts"].__setitem__(0, 1), "'contexts' is not a list of str"),
+        (lambda lv: lv.update(chars=list(lv["chars"])), "chars is a list, not a string"),
+        (lambda lv: lv.pop("counts"), "'counts' is not a list"),
+        (lambda lv: lv["contexts"].__setitem__(1, lv["contexts"][0]), "row name is repeated"),
+        (lambda lv: lv.update(chars=lv["chars"][0] * len(lv["chars"])), "repeated within a row"),
+    ], ids=["contexts-short", "chars-short", "counts-short", "row-length-long", "zero-row-length",
+            "float-row-length", "bool-row-length", "negative-count", "float-count", "bool-count",
+            "string-count", "zero-total", "context-not-string", "chars-list", "no-counts",
+            "repeated-context", "repeated-char"])
+    def test_malformed_column_is_rejected(self, corrupt, message):
+        obj = json.loads(json.dumps(train_char_lm(["日本語の文。", "本の文"], n=3, k=0.1).to_json()))
+        level = obj["levels"][1]
+        assert len(level["contexts"]) >= 2 and level["row_lengths"][0] >= 2
+        corrupt(level)
+        with pytest.raises(ValueError, match=message):
+            CharLM.from_json(obj)

@@ -11,6 +11,7 @@ from localmine.crawl import Page, PageStore, dump_snapshot
 from localmine.discovery import SOURCE_CROWD, CandidateSite
 from localmine.embeddings import FileVectorProvider, sentence_key, write_vector_file
 from localmine.fetching import load_manifest
+from localmine.jsonl import read_jsonl
 
 JA = "学生は新聞を読む。"
 ZH = "学生读报纸。"
@@ -93,3 +94,12 @@ class TestReaders:
             encoding="utf-8",
         )
         assert FileVectorProvider(path)([ZH, JA]) == [[0.5, 1.0], None]
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
+    def test_a_line_that_is_not_an_object_names_its_file_and_line(self, tmp_path, line):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"n": 1}\n\n' + line + "\n", encoding="utf-8")
+        rows = read_jsonl(path)
+        assert next(rows) == {"n": 1}
+        with pytest.raises(ValueError, match=f"^{path}:3: a JSON .*, not an object$"):
+            next(rows)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import base64
+import json
 import math
+import struct
 from typing import Sequence
 
 import pytest
@@ -199,11 +202,16 @@ def reference_best_prob(table: TranslationTable, src: str, candidates) -> float:
 
 
 _TARGETS = ["w", "x", "y", "z", "v"]
-# Few distinct values, so that probabilities tie; a model file can also
-# hold zeros, NaN and infinity, which the ranked rows must not reorder.
+# Few distinct values, so that probabilities tie; zeros, NaN and
+# infinity must not reorder the ranked rows.  A model file holds only
+# the finite, non-negative ones.
 _PROBS = st.sampled_from(
     [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 1e-300, 5e-324, 0.3, math.nan, math.inf]
 )
+
+
+def _bits(p: float) -> str:
+    return struct.pack("<d", p).hex()
 
 
 class TestTranslationTable:
@@ -227,15 +235,17 @@ class TestTranslationTable:
     )
     @settings(max_examples=300, deadline=None)
     def test_best_prob_equals_reference_from_json(self, rows, queries):
-        obj = {"direction": "ja-zh",
-               "entries": [[src, trg, p] for src, row in rows.items() for trg, p in row.items()]}
-        table = TranslationTable.from_json(obj)
-        before = table.to_json()
-        for src, candidates in queries:
-            got = table.best_prob(src, candidates)
-            want = reference_best_prob(table, src, candidates)
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert table.to_json() == before
+        table = TranslationTable(t=rows, direction="ja-zh")
+        tables = [table]
+        if all(p >= 0.0 and math.isfinite(p) for row in rows.values() for p in row.values()):
+            tables.append(TranslationTable.from_json(json.loads(json.dumps(table.to_json()))))
+        for table in tables:
+            before = table.to_json()
+            for src, candidates in queries:
+                got = table.best_prob(src, candidates)
+                want = reference_best_prob(table, src, candidates)
+                assert _bits(got) == _bits(want)
+            assert table.to_json() == before
 
     @given(
         corpus=st.lists(st.tuples(_SIDE_SRC, _SIDE_TRG), min_size=1, max_size=6),
@@ -265,3 +275,90 @@ class TestTranslationTable:
         assert table.best_prob("a", {"t7", "nope"}) == row["t7"]
         assert table.best_prob("a", {"nope", "gone"}) == 0.0
         assert table.best_prob("a", set()) == 0.0
+
+
+# Probabilities a model file must carry bit for bit: the ends of [0, 1],
+# subnormals and the neighbours of common values.
+_EXACT_PROBS = st.sampled_from([
+    0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+    math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), math.nextafter(0.5, 1.0),
+    math.nextafter(0.1, 0.0), math.nextafter(1e-300, 0.0),
+]) | st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
+# Token names with NUL, the language model's padding and end symbols,
+# other control characters, JSON's escaped characters and characters
+# outside the Basic Multilingual Plane.
+_NAMES = st.text(
+    alphabet=st.sampled_from(list("ab日本") + ["\x00", "\x02", "\x03", "\x01", "\n", '"', "\\",
+                                               "😀", "𠀋"]),
+    max_size=4,
+)
+
+
+class TestColumns:
+    """The column layout of a saved Model 1 table (model version 2)."""
+
+    @given(
+        rows=st.dictionaries(_NAMES, st.dictionaries(_NAMES, _EXACT_PROBS, min_size=1,
+                                                     max_size=6), max_size=6),
+        queries=st.lists(st.sets(_NAMES, max_size=6), min_size=1, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_through_json_text(self, rows, queries):
+        table = TranslationTable(t=rows, direction="zh-ja")
+        text = json.dumps(table.to_json(), ensure_ascii=False, sort_keys=True)
+        again = TranslationTable.from_json(json.loads(text))
+        assert again.direction == "zh-ja"
+        assert again.t == table.t
+        assert {src: {trg: _bits(p) for trg, p in row.items()} for src, row in again.t.items()} \
+            == {src: {trg: _bits(p) for trg, p in row.items()} for src, row in table.t.items()}
+        for src in list(rows) + ["unknown"]:
+            for candidates in queries + [set(rows.get(src, ()))]:
+                assert _bits(again.best_prob(src, candidates)) == \
+                    _bits(table.best_prob(src, candidates))
+        assert json.dumps(again.to_json(), ensure_ascii=False, sort_keys=True) == text
+
+    def test_each_target_is_one_shared_object(self):
+        table = train_model1([(["日", "本"], ["日", "本"]), (["本"], ["本", "书"])], iterations=3)
+        again = TranslationTable.from_json(json.loads(json.dumps(table.to_json())))
+        objects = {}
+        for row in again.t.values():
+            for trg in row:
+                assert objects.setdefault(trg, trg) is trg
+        assert len(objects) < sum(map(len, again.t.values()))
+
+    def test_empty_row_is_not_written(self):
+        table = TranslationTable(t={"a": {}, "b": {"x": 1.0}})
+        assert TranslationTable.from_json(table.to_json()).t == {"b": {"x": 1.0}}
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda t: t["sources"].pop(), "row names but"),
+        (lambda t: t["targets"].pop(), "entries hold"),
+        (lambda t: t.update(probs=_encode([0.5])), "entries hold"),
+        (lambda t: t["row_lengths"].__setitem__(0, 0), "row length is not positive"),
+        (lambda t: t["row_lengths"].__setitem__(0, 2.0), "'row_lengths' is not a list of int"),
+        (lambda t: t["row_lengths"].__setitem__(0, True), "'row_lengths' is not a list of int"),
+        (lambda t: t.update(probs=t["probs"][:-1]), "not base64"),
+        (lambda t: t.update(probs="!" + t["probs"][1:]), "not base64"),
+        (lambda t: t.update(probs=base64.b64encode(b"\0" * 12).decode()), "12 bytes"),
+        (lambda t: t.update(probs=_encode([math.nan, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=_encode([math.inf, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=_encode([-0.5, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=[0.5, 0.5, 0.5]), "probs is a list, not a base64 string"),
+        (lambda t: t["targets"].__setitem__(0, ["x"]), "'targets' is not a list of str"),
+        (lambda t: t["sources"].__setitem__(1, "a"), "row name is repeated"),
+        (lambda t: t["targets"].__setitem__(1, "x"), "repeated within a row"),
+    ], ids=["sources-short", "targets-short", "probs-short", "zero-row-length",
+            "float-row-length", "bool-row-length", "bad-padding", "bad-character",
+            "partial-float", "nan", "infinite", "negative", "probs-list", "target-not-string",
+            "repeated-source", "repeated-target"])
+    def test_malformed_column_is_rejected(self, corrupt, message):
+        table = TranslationTable(t={"a": {"x": 0.25, "y": 0.75}, "b": {"x": 1.0}})
+        obj = json.loads(json.dumps(table.to_json()))
+        assert obj["row_lengths"] == [2, 1] and obj["targets"] == ["x", "y", "x"]
+        corrupt(obj)
+        with pytest.raises(ValueError, match=message):
+            TranslationTable.from_json(obj)
+
+
+def _encode(probs: list[float]) -> str:
+    return base64.b64encode(struct.pack(f"<{len(probs)}d", *probs)).decode()

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 
 import pytest
@@ -141,14 +142,15 @@ class TestSiteReport:
         assert again == report
 
 
-def _first_count_entry(model: dict) -> list:
-    """``[context, row]`` of lm_ja's first order-1 context."""
-    return model["lm_ja"]["counts"][1][0]
+def _first_count_level(model: dict) -> dict:
+    """lm_ja's order-1 count level: its contexts, row lengths, chars and counts."""
+    return model["lm_ja"]["levels"][1]
 
 
 def _set_counts(model: dict, value) -> None:
-    row = _first_count_entry(model)[1]
-    row.update(dict.fromkeys(row, value))
+    """Set every count of lm_ja's first order-1 row to ``value``."""
+    level = _first_count_level(model)
+    level["counts"][: level["row_lengths"][0]] = [value] * level["row_lengths"][0]
 
 
 class TestRunPipeline:
@@ -173,22 +175,24 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("corrupt,message", [
         # lm_ja truncated to 2 of its 5 count levels
-        (lambda m: m["lm_ja"].update(counts=m["lm_ja"]["counts"][:2]), "count levels"),
+        (lambda m: m["lm_ja"].update(levels=m["lm_ja"]["levels"][:2]), "count levels"),
         (lambda m: m["lm_ja"].update(k=0.0), "smoothing constant"),
         # the first tree's root splits on the column past the last feature
         (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
          "splits on feature"),
         (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
         (lambda m: m["forest"].update(trees=[]), "forest has no trees"),
-        (lambda m: _first_count_entry(m).__setitem__(1, [1]), "count row is a list"),
-        (lambda m: _set_counts(m, 2.5), r"totals \d+\.\d+, not a positive integer"),
-        (lambda m: _set_counts(m, "2"), "count that is not a number"),
-        (lambda m: _set_counts(m, 0), "totals 0, not a positive integer"),
-        (lambda m: _first_count_entry(m).__setitem__(1, {"a": 3, "b": -1}), "negative count"),
-        (lambda m: m["table_j2z"]["entries"][0].__setitem__(2, [0.5]), r"\[0\.5\], not a number"),
+        (lambda m: m["lm_ja"]["levels"].__setitem__(1, [1]), "count level is a list"),
+        (lambda m: _set_counts(m, 2.5), "'counts' is not a list of int"),
+        (lambda m: _set_counts(m, "2"), "'counts' is not a list of int"),
+        (lambda m: _set_counts(m, 0), "counts total 0"),
+        (lambda m: _first_count_level(m)["counts"].__setitem__(0, -1), "negative count"),
+        (lambda m: m["table_j2z"].update(probs=[0.5]), "probs is a list, not a base64 string"),
+        (lambda m: m.update(version=1), "version 1 is no longer read; retrain"),
+        (lambda m: m.update(lm_zh=[]), "section 'lm_zh' is missing or not an object"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds", "no-trees",
             "row-list", "fractional-count", "string-count", "zero-total",
-            "negative-count", "list-probability"])
+            "negative-count", "list-probability", "version-1", "section-list"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
@@ -201,7 +205,7 @@ class TestRunPipeline:
         config.filter.model_path = str(model)
         with pytest.raises(ValueError, match=message):
             run_pipeline(config)
-        assert not (tmp_path / "out" / "example-news.jp").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_zero_sites(self, fixture_site, tmp_path):
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
@@ -706,7 +710,7 @@ class TestCli:
         )
         assert cli_main(["--config", str(config), "run"]) == 1
         assert "a forest needs at least one tree, not 0" in caplog.text
-        assert not (tmp_path / "out" / "example-news.jp").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_dedup_never_overwrites_its_input(self, tmp_path, caplog):
         path = tmp_path / "filtered.jsonl"
@@ -757,6 +761,46 @@ class TestCli:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert out.read_text(encoding="utf-8").splitlines() == [lines[0], lines[2]]
         assert capsys.readouterr().out == f"2 records -> {out}\n"
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"ja": "一。", "zh": "1。"}\n[1, 2]\n', r"filtered\.jsonl:2: a JSON list, not an object"),
+        ('{"ja": "一。", "zh": "1。"}\n{"ja": "二。"}\n', "corpus row has no 'zh' key"),
+        ('{"zh": "1。"}\n', "corpus row has no 'ja' key"),
+    ], ids=["not-an-object", "no-zh", "no-ja"])
+    def test_dedup_of_a_row_it_cannot_key(self, tmp_path, caplog, content, message):
+        """A line that is not an object, or a row without ``ja`` or
+        ``zh``, exits 1 with a one-line error and writes no output."""
+        path = tmp_path / "filtered.jsonl"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["dedup", "--input", str(path), "--out", str(out)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert re.fullmatch(f".*{message}", error)
+        assert "Traceback" not in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["filtered.jsonl"]
+
+    def test_version_1_model_stops_filter_and_run(self, fixture_site, tmp_path, caplog):
+        """A version-1 model file exits 1 with a one-line error, before
+        ``run`` makes its output directory."""
+        model = tmp_path / "v1.json"
+        model.write_text('{"version": 1}', encoding="utf-8")
+        pairs = tmp_path / "empty.jsonl"
+        pairs.write_text("", encoding="utf-8")
+        assert cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
+                         "--out", str(tmp_path / "o.jsonl")]) == 1
+        config = tmp_path / "run.ini"
+        config.write_text(  # the fixture config ends in its [filter] section
+            write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+            + f"model_path = {model}\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["filter model version 1 is no longer read; "
+                          "retrain it with `localmine train-filter`"] * 2
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
         model = tmp_path / "bad.json"
@@ -860,10 +904,12 @@ PINNED_DIGESTS = {
         "4c6770016fc5bf0e2d6fb222d25248fdee370ae8381a56b38b0feb698e501540",
 }
 
-# SHA-256 of the fixture's `train-filter` model, recorded while the
-# language model still kept its contexts as tuples and `filtering` wrote
-# every component's section.  The file format did not change.
-PINNED_MODEL_DIGEST = "ff68f6363784a078d6444774a73c5c053ce08a353a0bd306b91dd5fe101e6c9b"
+# SHA-256 of the fixture's `train-filter` model in the column layout of
+# model version 2, recorded when that layout replaced version 1's
+# per-entry lists (whose digest was ff68f636...e6c9b).  The model it
+# holds did not change: both versions load to the same tables, counts,
+# denominators and forest, float for float.
+PINNED_MODEL_DIGEST = "457e356823c51fc7792fc6654b69302d75ce8604b5f9a2a7dafee799b7e837ee"
 
 
 class TestPinnedOutputs:
