@@ -20,19 +20,18 @@ away (``to_json`` sorts the contexts and each row's characters).
 On disk (filter model version 2) each order's count level is four
 columns (``columns``): its contexts as plain sorted strings, each
 row's length, one string of every row's continuation characters (each
-is one code point) and their counts.  ``from_json`` builds
-each row from the columns, every distinct continuation character one
-shared string, and each row's denominator from the exact integer sum
-of its counts.  A model file must satisfy ``train_char_lm``'s rules
-(order in [2, 7], positive smoothing constant) and hold one count
-level per order; a level that is not an object, a count that is not a
-non-negative integer (a float or a bool included), a row whose counts
-total 0, or columns that ``columns.from_columns`` rejects, is a
-``ValueError``.
+is one code point) and their counts.  ``from_json`` builds each row
+from the columns, every distinct continuation character one shared
+string, and then the denominators, as for a trained model.  A model
+file must satisfy ``train_char_lm``'s rules (order in [2, 7], positive
+smoothing constant) and hold one count level per order; a level that
+is not an object, a count that is not a non-negative integer (a float
+or a bool included), a row whose counts total 0, or columns that
+``columns.from_columns`` rejects, is a ``ValueError``.
 
 ``CharLM.denominators`` keeps each context's add-k denominator,
-``count total + k * alphabet_size``, built on first use or by
-``from_json``: the same float expression evaluated on the same
+``count total + k * alphabet_size``, built on first use (``from_json``
+builds it as it loads): the same float expression evaluated on the same
 integers, so ``prob`` and ``lm_score`` return the same bits as when
 they summed each row per call.  The table is never serialized.
 """
@@ -43,7 +42,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable
 
 from .columns import column, from_columns, to_columns
@@ -70,8 +68,8 @@ class CharLM:
     @cached_property
     def denominators(self) -> list[dict[str, float]]:
         """``denominators[m][context]`` is that row's add-k denominator,
-        ``count total + k * alphabet_size``; built on first use, or by
-        ``from_json`` from the count columns, and never serialized."""
+        ``count total + k * alphabet_size``; built on first use (``from_json``
+        builds it as it loads) and never serialized."""
         extra = self.k * self.alphabet_size
         return [{ctx: sum(row.values()) + extra for ctx, row in level.items()}
                 for level in self.counts]
@@ -114,9 +112,7 @@ class CharLM:
         if len(levels) != n:
             raise ValueError(f"order {n} model has {len(levels)} count levels")
         lm = cls(n=n, k=k, vocabulary=set(obj["vocabulary"]))
-        extra = k * lm.alphabet_size
         memo: dict[str, str] = {}
-        denominators = []
         for level in levels:
             if type(level) is not dict:
                 raise ValueError(f"count level is a {type(level).__name__}, not an object")
@@ -126,21 +122,13 @@ class CharLM:
             counts = column(level, "counts", int)
             if min(counts, default=0) < 0:
                 raise ValueError("count level holds a negative count")
-            lengths = column(level, "row_lengths", int)
-            rows = from_columns(column(level, "contexts", str), lengths, chars, counts, memo)
-            totals = _row_totals(counts, lengths)
-            if 0 in totals:
+            rows = from_columns(column(level, "contexts", str), column(level, "row_lengths", int),
+                                chars, counts, memo)
+            if any(not any(row.values()) for row in rows.values()):
                 raise ValueError("count level holds a row whose counts total 0")
             lm.counts.append(rows)
-            denominators.append(dict(zip(rows, [total + extra for total in totals])))
-        lm.denominators = denominators
+        lm.denominators  # builds the table, as for a trained model
         return lm
-
-
-def _row_totals(counts: list[int], lengths: list[int]) -> list[int]:
-    """Each row's exact integer total, from prefix sums of the counts."""
-    prefix = [0, *accumulate(counts)]
-    return [prefix[end] - prefix[end - length] for end, length in zip(accumulate(lengths), lengths)]
 
 
 def _check_parameters(n: int, k: float) -> None:

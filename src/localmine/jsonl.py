@@ -53,6 +53,5 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             if line:
                 row = json.loads(line)
                 if type(row) is not dict:
-                    raise ValueError(f"{path}:{number}: a JSON {type(row).__name__}, "
-                                     "not an object")
+                    raise ValueError(f"{path}:{number}: not a JSON object")
                 yield row

@@ -321,10 +321,10 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         # Memory freed again by the end of the load, against the parsed
-        # payload's size on the same interpreter.  On Python 3.11 a load
-        # that copies the count rows frees 1.06x, and one that keeps them
-        # but holds every section until it returns frees 0.75x; keeping
-        # the rows and dropping each section once built frees 0.55x.
+        # payload's size on the same interpreter.  On Python 3.11 this
+        # load of the column layout frees 0.11x; one that builds the
+        # forest after the tables and language models, so its per-node
+        # lists outgrow what the load keeps, frees 0.71x.
         assert peak - retained < 0.7 * parsed_size
         for lm in (again.lm_ja, again.lm_zh):
             fresh = CharLM(n=lm.n, k=lm.k, vocabulary=lm.vocabulary, counts=lm.counts)

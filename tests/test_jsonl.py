@@ -3,6 +3,7 @@ object per line, each line ended by LF.  Its readers skip blank lines.
 Each writer and reader here is one the miner itself uses."""
 
 import json
+import re
 
 import pytest
 
@@ -101,5 +102,5 @@ class TestReaders:
         path.write_text('{"n": 1}\n\n' + line + "\n", encoding="utf-8")
         rows = read_jsonl(path)
         assert next(rows) == {"n": 1}
-        with pytest.raises(ValueError, match=f"^{path}:3: a JSON .*, not an object$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not a JSON object$"):
             next(rows)

@@ -763,7 +763,7 @@ class TestCli:
         assert capsys.readouterr().out == f"2 records -> {out}\n"
 
     @pytest.mark.parametrize("content,message", [
-        ('{"ja": "一。", "zh": "1。"}\n[1, 2]\n', r"filtered\.jsonl:2: a JSON list, not an object"),
+        ('{"ja": "一。", "zh": "1。"}\n[1, 2]\n', r"filtered\.jsonl:2: not a JSON object"),
         ('{"ja": "一。", "zh": "1。"}\n{"ja": "二。"}\n', "corpus row has no 'zh' key"),
         ('{"zh": "1。"}\n', "corpus row has no 'ja' key"),
     ], ids=["not-an-object", "no-zh", "no-ja"])
