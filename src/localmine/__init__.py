@@ -34,12 +34,11 @@ from .filtering import (
 from .htmltext import EncodingError, extract_links
 from .lexicon import (
     Lexicon,
-    LexiconEntry,
-    augment_with_char_map,
     build_lexicon,
     coverage,
     load_lexicon,
     reduce_dictionary,
+    single_char_pairs,
 )
 from .model1 import NULL_TOKEN, TranslationTable, train_model1
 from .pipeline import SiteReport, dedupe, emit_report, run_pipeline

@@ -32,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,6 +47,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_EMBED_THRESHOLD = 0.7
 MODEL_VERSION = 2
+
+T = TypeVar("T")
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
 _PUNCT_SET = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
@@ -367,7 +369,7 @@ class BitextFilter:
         """Read ``save`` output; see the module docstring."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
-            raise ValueError(f"filter model is a JSON {type(payload).__name__}, not an object")
+            raise ValueError("filter model is not a JSON object")
         version = payload.get("version")
         if version == 1:
             raise ValueError("filter model version 1 is no longer read; "
@@ -379,14 +381,24 @@ class BitextFilter:
                 raise ValueError(f"filter model section {name!r} is missing or not an object")
         # Keyword arguments are evaluated in order: forest, tables, LMs.
         return cls(
-            forest=RandomForest.from_json(payload.pop("forest")),
-            table_j2z=TranslationTable.from_json(payload.pop("table_j2z")),
-            table_z2j=TranslationTable.from_json(payload.pop("table_z2j")),
-            lm_ja=CharLM.from_json(payload.pop("lm_ja")),
-            lm_zh=CharLM.from_json(payload.pop("lm_zh")),
+            forest=_read_section(payload, "forest", RandomForest.from_json),
+            table_j2z=_read_section(payload, "table_j2z", TranslationTable.from_json),
+            table_z2j=_read_section(payload, "table_z2j", TranslationTable.from_json),
+            lm_ja=_read_section(payload, "lm_ja", CharLM.from_json),
+            lm_zh=_read_section(payload, "lm_zh", CharLM.from_json),
             seed=int(payload.get("seed", 0)),
             threshold=float(payload.get("threshold", DEFAULT_SCORE_THRESHOLD)),
         )
+
+
+def _read_section(payload: dict, name: str, from_json: Callable[[dict], T]) -> T:
+    """``from_json`` of model section ``name``, popped from the parsed
+    payload so it is freed once read.  A key the section lacks is a
+    ``ValueError`` naming the section and the key."""
+    try:
+        return from_json(payload.pop(name))
+    except KeyError as err:
+        raise ValueError(f"filter model section {name!r} lacks the key {err.args[0]!r}") from None
 
 
 def train_filter(

@@ -2,9 +2,13 @@
 augmentation, plus the greedy dictionary match built on top of it that
 document alignment, sentence alignment and the filter features share.
 
-The normal build path: load a raw ``ja<TAB>zh`` dictionary, keep the
-entries whose headwords are single tokens on both sides, then union in
-Kanji/simplified-Chinese character correspondences.
+The normal build path, one pass: ``load_lexicon`` chains two lazy
+filters over the raw ``ja<TAB>zh`` rows into ``build_lexicon`` -- the
+dictionary rows whose headwords are single tokens on both sides
+(``reduce_dictionary``), then the character map's Kanji/simplified-
+Chinese rows that are single characters (``single_char_pairs``).
+``build_lexicon`` is the only place that deduplicates: it fills both
+indices in one loop and freezes each headword's translations once.
 
 For segmentation, ``Lexicon.headword_widths`` keeps, per language and
 first character, the distinct headword lengths >= 2 in descending
@@ -19,31 +23,27 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator
 
 from .text import LanguageTag
 
 logger = logging.getLogger(__name__)
 
 
-class LexiconEntry(NamedTuple):
-    ja: str
-    zh: str
-
-
 @dataclass
 class Lexicon:
     """Immutable after construction; the indices are exact inverses of
-    the entry set and map each headword to its translations as a tuple
+    each other and map each headword to its translations as a tuple
     sorted once at build time."""
 
-    entries: list[LexiconEntry] = field(default_factory=list)
     index_ja: dict[str, tuple[str, ...]] = field(default_factory=dict)
     index_zh: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        """Number of distinct (ja, zh) pairs."""
+        return sum(map(len, self.index_ja.values()))
 
     def headwords(self, lang: LanguageTag) -> dict[str, tuple[str, ...]]:
         """Headword -> sorted translations, reading ``lang`` text: the
@@ -70,61 +70,44 @@ def _widths_by_first_char(index: dict[str, tuple[str, ...]]) -> dict[str, tuple[
     return {first: tuple(sorted(lengths, reverse=True)) for first, lengths in by_first.items()}
 
 
-def build_lexicon(entries: Iterable[LexiconEntry | tuple[str, str]]) -> Lexicon:
-    """Deduplicate entries (first occurrence wins) and build both indices,
-    each headword's translations sorted once."""
-    seen: set[LexiconEntry] = set()
-    ordered: list[LexiconEntry] = []
-    index_ja: dict[str, set[str]] = {}
-    index_zh: dict[str, set[str]] = {}
-    for raw in entries:
-        entry = LexiconEntry(*raw)
-        if not entry.ja or not entry.zh or entry in seen:
-            continue
-        seen.add(entry)
-        ordered.append(entry)
-        index_ja.setdefault(entry.ja, set()).add(entry.zh)
-        index_zh.setdefault(entry.zh, set()).add(entry.ja)
-    return Lexicon(ordered, _freeze(index_ja), _freeze(index_zh))
+def build_lexicon(pairs: Iterable[tuple[str, str]]) -> Lexicon:
+    """Build both indices in one pass over ``(ja, zh)`` pairs.  A pair
+    with an empty side is skipped, a repeated pair counts once, and each
+    headword's translations are sorted once."""
+    index_ja: dict[str, list[str]] = {}
+    index_zh: dict[str, list[str]] = {}
+    for ja, zh in pairs:
+        if ja and zh:
+            index_ja.setdefault(ja, []).append(zh)
+            index_zh.setdefault(zh, []).append(ja)
+    return Lexicon(_freeze(index_ja), _freeze(index_zh))
 
 
-def _freeze(index: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:
-    return {head: tuple(sorted(targets)) for head, targets in index.items()}
+def _freeze(index: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
+    return {head: tuple(sorted(set(targets))) for head, targets in index.items()}
 
 
-def reduce_dictionary(raw_entries: Iterable[tuple[str, str]]) -> list[LexiconEntry]:
-    """Keep exactly the entries whose two headwords are each one token
-    under ``str.split()``; deduplicated, first-occurrence order."""
-    seen: set[LexiconEntry] = set()
-    kept: list[LexiconEntry] = []
-    for ja, zh in raw_entries:
-        if len(ja.split()) != 1 or len(zh.split()) != 1:
-            continue
-        entry = LexiconEntry(ja, zh)
-        if entry in seen:
-            continue
-        seen.add(entry)
-        kept.append(entry)
-    return kept
+def reduce_dictionary(rows: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """Yield exactly the rows whose two headwords are each one token
+    under ``str.split()``, unchanged and in order."""
+    for ja, zh in rows:
+        if len(ja.split()) == 1 and len(zh.split()) == 1:
+            yield ja, zh
 
 
-def augment_with_char_map(
-    entries: Iterable[LexiconEntry | tuple[str, str]],
-    char_map: Iterable[tuple[str, str]],
-) -> Lexicon:
-    """Union word entries with single-character correspondences.  Rows of
-    the character map that are not single scalar values are skipped."""
-    combined: list[tuple[str, str]] = [tuple(e) for e in entries]
+def single_char_pairs(char_map: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """Yield the character-map rows that are one scalar value on each
+    side; each other row is skipped with a warning, and their count is
+    logged once the map is exhausted."""
     skipped = 0
     for kanji, simplified in char_map:
         if len(kanji) != 1 or len(simplified) != 1:
             logger.warning("char map row is not single characters: %r/%r", kanji, simplified)
             skipped += 1
             continue
-        combined.append((kanji, simplified))
+        yield kanji, simplified
     if skipped:
         logger.warning("skipped %d malformed char map rows", skipped)
-    return build_lexicon(combined)
 
 
 def coverage(
@@ -186,8 +169,9 @@ def load_pair_tsv(path: str | Path) -> list[tuple[str, str]]:
 def load_lexicon(
     dictionary_path: str | Path, char_map_path: str | Path | None = None
 ) -> Lexicon:
-    """Load, reduce and augment a lexicon from TSV files; headwords are
-    reduced with the whitespace segmenter."""
-    entries = reduce_dictionary(load_pair_tsv(dictionary_path))
-    char_map = load_pair_tsv(char_map_path) if char_map_path else []
-    return augment_with_char_map(entries, char_map)
+    """Load a lexicon from TSV files in one build pass: the dictionary's
+    one-token rows, then the character map's single-character rows."""
+    pairs = reduce_dictionary(load_pair_tsv(dictionary_path))
+    if char_map_path:
+        pairs = chain(pairs, single_char_pairs(load_pair_tsv(char_map_path)))
+    return build_lexicon(pairs)

@@ -312,7 +312,7 @@ def _align(
 
     # Dictionary tables, built once per call (see ``_match_tables``), and
     # the live token counts that bound each span's greedy m.
-    use_dict = lam > 0 and lex is not None and len(lex) > 0
+    use_dict = lam > 0 and lex is not None and bool(lex.index_ja)
     if use_dict:
         src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
         src_spans = _by_span(src_rows)

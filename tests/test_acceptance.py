@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+from itertools import chain
 
 import mpmath
 import pytest
@@ -23,7 +24,7 @@ from localmine.filtering import (
     synthesize_negatives,
     train_classifier,
 )
-from localmine.lexicon import augment_with_char_map, build_lexicon, reduce_dictionary
+from localmine.lexicon import build_lexicon, reduce_dictionary, single_char_pairs
 from localmine.model1 import train_model1
 from localmine.pipeline import SiteReport, emit_report, run_pipeline
 from localmine.sentalign import LengthModel, align_sentences, length_cost
@@ -106,12 +107,13 @@ class TestAcceptance:
         assert ll_ok and sums_ok
 
     def test_ac4_lexicon_reduction(self):
-        kept = reduce_dictionary(make_planted_raw_entries(total=1000, single=730))
+        kept = list(reduce_dictionary(make_planted_raw_entries(total=1000, single=730)))
         chars = [(chr(0x4E00 + i), chr(0x6C00 + i)) for i in range(60)]
-        lex = augment_with_char_map(kept, chars)
-        ok = len(kept) == 730 and len(lex) == 790
-        _verdict("AC-4 lexicon reduction", ok, f"reduced={len(kept)}, augmented={len(lex)}")
-        assert len(kept) == 730
+        reduced = len(build_lexicon(kept))
+        lex = build_lexicon(chain(kept, single_char_pairs(chars)))
+        ok = reduced == 730 and len(lex) == 790
+        _verdict("AC-4 lexicon reduction", ok, f"reduced={reduced}, augmented={len(lex)}")
+        assert reduced == 730
         assert len(lex) == 790
 
     def test_ac5_filter_quality(self, starter_lexicon):

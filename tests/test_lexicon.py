@@ -1,19 +1,24 @@
+import logging
 import random
+import tempfile
 from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
+from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localmine.lexicon import (
-    LexiconEntry,
-    augment_with_char_map,
     build_lexicon,
     coverage,
     greedy_match_count,
     load_lexicon,
     load_pair_tsv,
     reduce_dictionary,
+    single_char_pairs,
 )
 from localmine.text import LanguageTag
 
@@ -36,39 +41,47 @@ def make_planted_raw_entries(total=1000, single=730, seed=11):
     return rows
 
 
+def _augmented(entries, char_map):
+    """The lexicon of word entries plus a character map's rows."""
+    return build_lexicon(chain(entries, single_char_pairs(char_map)))
+
+
 class TestReduceDictionary:
     def test_single_token_pair_kept(self):
-        kept = reduce_dictionary([("日本", "日本")])
-        assert kept == [LexiconEntry("日本", "日本")]
+        assert list(reduce_dictionary([("日本", "日本")])) == [("日本", "日本")]
 
     def test_multi_token_side_dropped(self):
-        assert reduce_dictionary([("日本 語学", "日语 学")]) == []
+        assert list(reduce_dictionary([("日本 語学", "日语 学")])) == []
 
     def test_planted_count(self):
-        kept = reduce_dictionary(make_planted_raw_entries())
-        assert len(kept) == 730
+        lex = build_lexicon(reduce_dictionary(make_planted_raw_entries()))
+        assert len(lex) == 730
 
     def test_output_subset_first_occurrence(self):
         raw = [("a", "x"), ("b b", "y"), ("a", "x"), ("c", "z")]
-        kept = reduce_dictionary(raw)
-        assert kept == [LexiconEntry("a", "x"), LexiconEntry("c", "z")]
+        lex = build_lexicon(reduce_dictionary(raw))
+        assert lex.index_ja == {"a": ("x",), "c": ("z",)}
+        assert len(lex) == 2
 
 
 class TestAugment:
     def test_existing_pair_is_deduped(self):
-        entries = [LexiconEntry("国", "国")]
-        lex = augment_with_char_map(entries, [("国", "国")])
+        lex = _augmented([("国", "国")], [("国", "国")])
         assert len(lex) == 1
 
     def test_disjoint_union_counts(self):
         entries = [(f"w{i}", f"c{i}") for i in range(100)]
         chars = [(chr(0x4E00 + i), chr(0x5B00 + i)) for i in range(60)]
-        lex = augment_with_char_map(entries, chars)
+        lex = _augmented(entries, chars)
         assert len(lex) == 160
 
-    def test_multichar_rows_skipped(self):
-        lex = augment_with_char_map([("a", "b")], [("xy", "z"), ("p", "q")])
+    def test_multichar_rows_skipped(self, caplog):
+        lex = _augmented([("a", "b")], [("xy", "z"), ("p", "q")])
         assert len(lex) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "char map row is not single characters: 'xy'/'z'",
+            "skipped 1 malformed char map rows",
+        ]
 
     def test_index_roundtrip_property(self):
         rng = random.Random(5)
@@ -192,3 +205,144 @@ class TestLoaders:
         chars.write_text("語\t语\n", encoding="utf-8")
         lex = load_lexicon(dict_path, chars)
         assert len(lex) == 2
+
+
+# The build chain as it was before the lexicon was built in one pass,
+# copied verbatim apart from names, docstrings and the logger: the
+# reference the one-pass build must agree with.
+_ref_logger = logging.getLogger("tests.reference_lexicon")
+
+
+class _RefEntry(NamedTuple):
+    ja: str
+    zh: str
+
+
+@dataclass
+class _RefLexicon:
+    entries: list[_RefEntry] = field(default_factory=list)
+    index_ja: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    index_zh: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def _ref_build_lexicon(entries: Iterable[_RefEntry | tuple[str, str]]) -> _RefLexicon:
+    seen: set[_RefEntry] = set()
+    ordered: list[_RefEntry] = []
+    index_ja: dict[str, set[str]] = {}
+    index_zh: dict[str, set[str]] = {}
+    for raw in entries:
+        entry = _RefEntry(*raw)
+        if not entry.ja or not entry.zh or entry in seen:
+            continue
+        seen.add(entry)
+        ordered.append(entry)
+        index_ja.setdefault(entry.ja, set()).add(entry.zh)
+        index_zh.setdefault(entry.zh, set()).add(entry.ja)
+    return _RefLexicon(ordered, _ref_freeze(index_ja), _ref_freeze(index_zh))
+
+
+def _ref_freeze(index: dict[str, set[str]]) -> dict[str, tuple[str, ...]]:
+    return {head: tuple(sorted(targets)) for head, targets in index.items()}
+
+
+def _ref_reduce_dictionary(raw_entries: Iterable[tuple[str, str]]) -> list[_RefEntry]:
+    seen: set[_RefEntry] = set()
+    kept: list[_RefEntry] = []
+    for ja, zh in raw_entries:
+        if len(ja.split()) != 1 or len(zh.split()) != 1:
+            continue
+        entry = _RefEntry(ja, zh)
+        if entry in seen:
+            continue
+        seen.add(entry)
+        kept.append(entry)
+    return kept
+
+
+def _ref_augment_with_char_map(
+    entries: Iterable[_RefEntry | tuple[str, str]],
+    char_map: Iterable[tuple[str, str]],
+) -> _RefLexicon:
+    combined: list[tuple[str, str]] = [tuple(e) for e in entries]
+    skipped = 0
+    for kanji, simplified in char_map:
+        if len(kanji) != 1 or len(simplified) != 1:
+            _ref_logger.warning("char map row is not single characters: %r/%r", kanji, simplified)
+            skipped += 1
+            continue
+        combined.append((kanji, simplified))
+    if skipped:
+        _ref_logger.warning("skipped %d malformed char map rows", skipped)
+    return _ref_build_lexicon(combined)
+
+
+def _ref_widths(index):
+    """First character -> distinct headword lengths >= 2, longest first."""
+    by_first = {}
+    for head in index:
+        if len(head) >= 2:
+            by_first.setdefault(head[0], set()).add(len(head))
+    return {first: tuple(sorted(lengths, reverse=True)) for first, lengths in by_first.items()}
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _messages_of(logger_name, call):
+    """``call()`` and the messages it logs on ``logger_name``."""
+    handler = _Messages()
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return call(), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+# Cells from a few letters, an ASCII and an ideographic space: drawn rows
+# repeat, and hold empty, multi-token and whitespace-padded cells (" a"
+# is one token); character-map cells of up to 3 characters, so some rows
+# are not single characters, and " " is a single character.
+_CELL_CHARS = st.sampled_from(["a", "b", "語", " ", "　"])
+_DICT_ROWS = st.lists(st.tuples(st.text(_CELL_CHARS, max_size=4), st.text(_CELL_CHARS, max_size=4)),
+                      max_size=30)
+_CHAR_ROWS = st.lists(st.tuples(st.text(_CELL_CHARS, max_size=3), st.text(_CELL_CHARS, max_size=3)),
+                      max_size=12)
+
+
+def _write_tsv(path, rows):
+    path.write_text("".join(f"{left}\t{right}\n" for left, right in rows), encoding="utf-8")
+
+
+class TestOnePassOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_DICT_ROWS, char_map=st.one_of(st.none(), _CHAR_ROWS))
+    def test_load_lexicon_agrees_with_the_three_pass_build(self, rows, char_map):
+        with tempfile.TemporaryDirectory() as tmp:
+            dict_path = Path(tmp) / "d.tsv"
+            _write_tsv(dict_path, rows)
+            char_path = None
+            if char_map is not None:
+                char_path = Path(tmp) / "c.tsv"
+                _write_tsv(char_path, char_map)
+            lex, logged = _messages_of("localmine.lexicon",
+                                       lambda: load_lexicon(dict_path, char_path))
+            ref, ref_logged = _messages_of("tests.reference_lexicon", lambda: _ref_augment_with_char_map(
+                _ref_reduce_dictionary(load_pair_tsv(dict_path)),
+                load_pair_tsv(char_path) if char_path else []))
+        # Item lists, so the headword order counts too.
+        assert list(lex.index_ja.items()) == list(ref.index_ja.items())
+        assert list(lex.index_zh.items()) == list(ref.index_zh.items())
+        for lang, index in ((LanguageTag.JA, ref.index_ja), (LanguageTag.ZH, ref.index_zh)):
+            assert list(lex.headword_widths(lang).items()) == list(_ref_widths(index).items())
+        assert len(lex) == len(ref)
+        assert logged == ref_logged

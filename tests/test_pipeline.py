@@ -190,9 +190,12 @@ class TestRunPipeline:
         (lambda m: m["table_j2z"].update(probs=[0.5]), "probs is a list, not a base64 string"),
         (lambda m: m.update(version=1), "version 1 is no longer read; retrain"),
         (lambda m: m.update(lm_zh=[]), "section 'lm_zh' is missing or not an object"),
+        (lambda m: m["lm_ja"].pop("vocabulary"), "section 'lm_ja' lacks the key 'vocabulary'"),
+        (lambda m: m["forest"].pop("trees"), "section 'forest' lacks the key 'trees'"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds", "no-trees",
             "row-list", "fractional-count", "string-count", "zero-total",
-            "negative-count", "list-probability", "version-1", "section-list"])
+            "negative-count", "list-probability", "version-1", "section-list",
+            "no-vocabulary-key", "no-trees-key"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
@@ -804,14 +807,16 @@ class TestCli:
 
     def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
         model = tmp_path / "bad.json"
-        model.write_text("[]", encoding="utf-8")
         pairs = tmp_path / "empty.jsonl"
         pairs.write_text("", encoding="utf-8")
-        code = cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
-                         "--out", str(tmp_path / "o.jsonl")])
-        assert code == 1
-        assert "filter model is a JSON list, not an object" in caplog.text
-        assert "Traceback" not in caplog.text
+        for text in ("[]", "null"):
+            caplog.clear()
+            model.write_text(text, encoding="utf-8")
+            code = cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
+                             "--out", str(tmp_path / "o.jsonl")])
+            assert code == 1, text
+            assert [r.getMessage() for r in caplog.records] == ["filter model is not a JSON object"]
+            assert "Traceback" not in caplog.text
 
     def test_site_errors_exit_code(self, fixture_site, tmp_path, capsys):
         sites = tmp_path / "sites.jsonl"

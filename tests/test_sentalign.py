@@ -440,7 +440,7 @@ _COMPETING = [
 
 
 def _side_swapped(lex):
-    return build_lexicon((e.zh, e.ja) for e in lex.entries)
+    return Lexicon(lex.index_zh, lex.index_ja)
 
 
 _lexicons = st.one_of(
