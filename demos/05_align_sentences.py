@@ -5,7 +5,7 @@ dictionary-similarity bonus.
 Run: python demos/05_align_sentences.py
 """
 
-from localmine import LanguageTag, LengthModel, align_sentences, build_lexicon, extract_pairs
+from localmine import LanguageTag, align_sentences, build_lexicon, extract_pairs
 from localmine.text import Sentence, segment_words
 
 lexicon = build_lexicon(
@@ -45,7 +45,7 @@ trg = sentences(LanguageTag.ZH, [
     "在图书馆看电影杂志。",
     "喜欢看电影。",
 ])
-ladder = align_sentences(src, trg, lexicon, LengthModel(), lam=3.0)
+ladder = align_sentences(src, trg, lexicon, lam=3.0)
 print("mirrored passage:")
 show(ladder, src, trg)
 
@@ -58,4 +58,4 @@ for ja, zh, cost, _, _ in extract_pairs(ladder, src, trg, max_cost=10.0):
 src2 = sentences(LanguageTag.JA, ["今日の映画は図書館の近くの新しい映画館で見る。"])
 trg2 = sentences(LanguageTag.ZH, ["今天的电影在图书馆附近。", "在新的电影院看。"])
 print("\nsplit sentence on the target side:")
-show(align_sentences(src2, trg2, lexicon, LengthModel(), lam=3.0), src2, trg2)
+show(align_sentences(src2, trg2, lexicon, lam=3.0), src2, trg2)

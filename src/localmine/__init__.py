@@ -46,7 +46,6 @@ from .sentalign import (
     AlignmentLadder,
     Bead,
     BeadKind,
-    LengthModel,
     align_sentences,
     extract_pairs,
     length_cost,

@@ -137,15 +137,12 @@ def _cmd_crawl(args, config) -> int:
 
 
 def _cmd_mine(args, config) -> int:
-    length_model = config.sentalign.length_model()
     fetch = fetch_for(config)
     lexicon = resolve_lexicon(config)
     failures = 0
     total = 0
     for site in read_sites(args.sites):
-        outcome, _ = mine_site(
-            site, lexicon, length_model, config, fetch, Path(args.out_dir) / site.host
-        )
+        outcome, _ = mine_site(site, lexicon, config, fetch, Path(args.out_dir) / site.host)
         if outcome.error:
             failures += 1
             print(f"{site.host}: {outcome.error}")

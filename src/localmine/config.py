@@ -1,11 +1,22 @@
 """Declarative pipeline configuration: one INI file whose sections
-mirror the pipeline stages.  Each key is a tunable of a run; absent keys
-fall back to the stage defaults, which each stage module defines once,
-and unknown keys are fatal.  The ``[crawler]`` section is the crawl's
-own ``CrawlBudget``.  Stage parameters that every run holds at one
-value have no key: the sentence DP's diagonal band and bead priors, the
-document-score weights and the JA/ZH detection thresholds are constants
-of the module that reads them.
+mirror the pipeline stages.  A key is a setting that runs vary, a path,
+address or budget, or a setting that depends on an outside component;
+absent keys fall back to the stage defaults, which each stage module
+defines once, and unknown sections and keys are fatal.  The
+``[crawler]`` section is the crawl's own ``CrawlBudget``.  Stage
+parameters that every run holds at one value have no key: the document
+matcher's score weights, score floor and URL language markers
+(``docalign``), the sentence DP's length model, bead priors, diagonal
+band, dictionary weight and bead cost ceiling (``sentalign``), Model 1's
+iteration count (``model1``), the character LMs' order and smoothing
+constant (``charlm``) and the JA/ZH detection thresholds (``text``) are
+constants of the module that reads them.
+
+A numeric key whose value can be out of range declares its range next
+to its field, as ``metadata={"range": ...}`` in interval notation:
+``[`` and ``]`` include a bound, ``(`` and ``)`` exclude it, so
+``(0, inf)`` is finite and positive.  ``load_config`` checks each value
+it reads against its field's range.
 """
 
 from __future__ import annotations
@@ -15,10 +26,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import charlm, docalign, embeddings, filtering, forest, model1, sentalign
+from . import embeddings, filtering, forest
 from .crawl import CrawlBudget
 from .discovery import DEFAULT_LIMIT, DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
-from .urls import DEFAULT_LANG_MARKERS
 
 
 @dataclass
@@ -35,40 +45,22 @@ class LexiconConfig:
 
 
 @dataclass
-class DocAlignConfig:
-    min_score: float = docalign.DEFAULT_MIN_SCORE
-    lang_markers: str = ",".join(m.strip("/") for m in DEFAULT_LANG_MARKERS)
-
-    @property
-    def marker_list(self) -> tuple[str, ...]:
-        return tuple(f"/{m.strip().strip('/')}/" for m in self.lang_markers.split(",") if m.strip())
-
-
-@dataclass
-class SentAlignConfig:
-    c: float = sentalign.DEFAULT_C
-    s2: float = sentalign.DEFAULT_S2
-    dict_weight: float = sentalign.DEFAULT_DICT_WEIGHT
-    max_bead_cost: float = sentalign.DEFAULT_MAX_BEAD_COST
-
-    def length_model(self) -> sentalign.LengthModel:
-        return sentalign.LengthModel(c=self.c, s2=self.s2)
-
-
-@dataclass
 class FilterConfig:
-    threshold: float = filtering.DEFAULT_SCORE_THRESHOLD
+    threshold: float = field(
+        default=filtering.DEFAULT_SCORE_THRESHOLD, metadata={"range": "[0, 1]"}
+    )
     model_path: str = ""  # trained filter bundle; trained on the fly when empty
     train_corpus: str = ""  # parallel TSV used when model_path is empty
-    model1_iterations: int = model1.DEFAULT_ITERATIONS
-    lm_order: int = charlm.DEFAULT_ORDER
-    lm_k: float = charlm.DEFAULT_ADD_K
     trees: int = forest.DEFAULT_TREES
     depth: int = forest.DEFAULT_DEPTH
-    embed_threshold: float = filtering.DEFAULT_EMBED_THRESHOLD
+    embed_threshold: float = field(
+        default=filtering.DEFAULT_EMBED_THRESHOLD, metadata={"range": "[-1, 1]"}
+    )
     embed_vectors: str = ""  # precomputed-vector JSONL; empty disables the gate
     embed_endpoint: str = ""  # HTTP provider; overrides embed_vectors
-    embed_batch_size: int = embeddings.DEFAULT_BATCH_SIZE
+    embed_batch_size: int = field(
+        default=embeddings.DEFAULT_BATCH_SIZE, metadata={"range": "[1, inf)"}
+    )
 
 
 @dataclass
@@ -87,18 +79,26 @@ class PipelineConfig:
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
     crawler: CrawlBudget = field(default_factory=CrawlBudget)
     lexicon: LexiconConfig = field(default_factory=LexiconConfig)
-    docalign: DocAlignConfig = field(default_factory=DocAlignConfig)
-    sentalign: SentAlignConfig = field(default_factory=SentAlignConfig)
     filter: FilterConfig = field(default_factory=FilterConfig)
     pipeline: PipelineSectionConfig = field(default_factory=PipelineSectionConfig)
 
 
+def _check_range(section: str, key: str, value: float, interval: str) -> None:
+    """A one-line ``ValueError`` unless ``value`` lies in ``interval``
+    (see the module docstring)."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = value > lo if interval[0] == "(" else value >= lo
+    below = value < hi if interval[-1] == ")" else value <= hi
+    if not (above and below):
+        raise ValueError(f"key {key!r} in section [{section}] is {value}, outside {interval}")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse an INI config; unknown sections or keys, and NaN values, are
-    fatal (they are silent misconfiguration otherwise).  So is a file
-    that is not INI, such as one repeating a section or key, or setting
-    a key before any section header: a one-line ``ValueError`` that
-    names the file."""
+    """Parse an INI config; unknown sections or keys, NaN values and
+    values outside their key's declared range are fatal (they are silent
+    misconfiguration otherwise).  So is a file that is not INI, such as
+    one repeating a section or key, or setting a key before any section
+    header: a one-line ``ValueError`` that names the file."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
@@ -112,14 +112,17 @@ def load_config(path: str | Path) -> PipelineConfig:
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         target = getattr(config, section)
-        known = {f.name for f in fields(target)}
+        known = {f.name: f for f in fields(target)}
         for key, raw in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             # Every key is an int, float or str; its default's type parses it.
             value = type(getattr(target, key))(raw.strip())
-            if isinstance(value, float) and math.isnan(value):  # passes every range check
+            if isinstance(value, float) and math.isnan(value):  # fails every range check
                 raise ValueError(f"key {key!r} in section [{section}] is NaN")
+            interval = known[key].metadata.get("range")
+            if interval is not None:
+                _check_range(section, key, value, interval)
             setattr(target, key, value)
     return config
 

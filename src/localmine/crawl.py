@@ -38,13 +38,15 @@ _BINARY_EXTENSIONS = (".pdf", ".doc", ".docx")
 class CrawlBudget:
     """The ``[crawler]`` config section: hard limits, where the crawl
     halts when ANY of them is reached, the politeness delay between two
-    requests to one host, and the timeout of each request."""
+    requests to one host, and the timeout of each request.  Each field's
+    ``range`` is checked when a config is loaded (``config``)."""
 
-    max_seconds: int = 172_800  # 48 h, the default wall clock per site
-    max_pages: int = 10_000
-    max_bytes: int = 256 * 1024 * 1024
-    per_host_delay_ms: int = 100
-    timeout: float = DEFAULT_TIMEOUT
+    # 48 h, the default wall clock per site
+    max_seconds: int = field(default=172_800, metadata={"range": "[1, inf)"})
+    max_pages: int = field(default=10_000, metadata={"range": "[1, inf)"})
+    max_bytes: int = field(default=256 * 1024 * 1024, metadata={"range": "[1, inf)"})
+    per_host_delay_ms: int = field(default=100, metadata={"range": "[0, inf)"})
+    timeout: float = field(default=DEFAULT_TIMEOUT, metadata={"range": "(0, inf)"})
 
 
 @dataclass

@@ -5,8 +5,10 @@ with the language markers stripped and its token bag.  A pair is
 scored only when its URL similarity or its dictionary similarity (the
 harmonic mean of the two coverage directions over the bags) clears a
 pre-filter; its score weighs those two with HTML structure digest
-similarity and a length ratio by the fixed ``DEFAULT_WEIGHTS``, which
-no config key changes.  Matching is greedy over descending scores:
+similarity and a length ratio by the fixed ``DEFAULT_WEIGHTS``.  The
+pipeline keeps pairs scoring at least ``DEFAULT_MIN_SCORE`` and strips
+the markers ``urls.DEFAULT_LANG_MARKERS``; no config key changes these
+constants.  Matching is greedy over descending scores:
 near-mirror translations dominate their column/row, so greedy stays
 near the optimal assignment at a fraction of the cost.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .lexicon import Lexicon, coverage
 from .text import Document, LanguageTag
-from .urls import DEFAULT_LANG_MARKERS, normalized_similarity, strip_lang_markers
+from .urls import normalized_similarity, strip_lang_markers
 
 DEFAULT_WEIGHTS = (0.5, 0.2, 0.2, 0.1)  # dict, url, struct, length
 DEFAULT_MIN_SCORE = 0.4
@@ -86,7 +88,6 @@ def match_documents(
     pages_zh: list[Document],
     lex: Lexicon,
     min_score: float = DEFAULT_MIN_SCORE,
-    markers: tuple[str, ...] = DEFAULT_LANG_MARKERS,
 ) -> list[DocPair]:
     """Greedy one-to-one matching by descending score.
 
@@ -95,8 +96,8 @@ def match_documents(
     most once; pairs below ``min_score`` are discarded.  Ties break on
     (url_sim desc, URL pair lexicographic).
     """
-    keys_ja = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_ja]
-    keys_zh = [(strip_lang_markers(d.url, markers), d.token_bag()) for d in pages_zh]
+    keys_ja = [(strip_lang_markers(d.url), d.token_bag()) for d in pages_ja]
+    keys_zh = [(strip_lang_markers(d.url), d.token_bag()) for d in pages_zh]
     scored: list[tuple[float, float, str, str, int, int, dict[str, float]]] = []
     for i, (doc_ja, key_ja) in enumerate(zip(pages_ja, keys_ja)):
         for j, (doc_zh, key_zh) in enumerate(zip(pages_zh, keys_zh)):

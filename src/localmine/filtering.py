@@ -18,7 +18,10 @@ load's final size, so the load's peak stays near the size of the model
 it keeps.  A file whose top level or one of whose five sections is not
 an object, whose version is not 2, or whose sections a component
 rejects (see each ``from_json``) is a ``ValueError``; for a version-1
-file the message says to retrain.
+file the message says to retrain.  Other top-level keys are ignored,
+such as the ``seed`` and ``threshold`` that files written before them
+carry: the forest section keeps its own seed, and a run keeps pairs by
+``[filter] threshold``.
 A ``FeatureVector`` is a named tuple whose field order is the forest's
 column order.
 """
@@ -36,10 +39,10 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .charlm import DEFAULT_ADD_K, DEFAULT_ORDER, CharLM, _check_parameters, lm_score, train_char_lm
+from .charlm import CharLM, lm_score, train_char_lm
 from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
-from .model1 import DEFAULT_ITERATIONS, TranslationTable, _check_iterations, train_model1
+from .model1 import TranslationTable, train_model1
 from .text import LanguageTag, Segmenter
 
 logger = logging.getLogger(__name__)
@@ -328,8 +331,6 @@ class BitextFilter:
     lm_ja: CharLM
     lm_zh: CharLM
     forest: RandomForest
-    seed: int = 0
-    threshold: float = DEFAULT_SCORE_THRESHOLD
 
     def features(self, ja: str, zh: str, tokens_ja: list[str], tokens_zh: list[str],
                  lex: Lexicon) -> FeatureVector:
@@ -341,8 +342,8 @@ class BitextFilter:
     def score_batch(self, fvs: Sequence[FeatureVector]) -> list[float]:
         """Ensemble vote fraction in [0, 1] per feature vector, all scored
         in one forest call; the pipeline keeps pairs whose score reaches
-        the threshold (default 0.5, inclusive).  A row's score does not
-        depend on the rest of the batch."""
+        ``[filter] threshold`` (default 0.5, inclusive).  A row's score
+        does not depend on the rest of the batch."""
         return self.forest.predict_proba(np.array(fvs, dtype=np.float64)).tolist()
 
     def score(self, fv: FeatureVector) -> float:
@@ -352,8 +353,6 @@ class BitextFilter:
     def save(self, path: str | Path) -> None:
         payload = {
             "version": MODEL_VERSION,
-            "seed": self.seed,
-            "threshold": self.threshold,
             "table_j2z": self.table_j2z.to_json(),
             "table_z2j": self.table_z2j.to_json(),
             "lm_ja": self.lm_ja.to_json(),
@@ -386,8 +385,6 @@ class BitextFilter:
             table_z2j=_read_section(payload, "table_z2j", TranslationTable.from_json),
             lm_ja=_read_section(payload, "lm_ja", CharLM.from_json),
             lm_zh=_read_section(payload, "lm_zh", CharLM.from_json),
-            seed=int(payload.get("seed", 0)),
-            threshold=float(payload.get("threshold", DEFAULT_SCORE_THRESHOLD)),
         )
 
 
@@ -406,29 +403,23 @@ def train_filter(
     lex: Lexicon,
     seg_ja: Segmenter,
     seg_zh: Segmenter,
-    model1_iterations: int = DEFAULT_ITERATIONS,
-    lm_order: int = DEFAULT_ORDER,
-    lm_k: float = DEFAULT_ADD_K,
     trees: int = DEFAULT_TREES,
     depth: int = DEFAULT_DEPTH,
     seed: int = 0,
-    threshold: float = DEFAULT_SCORE_THRESHOLD,
 ) -> BitextFilter:
-    """Train every component of the filter from one parallel corpus.
-    Every setting is checked, by the check its component runs, before
-    any training work, so a bad one costs no training time."""
+    """Train every component of the filter from one parallel corpus:
+    Model 1 with its ``DEFAULT_ITERATIONS`` and the character LMs with
+    their ``DEFAULT_ORDER`` and ``DEFAULT_ADD_K``.  The forest settings
+    are checked before any training work, so a bad one costs no
+    training time."""
     if len(parallel) < 10:
         raise ValueError("need at least 10 parallel pairs to train the filter")
     RandomForest(n_trees=trees, max_depth=depth)  # checks the forest settings
-    _check_parameters(lm_order, lm_k)
-    _check_iterations(model1_iterations)
     tokenized = [(seg_ja(ja), seg_zh(zh)) for ja, zh in parallel]
-    table_j2z = train_model1(tokenized, iterations=model1_iterations, direction="ja-zh")
-    table_z2j = train_model1(
-        [(zh, ja) for ja, zh in tokenized], iterations=model1_iterations, direction="zh-ja"
-    )
-    lm_ja_model = train_char_lm([ja for ja, _ in parallel], n=lm_order, k=lm_k)
-    lm_zh_model = train_char_lm([zh for _, zh in parallel], n=lm_order, k=lm_k)
+    table_j2z = train_model1(tokenized, direction="ja-zh")
+    table_z2j = train_model1([(zh, ja) for ja, zh in tokenized], direction="zh-ja")
+    lm_ja_model = train_char_lm([ja for ja, _ in parallel])
+    lm_zh_model = train_char_lm([zh for _, zh in parallel])
     labeled = synthesize_negatives(list(parallel), seed=seed)
     rows: list[tuple[FeatureVector, int]] = []
     for idx, row in enumerate(labeled):
@@ -449,6 +440,4 @@ def train_filter(
         lm_ja=lm_ja_model,
         lm_zh=lm_zh_model,
         forest=forest_model,
-        seed=seed,
-        threshold=threshold,
     )

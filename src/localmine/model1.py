@@ -143,11 +143,6 @@ class TranslationTable:
         return cls(t=t, direction=obj.get("direction", ""))
 
 
-def _check_iterations(iterations: int) -> None:
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-
-
 def train_model1(
     corpus: Sequence[tuple[Sequence[str], Sequence[str]]],
     iterations: int = DEFAULT_ITERATIONS,
@@ -160,7 +155,8 @@ def train_model1(
     """
     if not corpus:
         raise ValueError("empty corpus")
-    _check_iterations(iterations)
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
 
     pairs = [
         ([NULL_TOKEN] + list(src), list(trg))

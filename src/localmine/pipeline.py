@@ -62,7 +62,7 @@ from .htmltext import EncodingError, extract_page
 from .jsonl import read_jsonl, whole_file
 from .jsonl import write_jsonl as _write_jsonl
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
-from .sentalign import LengthModel, align_sentences, extract_pairs, format_ladder_tsv
+from .sentalign import align_sentences, extract_pairs, format_ladder_tsv
 from .text import Document, LanguageTag, document_from_text, make_segmenter
 
 logger = logging.getLogger(__name__)
@@ -233,20 +233,19 @@ def crawl_and_dump(
 def mine_site(
     site: CandidateSite,
     lexicon: Lexicon,
-    length_model: LengthModel,
     config: PipelineConfig,
     fetch: Fetch,
     site_dir: Path,
 ) -> tuple[SiteOutcome, list[CorpusRecord]]:
     """Crawl one site and align it down to candidate sentence pairs.
 
-    ``length_model`` is the run's ``config.sentalign.length_model()``,
-    built once by the caller so that a bad ``[sentalign]`` value stops
-    the run before any site.  Returns the site's outcome plus the
-    unscored candidates in document-pair order, and writes the site's
-    snapshot and alignment checkpoints under ``site_dir``; the caller
-    applies the filter stage and writes the survivors to
-    ``filtered.jsonl``.
+    Document and sentence alignment run with their modules' constants:
+    no config key changes the document score floor, the URL language
+    markers, the length model, the dictionary weight or the bead cost
+    ceiling.  Returns the site's outcome plus the unscored candidates
+    in document-pair order, and writes the site's snapshot and
+    alignment checkpoints under ``site_dir``; the caller applies the
+    filter stage and writes the survivors to ``filtered.jsonl``.
     """
     outcome = SiteOutcome(host=site.host, source=site.source)
     store = crawl_and_dump(site, config, fetch, site_dir / "pages")
@@ -258,31 +257,14 @@ def mine_site(
     docs_ja, docs_zh = pages_to_documents(store, lexicon)
     outcome.n_docs_ja = len(docs_ja)
     outcome.n_docs_zh = len(docs_zh)
-    doc_pairs = match_documents(
-        docs_ja,
-        docs_zh,
-        lexicon,
-        min_score=config.docalign.min_score,
-        markers=config.docalign.marker_list,
-    )
+    doc_pairs = match_documents(docs_ja, docs_zh, lexicon)
     outcome.n_doc_pairs = len(doc_pairs)
 
     candidates: list[CorpusRecord] = []
     ladder_dump: list[str] = []
     for pair in doc_pairs:
-        ladder = align_sentences(
-            pair.doc_ja.sentences,
-            pair.doc_zh.sentences,
-            lexicon,
-            length_model,
-            lam=config.sentalign.dict_weight,
-        )
-        pairs = extract_pairs(
-            ladder,
-            pair.doc_ja.sentences,
-            pair.doc_zh.sentences,
-            max_cost=config.sentalign.max_bead_cost,
-        )
+        ladder = align_sentences(pair.doc_ja.sentences, pair.doc_zh.sentences, lexicon)
+        pairs = extract_pairs(ladder, pair.doc_ja.sentences, pair.doc_zh.sentences)
         candidates.extend(
             CorpusRecord(
                 ja=ja,
@@ -440,13 +422,9 @@ def train_configured_filter(
         lexicon,
         make_segmenter(lexicon, LanguageTag.JA),
         make_segmenter(lexicon, LanguageTag.ZH),
-        model1_iterations=config.filter.model1_iterations,
-        lm_order=config.filter.lm_order,
-        lm_k=config.filter.lm_k,
         trees=config.filter.trees,
         depth=config.filter.depth,
         seed=config.pipeline.seed,
-        threshold=config.filter.threshold,
     )
 
 
@@ -462,22 +440,22 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
-    # Each of these is fatal before any output, the output directory included.
-    length_model = config.sentalign.length_model()
+    # Each of these is fatal before any output, the output directory
+    # included: ``load_sites`` writes nothing under it.
     fetch = fetch_for(config)
     lexicon = resolve_lexicon(config)
     bitext_filter = resolve_filter(config, lexicon)
     provider = resolve_provider(config)
+    sites, intake, submissions = load_sites(config, fetch)
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sites, intake, submissions = load_sites(config, fetch)
     if submissions:
         _write_jsonl(out_dir / "submissions.jsonl", (r.to_json() for r in submissions))
 
     def process(site: CandidateSite) -> SiteOutcome:
         site_dir = out_dir / site.host
         try:
-            outcome, candidates = mine_site(site, lexicon, length_model, config, fetch, site_dir)
+            outcome, candidates = mine_site(site, lexicon, config, fetch, site_dir)
             counters: dict[str, int] = {}
             # A site whose crawl failed has no candidates, so no records.
             records = filter_candidates(

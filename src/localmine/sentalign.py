@@ -6,7 +6,12 @@ an ordered bead sequence tiling both documents exactly.  The cost of a
 bead is a normal-deviate length term plus a bead-type prior, reduced by
 lexical evidence across the bead's spans.  The DP returns the
 minimum-total-cost tiling.  The DP is the length-based bead search of
-Gale & Church (1993) with a dictionary term added to each bead.
+Gale & Church (1993) with a dictionary term added to each bead.  Its
+parameters are this module's constants, which no config key changes:
+the mean target/source character ratio ``DEFAULT_C`` and the variance
+per source character ``DEFAULT_S2`` of the length term, the bead
+priors ``DEFAULT_PRIORS``, the dictionary weight ``DEFAULT_DICT_WEIGHT``
+and the cost ceiling ``DEFAULT_MAX_BEAD_COST`` of ``extract_pairs``.
 
 The DP runs in a band of ``BAND_HALF_WIDTH`` target sentences on each
 side of the diagonal, so a call costs time linear in the document
@@ -104,25 +109,6 @@ KIND_PREFERENCE = (
 
 
 @dataclass
-class LengthModel:
-    """Mean target/source character ratio and per-character variance.
-    The bead-type priors are the fixed ``DEFAULT_PRIORS``."""
-
-    c: float = DEFAULT_C
-    s2: float = DEFAULT_S2
-
-    def __post_init__(self) -> None:
-        if not self.c > 0:  # NaN included
-            raise ValueError("c must be positive")
-        if not self.s2 > 0:
-            raise ValueError("s2 must be positive")
-
-    def prior_cost(self, kind: BeadKind) -> float:
-        """Negative log prior of a bead kind (``PRIOR_COSTS``)."""
-        return PRIOR_COSTS[kind]
-
-
-@dataclass
 class Bead:
     kind: BeadKind
     src_span: tuple[int, int]  # (start, len)
@@ -140,11 +126,13 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def length_cost(l_src: int, l_trg: int, model: LengthModel) -> float:
-    """Two-sided tail cost of the normal length deviation, floored at 0
-    and capped so the DP never saturates on outliers.  The length term
-    of every bead the DP in ``align_sentences`` costs."""
-    delta = (l_trg - model.c * l_src) / math.sqrt(max(l_src, 1) * model.s2)
+def length_cost(l_src: int, l_trg: int) -> float:
+    """Two-sided tail cost of the normal length deviation from
+    ``DEFAULT_C * l_src`` with variance ``DEFAULT_S2`` per source
+    character, floored at 0 and capped so the DP never saturates on
+    outliers.  The length term of every bead the DP in
+    ``align_sentences`` costs."""
+    delta = (l_trg - DEFAULT_C * l_src) / math.sqrt(max(l_src, 1) * DEFAULT_S2)
     tail = 2.0 * (1.0 - _normal_cdf(abs(delta)))
     if tail <= 0.0:
         return COST_CAP
@@ -249,7 +237,6 @@ def align_sentences(
     src: list[Sentence],
     trg: list[Sentence],
     lex: Lexicon | None,
-    model: LengthModel | None = None,
     lam: float = DEFAULT_DICT_WEIGHT,
     banded: bool = True,
 ) -> AlignmentLadder:
@@ -266,16 +253,16 @@ def align_sentences(
     half-width reaches ``len(trg)``.  When the unbanded optimum lies
     inside the starting band, the result is that optimum bit for bit; a
     path that drifts costs up to about twice the cells of the band it
-    ends in.  A bead costs its ``length_cost`` plus its kind's prior
-    cost, less ``lam * 2m / n`` for the m greedy dictionary matches
-    among its n tokens (none for SUB and DEL beads), floored at 0.
+    ends in.  A bead costs its ``length_cost`` plus its kind's
+    ``PRIOR_COSTS`` entry, less ``lam * 2m / n`` for the m greedy
+    dictionary matches among its n tokens (none for SUB and DEL beads),
+    floored at 0.
     """
-    model = model or LengthModel()
     n_src, n_trg = len(src), len(trg)
     half_width = BAND_HALF_WIDTH if banded else n_trg
     while True:
         rows = _band_rows(n_src, n_trg, half_width)
-        ladder = _align(src, trg, lex, model, lam, rows)
+        ladder = _align(src, trg, lex, lam, rows)
         if half_width >= n_trg:
             assert ladder is not None  # the full grid always admits a tiling
             return ladder
@@ -288,7 +275,6 @@ def _align(
     src: list[Sentence],
     trg: list[Sentence],
     lex: Lexicon | None,
-    model: LengthModel,
     lam: float,
     rows: list[tuple[int, int]],
 ) -> AlignmentLadder | None:
@@ -320,8 +306,8 @@ def _align(
         src_live = _by_span([len(row) for row in src_rows])
         trg_live = _by_span([sum(c.values()) for c in trg_counts])
 
-    kinds = [(kind, kind.n_src, kind.n_trg, model.prior_cost(kind)) for kind in KIND_PREFERENCE]
-    # The model is fixed within a call, so each (l_src, l_trg) is costed once.
+    kinds = [(kind, kind.n_src, kind.n_trg, PRIOR_COSTS[kind]) for kind in KIND_PREFERENCE]
+    # Each (l_src, l_trg) is costed once per call.
     length_costs: dict[tuple[int, int], float] = {}
 
     cost_rows: list[list[float]] = []
@@ -351,7 +337,7 @@ def _align(
                 l_trg = trg_chars[j] - trg_chars[pj]
                 lc = length_costs.get((l_src, l_trg))
                 if lc is None:
-                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg, model)
+                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg)
                 base = lc + prior_cost
                 # The greedy m of a bead is at most ``live``, the smaller of
                 # its live source and target token counts, and each step

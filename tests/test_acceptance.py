@@ -27,7 +27,7 @@ from localmine.filtering import (
 from localmine.lexicon import build_lexicon, reduce_dictionary, single_char_pairs
 from localmine.model1 import train_model1
 from localmine.pipeline import SiteReport, emit_report, run_pipeline
-from localmine.sentalign import LengthModel, align_sentences, length_cost
+from localmine.sentalign import align_sentences, length_cost
 from localmine.text import LanguageTag, Sentence, make_segmenter
 
 from sitegen import unique_sentences, write_run_config
@@ -44,7 +44,6 @@ class TestAcceptance:
         rng = random.Random(101)
         words_ja = ["学生", "新聞", "図書館", "映画", "東京", "公園", "好き"]
         words_zh = ["学生", "报纸", "图书馆", "电影", "东京", "公园", "喜欢"]
-        model = LengthModel()
         start = time.monotonic()
         worst = 0.0
         for _ in range(500):
@@ -61,8 +60,8 @@ class TestAcceptance:
                 s.tokens = [s.text[i : i + 2] for i in range(0, len(s.text), 2)]
             for t in trg:
                 t.tokens = [t.text[i : i + 2] for i in range(0, len(t.text), 2)]
-            ladder = align_sentences(src, trg, mirror_lexicon, model, banded=False)
-            oracle = brute_force_min_cost(src, trg, mirror_lexicon, model, 3.0)
+            ladder = align_sentences(src, trg, mirror_lexicon, banded=False)
+            oracle = brute_force_min_cost(src, trg, mirror_lexicon, 3.0)
             worst = max(worst, abs(ladder.total_cost - oracle))
         elapsed = time.monotonic() - start
         ok = worst <= 1e-9 and elapsed < 60.0
@@ -72,18 +71,17 @@ class TestAcceptance:
         assert elapsed < 60.0
 
     def test_ac2_length_cost_component(self):
-        model = LengthModel(c=1.0, s2=6.8)
-        zero = length_cost(100, 100, model)
+        zero = length_cost(100, 100)
         monotone = True
         previous = -1.0
         for d in range(0, 200, 5):
-            cost = length_cost(100, 100 + d, model)
+            cost = length_cost(100, 100 + d)
             if cost < previous - 1e-12:
                 monotone = False
             previous = cost
         delta = (80 - 50) / math.sqrt(50 * 6.8)
         oracle = float(-mpmath.log(2 * (1 - mpmath.ncdf(delta))))
-        got = length_cost(50, 80, model)
+        got = length_cost(50, 80)
         ok = abs(zero) <= 1e-9 and monotone and abs(got - oracle) <= 1e-6
         _verdict("AC-2 length-cost component",
                  ok, f"cost(l,l)={zero:.1e}, |impl-oracle|={abs(got - oracle):.2e}")
@@ -294,7 +292,7 @@ class TestAcceptance:
             src.append(s)
             trg.append(t)
         start = time.monotonic()
-        ladder = align_sentences(src, trg, starter_lexicon, LengthModel(), banded=True)
+        ladder = align_sentences(src, trg, starter_lexicon, banded=True)
         align_seconds = time.monotonic() - start
         tiling_ok = (
             sum(b.src_span[1] for b in ladder.beads) == 1000

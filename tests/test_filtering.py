@@ -330,6 +330,26 @@ class TestPersistence:
             fresh = CharLM(n=lm.n, k=lm.k, vocabulary=lm.vocabulary, counts=lm.counts)
             assert lm.denominators == fresh.denominators
 
+    def test_file_with_seed_and_threshold_scores_the_same(
+        self, tmp_path, trained_filter, starter_lexicon
+    ):
+        """Model files written while the filter kept its training seed and
+        keep threshold at the top level load to the same model."""
+        path = tmp_path / "model.json"
+        trained_filter.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "seed" not in payload and "threshold" not in payload
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**payload, "seed": 7, "threshold": 0.9}, ensure_ascii=False,
+                                  sort_keys=True), encoding="utf-8")
+        again = BitextFilter.load(old)
+        again.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        ja, zh = "学生は新聞を読む。", "学生读报纸。"
+        fv = trained_filter.features(ja, zh, list(ja), list(zh), starter_lexicon)
+        assert again.features(ja, zh, list(ja), list(zh), starter_lexicon) == fv
+        assert again.score(fv) == trained_filter.score(fv)
+
     def test_version_check(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
@@ -375,9 +395,6 @@ class TestTrainFilter:
     @pytest.mark.parametrize("setting, message", [
         ({"trees": 0}, "at least one tree"),
         ({"depth": 0}, "depth of at least 1"),
-        ({"lm_order": 1}, "order must be in"),
-        ({"lm_k": 0.0}, "smoothing constant must be positive"),
-        ({"model1_iterations": 0}, "iterations must be >= 1"),
     ])
     def test_settings_checked_before_any_training(self, monkeypatch, starter_lexicon,
                                                   setting, message):

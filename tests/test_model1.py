@@ -117,6 +117,10 @@ class TestTrainModel1:
             for trg, p in row.items():
                 assert table.prob(trg, src) == pytest.approx(p, abs=1e-12)
 
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            train_model1(CANONICAL, iterations=0)
+
     def test_single_pair(self):
         table = train_model1([(["a"], ["x"])], iterations=5)
         assert table.prob("x", "a") >= 0.5

@@ -1,3 +1,4 @@
+import configparser
 import json
 import logging
 import re
@@ -414,9 +415,10 @@ class TestRunPipeline:
 # The full default INI text, recorded before the `[crawler]` section
 # became `CrawlBudget` and the defaults became the stage modules' named
 # constants.  Refactoring the config classes keeps every key, its order
-# and its default value.  The `[text]` section, the `[docalign]` weights
-# and the `[sentalign]` priors are gone: no run set them, and their
-# values are now constants of `text`, `docalign` and `sentalign`.
+# and its default value.  The `[text]`, `[docalign]` and `[sentalign]`
+# sections and the `[filter]` Model 1 and language-model settings are
+# gone: no run set them, and their values are now constants of `text`,
+# `docalign`, `sentalign`, `model1` and `charlm`.
 DEFAULT_CONFIG_LINES = [
     "[discovery]",
     "min_bytes = 10000",
@@ -434,23 +436,10 @@ DEFAULT_CONFIG_LINES = [
     "dictionary = ",
     "char_map = ",
     "",
-    "[docalign]",
-    "min_score = 0.4",
-    "lang_markers = ja,zh,jp,cn",
-    "",
-    "[sentalign]",
-    "c = 1.0",
-    "s2 = 6.8",
-    "dict_weight = 3.0",
-    "max_bead_cost = 10.0",
-    "",
     "[filter]",
     "threshold = 0.5",
     "model_path = ",
     "train_corpus = ",
-    "model1_iterations = 10",
-    "lm_order = 5",
-    "lm_k = 0.1",
     "trees = 100",
     "depth = 8",
     "embed_threshold = 0.7",
@@ -480,7 +469,7 @@ class TestConfig:
         config = load_config(path)
         assert config.filter.threshold == 0.5
         assert config.filter.embed_threshold == 0.7
-        assert config.sentalign.s2 == 6.8
+        assert config.crawler.timeout == 30.0
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -507,14 +496,37 @@ class TestConfig:
             ("sentalign", "prior_merge"),
             ("text", "kana_threshold"),
             ("text", "han_threshold"),
+            ("docalign", "min_score"),
+            ("docalign", "lang_markers"),
+            ("sentalign", "c"),
+            ("sentalign", "s2"),
+            ("sentalign", "dict_weight"),
+            ("sentalign", "max_bead_cost"),
+            ("filter", "model1_iterations"),
+            ("filter", "lm_order"),
+            ("filter", "lm_k"),
         ],
     )
     def test_removed_key_fatal(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = false\n", encoding="utf-8")
-        # The whole [text] section is gone, so its error names the section.
-        with pytest.raises(ValueError, match=r"section \[text\]" if section == "text" else key):
+        # The whole [text], [docalign] and [sentalign] sections are gone,
+        # so their errors name the section.
+        whole = section in ("text", "docalign", "sentalign")
+        with pytest.raises(ValueError, match=rf"section \[{section}\]" if whole else key):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("filter", "threshold", 0.0), ("filter", "threshold", 1.0),
+        ("filter", "embed_threshold", -1.0), ("filter", "embed_threshold", 1.0),
+        ("filter", "embed_batch_size", 1),
+        ("crawler", "max_seconds", 1), ("crawler", "max_pages", 1), ("crawler", "max_bytes", 1),
+        ("crawler", "per_host_delay_ms", 0), ("crawler", "timeout", 1e-9),
+    ])
+    def test_range_boundaries_load(self, tmp_path, section, key, value):
+        path = tmp_path / "edge.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert getattr(getattr(load_config(path), section), key) == value
 
     def test_every_key_parses_with_its_default_type(self):
         """``load_config`` parses a value with its default's type, which
@@ -545,6 +557,24 @@ class TestConfig:
         config = load_config(path)
         assert config.pipeline.seed == 5
         assert config.crawler.per_host_delay_ms == 0
+
+
+# Each value just outside its key's declared range, and the range.
+_OUT_OF_RANGE = [
+    ("filter", "threshold", "-0.1", "[0, 1]"),
+    ("filter", "threshold", "1.5", "[0, 1]"),
+    ("filter", "threshold", "inf", "[0, 1]"),
+    ("filter", "embed_threshold", "-1.5", "[-1, 1]"),
+    ("filter", "embed_threshold", "2.0", "[-1, 1]"),
+    ("filter", "embed_batch_size", "0", "[1, inf)"),
+    ("crawler", "max_seconds", "0", "[1, inf)"),
+    ("crawler", "max_pages", "0", "[1, inf)"),
+    ("crawler", "max_bytes", "-1", "[1, inf)"),
+    ("crawler", "per_host_delay_ms", "-1", "[0, inf)"),
+    ("crawler", "timeout", "0.0", "(0, inf)"),
+    ("crawler", "timeout", "-1.0", "(0, inf)"),
+    ("crawler", "timeout", "inf", "(0, inf)"),
+]
 
 
 class TestCli:
@@ -667,6 +697,8 @@ class TestCli:
     def test_bad_length_model_stops_before_any_site(
         self, fixture_site, tmp_path, key, value, command
     ):
+        """A config that sets the length model, which is no longer
+        configurable, stops both commands before any site."""
         config = tmp_path / "run.ini"
         config.write_text(
             write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
@@ -678,6 +710,46 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")]}[command]
         assert cli_main(["--config", str(config)] + argv) == 1
         assert not (tmp_path / "out" / "example-news.jp").exists()
+
+    @pytest.mark.parametrize("command", ["run", "mine"])
+    @pytest.mark.parametrize("section, key, value, interval", _OUT_OF_RANGE,
+                             ids=[f"{key}={value}" for _, key, value, _ in _OUT_OF_RANGE])
+    def test_out_of_range_value_stops_before_any_site(
+        self, fixture_site, tmp_path, caplog, section, key, value, interval, command
+    ):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(write_run_config(fixture_site, tmp_path / "out"), encoding="utf-8")
+        parser[section][key] = value
+        config = tmp_path / "run.ini"
+        with open(config, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        argv = {"run": ["run"],
+                "mine": ["mine", "--sites", str(fixture_site.sites_jsonl),
+                         "--out-dir", str(tmp_path / "out")]}[command]
+        assert cli_main(["--config", str(config)] + argv) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage() == (
+            f"key {key!r} in section [{section}] is {value}, outside {interval}"
+        )
+        assert error.exc_info is None
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing", ["sites", "archive"])
+    def test_failed_intake_stops_before_any_output(self, fixture_site, tmp_path, caplog,
+                                                   missing):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[pipeline]\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+            f"{missing} = {tmp_path / 'absent'}\n"
+            f"[filter]\ntrain_corpus = {fixture_site.train_tsv}\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert str(tmp_path / "absent") in error.getMessage()
+        assert error.exc_info is None
+        assert not (tmp_path / "out").exists()
 
     def test_nan_threshold_stops_before_any_site(self, fixture_site, tmp_path, caplog):
         config = tmp_path / "run.ini"
@@ -913,8 +985,11 @@ PINNED_DIGESTS = {
 # model version 2, recorded when that layout replaced version 1's
 # per-entry lists (whose digest was ff68f636...e6c9b).  The model it
 # holds did not change: both versions load to the same tables, counts,
-# denominators and forest, float for float.
-PINNED_MODEL_DIGEST = "457e356823c51fc7792fc6654b69302d75ce8604b5f9a2a7dafee799b7e837ee"
+# denominators and forest, float for float.  Re-pinned when the file
+# stopped carrying the unread top-level `seed` and `threshold` keys
+# (digest 457e3568...7e837ee with them); the parent's file with those
+# two keys deleted and re-serialized has this digest.
+PINNED_MODEL_DIGEST = "6b703aa8d661feeb9cde2dbeca3ec90a746dcaccdce76d380e4d7376c22cf331"
 
 
 class TestPinnedOutputs:
@@ -954,7 +1029,7 @@ class TestFilterTokens:
 
     def _mine(self, fixture_site, tmp_path, monkeypatch):
         from localmine import pipeline
-        from localmine.sentalign import BeadKind
+        from localmine.sentalign import DEFAULT_MAX_BEAD_COST, BeadKind
 
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         lexicon = pipeline.resolve_lexicon(config)
@@ -963,7 +1038,7 @@ class TestFilterTokens:
         multi_sides = []
         extract_pairs = pipeline.extract_pairs
 
-        def counting_extract(ladder, src, trg, max_cost):
+        def counting_extract(ladder, src, trg, max_cost=DEFAULT_MAX_BEAD_COST):
             multi_sides.extend(
                 (b.src_span[1] > 1) + (b.trg_span[1] > 1)
                 for b in ladder.beads
@@ -972,9 +1047,7 @@ class TestFilterTokens:
             return extract_pairs(ladder, src, trg, max_cost=max_cost)
 
         monkeypatch.setattr(pipeline, "extract_pairs", counting_extract)
-        outcome, candidates = pipeline.mine_site(
-            site, lexicon, config.sentalign.length_model(), config, fetch, tmp_path / "site"
-        )
+        outcome, candidates = pipeline.mine_site(site, lexicon, config, fetch, tmp_path / "site")
         assert not outcome.error and candidates
         return config, lexicon, candidates, sum(multi_sides)
 

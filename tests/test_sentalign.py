@@ -13,10 +13,10 @@ from localmine.sentalign import (
     COST_CAP,
     DEFAULT_DICT_WEIGHT,
     KIND_PREFERENCE,
+    PRIOR_COSTS,
     AlignmentLadder,
     Bead,
     BeadKind,
-    LengthModel,
     _align,
     _band_rows,
     _by_span,
@@ -37,7 +37,7 @@ def sent(text, tokens=None):
     return s
 
 
-def bead_cost(kind, src_sents, trg_sents, lex, model, lam=DEFAULT_DICT_WEIGHT):
+def bead_cost(kind, src_sents, trg_sents, lex, lam=DEFAULT_DICT_WEIGHT):
     """Oracle for one bead's cost in the DP: length cost plus prior cost
     minus the lexical-evidence bonus, clamped to be nonnegative.  The
     source side is Japanese, so the bonus reads the lexicon's JA
@@ -48,7 +48,7 @@ def bead_cost(kind, src_sents, trg_sents, lex, model, lam=DEFAULT_DICT_WEIGHT):
         raise ValueError(f"span sizes do not match bead kind {kind.code}")
     l_src = sum(s.char_len for s in src_sents)
     l_trg = sum(s.char_len for s in trg_sents)
-    cost = sentalign.length_cost(l_src, l_trg, model) + model.prior_cost(kind)
+    cost = sentalign.length_cost(l_src, l_trg) + PRIOR_COSTS[kind]
     if kind not in (BeadKind.SUB, BeadKind.DEL) and lam > 0 and lex is not None and len(lex):
         src_tokens = [tok for s in src_sents for tok in s.tokens]
         trg_tokens = [tok for s in trg_sents for tok in s.tokens]
@@ -59,7 +59,7 @@ def bead_cost(kind, src_sents, trg_sents, lex, model, lam=DEFAULT_DICT_WEIGHT):
     return max(0.0, cost)
 
 
-def brute_force_min_cost(src, trg, lex, model, lam):
+def brute_force_min_cost(src, trg, lex, lam):
     """Exhaustive enumeration of every bead tiling; independent of the DP
     (recursive search, costs via the bead_cost oracle)."""
     cache = {}
@@ -72,7 +72,6 @@ def brute_force_min_cost(src, trg, lex, model, lam):
                 src[i : i + kind.n_src],
                 trg[j : j + kind.n_trg],
                 lex,
-                model,
                 lam,
             )
         return cache[key]
@@ -110,7 +109,6 @@ def reference_align(
     src: list[Sentence],
     trg: list[Sentence],
     lex: Lexicon | None,
-    model: LengthModel,
     lam: float,
     direction: LanguageTag,
     rows: list[tuple[int, int]],
@@ -139,8 +137,8 @@ def reference_align(
     use_dict = lam > 0 and lex is not None and len(lex) > 0
     translations = lex.headwords(direction) if use_dict else {}
 
-    kinds = [(kind, kind.n_src, kind.n_trg, model.prior_cost(kind)) for kind in KIND_PREFERENCE]
-    # The model is fixed within a call, so each (l_src, l_trg) is costed once.
+    kinds = [(kind, kind.n_src, kind.n_trg, PRIOR_COSTS[kind]) for kind in KIND_PREFERENCE]
+    # Each (l_src, l_trg) is costed once per call.
     length_costs: dict[tuple[int, int], float] = {}
 
     cost_rows: list[list[float]] = []
@@ -170,7 +168,7 @@ def reference_align(
                 l_trg = trg_chars[j] - trg_chars[pj]
                 lc = length_costs.get((l_src, l_trg))
                 if lc is None:
-                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg, model)
+                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg)
                 base = lc + prior_cost
                 dictable = use_dict and di > 0 and dj > 0
                 lower = base - lam if (dictable and base > lam) else (0.0 if dictable else base)
@@ -216,82 +214,71 @@ def reference_align(
 
 class TestLengthCost:
     def test_symmetric_case_is_zero(self):
-        assert length_cost(100, 100, LengthModel(c=1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert length_cost(100, 100) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_deviation(self):
-        model = LengthModel(c=1.0)
-        assert length_cost(100, 180, model) > length_cost(100, 100, model)
-        costs = [length_cost(100, 100 + d, model) for d in range(0, 120, 10)]
+        assert length_cost(100, 180) > length_cost(100, 100)
+        costs = [length_cost(100, 100 + d) for d in range(0, 120, 10)]
         assert costs == sorted(costs)
 
     def test_hand_derived_value_against_cdf_oracle(self):
-        model = LengthModel(c=1.0, s2=6.8)
-        got = length_cost(50, 80, model)
+        got = length_cost(50, 80)
         delta = (80 - 50) / math.sqrt(50 * 6.8)
         expected = -mpmath.log(2 * (1 - mpmath.ncdf(delta)))
         assert got == pytest.approx(float(expected), abs=1e-6)
 
     def test_capped(self):
-        assert length_cost(10, 10_000, LengthModel()) == COST_CAP
+        assert length_cost(10, 10_000) == COST_CAP
 
     def test_zero_source_uses_floor(self):
-        got = length_cost(0, 40, LengthModel())
+        got = length_cost(0, 40)
         assert 0.0 < got <= COST_CAP
-
-    @pytest.mark.parametrize("key", ["c", "s2"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    def test_model_rejects_non_positive_parameters(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be positive"):
-            LengthModel(**{key: value})
 
 
 class TestBeadCost:
     def test_one_bead_assembles_parts(self):
         lex = build_lexicon([("犬", "狗")])
-        model = LengthModel()
         src, trg = [sent("犬", ["犬"])], [sent("狗", ["狗"])]
         lam = 3.0
         expected = max(
             0.0,
-            length_cost(1, 1, model) + model.prior_cost(BeadKind.ONE) - lam * 1.0,
+            length_cost(1, 1) + PRIOR_COSTS[BeadKind.ONE] - lam * 1.0,
         )
-        got = bead_cost(BeadKind.ONE, src, trg, lex, model, lam)
+        got = bead_cost(BeadKind.ONE, src, trg, lex, lam)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_del_bead_has_no_dictionary_term(self):
-        model = LengthModel()
         src = [sent("あ" * 40)]
-        expected = length_cost(40, 0, model) + model.prior_cost(BeadKind.DEL)
-        got = bead_cost(BeadKind.DEL, src, [], build_lexicon([("あ", "a")]), model, lam=3.0)
+        expected = length_cost(40, 0) + PRIOR_COSTS[BeadKind.DEL]
+        got = bead_cost(BeadKind.DEL, src, [], build_lexicon([("あ", "a")]), lam=3.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_span_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            bead_cost(BeadKind.ONE, [], [sent("a")], None, LengthModel())
+            bead_cost(BeadKind.ONE, [], [sent("a")], None)
 
     def test_expand_vs_two_beads_hand_comparison(self):
         # One 20-char source against 10+10 targets: EXPAND tiles in one
         # bead (cost x) while ONE+SUB pays the substitution prior.
-        model = LengthModel()
         src = [sent("か" * 20)]
         trg = [sent("一" * 10), sent("二" * 10)]
-        expand = bead_cost(BeadKind.EXPAND, src, trg, None, model, 0.0)
-        one = bead_cost(BeadKind.ONE, src, [trg[0]], None, model, 0.0)
-        sub = bead_cost(BeadKind.SUB, [], [trg[1]], None, model, 0.0)
+        expand = bead_cost(BeadKind.EXPAND, src, trg, None, 0.0)
+        one = bead_cost(BeadKind.ONE, src, [trg[0]], None, 0.0)
+        sub = bead_cost(BeadKind.SUB, [], [trg[1]], None, 0.0)
         assert expand < one + sub
-        ladder = align_sentences(src, trg, None, model, lam=0.0, banded=False)
+        ladder = align_sentences(src, trg, None, lam=0.0, banded=False)
         assert [b.kind for b in ladder.beads] == [BeadKind.EXPAND]
 
 
 class TestAlignSentences:
     def test_empty_inputs(self):
-        ladder = align_sentences([], [], None, LengthModel())
+        ladder = align_sentences([], [], None)
         assert ladder.beads == [] and ladder.total_cost == 0.0
 
     def test_one_sided_inputs(self):
-        ladder = align_sentences([sent("ああ")], [], None, LengthModel())
+        ladder = align_sentences([sent("ああ")], [], None)
         assert [b.kind for b in ladder.beads] == [BeadKind.DEL]
-        ladder = align_sentences([], [sent("ああ"), sent("いい")], None, LengthModel())
+        ladder = align_sentences([], [sent("ああ"), sent("いい")], None)
         assert [b.kind for b in ladder.beads] == [BeadKind.SUB, BeadKind.SUB]
 
     def test_mirror_three_by_three(self, mirror_lexicon):
@@ -305,7 +292,7 @@ class TestAlignSentences:
             sent("喜欢图书馆。", ["喜欢", "图书馆", "。"]),
             sent("看电影。", ["看", "电影", "。"]),
         ]
-        ladder = align_sentences(src, trg, mirror_lexicon, LengthModel())
+        ladder = align_sentences(src, trg, mirror_lexicon)
         assert [b.kind for b in ladder.beads] == [BeadKind.ONE] * 3
 
     def test_tiling_invariant(self):
@@ -313,7 +300,7 @@ class TestAlignSentences:
         for _ in range(50):
             src = [sent("あ" * rng.randrange(1, 30)) for _ in range(rng.randrange(0, 7))]
             trg = [sent("一" * rng.randrange(1, 30)) for _ in range(rng.randrange(0, 7))]
-            ladder = align_sentences(src, trg, None, LengthModel(), banded=False)
+            ladder = align_sentences(src, trg, None, banded=False)
             assert sum(b.src_span[1] for b in ladder.beads) == len(src)
             assert sum(b.trg_span[1] for b in ladder.beads) == len(trg)
             starts_src = [b.src_span[0] for b in ladder.beads if b.src_span[1]]
@@ -326,7 +313,6 @@ class TestAlignSentences:
         rng = random.Random(31)
         words_ja = ["学生", "新聞", "図書館", "映画", "東京", "公園"]
         words_zh = ["学生", "报纸", "图书馆", "电影", "东京", "公园"]
-        model = LengthModel()
         for _ in range(60):
             n, m = rng.randrange(0, 5), rng.randrange(0, 5)
             src = [
@@ -341,17 +327,16 @@ class TestAlignSentences:
                 s.tokens = [s.text[i : i + 2] for i in range(0, len(s.text), 2)]
             for t in trg:
                 t.tokens = [t.text[i : i + 2] for i in range(0, len(t.text), 2)]
-            ladder = align_sentences(src, trg, mirror_lexicon, model, banded=False)
-            oracle = brute_force_min_cost(src, trg, mirror_lexicon, model, 3.0)
+            ladder = align_sentences(src, trg, mirror_lexicon, banded=False)
+            oracle = brute_force_min_cost(src, trg, mirror_lexicon, 3.0)
             assert ladder.total_cost == pytest.approx(oracle, abs=1e-9)
 
     def test_monotone_degradation(self):
-        model = LengthModel()
         src = [sent("あいうえおかきくけこ") for _ in range(3)]
         trg = [sent("一二三四五六七八九十") for _ in range(3)]
-        base = align_sentences(src, trg, None, model, banded=False).total_cost
+        base = align_sentences(src, trg, None, banded=False).total_cost
         worse = align_sentences(
-            src + [sent("ぜんぜん関係ない文です")], trg, None, model, banded=False
+            src + [sent("ぜんぜん関係ない文です")], trg, None, banded=False
         ).total_cost
         assert worse >= base - 1e-9
 
@@ -360,17 +345,12 @@ class TestAlignSentences:
         # required SUB chain and the aligner must rerun unbanded.
         src = [sent("あ" * 10)]
         trg = [sent("一" * 10) for _ in range(100)]
-        ladder = align_sentences(src, trg, None, LengthModel(), banded=True)
+        ladder = align_sentences(src, trg, None, banded=True)
         assert sum(b.trg_span[1] for b in ladder.beads) == 100
 
     def test_priors_renormalized(self):
-        model = LengthModel()
-        priors = [math.exp(-model.prior_cost(kind)) for kind in BeadKind]
+        priors = [math.exp(-PRIOR_COSTS[kind]) for kind in BeadKind]
         assert sum(priors) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            LengthModel(c=-1.0)
-        with pytest.raises(ValueError):
-            LengthModel(s2=0.0)
 
 
 def _random_texts(rng, n):
@@ -379,14 +359,13 @@ def _random_texts(rng, n):
     return src, trg
 
 
-def _bead_costs(ladder, src, trg, lex, model, lam=3.0):
+def _bead_costs(ladder, src, trg, lex, lam=3.0):
     return [
         bead_cost(
             b.kind,
             src[b.src_span[0] : sum(b.src_span)],
             trg[b.trg_span[0] : sum(b.trg_span)],
             lex,
-            model,
             lam,
         )
         for b in ladder.beads
@@ -394,35 +373,23 @@ def _bead_costs(ladder, src, trg, lex, model, lam=3.0):
 
 
 class TestLengthKernel:
-    """The DP's length term is ``length_cost`` itself, costed afresh for
-    every call and model."""
+    """The DP's length term is ``length_cost`` itself, read from the
+    module at call time."""
 
     def test_dp_length_term_is_length_cost(self, monkeypatch, mirror_lexicon):
-        def shifted_cost(l_src, l_trg, model):
-            return min(COST_CAP, 1.0 + 0.25 * abs(l_trg - model.c * l_src))
+        def shifted_cost(l_src, l_trg):
+            return min(COST_CAP, 1.0 + 0.25 * abs(l_trg - sentalign.DEFAULT_C * l_src))
 
         monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
         rng = random.Random(17)
-        model = LengthModel()
         for banded in (True, False):
             for _ in range(20):
                 src, trg = _random_texts(rng, rng.randrange(1, 8))
                 src.append(sent("学生は新聞を読む。", ["学生", "は", "新聞", "を", "読む", "。"]))
                 trg.append(sent("学生读报纸。", ["学生", "读", "报纸", "。"]))
-                ladder = align_sentences(src, trg, mirror_lexicon, model, banded=banded)
-                expected = _bead_costs(ladder, src, trg, mirror_lexicon, model)
+                ladder = align_sentences(src, trg, mirror_lexicon, banded=banded)
+                expected = _bead_costs(ladder, src, trg, mirror_lexicon)
                 assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
-
-    def test_each_call_costs_under_its_own_model(self):
-        rng = random.Random(41)
-        src, trg = _random_texts(rng, 12)
-        totals = []
-        for model in (LengthModel(c=1.0), LengthModel(c=0.5)):
-            ladder = align_sentences(src, trg, None, model)
-            expected = sum(_bead_costs(ladder, src, trg, None, model))
-            assert ladder.total_cost == pytest.approx(expected, abs=1e-9)
-            totals.append(ladder.total_cost)
-        assert totals[0] != pytest.approx(totals[1], abs=1e-3)
 
 
 # Source-side words a*, target-side words b*, and words no entry names.
@@ -466,7 +433,6 @@ def _documents(draw, min_size=0, max_size=9):
 _dp_settings = dict(
     lex=_either_side,
     lam=st.sampled_from([0.0, 0.5, 3.0, 12.0]),
-    c=st.sampled_from([0.5, 1.0, 1.7]),
 )
 
 
@@ -489,9 +455,9 @@ _BANDS = {
 }
 
 
-def _assert_kernel_equals_reference(src, trg, lex, model, lam, band):
+def _assert_kernel_equals_reference(src, trg, lex, lam, band):
     rows = _BANDS[band](len(src), len(trg))
-    args = (src, trg, lex, model, lam)
+    args = (src, trg, lex, lam)
     _assert_same_ladder(_align(*args, rows), reference_align(*args, LanguageTag.JA, rows))
 
 
@@ -502,8 +468,8 @@ class TestMatchTables:
     @settings(max_examples=300, deadline=None)
     @given(src=_documents(1), trg=_documents(1), band=st.sampled_from(sorted(_BANDS)),
            **_dp_settings)
-    def test_small_documents_equal_reference(self, src, trg, lex, lam, c, band):
-        _assert_kernel_equals_reference(src, trg, lex, LengthModel(c=c), lam, band)
+    def test_small_documents_equal_reference(self, src, trg, lex, lam, band):
+        _assert_kernel_equals_reference(src, trg, lex, lam, band)
 
     @pytest.mark.parametrize("n_src, n_trg", [(0, 0), (0, 3), (2, 0)])
     def test_empty_sides_equal_reference(self, n_src, n_trg):
@@ -511,13 +477,13 @@ class TestMatchTables:
         src = [sent("a0a1", ["a0", "a1"])] * n_src
         trg = [sent("b0", ["b0"])] * n_trg
         for band in _BANDS:
-            _assert_kernel_equals_reference(src, trg, lex, LengthModel(), 3.0, band)
+            _assert_kernel_equals_reference(src, trg, lex, 3.0, band)
 
     @settings(max_examples=25, deadline=None)
     @given(src=_documents(22, 40), trg=_documents(22, 40),
            band=st.sampled_from(["proportional", "fixed"]), **_dp_settings)
-    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, c, band):
-        _assert_kernel_equals_reference(src, trg, lex, LengthModel(c=c), lam, band)
+    def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, band):
+        _assert_kernel_equals_reference(src, trg, lex, lam, band)
 
     @settings(max_examples=150, deadline=None)
     @given(src=_documents(), trg=_documents(), lex=_either_side)
@@ -604,8 +570,8 @@ def _documents_with_block(seed, n_body, pad_range, at):
     return src, trg[:at] + block + trg[at:]
 
 
-def _full_grid(src, trg, lex, model, lam):
-    return _align(src, trg, lex, model, lam, reference_band_rows(len(src), len(trg), False))
+def _full_grid(src, trg, lex, lam):
+    return _align(src, trg, lex, lam, reference_band_rows(len(src), len(trg), False))
 
 
 def _inside_starting_band(ladder, n_src, n_trg):
@@ -624,7 +590,7 @@ class TestBand:
     @given(docs=_planted_documents(), lam=st.sampled_from([0.0, 3.0]))
     def test_optimum_inside_band_equals_full_grid(self, docs, lam):
         src, trg = docs
-        args = (src, trg, _PLANTED_LEXICON, LengthModel(), lam)
+        args = (src, trg, _PLANTED_LEXICON, lam)
         full = _full_grid(*args)
         assume(_inside_starting_band(full, len(src), len(trg)))
         _assert_same_ladder(align_sentences(*args, banded=True), full)
@@ -640,7 +606,7 @@ class TestBand:
     def test_drift_beyond_band_widens_to_full_grid_optimum(self, seed, n_body, pad_range, at):
         src, trg = _documents_with_block(seed, n_body, pad_range, at)
         for lam in (0.0, 3.0):
-            args = (src, trg, _CONTENT_LEXICON, LengthModel(), lam)
+            args = (src, trg, _CONTENT_LEXICON, lam)
             full = _full_grid(*args)
             assert not _inside_starting_band(full, len(src), len(trg))
             _assert_same_ladder(align_sentences(*args, banded=True), full)
