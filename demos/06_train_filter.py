@@ -47,7 +47,7 @@ probes = [
 ]
 print("classifier scores (threshold 0.5):")
 for ja, zh in probes:
-    fv = bitext_filter.features(ja, zh, seg_ja(ja), seg_zh(zh), lexicon)
+    [fv] = bitext_filter.features([(ja, zh, seg_ja(ja), seg_zh(zh))], lexicon)
     score = bitext_filter.score(fv)
     print(f"  {score:.2f}  {ja} ||| {zh}")
 

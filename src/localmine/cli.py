@@ -99,6 +99,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if args.seed is not None:
         config.pipeline.seed = args.seed
     if args.jobs is not None:
+        if args.jobs < 1:  # the range ``[pipeline] jobs`` declares
+            raise ValueError(f"--jobs is {args.jobs}, outside [1, inf)")
         config.pipeline.jobs = args.jobs
     if args.snapshot_dir:
         config.pipeline.snapshot_dir = args.snapshot_dir

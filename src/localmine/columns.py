@@ -7,14 +7,16 @@ length; every row's keys, each row sorted and one row after another;
 and the values in the same order.  An empty row holds nothing and is
 not written.  A loader parses these as a few long JSON lists (or
 strings, see the callers) instead of one JSON object or list per row
-or entry, and ``from_columns`` builds the rows from them.
+or entry.  ``from_columns`` builds a Model 1 table's rows from them;
+a language model reads its columns into arrays instead (``charlm``).
 
 ``from_columns`` returns each distinct key as one shared string object
 (through ``memo``), as the JSON parser's object-key memo would for a
 row written as an object; the parser gives every list element its own
 string.  Columns whose lengths disagree, a row length that is not a
-positive integer, a repeated row name, or a key repeated within a row,
-is a ``ValueError``.
+positive integer (``check_lengths``, which both readers call), a
+repeated row name, or a key repeated within a row, is a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,18 @@ def column(section: dict, name: str, kind: type) -> list:
     return values
 
 
+def check_lengths(names: Sequence, lengths: Sequence[int], n_keys: int, n_values: int) -> None:
+    """A ``ValueError`` unless there is one positive length per row name
+    and the lengths add up to the number of keys and of values."""
+    if len(names) != len(lengths):
+        raise ValueError(f"{len(names)} row names but {len(lengths)} row lengths")
+    if min(lengths, default=1) < 1:
+        raise ValueError("a row length is not positive")
+    if sum(lengths) != n_keys or n_keys != n_values:
+        raise ValueError(f"rows of {sum(lengths)} entries hold {n_keys} keys "
+                         f"and {n_values} values")
+
+
 def from_columns(
     names: Sequence[str],
     lengths: Sequence[int],
@@ -56,13 +70,7 @@ def from_columns(
     memo: dict[str, str],
 ) -> dict[str, dict[str, V]]:
     """The table ``to_columns`` wrote; see the module docstring."""
-    if len(names) != len(lengths):
-        raise ValueError(f"{len(names)} row names but {len(lengths)} row lengths")
-    if min(lengths, default=1) < 1:
-        raise ValueError("a row length is not positive")
-    if sum(lengths) != len(keys) or len(keys) != len(values):
-        raise ValueError(f"rows of {sum(lengths)} entries hold {len(keys)} keys "
-                         f"and {len(values)} values")
+    check_lengths(names, lengths, len(keys), len(values))
     shared = map(memo.setdefault, keys, keys)
     value_iter = iter(values)
     table = {

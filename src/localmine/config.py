@@ -33,9 +33,9 @@ from .discovery import DEFAULT_LIMIT, DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
 
 @dataclass
 class DiscoveryConfig:
-    min_bytes: int = DEFAULT_MIN_BYTES
-    min_balance: float = DEFAULT_MIN_BALANCE
-    limit: int = DEFAULT_LIMIT
+    min_bytes: int = field(default=DEFAULT_MIN_BYTES, metadata={"range": "[0, inf)"})
+    min_balance: float = field(default=DEFAULT_MIN_BALANCE, metadata={"range": "(0, 1]"})
+    limit: int = field(default=DEFAULT_LIMIT, metadata={"range": "[1, inf)"})
 
 
 @dataclass
@@ -67,7 +67,7 @@ class FilterConfig:
 class PipelineSectionConfig:
     output_dir: str = "out"
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"range": "[1, inf)"})
     sites: str = ""  # candidate-site JSONL produced by discovery
     submissions: str = ""  # crowdsourced URL-pair TSV
     archive: str = ""  # WARC file or record directory

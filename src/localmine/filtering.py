@@ -10,18 +10,25 @@ model version 2: the tables and language models are stored as columns
 (``columns``), a few long lists per section instead of a JSON list or
 object per entry or row, so the file is about half the size of
 version 1 and its parse makes far fewer objects.  ``BitextFilter.load``
-parses the file once, builds the forest, the tables and then the
-language models from their sections, and frees each section once its
-component is built; building the forest first, while the other
-sections are still parsed, keeps its temporary node lists under the
-load's final size, so the load's peak stays near the size of the model
-it keeps.  A file whose top level or one of whose five sections is not
-an object, whose version is not 2, or whose sections a component
-rejects (see each ``from_json``) is a ``ValueError``; for a version-1
-file the message says to retrain.  Other top-level keys are ignored,
-such as the ``seed`` and ``threshold`` that files written before them
-carry: the forest section keeps its own seed, and a run keeps pairs by
-``[filter] threshold``.
+parses the file once, builds the tables, the language models and then
+the forest from their sections, and frees each section once its
+component is built.  A language model's arrays are a fraction of its
+section's size, so by the time the forest builds its temporary node
+lists the freed sections leave room for them, and the load's peak is
+the parse's own (the file's text and the parsed payload).  A file whose
+top level or one of whose five sections is not an object, or whose
+version is not 2, is a ``ValueError``; so is a section a component
+rejects (see each ``from_json``) or whose values are of the wrong type,
+with a one-line message naming the section.  For a version-1 file the
+message says to retrain.  Other top-level keys are ignored, such as the
+``seed`` and ``threshold`` that files written before them carry: the
+forest section keeps its own seed, and a run keeps pairs by ``[filter]
+threshold``.
+
+Features are taken a batch at a time (``extract_features``,
+``BitextFilter.features``): each character LM scores every distinct
+side of the batch once (``charlm.lm_scores``), and no pair's features
+depend on the rest of the batch.
 A ``FeatureVector`` is a named tuple whose field order is the forest's
 column order.
 """
@@ -39,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .charlm import CharLM, lm_score, train_char_lm
+from .charlm import CharLM, lm_scores, train_char_lm
 from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
 from .model1 import TranslationTable, train_model1
@@ -166,39 +173,51 @@ def _punct_count(text: str) -> int:
 
 
 def extract_features(
-    ja: str,
-    zh: str,
-    tokens_ja: list[str],
-    tokens_zh: list[str],
+    pairs: Sequence[tuple[str, str, list[str], list[str]]],
     table_j2z: TranslationTable,
     table_z2j: TranslationTable,
     lm_ja_model: CharLM,
     lm_zh_model: CharLM,
     lex: Lexicon,
-) -> FeatureVector:
-    """All 12 filter features for one candidate pair."""
-    len_ja = len(ja)
-    len_zh = len(zh)
-    longer = max(len_ja, len_zh)
-    n_tok_ja = len(tokens_ja)
-    n_tok_zh = len(tokens_zh)
-    longer_tok = max(n_tok_ja, n_tok_zh)
-    p_ja = _punct_count(ja)
-    p_zh = _punct_count(zh)
-    return FeatureVector(
-        len_ja=float(len_ja),
-        len_zh=float(len_zh),
-        len_ratio=(min(len_ja, len_zh) / longer) if longer else 0.0,
-        tok_ratio=(min(n_tok_ja, n_tok_zh) / longer_tok) if longer_tok else 0.0,
-        cov_j2z=coverage(tokens_ja, tokens_zh, lex, LanguageTag.JA),
-        cov_z2j=coverage(tokens_zh, tokens_ja, lex, LanguageTag.ZH),
-        avgmaxp_j2z=_avg_max_prob(tokens_ja, tokens_zh, table_j2z),
-        avgmaxp_z2j=_avg_max_prob(tokens_zh, tokens_ja, table_z2j),
-        lm_ja=lm_score(lm_ja_model, ja) if ja else 0.0,
-        lm_zh=lm_score(lm_zh_model, zh) if zh else 0.0,
-        num_match=1.0 if _digit_runs(ja) == _digit_runs(zh) else 0.0,
-        punct_diff=abs(p_ja - p_zh) / max(p_ja + p_zh, 1),
-    )
+) -> list[FeatureVector]:
+    """All 12 filter features for each candidate pair ``(ja, zh,
+    tokens_ja, tokens_zh)``.  Each language model scores every distinct
+    side once, in one batch (an empty side scores 0)."""
+    lm_ja = _side_scores(lm_ja_model, [ja for ja, _, _, _ in pairs])
+    lm_zh = _side_scores(lm_zh_model, [zh for _, zh, _, _ in pairs])
+    features = []
+    for ja, zh, tokens_ja, tokens_zh in pairs:
+        len_ja = len(ja)
+        len_zh = len(zh)
+        longer = max(len_ja, len_zh)
+        n_tok_ja = len(tokens_ja)
+        n_tok_zh = len(tokens_zh)
+        longer_tok = max(n_tok_ja, n_tok_zh)
+        p_ja = _punct_count(ja)
+        p_zh = _punct_count(zh)
+        features.append(FeatureVector(
+            len_ja=float(len_ja),
+            len_zh=float(len_zh),
+            len_ratio=(min(len_ja, len_zh) / longer) if longer else 0.0,
+            tok_ratio=(min(n_tok_ja, n_tok_zh) / longer_tok) if longer_tok else 0.0,
+            cov_j2z=coverage(tokens_ja, tokens_zh, lex, LanguageTag.JA),
+            cov_z2j=coverage(tokens_zh, tokens_ja, lex, LanguageTag.ZH),
+            avgmaxp_j2z=_avg_max_prob(tokens_ja, tokens_zh, table_j2z),
+            avgmaxp_z2j=_avg_max_prob(tokens_zh, tokens_ja, table_z2j),
+            lm_ja=lm_ja[ja],
+            lm_zh=lm_zh[zh],
+            num_match=1.0 if _digit_runs(ja) == _digit_runs(zh) else 0.0,
+            punct_diff=abs(p_ja - p_zh) / max(p_ja + p_zh, 1),
+        ))
+    return features
+
+
+def _side_scores(lm: CharLM, texts: list[str]) -> dict[str, float]:
+    """Each distinct text's ``lm_scores`` score; the empty text's is 0."""
+    distinct = list(dict.fromkeys(text for text in texts if text))
+    scores = dict(zip(distinct, lm_scores(lm, distinct)))
+    scores[""] = 0.0
+    return scores
 
 
 def synthesize_negatives(
@@ -332,11 +351,11 @@ class BitextFilter:
     lm_zh: CharLM
     forest: RandomForest
 
-    def features(self, ja: str, zh: str, tokens_ja: list[str], tokens_zh: list[str],
-                 lex: Lexicon) -> FeatureVector:
+    def features(self, pairs: Sequence[tuple[str, str, list[str], list[str]]],
+                 lex: Lexicon) -> list[FeatureVector]:
+        """``extract_features`` of each ``(ja, zh, tokens_ja, tokens_zh)``."""
         return extract_features(
-            ja, zh, tokens_ja, tokens_zh,
-            self.table_j2z, self.table_z2j, self.lm_ja, self.lm_zh, lex,
+            pairs, self.table_j2z, self.table_z2j, self.lm_ja, self.lm_zh, lex,
         )
 
     def score_batch(self, fvs: Sequence[FeatureVector]) -> list[float]:
@@ -378,24 +397,27 @@ class BitextFilter:
         for name in ("forest", "table_j2z", "table_z2j", "lm_ja", "lm_zh"):
             if type(payload.get(name)) is not dict:
                 raise ValueError(f"filter model section {name!r} is missing or not an object")
-        # Keyword arguments are evaluated in order: forest, tables, LMs.
+        # Keyword arguments are evaluated in order: tables, LMs, forest.
         return cls(
-            forest=_read_section(payload, "forest", RandomForest.from_json),
             table_j2z=_read_section(payload, "table_j2z", TranslationTable.from_json),
             table_z2j=_read_section(payload, "table_z2j", TranslationTable.from_json),
             lm_ja=_read_section(payload, "lm_ja", CharLM.from_json),
             lm_zh=_read_section(payload, "lm_zh", CharLM.from_json),
+            forest=_read_section(payload, "forest", RandomForest.from_json),
         )
 
 
 def _read_section(payload: dict, name: str, from_json: Callable[[dict], T]) -> T:
     """``from_json`` of model section ``name``, popped from the parsed
-    payload so it is freed once read.  A key the section lacks is a
-    ``ValueError`` naming the section and the key."""
+    payload so it is freed once read.  A key the section lacks, or a
+    value of the wrong type or out of range, is a one-line
+    ``ValueError`` naming the section."""
     try:
         return from_json(payload.pop(name))
     except KeyError as err:
         raise ValueError(f"filter model section {name!r} lacks the key {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"filter model section {name!r}: {err}") from None
 
 
 def train_filter(
@@ -421,19 +443,19 @@ def train_filter(
     lm_ja_model = train_char_lm([ja for ja, _ in parallel])
     lm_zh_model = train_char_lm([zh for _, zh in parallel])
     labeled = synthesize_negatives(list(parallel), seed=seed)
-    rows: list[tuple[FeatureVector, int]] = []
+    pairs = []
     for idx, row in enumerate(labeled):
         # Rows alternate positive, negative; both keep the positive's JA,
         # so only a negative's synthesized ZH needs segmenting.
         tokens_ja, tokens_zh = tokenized[idx // 2]
         if row.label == 0:
             tokens_zh = seg_zh(row.zh)
-        fv = extract_features(
-            row.ja, row.zh, tokens_ja, tokens_zh,
-            table_j2z, table_z2j, lm_ja_model, lm_zh_model, lex,
-        )
-        rows.append((fv, row.label))
-    forest_model = train_classifier(rows, trees=trees, depth=depth, seed=seed)
+        pairs.append((row.ja, row.zh, tokens_ja, tokens_zh))
+    features = extract_features(pairs, table_j2z, table_z2j, lm_ja_model, lm_zh_model, lex)
+    forest_model = train_classifier(
+        [(fv, row.label) for fv, row in zip(features, labeled)], trees=trees, depth=depth,
+        seed=seed,
+    )
     return BitextFilter(
         table_j2z=table_j2z,
         table_z2j=table_z2j,

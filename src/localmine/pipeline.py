@@ -296,7 +296,8 @@ def filter_candidates(
     provider: EmbeddingProvider | None,
     counters: dict | None = None,
 ) -> list[CorpusRecord]:
-    """Score a site's candidates in one batched classifier call, keep
+    """Take a site's features in one batch (each language model scores
+    each distinct side once) and score them in one classifier call, keep
     those whose score reaches the threshold, then apply the optional
     embedding gate, which adds its drop counts to ``counters`` when
     given.
@@ -304,20 +305,20 @@ def filter_candidates(
     A side that carries its tokens (one sentence, segmented by
     ``pages_to_documents`` with the same segmenters) is not segmented
     again.  A side without them is: two sentences joined, or a row read
-    back from ``raw_pairs.jsonl``.  Each candidate's tokens are dropped
-    once its features are taken."""
+    back from ``raw_pairs.jsonl``.  The candidates' tokens are dropped
+    once the features are taken."""
     if not candidates:
         return []
     seg_ja = make_segmenter(lexicon, LanguageTag.JA)
     seg_zh = make_segmenter(lexicon, LanguageTag.ZH)
-    features = []
+    pairs = []
     for record in candidates:
         tokens_ja = seg_ja(record.ja) if record.tokens_ja is None else record.tokens_ja
         tokens_zh = seg_zh(record.zh) if record.tokens_zh is None else record.tokens_zh
-        features.append(
-            bitext_filter.features(record.ja, record.zh, tokens_ja, tokens_zh, lexicon)
-        )
+        pairs.append((record.ja, record.zh, tokens_ja, tokens_zh))
         record.tokens_ja = record.tokens_zh = None
+    features = bitext_filter.features(pairs, lexicon)
+    del pairs
     survivors: list[CorpusRecord] = []
     for record, score in zip(candidates, bitext_filter.score_batch(features)):
         record.filter_score = score
@@ -475,7 +476,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             outcome = SiteOutcome(host=site.host, source=site.source, error=str(err))
         return outcome
 
-    jobs = max(1, config.pipeline.jobs)
+    jobs = config.pipeline.jobs
     if jobs == 1:
         outcomes = [process(site) for site in sites]
     else:

@@ -132,14 +132,11 @@ class TestAcceptance:
         lm_zh = train_char_lm([zh for _, zh in train_pos], n=5, k=0.1)
 
         def featurize(rows):
-            out = []
-            for r in rows:
-                fv = extract_features(
-                    r.ja, r.zh, seg_ja(r.ja), seg_zh(r.zh),
-                    table_j2z, table_z2j, lm_ja, lm_zh, starter_lexicon,
-                )
-                out.append((fv, r.label))
-            return out
+            features = extract_features(
+                [(r.ja, r.zh, seg_ja(r.ja), seg_zh(r.zh)) for r in rows],
+                table_j2z, table_z2j, lm_ja, lm_zh, starter_lexicon,
+            )
+            return [(fv, r.label) for fv, r in zip(features, rows)]
 
         train_feats = featurize(train_rows)
         test_feats = featurize(test_rows)

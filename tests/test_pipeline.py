@@ -193,10 +193,21 @@ class TestRunPipeline:
         (lambda m: m.update(lm_zh=[]), "section 'lm_zh' is missing or not an object"),
         (lambda m: m["lm_ja"].pop("vocabulary"), "section 'lm_ja' lacks the key 'vocabulary'"),
         (lambda m: m["forest"].pop("trees"), "section 'forest' lacks the key 'trees'"),
+        (lambda m: m["forest"].update(trees=5), "section 'forest': 'int' object"),
+        (lambda m: m["forest"].update(trees=[5]), "section 'forest': argument of type 'int'"),
+        (lambda m: m["forest"].update(feature_means=1.0), "section 'forest': 'float' object"),
+        (lambda m: m["lm_zh"].update(levels=3), "section 'lm_zh': object of type 'int'"),
+        (lambda m: m["lm_ja"].update(vocabulary=None),
+         "section 'lm_ja': column 'vocabulary' is not a list of str"),
+        (lambda m: m["lm_ja"].update(vocabulary=[1, 2]),
+         "section 'lm_ja': column 'vocabulary' is not a list of str"),
+        (lambda m: m["lm_ja"].update(vocabulary=["学生"]),
+         "section 'lm_ja': a vocabulary entry is not one character"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds", "no-trees",
             "row-list", "fractional-count", "string-count", "zero-total",
             "negative-count", "list-probability", "version-1", "section-list",
-            "no-vocabulary-key", "no-trees-key"])
+            "no-vocabulary-key", "no-trees-key", "int-trees", "int-tree", "float-means",
+            "int-levels", "null-vocabulary", "int-vocabulary", "word-vocabulary"])
     def test_malformed_model_stops_before_any_site(
         self, fixture_site, trained_filter, tmp_path, corrupt, message
     ):
@@ -567,6 +578,11 @@ _OUT_OF_RANGE = [
     ("filter", "embed_threshold", "-1.5", "[-1, 1]"),
     ("filter", "embed_threshold", "2.0", "[-1, 1]"),
     ("filter", "embed_batch_size", "0", "[1, inf)"),
+    ("pipeline", "jobs", "0", "[1, inf)"),
+    ("discovery", "min_balance", "0.0", "(0, 1]"),
+    ("discovery", "min_balance", "1.5", "(0, 1]"),
+    ("discovery", "limit", "0", "[1, inf)"),
+    ("discovery", "min_bytes", "-1", "[0, inf)"),
     ("crawler", "max_seconds", "0", "[1, inf)"),
     ("crawler", "max_pages", "0", "[1, inf)"),
     ("crawler", "max_bytes", "-1", "[1, inf)"),
@@ -719,6 +735,8 @@ class TestCli:
     ):
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(write_run_config(fixture_site, tmp_path / "out"), encoding="utf-8")
+        if not parser.has_section(section):
+            parser.add_section(section)
         parser[section][key] = value
         config = tmp_path / "run.ini"
         with open(config, "w", encoding="utf-8") as fh:
@@ -731,6 +749,14 @@ class TestCli:
         assert error.getMessage() == (
             f"key {key!r} in section [{section}] is {value}, outside {interval}"
         )
+        assert error.exc_info is None
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_jobs_flag_stops_before_any_site(self, fixture_site, tmp_path, caplog):
+        config = write_run_config(fixture_site, tmp_path / "out")
+        assert cli_main(["--config", str(config), "--jobs", "0", "run"]) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage() == "--jobs is 0, outside [1, inf)"
         assert error.exc_info is None
         assert not (tmp_path / "out").exists()
 
