@@ -33,24 +33,25 @@ expression on the same integers as a per-position dict walk, so scores
 are the same bits.
 
 Training counts each padded string's ``n``-grams, its windows of ``n``
-symbols, in one ``Counter``; every order's column form (the one a model
-file holds, see below) is then sorted out of the distinct n-grams at
-once, and the levels are built from those columns exactly as
-``from_json`` builds them.
+symbols, in one ``Counter``; every order's columns (its contexts, each
+context's number of continuations, and the continuations with their
+counts) are then sorted out of the distinct n-grams at once, and
+``_level`` turns them into the order's ``Level``.
 
-On disk (filter model version 2) each order's count level is four
-columns (``columns``): its contexts as plain sorted strings, each
-row's length, one string of every row's continuation characters (each
-is one code point) and their counts.  A model file must satisfy
-``train_char_lm``'s rules (order in [2, 7], positive smoothing
-constant) and hold one count level per order, and its vocabulary must
-be a list of distinct single characters.  A level that is not an
-object; a count that is not a non-negative integer (a float or a bool
-included); counts whose total does not fit in int64; a context that is
-not exactly ``m`` characters long, or whose first ``m - 1`` characters
-are not a context of order ``m - 1``; a repeated context, or a
-character repeated within a row; a row whose counts total 0; or columns
-whose lengths disagree (``columns.check_lengths``) is a ``ValueError``.
+On disk (filter model version 3, ``modelfile``) the vocabulary is its
+sorted code points (``<u4``) and each order ``m`` is the three arrays
+the ``Level`` keeps, ``level{m}.contexts``, ``level{m}.ngrams`` and
+``level{m}.counts`` (``<i8``), read straight into it; the denominators
+are recomputed from the counts.  ``from_arrays`` checks what training
+guarantees.  An order outside [2, 7], a smoothing constant that is not
+positive, a count level missing or extra, a vocabulary code point that
+is repeated or not a character, keys that are negative or not strictly
+increasing (a repeated context, or a character repeated within a row),
+an order-0 context other than the empty one, a context whose first
+``m - 1`` symbols are not a context of order ``m - 1``, an n-gram whose
+context is not a context, a context with no n-gram, n-grams and counts
+of different lengths, a negative count, counts whose total does not fit
+in int64, or a context whose counts total 0, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .columns import check_lengths, column
+from .modelfile import Arrays, Section, array
 
 BOS = "\x02"  # context padding, never a continuation
 EOS = "\x03"  # end symbol, the vocabulary's +1 slot
@@ -73,9 +74,10 @@ DEFAULT_ORDER = 5
 DEFAULT_ADD_K = 0.1
 
 CODE_BITS = 21  # every code point is below 2**21
-_CODE_MASK = (1 << CODE_BITS) - 1
-# Positions ``lm_scores`` handles per block: bounds its temporary arrays.
-_BLOCK_POSITIONS = 1 << 14
+# Positions ``lm_scores`` handles per block (a block ends with the text
+# that reaches it): bounds its temporary arrays, each int64 one at about
+# 32 kB.
+_BLOCK_POSITIONS = 1 << 12
 
 
 class Level(NamedTuple):
@@ -91,7 +93,7 @@ class Level(NamedTuple):
 class CharLM:
     """An order-``n`` model: ``levels[m]`` is order ``m``'s ``Level``,
     for every ``m`` below ``n``.  Made by ``train_char_lm`` or
-    ``from_json``."""
+    ``from_arrays``."""
 
     n: int = DEFAULT_ORDER
     k: float = DEFAULT_ADD_K
@@ -102,78 +104,78 @@ class CharLM:
     def alphabet_size(self) -> int:
         return len(self.vocabulary) + 1  # +1: end/unknown slot
 
-    def to_json(self) -> dict:
-        """Order, smoothing constant, vocabulary and, per order, the
-        count level's columns (see ``columns``), its continuation
-        characters joined into one string."""
-        levels = []
-        names: list[str] = []
-        for level in self.levels:
-            if levels:  # a context is its parent's name and its last symbol
-                parents = (level.contexts >> CODE_BITS).tolist()
-                names = [names[p] + c for p, c in zip(parents, _text(level.contexts))]
-            else:
-                names = [""] * len(level.contexts)
-            levels.append({
-                "contexts": names,
-                "row_lengths": np.bincount(level.ngrams >> CODE_BITS,
-                                           minlength=len(names)).tolist(),
-                "chars": _text(level.ngrams),
-                "counts": level.counts.tolist(),
-            })
-        return {"n": self.n, "k": self.k, "vocabulary": sorted(self.vocabulary),
-                "levels": levels}
+    def to_arrays(self) -> Section:
+        """Order, smoothing constant, and the vocabulary's and each
+        level's arrays (see the module docstring)."""
+        vocabulary = _code_points("".join(sorted(self.vocabulary)))
+        arrays = {"vocabulary": vocabulary}
+        for m, level in enumerate(self.levels):
+            arrays[f"level{m}.contexts"] = level.contexts
+            arrays[f"level{m}.ngrams"] = level.ngrams
+            arrays[f"level{m}.counts"] = level.counts
+        return {"n": self.n, "k": self.k}, arrays
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CharLM":
-        """Read ``to_json`` output; a model that ``train_char_lm`` could
+    def from_arrays(cls, scalars: dict, arrays: Arrays) -> "CharLM":
+        """Read ``to_arrays`` output; a model that ``train_char_lm`` could
         not have made is a ``ValueError`` (see the module docstring)."""
-        n = int(obj["n"])
-        k = float(obj["k"])
+        n = int(scalars["n"])
+        k = float(scalars["k"])
         _check_parameters(n, k)
-        levels = obj["levels"]
-        if len(levels) != n:
-            raise ValueError(f"order {n} model has {len(levels)} count levels")
-        if "vocabulary" not in obj:
-            raise KeyError("vocabulary")  # reported as a missing key, like "n"
-        vocabulary = column(obj, "vocabulary", str)
-        if any(len(char) != 1 for char in vocabulary):
-            raise ValueError("a vocabulary entry is not one character")
-        lm = cls(n=n, k=k, vocabulary=set(vocabulary))
-        if len(lm.vocabulary) != len(vocabulary):
+        n_levels = len({name.split(".")[0] for name in arrays} - {"vocabulary"})
+        if n_levels != n:
+            raise ValueError(f"order {n} model has {n_levels} count levels")
+        vocabulary = array(arrays, "vocabulary", "<u4")
+        ordered = np.sort(vocabulary)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("a vocabulary character is repeated")
-        for m, level in enumerate(levels):
-            if type(level) is not dict:
-                raise ValueError(f"count level is a {type(level).__name__}, not an object")
-            chars = level.get("chars")
-            if type(chars) is not str:
-                raise ValueError(f"chars is a {type(chars).__name__}, not a string")
-            counts = column(level, "counts", int)
-            if min(counts, default=0) < 0:
+        try:
+            lm = cls(n=n, k=k, vocabulary=set(str(vocabulary.data, "utf-32-le", "surrogatepass")))
+        except UnicodeDecodeError:
+            raise ValueError("a vocabulary entry is not one character") from None
+        for m in range(n):
+            contexts = array(arrays, f"level{m}.contexts", "<i8")
+            ngrams = array(arrays, f"level{m}.ngrams", "<i8")
+            counts = array(arrays, f"level{m}.counts", "<i8")
+            _check_keys(contexts, f"order-{m} contexts")
+            _check_keys(ngrams, f"order-{m} n-grams")
+            if m == 0 and (len(contexts) > 1 or contexts.any()):
+                raise ValueError("order 0 holds a context other than the empty one")
+            if m and len(contexts) and contexts[-1] >> CODE_BITS >= len(lm.levels[-1].contexts):
+                raise ValueError(f"the first {m - 1} characters of an order-{m} context "
+                                 "are not a context")
+            if len(ngrams) != len(counts):
+                raise ValueError(f"{len(ngrams)} order-{m} n-grams but {len(counts)} counts")
+            rows = ngrams >> CODE_BITS
+            if len(rows) and rows[-1] >= len(contexts):
+                raise ValueError(f"an order-{m} n-gram's context is not a context")
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]) if len(rows) else rows
+            if len(starts) != len(contexts):
+                raise ValueError(f"an order-{m} context has no n-gram")
+            if len(counts) and counts.min() < 0:
                 raise ValueError("count level holds a negative count")
-            if sum(counts) > np.iinfo(np.int64).max:
+            if counts.sum(dtype=np.float64) >= 2.0**62 and sum(counts.tolist()) >= 2**63:
                 raise ValueError("count level's counts do not fit in int64")
-            contexts = column(level, "contexts", str)
-            lengths = column(level, "row_lengths", int)
-            check_lengths(contexts, lengths, len(chars), len(counts))
-            if any(len(context) != m for context in contexts):
-                raise ValueError(f"an order-{m} context is not {m} characters long")
-            lm.levels.append(_level(
-                lm, _code_points("".join(contexts)).reshape(len(contexts), m),
-                np.array(lengths, dtype=np.int64), _code_points(chars),
-                np.array(counts, dtype=np.int64),
-            ))
+            totals = np.add.reduceat(counts, starts) if len(counts) else counts
+            if (totals == 0).any():
+                raise ValueError("count level holds a row whose counts total 0")
+            lm.levels.append(Level(contexts=contexts, denominators=totals + k * lm.alphabet_size,
+                                   ngrams=ngrams, counts=counts))
         return lm
+
+
+def _check_keys(keys: np.ndarray, what: str) -> None:
+    """A ``ValueError`` unless ``keys`` are non-negative and strictly
+    increasing."""
+    if len(keys) and keys[0] < 0:
+        raise ValueError(f"{what} hold a negative key")
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError(f"{what} are not strictly increasing")
 
 
 def _code_points(text: str) -> np.ndarray:
     """``text``'s code points, as a read-only uint32 array."""
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-
-
-def _text(keys: np.ndarray) -> str:
-    """The symbols in the low ``CODE_BITS`` bits of ``keys``, as one string."""
-    return (keys & _CODE_MASK).astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -188,10 +190,11 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _level(lm: CharLM, contexts: np.ndarray, lengths: np.ndarray, chars: np.ndarray,
            counts: np.ndarray) -> Level:
     """Order ``len(lm.levels)``'s ``Level`` from its columns as code
-    points: ``contexts`` one row of ``m`` symbols per context,
-    ``lengths`` each context's number of continuations, and ``chars`` and
-    ``counts`` the continuations row after row.  The lower orders must be
-    in ``lm.levels`` already."""
+    points, in any row order: ``contexts`` one row of ``m`` symbols per
+    context, ``lengths`` each context's number of continuations, and
+    ``chars`` and ``counts`` the continuations row after row.  The lower
+    orders must be in ``lm.levels`` already, and every context's first
+    ``m - 1`` symbols must be one of them."""
     m = contexts.shape[1]
     # Each context's prefix's row, from the empty context's (row 0, or
     # -1 where order 0 lacks it) up through the orders.
@@ -199,26 +202,16 @@ def _level(lm: CharLM, contexts: np.ndarray, lengths: np.ndarray, chars: np.ndar
     parents = np.full(len(contexts), empty, dtype=np.int64)
     for j in range(1, m):
         parents = _find(lm.levels[j].contexts, parents << CODE_BITS | contexts[:, j - 1])
-    if (parents < 0).any():
-        raise ValueError(f"the first {m - 1} characters of an order-{m} context "
-                         "are not a context")
     keys = parents << CODE_BITS | contexts[:, -1] if m else parents
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("a row name is repeated")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     ngrams = np.repeat(rank, lengths) << CODE_BITS | chars
     by_key = np.argsort(ngrams, kind="stable")
-    ngrams = ngrams[by_key]
-    if (ngrams[1:] == ngrams[:-1]).any():
-        raise ValueError("a key is repeated within a row")
     totals = np.add.reduceat(counts, np.cumsum(lengths) - lengths) if len(counts) else counts
-    if (totals == 0).any():
-        raise ValueError("count level holds a row whose counts total 0")
     return Level(contexts=keys, denominators=totals[order] + lm.k * lm.alphabet_size,
-                 ngrams=ngrams, counts=counts[by_key])
+                 ngrams=ngrams[by_key], counts=counts[by_key])
 
 
 def _check_parameters(n: int, k: float) -> None:

@@ -73,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-filter", help="train the sentence-pair filter")
     p.add_argument("--parallel", required=True, help="training corpus TSV ja<TAB>zh")
-    p.add_argument("--out", required=True, help="filter model JSON to write")
+    p.add_argument("--out", required=True, help="filter model file to write")
 
     p = sub.add_parser("filter", help="apply a trained filter to candidate pairs")
-    p.add_argument("--model", required=True, help="filter model JSON")
+    p.add_argument("--model", required=True, help="filter model file")
     p.add_argument("--pairs", required=True, help="raw_pairs JSONL")
     p.add_argument("--out", required=True, help="filtered JSONL to write")
 

@@ -2,27 +2,20 @@
 features feeding the bagged-tree classifier, plus the embedding gate.
 
 The trained filter bundles both translation directions, both character
-LMs and the forest into one JSON object, written with sorted keys and
-unescaped UTF-8, that round-trips exactly: each component writes and
-reads its own section (``to_json`` and ``from_json`` on
-``TranslationTable``, ``CharLM`` and ``RandomForest``).  The file is
-model version 2: the tables and language models are stored as columns
-(``columns``), a few long lists per section instead of a JSON list or
-object per entry or row, so the file is about half the size of
-version 1 and its parse makes far fewer objects.  ``BitextFilter.load``
-parses the file once, builds the tables, the language models and then
-the forest from their sections, and frees each section once its
-component is built.  A language model's arrays are a fraction of its
-section's size, so by the time the forest builds its temporary node
-lists the freed sections leave room for them, and the load's peak is
-the parse's own (the file's text and the parsed payload).  A file whose
-top level or one of whose five sections is not an object, or whose
-version is not 2, is a ``ValueError``; so is a section a component
-rejects (see each ``from_json``) or whose values are of the wrong type,
-with a one-line message naming the section.  For a version-1 file the
-message says to retrain.  Other top-level keys are ignored, such as the
-``seed`` and ``threshold`` that files written before them carry: the
-forest section keeps its own seed, and a run keeps pairs by ``[filter]
+LMs and the forest into one model file (version 3, ``modelfile``): a
+header line of scalars and array entries, then each component's arrays
+as raw little-endian bytes.  Each component gives its own section
+(``to_arrays`` and ``from_arrays`` on ``TranslationTable``, ``CharLM``
+and ``RandomForest``), and the file round-trips exactly: a loaded model
+saves to the same bytes.  ``BitextFilter.load`` builds the tables, the
+language models and then the forest, each from arrays read straight
+from the file, so the load holds no text or parsed payload and its peak
+is about the model it keeps.  A JSON model file (version 1 or 2) is
+rejected with a one-line error that says to retrain it; so is a file
+``modelfile`` rejects or a section its component rejects, with a
+one-line ``ValueError`` naming the section.  Other top-level header
+keys are ignored, such as a ``seed`` or ``threshold``: the forest
+section keeps its own seed, and a run keeps pairs by ``[filter]
 threshold``.
 
 Features are taken a batch at a time (``extract_features``,
@@ -35,14 +28,13 @@ column order.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,15 +42,16 @@ from .charlm import CharLM, lm_scores, train_char_lm
 from .forest import DEFAULT_DEPTH, DEFAULT_TREES, RandomForest
 from .lexicon import Lexicon, coverage
 from .model1 import TranslationTable, train_model1
+from .modelfile import read as read_model
+from .modelfile import write as write_model
 from .text import LanguageTag, Segmenter
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_EMBED_THRESHOLD = 0.7
-MODEL_VERSION = 2
-
-T = TypeVar("T")
+# The model file's sections, in the order the load builds them.
+SECTIONS = ("table_j2z", "table_z2j", "lm_ja", "lm_zh", "forest")
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
 _PUNCT_SET = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
@@ -133,13 +126,27 @@ class CorpusRecord:
 
     @classmethod
     def from_raw_json(cls, obj: dict) -> "CorpusRecord":
+        """A ``to_raw_json`` row; a row whose ``ja`` or ``zh`` is missing
+        or not a string, or whose scores are not numbers, is a one-line
+        ``ValueError`` naming the key."""
+        for key in ("ja", "zh"):
+            if key not in obj:
+                raise ValueError(f"candidate pair row lacks the key {key!r}")
+            if type(obj[key]) is not str:
+                raise ValueError(f"candidate pair row's {key!r} is a "
+                                 f"{type(obj[key]).__name__}, not a string")
+        scores = {}
+        for key in ("doc_score", "bead_cost"):
+            try:
+                scores[key] = float(obj.get(key, 0.0))
+            except (TypeError, ValueError):
+                raise ValueError(f"candidate pair row's {key!r} is not a number") from None
         return cls(
             ja=obj["ja"],
             zh=obj["zh"],
             src_url_ja=obj.get("url_ja", ""),
             src_url_zh=obj.get("url_zh", ""),
-            doc_score=float(obj.get("doc_score", 0.0)),
-            bead_cost=float(obj.get("bead_cost", 0.0)),
+            **scores,
         )
 
 
@@ -370,54 +377,19 @@ class BitextFilter:
         return self.score_batch([fv])[0]
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "version": MODEL_VERSION,
-            "table_j2z": self.table_j2z.to_json(),
-            "table_z2j": self.table_z2j.to_json(),
-            "lm_ja": self.lm_ja.to_json(),
-            "lm_zh": self.lm_zh.to_json(),
-            "forest": self.forest.to_json(),
-        }
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True), encoding="utf-8"
-        )
+        """Write the model file; see the module docstring."""
+        write_model(path, {name: getattr(self, name).to_arrays() for name in SECTIONS})
 
     @classmethod
     def load(cls, path: str | Path) -> "BitextFilter":
         """Read ``save`` output; see the module docstring."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("filter model is not a JSON object")
-        version = payload.get("version")
-        if version == 1:
-            raise ValueError("filter model version 1 is no longer read; "
-                             "retrain it with `localmine train-filter`")
-        if version != MODEL_VERSION:
-            raise ValueError(f"unsupported filter model version: {version}")
-        for name in ("forest", "table_j2z", "table_z2j", "lm_ja", "lm_zh"):
-            if type(payload.get(name)) is not dict:
-                raise ValueError(f"filter model section {name!r} is missing or not an object")
-        # Keyword arguments are evaluated in order: tables, LMs, forest.
-        return cls(
-            table_j2z=_read_section(payload, "table_j2z", TranslationTable.from_json),
-            table_z2j=_read_section(payload, "table_z2j", TranslationTable.from_json),
-            lm_ja=_read_section(payload, "lm_ja", CharLM.from_json),
-            lm_zh=_read_section(payload, "lm_zh", CharLM.from_json),
-            forest=_read_section(payload, "forest", RandomForest.from_json),
-        )
-
-
-def _read_section(payload: dict, name: str, from_json: Callable[[dict], T]) -> T:
-    """``from_json`` of model section ``name``, popped from the parsed
-    payload so it is freed once read.  A key the section lacks, or a
-    value of the wrong type or out of range, is a one-line
-    ``ValueError`` naming the section."""
-    try:
-        return from_json(payload.pop(name))
-    except KeyError as err:
-        raise ValueError(f"filter model section {name!r} lacks the key {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"filter model section {name!r}: {err}") from None
+        return cls(**read_model(path, {
+            "table_j2z": TranslationTable.from_arrays,
+            "table_z2j": TranslationTable.from_arrays,
+            "lm_ja": CharLM.from_arrays,
+            "lm_zh": CharLM.from_arrays,
+            "forest": RandomForest.from_arrays,
+        }))
 
 
 def train_filter(

@@ -28,18 +28,29 @@ nonzero, so either zero gives the same sum.)  Rows are sent left by
 adjacent floats can round up to the upper one, which then goes left too.
 
 The trees are held as flat arrays, node by node in pre-order and one
-tree after another, the order ``to_json`` writes.  Node i splits on
-column ``feature[i]`` at ``threshold[i]``: a row goes to ``left[i]``
-when its value is ``<=`` the threshold and to ``right[i]`` otherwise.
-A leaf has ``feature[i] == -1``, votes ``vote[i]`` and is its own left
-and right child.  ``predict_proba`` walks the rows of a batch down
-every tree together, one tree level per numpy step and at most
-``BLOCK_ROWS`` rows at a time, so a site's candidates are scored in
-one call, the way Bicleaner batches its tree classifier.  A row's
-score does not depend on the batch around it: scaling is the
-element-wise ``(x - mean) / std``, and each vote is 0 or 1, so the
-float64 vote sum is an integer far below 2**53 and exact in any order
-of summation.
+tree after another; ``roots`` holds each tree's first node.  Node i
+splits on column ``feature[i]`` at ``threshold[i]``: a row goes to
+``left[i]`` (always ``i + 1``) when its value is ``<=`` the threshold
+and to ``right[i]`` otherwise.  A leaf has ``feature[i] == -1``, votes
+``vote[i]`` (0 or 1) and is its own left and right child.
+``predict_proba`` walks the rows of a batch down every tree together,
+one tree level per numpy step and at most ``BLOCK_ROWS`` rows at a time,
+so a site's candidates are scored in one call, the way Bicleaner
+batches its tree classifier.  A row's score does not depend on the
+batch around it: scaling is the element-wise ``(x - mean) / std``, and
+each vote is 0 or 1, so the vote sum is an integer far below 2**53 and
+exact in any order of summation.
+
+On disk (filter model version 3, ``modelfile``) the forest is its
+settings, feature means and stds, and the six arrays as they are held,
+read straight into them.  ``from_arrays`` checks that every walk ends:
+the roots start at 0 and increase; an internal node ``i`` has ``left ==
+i + 1``, a ``right`` past ``i + 1`` and inside its tree, and a feature
+in ``[0, n_features)``; and a leaf has ``left == right == i``.  Every
+step of a walk so moves to a larger node of the same tree until it
+stands on a leaf.  Those, no trees, arrays of different lengths, a vote
+other than 0 or 1, or feature means and stds of different lengths, is
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,11 +60,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .modelfile import Arrays, Section, array
+
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 8
 # Rows per walk in ``predict_proba``: at the default 100 trees, each of
-# the walk's index arrays stays at 200 kB.
-BLOCK_ROWS = 256
+# the walk's index arrays stays at 50 kB.
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -142,23 +155,6 @@ def _grow(
     return index
 
 
-def _read_tree(obj: dict, nodes: list[list], n_features: int) -> int:
-    """Append a tree in ``to_json``'s nested form to ``nodes`` in
-    pre-order and return the index of its root.  A split on a column
-    outside ``[0, n_features)`` is a ``ValueError``: scoring would read
-    another row's value or past the batch."""
-    if "vote" in obj:
-        return _leaf(nodes, int(obj["vote"]))
-    feature = int(obj["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"node splits on feature {feature} of a {n_features}-feature model")
-    index = len(nodes)
-    nodes.append([feature, float(obj["threshold"]), -1, -1, 0])
-    nodes[index][2] = _read_tree(obj["left"], nodes, n_features)
-    nodes[index][3] = _read_tree(obj["right"], nodes, n_features)
-    return index
-
-
 @dataclass(eq=False)
 class RandomForest:
     n_trees: int = DEFAULT_TREES
@@ -168,7 +164,7 @@ class RandomForest:
     feature_stds: list[float] = field(default_factory=list)
     n_training_rows: int = 0
     # The flat trees (see the module docstring); ``roots`` holds the
-    # index of each tree's root.  Empty until ``fit`` or ``from_json``.
+    # index of each tree's root.  Empty until ``fit`` or ``from_arrays``.
     roots: np.ndarray = field(init=False, repr=False)
     feature: np.ndarray = field(init=False, repr=False)
     threshold: np.ndarray = field(init=False, repr=False)
@@ -184,13 +180,13 @@ class RandomForest:
         self._set_trees([], [])
 
     def _set_trees(self, roots: list[int], nodes: list[list]) -> None:
-        self.roots = np.array(roots, dtype=np.intp)
+        self.roots = np.array(roots, dtype="<i8")
         feature, threshold, left, right, vote = zip(*nodes) if nodes else ((),) * 5
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.vote = np.array(vote, dtype=np.float64)
+        self.feature = np.array(feature, dtype="<i8")
+        self.threshold = np.array(threshold, dtype="<f8")
+        self.left = np.array(left, dtype="<i8")
+        self.right = np.array(right, dtype="<i8")
+        self.vote = np.array(vote, dtype="|u1")
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
@@ -254,21 +250,8 @@ class RandomForest:
             node = np.take(children, node + n_nodes * goes_left)
         return np.take(self.vote, node).reshape(n_rows, n_trees).sum(axis=1) / n_trees
 
-    def to_json(self) -> dict:
-        feature, threshold, left, right, vote = (
-            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.vote)
-        )
-
-        def node_json(index: int) -> dict:
-            if feature[index] < 0:
-                return {"vote": int(vote[index])}
-            return {
-                "feature": feature[index],
-                "threshold": threshold[index],
-                "left": node_json(left[index]),
-                "right": node_json(right[index]),
-            }
-
+    def to_arrays(self) -> Section:
+        """Settings, feature means and stds, and the flat trees."""
         return {
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
@@ -276,30 +259,60 @@ class RandomForest:
             "feature_means": self.feature_means,
             "feature_stds": self.feature_stds,
             "n_training_rows": self.n_training_rows,
-            "trees": [node_json(root) for root in self.roots.tolist()],
-        }
+        }, {name: getattr(self, name) for name, _ in _ARRAYS}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "RandomForest":
-        """Read ``to_json`` output; no trees, feature means and stds of
-        different lengths, or a split on a feature they do not cover, is
-        a ``ValueError``."""
+    def from_arrays(cls, scalars: dict, arrays: Arrays) -> "RandomForest":
+        """Read ``to_arrays`` output; see the module docstring."""
         model = cls(
-            n_trees=int(obj["n_trees"]),
-            max_depth=int(obj["max_depth"]),
-            seed=int(obj["seed"]),
+            n_trees=int(scalars["n_trees"]),
+            max_depth=int(scalars["max_depth"]),
+            seed=int(scalars["seed"]),
         )
-        model.feature_means = [float(v) for v in obj["feature_means"]]
-        model.feature_stds = [float(v) for v in obj["feature_stds"]]
+        model.feature_means = [float(v) for v in scalars["feature_means"]]
+        model.feature_stds = [float(v) for v in scalars["feature_stds"]]
         n_features = len(model.feature_means)
         if len(model.feature_stds) != n_features:
             raise ValueError(
                 f"{n_features} feature means but {len(model.feature_stds)} feature stds"
             )
-        model.n_training_rows = int(obj.get("n_training_rows", 0))
-        if not obj["trees"]:
-            raise ValueError("forest has no trees")
-        nodes: list[list] = []
-        roots = [_read_tree(tree, nodes, n_features) for tree in obj["trees"]]
-        model._set_trees(roots, nodes)
+        model.n_training_rows = int(scalars.get("n_training_rows", 0))
+        for name, dtype in _ARRAYS:
+            setattr(model, name, array(arrays, name, dtype))
+        _check_trees(model, n_features)
         return model
+
+
+# The forest's arrays on disk and in memory, in file order.
+_ARRAYS = (("roots", "<i8"), ("feature", "<i8"), ("threshold", "<f8"), ("left", "<i8"),
+           ("right", "<i8"), ("vote", "|u1"))
+
+
+def _check_trees(model: RandomForest, n_features: int) -> None:
+    """A ``ValueError`` unless ``model``'s arrays hold trees every walk
+    ends in; see the module docstring."""
+    roots, feature, left, right = model.roots, model.feature, model.left, model.right
+    n = len(feature)
+    if not len(roots):
+        raise ValueError("forest has no trees")
+    lengths = {name: len(getattr(model, name)) for name, _ in _ARRAYS[1:]}
+    if set(lengths.values()) != {n}:
+        raise ValueError(f"the forest's node arrays differ in length: {lengths}")
+    if roots[0] != 0 or (roots[1:] <= roots[:-1]).any() or roots[-1] >= n:
+        raise ValueError("tree roots do not start at node 0 and increase within the nodes")
+    node = np.arange(n)
+    tree_end = np.r_[roots[1:], n][np.repeat(np.arange(len(roots)), np.diff(np.r_[roots, n]))]
+    leaf = feature == -1
+    bad = np.flatnonzero(~leaf & ((feature < 0) | (feature >= n_features)))
+    if len(bad):
+        raise ValueError(f"node {bad[0]} splits on feature {feature[bad[0]]} "
+                         f"of a {n_features}-feature model")
+    bad = np.flatnonzero(leaf & ((left != node) | (right != node)))
+    if len(bad):
+        raise ValueError(f"leaf {bad[0]} is not its own left and right child")
+    bad = np.flatnonzero(~leaf & ((left != node + 1) | (right <= node + 1) | (right >= tree_end)))
+    if len(bad):
+        raise ValueError(f"node {bad[0]} has children {left[bad[0]]} and {right[bad[0]]}, "
+                         f"not {bad[0] + 1} and a later node of its tree")
+    if (model.vote > 1).any():
+        raise ValueError("a node votes other than 0 or 1")

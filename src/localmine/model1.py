@@ -27,29 +27,32 @@ the row's own, so the result equals the loop over the candidates.  It
 looks at most ``len(candidates)`` ranked targets and, when none of them
 is present in a longer row, runs that loop instead.
 
-On disk (filter model version 2) a table is four columns
-(``columns``): the sources, sorted; each row's length; each row's
-targets, sorted; and the probabilities as one base64 string of
-little-endian float64s, which ``tobytes`` and ``frombuffer`` carry
-bit for bit, so no float is written as text or parsed from it.
-``from_json`` builds each row from the columns, every distinct target
-one shared string.  A probability that is negative, NaN or infinite,
-which training cannot make, is a ``ValueError``.
+On disk (filter model version 3, ``modelfile``) a table is seven
+arrays: the sources, sorted, as their code points (``<u4``) and their
+lengths; each row's length; the distinct targets, sorted, as code
+points and lengths; each entry's target as its index among them, row
+after row and sorted within a row; and the probabilities as ``<f8``,
+which carry every bit, so no float is written as text or parsed from
+it.  ``from_arrays`` builds each row from them, every distinct target
+one shared string.  Arrays whose lengths disagree, a row length that is
+not positive, a code point that is not a character, a target index out
+of range, a repeated source or a target repeated within a row, or a
+probability that is negative, NaN or infinite, none of which training
+can make, is a ``ValueError``.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
 from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .columns import column, from_columns, to_columns
+from .modelfile import Arrays, Section, array
 
 logger = logging.getLogger(__name__)
 
@@ -102,45 +105,81 @@ class TranslationTable:
                 best = p
         return best
 
-    def to_json(self) -> dict:
-        """Direction and the table's columns (see ``columns``), the
-        probabilities as one base64 string of little-endian float64;
-        the EM history is not kept."""
-        sources, row_lengths, targets, probs = to_columns(self.t)
-        return {
-            "direction": self.direction,
-            "sources": sources,
-            "row_lengths": row_lengths,
-            "targets": targets,
-            "probs": base64.b64encode(np.array(probs, dtype="<f8").tobytes()).decode("ascii"),
+    def to_arrays(self) -> Section:
+        """Direction and the table's arrays (see the module docstring);
+        the EM history is not kept.  An empty row is not written."""
+        sources = sorted(src for src, row in self.t.items() if row)
+        rows = [sorted(self.t[src].items()) for src in sources]
+        targets = sorted({trg for row in rows for trg, _ in row})
+        target_id = {trg: i for i, trg in enumerate(targets)}
+        source_codes, source_lengths = _encode(sources)
+        target_codes, target_lengths = _encode(targets)
+        return {"direction": self.direction}, {
+            "sources": source_codes,
+            "source_lengths": source_lengths,
+            "row_lengths": np.array([len(row) for row in rows], dtype="<i8"),
+            "targets": target_codes,
+            "target_lengths": target_lengths,
+            "target_ids": np.array([target_id[trg] for row in rows for trg, _ in row],
+                                   dtype="<i8"),
+            "probs": np.array([p for row in rows for _, p in row], dtype="<f8"),
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TranslationTable":
-        """Read ``to_json`` output.  Besides the column checks of
-        ``columns.from_columns``, ``probs`` that is not base64 of whole
-        float64s, or holds a probability that is negative, NaN or
-        infinite, is a ``ValueError``."""
-        encoded = obj.get("probs")
-        if type(encoded) is not str:
-            raise ValueError(f"probs is a {type(encoded).__name__}, not a base64 string")
-        try:
-            raw = base64.b64decode(encoded, validate=True)
-        except binascii.Error as err:
-            raise ValueError(f"probs is not base64: {err}") from None
-        if len(raw) % 8:
-            raise ValueError(f"probs holds {len(raw)} bytes, not whole float64s")
-        probs = np.frombuffer(raw, dtype="<f8")
+    def from_arrays(cls, scalars: dict, arrays: Arrays) -> "TranslationTable":
+        """Read ``to_arrays`` output; see the module docstring."""
+        row_lengths = array(arrays, "row_lengths", "<i8")
+        target_ids = array(arrays, "target_ids", "<i8")
+        probs = array(arrays, "probs", "<f8")
+        sources = _decode(arrays, "sources", "source_lengths")
+        if len(sources) != len(row_lengths):
+            raise ValueError(f"{len(sources)} row names but {len(row_lengths)} row lengths")
+        if not (row_lengths > 0).all():
+            raise ValueError("a row length is not positive")
+        n_entries = len(target_ids)
+        if not (row_lengths <= n_entries).all() or row_lengths.sum() != n_entries \
+                or n_entries != len(probs):
+            raise ValueError(f"rows of {row_lengths.sum()} entries hold {n_entries} keys "
+                             f"and {len(probs)} values")
+        targets = _decode(arrays, "targets", "target_lengths")
+        if not ((target_ids >= 0) & (target_ids < len(targets))).all():
+            raise ValueError(f"a target id is not one of the {len(targets)} targets")
         if not ((probs >= 0.0) & (probs < math.inf)).all():
             raise ValueError("probs holds a probability that is negative, NaN or infinite")
-        t = from_columns(
-            column(obj, "sources", str),
-            column(obj, "row_lengths", int),
-            column(obj, "targets", str),
-            probs.tolist(),
-            memo={},
-        )
-        return cls(t=t, direction=obj.get("direction", ""))
+        # An object array holds references only: no int object per entry.
+        keys = iter(np.array(targets, dtype=object)[target_ids])
+        values = iter(probs.tolist())
+        t = {
+            src: dict(zip(islice(keys, length), islice(values, length)))
+            for src, length in zip(sources, row_lengths.tolist())
+        }
+        if len(t) != len(sources):
+            raise ValueError("a row name is repeated")
+        if sum(map(len, t.values())) != n_entries:
+            raise ValueError("a key is repeated within a row")
+        return cls(t=t, direction=scalars.get("direction", ""))
+
+
+def _encode(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The strings' code points, one after another, and their lengths."""
+    codes = "".join(strings).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(codes, dtype="<u4"), np.array([len(s) for s in strings], dtype="<i8")
+
+
+def _decode(arrays: Arrays, name: str, lengths_name: str) -> list[str]:
+    """The strings ``_encode`` wrote as the arrays ``name`` and
+    ``lengths_name``."""
+    codes = array(arrays, name, "<u4")
+    lengths = array(arrays, lengths_name, "<i8")
+    if not ((lengths >= 0) & (lengths <= len(codes))).all() or lengths.sum() != len(codes):
+        raise ValueError(f"{lengths_name} do not add up to the {len(codes)} code points "
+                         f"of {name}")
+    try:
+        text = str(codes.data, "utf-32-le", "surrogatepass")
+    except UnicodeDecodeError:
+        raise ValueError(f"{name} holds a code point that is not a character") from None
+    ends = accumulate(lengths.tolist())
+    return list(map(text.__getitem__, map(slice, accumulate(lengths.tolist(), initial=0), ends)))
 
 
 def train_model1(

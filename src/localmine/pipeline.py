@@ -195,9 +195,11 @@ def pages_to_documents(
 ) -> tuple[list[Document], list[Document]]:
     """Language-tagged, segmented documents from stored HTML pages, split
     into the JA and ZH lists (other languages and undecodable pages
-    dropped)."""
+    dropped).  Equal tokens of the site are one ``str`` object (through
+    ``canon``), which the site's sentences and candidates share."""
     docs_ja: list[Document] = []
     docs_zh: list[Document] = []
+    canon: dict[str, str] = {}
     seg = {
         LanguageTag.JA: make_segmenter(lexicon, LanguageTag.JA),
         LanguageTag.ZH: make_segmenter(lexicon, LanguageTag.ZH),
@@ -214,7 +216,7 @@ def pages_to_documents(
             continue
         segment = seg[doc.lang]
         for sentence in doc.sentences:
-            sentence.tokens = segment(sentence.text)
+            sentence.tokens = [canon.setdefault(token, token) for token in segment(sentence.text)]
         (docs_ja if doc.lang is LanguageTag.JA else docs_zh).append(doc)
     return docs_ja, docs_zh
 

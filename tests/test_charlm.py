@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from localmine import charlm
 from localmine.charlm import (
     BOS,
+    CODE_BITS,
     DEFAULT_ADD_K,
     DEFAULT_ORDER,
     EOS,
@@ -21,12 +22,56 @@ from localmine.charlm import (
     lm_scores,
     train_char_lm,
 )
-from localmine.columns import to_columns
+
+from model_edits import copied, dump, through_bytes
 
 # The model under test.  ``CharLM`` in this module is the nested-dict
 # model the arrays replaced (below), the container the kept oracle
 # ``reference_train_char_lm`` fills.
 ArrayLM = charlm.CharLM
+
+
+def columns_of(lm: ArrayLM) -> dict:
+    """The model in readable columns, per order: its contexts as sorted
+    strings, each context's number of continuations, every row's
+    continuation characters joined into one string, and their counts."""
+    levels = []
+    names: list[str] = []
+    for level in lm.levels:
+        if levels:  # a context is its parent's name and its last symbol
+            parents = (level.contexts >> CODE_BITS).tolist()
+            names = [names[p] + c for p, c in zip(parents, _symbols(level.contexts))]
+        else:
+            names = [""] * len(level.contexts)
+        levels.append({
+            "contexts": names,
+            "row_lengths": np.bincount(level.ngrams >> CODE_BITS, minlength=len(names)).tolist(),
+            "chars": "".join(_symbols(level.ngrams)),
+            "counts": level.counts.tolist(),
+        })
+    return {"n": lm.n, "k": lm.k, "vocabulary": sorted(lm.vocabulary), "levels": levels}
+
+
+def _symbols(keys: np.ndarray) -> list[str]:
+    return [chr(code) for code in (keys & ((1 << CODE_BITS) - 1)).tolist()]
+
+
+def lm_from_columns(obj: dict) -> ArrayLM:
+    """``ArrayLM.from_arrays`` of the arrays that hold ``columns_of``
+    output ``obj``, whose rows are sorted.  A context whose prefix is not
+    a context gets the parent row past the order below's last."""
+    arrays = {"vocabulary": np.array(sorted(map(ord, obj["vocabulary"])), dtype="<u4")}
+    below: dict[str, int] = {}
+    for m, level in enumerate(obj["levels"]):
+        keys = [below.get(c[:-1], len(below)) << CODE_BITS | ord(c[-1]) if m else 0
+                for c in level["contexts"]]
+        rows = np.repeat(np.arange(len(keys)), level["row_lengths"])
+        arrays[f"level{m}.contexts"] = np.array(keys, dtype="<i8")
+        arrays[f"level{m}.ngrams"] = (rows << CODE_BITS
+                                      | np.array(list(map(ord, level["chars"])), dtype=np.int64))
+        arrays[f"level{m}.counts"] = np.array(level["counts"], dtype="<i8")
+        below = {c: row for row, c in enumerate(level["contexts"])}
+    return ArrayLM.from_arrays({"n": obj["n"], "k": obj["k"]}, arrays)
 
 
 class TestTrainCharLM:
@@ -35,7 +80,7 @@ class TestTrainCharLM:
         # count, so its denominator is 1 + k * (|V| + 1) = 4 and
         # p(b|a) = (1+1)/4, p(a|a) = (0+1)/4, p(EOS|b) = (1+1)/4.
         lm = train_char_lm(["ab"], n=2, k=1.0)
-        assert lm.to_json()["levels"][1] == {
+        assert columns_of(lm)["levels"][1] == {
             "contexts": [BOS, "a", "b"], "row_lengths": [1, 1, 1],
             "chars": "ab" + EOS, "counts": [1, 1, 1],
         }
@@ -47,7 +92,7 @@ class TestTrainCharLM:
         # The saved model's distributions, read back by the tuple oracle,
         # which scores the same bits as the model (TestTupleOracle).
         lm = train_char_lm(["こんにちは", "こんばんは", "さようなら"], n=3, k=0.1)
-        oracle = tuple_lm_from_json(lm.to_json())
+        oracle = tuple_lm_from_json(columns_of(lm))
         for context in ("こん", "さよ", "んば", "□□"):
             total = sum(oracle.prob(ch, list(context)) for ch in lm.vocabulary | {EOS})
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -150,7 +195,7 @@ class TestLmScore:
         probs = [(1000 + 0.1) / (1000 + 0.1 * 10), (5 + 0.1) / (78 + 0.1 * 10),
                  (1000 + 0.1) / (1000 + 0.1 * 10)]
         fold = reduce(operator.add, map(math.log, probs), 0.0) / 3
-        assert lm_score(ArrayLM.from_json(obj), "ab").hex() == fold.hex()
+        assert lm_score(lm_from_columns(obj), "ab").hex() == fold.hex()
 
 
 # The tuple-context model that string contexts replaced, kept verbatim
@@ -225,7 +270,7 @@ def tuple_lm_score(lm: TupleCharLM, text: str) -> float:
 
 
 def tuple_lm_from_json(obj: dict) -> TupleCharLM:
-    """The tuple model of a ``to_json`` object (``tuple_lm_to_json``'s
+    """The tuple model of a ``columns_of`` object (``tuple_lm_to_json``'s
     inverse)."""
     lm = TupleCharLM(n=obj["n"], k=obj["k"], vocabulary=set(obj["vocabulary"]))
     for level in obj["levels"]:
@@ -238,7 +283,7 @@ def tuple_lm_from_json(obj: dict) -> TupleCharLM:
 
 
 def tuple_lm_to_json(lm: TupleCharLM) -> dict:
-    """The tuple model in the column layout ``CharLM.to_json`` writes."""
+    """The tuple model in the column layout of ``columns_of``."""
     levels = []
     for level in lm.counts:
         rows = sorted(("".join(ctx), sorted(row.items())) for ctx, row in level.items())
@@ -274,11 +319,11 @@ class TestTupleOracle:
     def test_string_contexts_agree_with_tuple_contexts(self, corpus, probes, n, k):
         lm = train_char_lm(corpus, n=n, k=k)
         ref = tuple_train_char_lm(corpus, n=n, k=k)
-        assert lm.to_json() == tuple_lm_to_json(ref)
+        assert columns_of(lm) == tuple_lm_to_json(ref)
         for text in corpus + probes:
             assert lm_score(lm, text) == tuple_lm_score(ref, text)
         # Scoring leaves the model as it was.
-        assert lm.to_json() == tuple_lm_to_json(ref)
+        assert columns_of(lm) == tuple_lm_to_json(ref)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -294,7 +339,7 @@ class TestTupleOracle:
         texts = [text for text in corpus if text] + probes
         expected = [tuple_lm_score(ref, text).hex() for text in texts]
         lm = train_char_lm(corpus, n=n, k=k)
-        loaded = ArrayLM.from_json(json.loads(json.dumps(lm.to_json())))
+        loaded = through_bytes(lm)
         assert [score.hex() for score in lm_scores(lm, texts)] == expected
         assert [score.hex() for score in lm_scores(loaded, texts)] == expected
 
@@ -309,7 +354,7 @@ class TestTupleOracle:
         obj = {"n": n, "k": k, "vocabulary": sorted(vocabulary),
                "levels": [{"contexts": [], "row_lengths": [], "chars": "", "counts": []}] * n}
         ref = TupleCharLM(n=n, k=k, vocabulary=set(vocabulary), counts=[{} for _ in range(n)])
-        scores = lm_scores(ArrayLM.from_json(obj), probes)
+        scores = lm_scores(lm_from_columns(obj), probes)
         assert [score.hex() for score in scores] == [tuple_lm_score(ref, t).hex() for t in probes]
 
 
@@ -318,34 +363,38 @@ class TestSerialization:
 
     def test_nul_contexts_round_trip_exactly(self):
         lm = train_char_lm(self.CORPUS, n=3, k=0.1)
-        again = ArrayLM.from_json(json.loads(json.dumps(lm.to_json())))
-        assert again.to_json() == lm.to_json()
+        again = through_bytes(lm)
+        assert dump(again) == dump(lm)
         assert again.vocabulary == lm.vocabulary
         assert (again.n, again.k) == (lm.n, lm.k)
         for probe in ("b\x00c", "\x00", "abc", "未知"):
             assert lm_score(again, probe) == lm_score(lm, probe)
 
     def test_from_json_rejects_what_training_cannot_make(self):
-        obj = train_char_lm(self.CORPUS, n=3, k=0.1).to_json()
-        assert ArrayLM.from_json(obj).to_json() == obj
-        level1 = obj["levels"][1]
+        lm = train_char_lm(self.CORPUS, n=3, k=0.1)
+        scalars, arrays = lm.to_arrays()
+        assert dump(ArrayLM.from_arrays(scalars, copied(arrays))) == dump(lm)
+        level2 = {name: a for name, a in arrays.items() if name.startswith("level2.")}
+        fewer = {name: a for name, a in arrays.items() if name not in level2}
+        extra = {**arrays, **{name.replace("2", "3"): a for name, a in level2.items()}}
+        counts = arrays["level1.counts"].copy()
+        counts[:2] = [3, -1]
         bad = [
-            {**obj, "levels": obj["levels"][:2]},  # fewer count levels than the order
-            {**obj, "levels": obj["levels"] + [obj["levels"][0]]},
-            {**obj, "n": 1, "levels": obj["levels"][:1]},
-            {**obj, "n": 8, "levels": (obj["levels"] * 3)[:8]},
-            {**obj, "k": 0.0},
-            {**obj, "k": -0.1},
-            {**obj, "k": float("nan")},
+            (scalars, fewer),  # fewer count levels than the order
+            (scalars, extra),
+            ({**scalars, "n": 1}, {name: a for name, a in arrays.items()
+                                   if not name.startswith(("level1", "level2"))}),
+            ({**scalars, "n": 8}, arrays),
+            ({**scalars, "k": 0.0}, arrays),
+            ({**scalars, "k": -0.1}, arrays),
+            ({**scalars, "k": float("nan")}, arrays),
             # a negative count in a row whose total is still positive
-            {**obj, "levels": [obj["levels"][0],
-                               {**level1, "counts": [3, -1] + level1["counts"][2:]},
-                               obj["levels"][2]]},
+            (scalars, {**arrays, "level1.counts": counts}),
         ]
-        assert level1["row_lengths"][0] >= 2  # the negative count shares its row
-        for broken in bad:
+        assert (arrays["level1.ngrams"][:2] >> CODE_BITS).tolist() == [0, 0]  # one row
+        for broken_scalars, broken in bad:
             with pytest.raises(ValueError):
-                ArrayLM.from_json(broken)
+                ArrayLM.from_arrays(broken_scalars, broken)
 
     def test_missing_order_zero_row_is_uniform(self):
         # Without the empty context no context has a prefix in order 0,
@@ -354,16 +403,17 @@ class TestSerialization:
         empty = {"contexts": [], "row_lengths": [], "chars": "", "counts": []}
         row_a = {"contexts": ["a"], "row_lengths": [1], "chars": "b", "counts": [3]}
         with pytest.raises(ValueError, match="are not a context"):
-            ArrayLM.from_json({"n": 2, "k": 0.1, "vocabulary": ["a", "b"],
-                               "levels": [empty, row_a]})
-        lm = ArrayLM.from_json({"n": 2, "k": 0.1, "vocabulary": ["a", "b"],
-                                "levels": [empty, empty]})
+            lm_from_columns({"n": 2, "k": 0.1, "vocabulary": ["a", "b"],
+                             "levels": [empty, row_a]})
+        lm = lm_from_columns({"n": 2, "k": 0.1, "vocabulary": ["a", "b"],
+                              "levels": [empty, empty]})
         assert lm_scores(lm, ["ab", "未"]) == [math.log(1.0 / 3)] * 2
 
 
 # The nested-dict model the arrays replaced: ``counts[m]`` maps an
 # m-character context to {next_char: count}.  Kept as the container
-# ``reference_train_char_lm`` fills; ``to_json`` is its column writer.
+# ``reference_train_char_lm`` fills; ``to_json`` writes it as
+# ``columns_of`` does.
 @dataclass
 class CharLM:
     n: int = DEFAULT_ORDER
@@ -374,9 +424,11 @@ class CharLM:
     def to_json(self) -> dict:
         levels = []
         for level in self.counts:
-            contexts, row_lengths, chars, counts = to_columns(level)
-            levels.append({"contexts": contexts, "row_lengths": row_lengths,
-                           "chars": "".join(chars), "counts": counts})
+            rows = sorted((context, sorted(row.items())) for context, row in level.items())
+            levels.append({"contexts": [context for context, _ in rows],
+                           "row_lengths": [len(row) for _, row in rows],
+                           "chars": "".join(char for _, row in rows for char, _ in row),
+                           "counts": [count for _, row in rows for _, count in row]})
         return {"n": self.n, "k": self.k, "vocabulary": sorted(self.vocabulary),
                 "levels": levels}
 
@@ -418,19 +470,20 @@ class TestLoopOracle:
         lm = train_char_lm(corpus, n=n, k=k)
         ref = reference_train_char_lm(corpus, n=n, k=k)
         assert lm.vocabulary == ref.vocabulary
-        assert json.dumps(lm.to_json(), sort_keys=True) == json.dumps(ref.to_json(), sort_keys=True)
-        loaded = ArrayLM.from_json(ref.to_json())
+        assert json.dumps(columns_of(lm), sort_keys=True) == \
+            json.dumps(ref.to_json(), sort_keys=True)
+        loaded = lm_from_columns(ref.to_json())
         texts = [text for text in corpus if text] + ["未知😀", BOS + EOS]
         assert lm_scores(lm, texts) == lm_scores(loaded, texts)
 
 
-# Text that the column layout must carry exactly: NUL, the padding and
-# end symbols, other control characters, JSON's escaped characters and
+# Text that the arrays must carry exactly: NUL, the padding and end
+# symbols, other control characters, JSON's escaped characters and
 # characters outside the Basic Multilingual Plane.
 _COLUMN_TEXT = st.text(
     alphabet=st.sampled_from(
         list("あい日本ab") + [BOS, EOS, "\x00", "\x01", "\x1f", "\x7f", "\n", "\t", '"',
-                              "\\", " ", "😀", "𠀋", "𝕏"]
+                              "\\", " ", "😀", "𠀋", "𝕏"]
     ),
     max_size=12,
 )
@@ -440,8 +493,29 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _level1(part: str) -> str:
+    return f"level1.{part}"
+
+
+def _set(name: str, index, value):
+    """A corruption that sets ``arrays[name][index]`` to ``value``."""
+    def corrupt(arrays):
+        arrays[name][index] = value
+    return corrupt
+
+
+def _replace(name: str, make):
+    """A corruption that replaces ``arrays[name]`` with ``make(it)``."""
+    def corrupt(arrays):
+        arrays[name] = make(arrays[name])
+    return corrupt
+
+
+C, G, N = _level1("contexts"), _level1("ngrams"), _level1("counts")
+
+
 class TestColumns:
-    """The column layout of a saved language model (model version 2)."""
+    """The arrays of a saved language model (model version 3)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -451,9 +525,10 @@ class TestColumns:
         k=st.sampled_from([0.001, 0.1, 0.3, 1.0, 2.5]),
     )
     def test_round_trip_through_json_text(self, corpus, probes, n, k):
+        # The scalars through JSON text and the arrays through raw bytes,
+        # as a model file carries them.
         lm = train_char_lm(corpus, n=n, k=k)
-        text = json.dumps(lm.to_json(), ensure_ascii=False, sort_keys=True)
-        again = ArrayLM.from_json(json.loads(text))
+        again = through_bytes(lm)
         assert (again.n, again.k, again.vocabulary) == (lm.n, lm.k, lm.vocabulary)
         # Every array, the denominators included, bit for bit.
         for loaded, trained in zip(again.levels, lm.levels, strict=True):
@@ -462,11 +537,13 @@ class TestColumns:
                 assert array.tobytes() == getattr(trained, name).tobytes(), name
         texts = [t for t in corpus if t] + probes
         assert _bits(lm_scores(again, texts)) == _bits(lm_scores(lm, texts))
-        assert json.dumps(again.to_json(), ensure_ascii=False, sort_keys=True) == text
+        assert dump(again) == dump(lm)
 
     def test_rows_in_any_order_load_to_the_sorted_model(self):
-        obj = train_char_lm(["日本語の文。", "日本の語。", "😀日本"], n=3, k=0.1).to_json()
-        level = obj["levels"][2]
+        # Training's level builder takes an order's columns in any row
+        # order, and in any order within a row.
+        lm = train_char_lm(["日本語の文。", "日本の語。", "😀日本"], n=3, k=0.1)
+        level = columns_of(lm)["levels"][2]
         rows, start = [], 0
         for context, length in zip(level["contexts"], level["row_lengths"]):
             end = start + length
@@ -474,37 +551,45 @@ class TestColumns:
                          level["counts"][start:end][::-1]))
             start = end
         rows.reverse()
-        shuffled = {"contexts": [r[0] for r in rows], "row_lengths": [r[1] for r in rows],
-                    "chars": "".join(r[2] for r in rows),
-                    "counts": [c for r in rows for c in r[3]]}
-        assert shuffled != level
-        again = ArrayLM.from_json({**obj, "levels": obj["levels"][:2] + [shuffled]})
-        assert again.to_json() == obj
+        assert [r[0] for r in rows] != level["contexts"]
+        below = ArrayLM(n=3, k=0.1, vocabulary=lm.vocabulary, levels=lm.levels[:2])
+        built = charlm._level(
+            below,
+            np.array([list(map(ord, r[0])) for r in rows], dtype=np.int64),
+            np.array([r[1] for r in rows], dtype=np.int64),
+            np.array([ord(c) for r in rows for c in r[2]], dtype=np.int64),
+            np.array([c for r in rows for c in r[3]], dtype=np.int64),
+        )
+        for name, array in built._asdict().items():
+            assert array.tobytes() == getattr(lm.levels[2], name).tobytes(), name
 
     @pytest.mark.parametrize("corrupt,message", [
-        (lambda lv: lv["contexts"].pop(), "row names but"),
-        (lambda lv: lv.update(chars=lv["chars"][:-1]), "entries hold"),
-        (lambda lv: lv["counts"].pop(), "entries hold"),
-        (lambda lv: lv["row_lengths"].__setitem__(0, lv["row_lengths"][0] + 1), "entries hold"),
-        (lambda lv: lv["row_lengths"].__setitem__(0, 0), "row length is not positive"),
-        (lambda lv: lv["row_lengths"].__setitem__(0, 1.0), "'row_lengths' is not a list of int"),
-        (lambda lv: lv["row_lengths"].__setitem__(0, True), "'row_lengths' is not a list of int"),
-        (lambda lv: lv["counts"].__setitem__(0, -1), "negative count"),
-        (lambda lv: lv["counts"].__setitem__(0, 2.0), "'counts' is not a list of int"),
-        (lambda lv: lv["counts"].__setitem__(0, True), "'counts' is not a list of int"),
-        (lambda lv: lv["counts"].__setitem__(0, "2"), "'counts' is not a list of int"),
-        (lambda lv: lv.update(counts=[0] * len(lv["counts"])), "total 0"),
-        (lambda lv: lv["contexts"].__setitem__(0, 1), "'contexts' is not a list of str"),
-        (lambda lv: lv.update(chars=list(lv["chars"])), "chars is a list, not a string"),
-        (lambda lv: lv.pop("counts"), "'counts' is not a list"),
-        (lambda lv: lv["contexts"].__setitem__(1, lv["contexts"][0]), "row name is repeated"),
-        (lambda lv: lv.update(chars=lv["chars"][0] * len(lv["chars"])), "repeated within a row"),
-        # the first row's last character written at its other end too
-        (lambda lv: lv.update(chars=lv["chars"][2] + lv["chars"][1:]), "repeated within a row"),
-        (lambda lv: lv["contexts"].__setitem__(0, lv["contexts"][0] * 2), "not 1 characters long"),
-        (lambda lv: lv["contexts"].__setitem__(0, ""), "not 1 characters long"),
-        (lambda lv: lv["counts"].__setitem__(0, 2**63), "do not fit in int64"),
-        (lambda lv: lv["counts"].__setitem__(slice(0, 2), [2**62, 2**62]), "do not fit in int64"),
+        (_replace(C, lambda a: a[:-1]), "order-1 n-gram's context is not a context"),
+        (_replace(G, lambda a: a[:-1]), "order-1 n-grams but"),
+        (_replace(N, lambda a: a[:-1]), "order-1 n-grams but"),
+        (lambda a: a[G].__setitem__(-1, a[G][-1] + (1 << CODE_BITS)),
+         "order-1 n-gram's context is not a context"),
+        (lambda a: a.update({G: a[G][3:], N: a[N][3:]}), "order-1 context has no n-gram"),
+        (_replace(C, lambda a: a.astype("<f8")), "'level1.contexts' is <f8, not <i8"),
+        (_replace(G, lambda a: a.astype("|b1")), "'level1.ngrams' is |b1, not <i8"),
+        (_set(N, 0, -1), "negative count"),
+        (_replace(N, lambda a: a.astype("<f8")), "'level1.counts' is <f8, not <i8"),
+        (_replace(N, lambda a: a.astype("|b1")), "'level1.counts' is |b1, not <i8"),
+        (_replace(N, lambda a: a.astype("<U1")), "'level1.counts' is <U1, not <i8"),
+        (_set(N, slice(None), 0), "total 0"),
+        (_set(C, 0, -1), "order-1 contexts hold a negative key"),
+        (_replace(G, lambda a: a.astype("<u4")), "'level1.ngrams' is <u4, not <i8"),
+        (lambda a: a.pop(N), "level1.counts"),
+        (lambda a: a[C].__setitem__(1, a[C][0]), "order-1 contexts are not strictly increasing"),
+        (lambda a: a[G].__setitem__(slice(1, 3), a[G][0]),
+         "order-1 n-grams are not strictly increasing"),
+        # the first row's last character written at its start too
+        (lambda a: a[G].__setitem__(0, a[G][2]), "order-1 n-grams are not strictly increasing"),
+        (lambda a: a[C].__setitem__(-1, a[C][-1] + (5 << CODE_BITS)),
+         "first 0 characters of an order-1 context"),
+        (_set("level0.contexts", 0, 7), "order 0 holds a context other than the empty one"),
+        (_set(N, slice(0, 2), [2**63 - 1, 1]), "do not fit in int64"),
+        (_set(N, slice(0, 2), [2**62, 2**62]), "do not fit in int64"),
     ], ids=["contexts-short", "chars-short", "counts-short", "row-length-long", "zero-row-length",
             "float-row-length", "bool-row-length", "negative-count", "float-count", "bool-count",
             "string-count", "zero-total", "context-not-string", "chars-list", "no-counts",
@@ -512,28 +597,32 @@ class TestColumns:
             "empty-context", "count-past-int64", "row-total-past-int64"])
     def test_malformed_column_is_rejected(self, corrupt, message):
         corpus = ["日本語の文。", "本の文", "文"]
-        obj = json.loads(json.dumps(train_char_lm(corpus, n=3, k=0.1).to_json()))
-        level = obj["levels"][1]
-        assert len(level["contexts"]) >= 2 and level["row_lengths"][0] == 3
-        corrupt(level)
-        with pytest.raises(ValueError, match=message):
-            ArrayLM.from_json(obj)
+        scalars, arrays = train_char_lm(corpus, n=3, k=0.1).to_arrays()
+        arrays = copied(arrays)
+        rows = arrays[G] >> CODE_BITS
+        assert len(arrays[C]) >= 2 and (rows == 0).sum() == 3
+        corrupt(arrays)
+        with pytest.raises((ValueError, KeyError), match=message):
+            ArrayLM.from_arrays(scalars, arrays)
 
     def test_context_whose_prefix_is_not_a_context_is_rejected(self):
-        obj = json.loads(json.dumps(train_char_lm(["日本語の文。", "本の文"], n=3, k=0.1).to_json()))
-        level = obj["levels"][2]
-        assert "未" not in obj["levels"][1]["contexts"]
-        level["contexts"][-1] = "未" + level["contexts"][-1][1:]
+        scalars, arrays = train_char_lm(["日本語の文。", "本の文"], n=3, k=0.1).to_arrays()
+        arrays = copied(arrays)
+        contexts = arrays["level2.contexts"]
+        contexts[-1] = len(arrays["level1.contexts"]) << CODE_BITS | ord("文")
         with pytest.raises(ValueError, match="first 1 characters of an order-2 context"):
-            ArrayLM.from_json(obj)
+            ArrayLM.from_arrays(scalars, arrays)
 
     @pytest.mark.parametrize("vocabulary,message", [
-        (None, "'vocabulary' is not a list of str"),
-        ([1, 2], "'vocabulary' is not a list of str"),
-        (["ab", "c"], "not one character"),
-        (["a", "a"], "character is repeated"),
+        (None, "vocabulary"),
+        (np.array([97, 98], dtype="<i8"), "'vocabulary' is <i8, not <u4"),
+        (np.array([97, 0x110000], dtype="<u4"), "not one character"),
+        (np.array([97, 97], dtype="<u4"), "character is repeated"),
     ], ids=["null", "ints", "two-characters", "repeated"])
     def test_malformed_vocabulary_is_rejected(self, vocabulary, message):
-        obj = train_char_lm(["ab"], n=2, k=0.1).to_json()
-        with pytest.raises(ValueError, match=message):
-            ArrayLM.from_json({**obj, "vocabulary": vocabulary})
+        scalars, arrays = train_char_lm(["ab"], n=2, k=0.1).to_arrays()
+        arrays = {**arrays, "vocabulary": vocabulary}
+        if vocabulary is None:
+            del arrays["vocabulary"]
+        with pytest.raises((ValueError, KeyError), match=message):
+            ArrayLM.from_arrays(scalars, arrays)

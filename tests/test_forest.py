@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from localmine.forest import BLOCK_ROWS, RandomForest
 
+from model_edits import copied, dump, through_bytes
+
 
 def separable_data(n=400, seed=0):
     rng = np.random.default_rng(seed)
@@ -19,31 +21,37 @@ def separable_data(n=400, seed=0):
 
 def nested_walk(model, row):
     """Oracle: one row scaled in plain Python floats and walked down each
-    nested tree of ``to_json``, ``<=`` going left, votes summed in tree
-    order."""
-    obj = model.to_json()
+    tree of ``to_arrays`` node by node, ``<=`` going left, votes summed
+    in tree order."""
+    scalars, arrays = model.to_arrays()
+    feature, threshold, left, right, vote = (
+        arrays[name].tolist() for name in ("feature", "threshold", "left", "right", "vote"))
     scaled = [
         (float(v) - mean) / std
-        for v, mean, std in zip(row, obj["feature_means"], obj["feature_stds"])
+        for v, mean, std in zip(row, scalars["feature_means"], scalars["feature_stds"])
     ]
     votes = 0.0
-    for node in obj["trees"]:
-        while "vote" not in node:
-            node = node["left"] if scaled[node["feature"]] <= node["threshold"] else node["right"]
-        votes += node["vote"]
-    return votes / len(obj["trees"])
+    for node in arrays["roots"].tolist():
+        while feature[node] >= 0:
+            node = left[node] if scaled[feature[node]] <= threshold[node] else right[node]
+        votes += vote[node]
+    return votes / len(arrays["roots"])
 
 
 def thresholds(model):
-    """Every (feature, threshold) split of the model's nested trees."""
-    found = []
-    stack = list(model.to_json()["trees"])
-    while stack:
-        node = stack.pop()
-        if "vote" not in node:
-            found.append((node["feature"], node["threshold"]))
-            stack.extend((node["left"], node["right"]))
-    return found
+    """Every (feature, threshold) split of the model's trees."""
+    return [(f, t) for f, t in zip(model.feature.tolist(), model.threshold.tolist()) if f >= 0]
+
+
+def flat_forest(n_features: int, nodes: list[tuple], roots=(0,)) -> tuple[dict, dict]:
+    """The scalars and arrays of a forest of ``(feature, threshold, left,
+    right, vote)`` nodes, scaling being the identity."""
+    feature, threshold, left, right, vote = zip(*nodes)
+    return {"n_trees": len(roots), "max_depth": 2, "seed": 0,
+            "feature_means": [0.0] * n_features, "feature_stds": [1.0] * n_features}, {
+        "roots": np.array(roots, dtype="<i8"), "feature": np.array(feature, dtype="<i8"),
+        "threshold": np.array(threshold, dtype="<f8"), "left": np.array(left, dtype="<i8"),
+        "right": np.array(right, dtype="<i8"), "vote": np.array(vote, dtype="|u1")}
 
 
 class TestRandomForest:
@@ -68,8 +76,7 @@ class TestRandomForest:
         digests = set()
         for _ in range(2):
             model = RandomForest(n_trees=20, max_depth=6, seed=9).fit(x, y)
-            payload = json.dumps(model.to_json(), sort_keys=True).encode()
-            digests.add(hashlib.sha256(payload).hexdigest())
+            digests.add(hashlib.sha256(dump(model)).hexdigest())
         assert len(digests) == 1
 
     def test_single_class_is_error(self):
@@ -86,7 +93,8 @@ class TestRandomForest:
     def test_json_roundtrip_bit_exact(self):
         x, y = separable_data(n=150, seed=7)
         model = RandomForest(n_trees=10, max_depth=5, seed=11).fit(x, y)
-        again = RandomForest.from_json(json.loads(json.dumps(model.to_json())))
+        again = through_bytes(model)
+        assert dump(again) == dump(model)
         probe = np.asarray(x[:37])
         assert np.array_equal(model.predict_proba(probe), again.predict_proba(probe))
 
@@ -112,10 +120,9 @@ class TestRandomForest:
         if unit_scale:
             # Scaling becomes the identity, so a raw value can equal a
             # split threshold exactly.
-            obj = model.to_json()
-            obj["feature_means"] = [0.0] * 12
-            obj["feature_stds"] = [1.0] * 12
-            model = RandomForest.from_json(obj)
+            scalars, arrays = model.to_arrays()
+            model = RandomForest.from_arrays(
+                {**scalars, "feature_means": [0.0] * 12, "feature_stds": [1.0] * 12}, arrays)
         splits = thresholds(model)
         special = [np.inf, -np.inf, 0.0]
         rng = np.random.default_rng(seed)
@@ -156,23 +163,23 @@ class TestRandomForest:
     def test_from_json_rejects_a_split_outside_the_features(self):
         """A split on column 3 of a 3-feature model would score a row
         with its neighbour's value; it is refused at load."""
-        obj = {
-            "n_trees": 1, "max_depth": 1, "seed": 0,
-            "feature_means": [0.0, 0.0, 0.0], "feature_stds": [1.0, 1.0, 1.0],
-            "trees": [{"feature": 2, "threshold": 0.5, "left": {"vote": 0}, "right": {"vote": 1}}],
-        }
-        RandomForest.from_json(obj)
-        for feature in (3, -1):
-            obj["trees"][0]["feature"] = feature
+        nodes = [[2, 0.5, 1, 2, 0], [-1, 0.0, 1, 1, 0], [-1, 0.0, 2, 2, 1]]
+        RandomForest.from_arrays(*flat_forest(3, nodes))
+        for feature in (3, -2):
+            nodes[0][0] = feature
             with pytest.raises(ValueError, match=f"feature {feature} of a 3-feature"):
-                RandomForest.from_json(obj)
+                RandomForest.from_arrays(*flat_forest(3, nodes))
+        # -1 makes the node a leaf, and a leaf is its own child.
+        nodes[0][0] = -1
+        with pytest.raises(ValueError, match="leaf 0 is not its own left and right child"):
+            RandomForest.from_arrays(*flat_forest(3, nodes))
 
     def test_from_json_rejects_unequal_means_and_stds(self):
         x, y = separable_data(n=100, seed=3)
-        obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
+        scalars, arrays = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_arrays()
         for short in ("feature_means", "feature_stds"):
             with pytest.raises(ValueError, match="feature means but"):
-                RandomForest.from_json({**obj, short: obj[short][:-1]})
+                RandomForest.from_arrays({**scalars, short: scalars[short][:-1]}, arrays)
 
     def test_untrained_is_error(self):
         with pytest.raises(ValueError):
@@ -189,20 +196,20 @@ class TestFitChecks:
 
     def test_trees_need_a_depth(self):
         x, y = separable_data(n=100, seed=3)
-        obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
+        scalars, arrays = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_arrays()
         for depth in (0, -1):
             with pytest.raises(ValueError, match="depth of at least 1"):
                 RandomForest(max_depth=depth)
             with pytest.raises(ValueError, match="depth of at least 1"):
-                RandomForest.from_json({**obj, "max_depth": depth})
+                RandomForest.from_arrays({**scalars, "max_depth": depth}, arrays)
 
     def test_from_json_rejects_a_forest_with_no_trees(self):
         x, y = separable_data(n=100, seed=3)
-        obj = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_json()
+        scalars, arrays = RandomForest(n_trees=2, max_depth=2, seed=0).fit(x, y).to_arrays()
         with pytest.raises(ValueError, match="forest has no trees"):
-            RandomForest.from_json({**obj, "trees": []})
+            RandomForest.from_arrays(scalars, {**arrays, "roots": arrays["roots"][:0]})
         with pytest.raises(ValueError, match="at least one tree"):
-            RandomForest.from_json({**obj, "n_trees": 0})
+            RandomForest.from_arrays({**scalars, "n_trees": 0}, arrays)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_fit_rejects_a_non_finite_value(self, value):
@@ -218,6 +225,67 @@ class TestFitChecks:
         x[25:, 5] = -1.5e308
         with pytest.raises(ValueError, match="overflow when scaled"):
             RandomForest(n_trees=2, seed=0).fit(x, y)
+
+
+class TestTreeChecks:
+    """``from_arrays`` takes only trees that every walk ends in."""
+
+    # Two trees of three nodes each, on a 2-feature model.
+    NODES = [(0, 0.5, 1, 2, 0), (-1, 0.0, 1, 1, 0), (-1, 0.0, 2, 2, 1),
+             (1, 0.0, 4, 5, 0), (-1, 0.0, 4, 4, 1), (-1, 0.0, 5, 5, 0)]
+
+    def test_well_formed_trees_load_and_walk(self):
+        model = RandomForest.from_arrays(*flat_forest(2, self.NODES, roots=(0, 3)))
+        rows = [[0.0, 0.0], [1.0, 1.0], [1.0, -1.0], [0.5, 0.5]]
+        assert model.predict_proba(np.array(rows)).tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert [nested_walk(model, row) for row in rows] == [0.5, 0.5, 1.0, 0.0]
+
+    # ``edit`` sets column ``edit[1]`` of node ``edit[0]`` (feature,
+    # threshold, left, right, vote) to ``edit[2]``.
+    @pytest.mark.parametrize("edit,roots,message", [
+        ((3, 3, 2), (0, 3), "node 3 has children 4 and 2"),  # a child before its parent
+        ((3, 3, 3), (0, 3), "node 3 has children 4 and 3"),  # the node itself
+        ((0, 3, 3), (0, 3), "node 0 has children 1 and 3"),  # the next tree's root
+        ((3, 3, 6), (0, 3), "node 3 has children 4 and 6"),  # past every node
+        ((0, 2, 2), (0, 3), "node 0 has children 2 and 2"),  # left not the next node
+        ((1, 2, 2), (0, 3), "leaf 1 is not its own left and right child"),
+        ((0, 0, 7), (0, 3), "feature 7 of a 2-feature model"),
+        ((2, 4, 2), (0, 3), "votes other than 0 or 1"),
+        (None, (1, 3), "roots do not start at node 0"),
+        (None, (0, 0), "roots do not start at node 0 and increase"),
+        (None, (0, 6), "increase within the nodes"),
+    ], ids=["child-before-parent", "child-is-itself", "child-in-next-tree", "child-past-nodes",
+            "left-not-next", "leaf-with-children", "feature-out-of-range", "vote-2",
+            "first-root-not-0", "roots-repeat", "root-past-nodes"])
+    def test_trees_a_walk_could_not_finish_are_rejected(self, edit, roots, message):
+        nodes = [list(node) for node in self.NODES]
+        if edit is not None:
+            index, column, value = edit
+            nodes[index][column] = value
+        with pytest.raises(ValueError, match=message):
+            RandomForest.from_arrays(*flat_forest(2, nodes, roots=roots))
+
+    def test_node_arrays_of_different_lengths_are_rejected(self):
+        scalars, arrays = flat_forest(2, self.NODES, roots=(0, 3))
+        for name in ("feature", "threshold", "left", "right", "vote"):
+            with pytest.raises(ValueError, match="node arrays differ in length"):
+                RandomForest.from_arrays(scalars, {**arrays, name: arrays[name][:-1]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_accepted_forest_walks_to_the_nested_walk(self, data):
+        n = data.draw(st.integers(1, 7))
+        nodes = [(data.draw(st.integers(-2, 2)), data.draw(st.sampled_from([-0.5, 0.0, 0.5])),
+                  data.draw(st.integers(-1, n)), data.draw(st.integers(-1, n)),
+                  data.draw(st.integers(0, 2))) for _ in range(n)]
+        roots = sorted(data.draw(st.sets(st.integers(0, n), min_size=1, max_size=3)))
+        try:
+            model = RandomForest.from_arrays(*flat_forest(2, nodes, roots=roots))
+        except ValueError:
+            return
+        rows = [[data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0])) for _ in range(2)]
+                for _ in range(3)]
+        assert model.predict_proba(np.array(rows)).tolist() == [nested_walk(model, r) for r in rows]
 
 
 # The argsort split search that the rank search replaced, kept verbatim
@@ -343,7 +411,7 @@ class TestArgsortOracle:
         x, y = data
         model = RandomForest(n_trees=n_trees, max_depth=depth, seed=seed).fit(x, y)
         ref = reference_fit(RandomForest(n_trees=n_trees, max_depth=depth, seed=seed), x, y)
-        assert json.dumps(model.to_json()) == json.dumps(ref.to_json())
+        assert dump(model) == dump(ref)
         for name in ("roots", "feature", "threshold", "left", "right", "vote"):
             got, want = getattr(model, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
@@ -356,4 +424,4 @@ class TestArgsortOracle:
         x[:, 9] = 0.25  # a constant column
         model = RandomForest(n_trees=8, max_depth=8, seed=3).fit(x, y)
         ref = reference_fit(RandomForest(n_trees=8, max_depth=8, seed=3), x, y)
-        assert json.dumps(model.to_json()) == json.dumps(ref.to_json())
+        assert dump(model) == dump(ref)

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
-import base64
-import json
 import math
 import struct
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localmine.model1 import NULL_TOKEN, TranslationTable, train_model1
+
+from model_edits import copied, dump, through_bytes
 
 CANONICAL = [(["a"], ["x"]), (["a", "b"], ["x", "y"]), (["b"], ["y"])]
 
@@ -242,14 +243,14 @@ class TestTranslationTable:
         table = TranslationTable(t=rows, direction="ja-zh")
         tables = [table]
         if all(p >= 0.0 and math.isfinite(p) for row in rows.values() for p in row.values()):
-            tables.append(TranslationTable.from_json(json.loads(json.dumps(table.to_json()))))
+            tables.append(through_bytes(table))
         for table in tables:
-            before = table.to_json()
+            before = dump(table)
             for src, candidates in queries:
                 got = table.best_prob(src, candidates)
                 want = reference_best_prob(table, src, candidates)
                 assert _bits(got) == _bits(want)
-            assert table.to_json() == before
+            assert dump(table) == before
 
     @given(
         corpus=st.lists(st.tuples(_SIDE_SRC, _SIDE_TRG), min_size=1, max_size=6),
@@ -263,11 +264,11 @@ class TestTranslationTable:
             table = train_model1(corpus, iterations=iterations)
         except ValueError:
             return
-        before = table.to_json()
+        before = dump(table)
         for src in list(table.t) + ["unknown"]:
             for candidates in queries:
                 assert table.best_prob(src, candidates) == reference_best_prob(table, src, candidates)
-        assert table.to_json() == before
+        assert dump(table) == before
 
     def test_long_row_falls_back_to_the_candidates(self):
         # The row ranks more targets than there are candidates and the
@@ -299,7 +300,7 @@ _NAMES = st.text(
 
 
 class TestColumns:
-    """The column layout of a saved Model 1 table (model version 2)."""
+    """The arrays of a saved Model 1 table (model version 3)."""
 
     @given(
         rows=st.dictionaries(_NAMES, st.dictionaries(_NAMES, _EXACT_PROBS, min_size=1,
@@ -308,9 +309,10 @@ class TestColumns:
     )
     @settings(max_examples=300, deadline=None)
     def test_round_trip_through_json_text(self, rows, queries):
+        # The scalars through JSON text and the arrays through raw bytes,
+        # as a model file carries them.
         table = TranslationTable(t=rows, direction="zh-ja")
-        text = json.dumps(table.to_json(), ensure_ascii=False, sort_keys=True)
-        again = TranslationTable.from_json(json.loads(text))
+        again = through_bytes(table)
         assert again.direction == "zh-ja"
         assert again.t == table.t
         assert {src: {trg: _bits(p) for trg, p in row.items()} for src, row in again.t.items()} \
@@ -319,11 +321,11 @@ class TestColumns:
             for candidates in queries + [set(rows.get(src, ()))]:
                 assert _bits(again.best_prob(src, candidates)) == \
                     _bits(table.best_prob(src, candidates))
-        assert json.dumps(again.to_json(), ensure_ascii=False, sort_keys=True) == text
+        assert dump(again) == dump(table)
 
     def test_each_target_is_one_shared_object(self):
         table = train_model1([(["日", "本"], ["日", "本"]), (["本"], ["本", "书"])], iterations=3)
-        again = TranslationTable.from_json(json.loads(json.dumps(table.to_json())))
+        again = through_bytes(table)
         objects = {}
         for row in again.t.values():
             for trg in row:
@@ -332,37 +334,55 @@ class TestColumns:
 
     def test_empty_row_is_not_written(self):
         table = TranslationTable(t={"a": {}, "b": {"x": 1.0}})
-        assert TranslationTable.from_json(table.to_json()).t == {"b": {"x": 1.0}}
+        assert through_bytes(table).t == {"b": {"x": 1.0}}
 
     @pytest.mark.parametrize("corrupt,message", [
-        (lambda t: t["sources"].pop(), "row names but"),
-        (lambda t: t["targets"].pop(), "entries hold"),
-        (lambda t: t.update(probs=_encode([0.5])), "entries hold"),
-        (lambda t: t["row_lengths"].__setitem__(0, 0), "row length is not positive"),
-        (lambda t: t["row_lengths"].__setitem__(0, 2.0), "'row_lengths' is not a list of int"),
-        (lambda t: t["row_lengths"].__setitem__(0, True), "'row_lengths' is not a list of int"),
-        (lambda t: t.update(probs=t["probs"][:-1]), "not base64"),
-        (lambda t: t.update(probs="!" + t["probs"][1:]), "not base64"),
-        (lambda t: t.update(probs=base64.b64encode(b"\0" * 12).decode()), "12 bytes"),
-        (lambda t: t.update(probs=_encode([math.nan, 0.5, 0.5])), "negative, NaN or infinite"),
-        (lambda t: t.update(probs=_encode([math.inf, 0.5, 0.5])), "negative, NaN or infinite"),
-        (lambda t: t.update(probs=_encode([-0.5, 0.5, 0.5])), "negative, NaN or infinite"),
-        (lambda t: t.update(probs=[0.5, 0.5, 0.5]), "probs is a list, not a base64 string"),
-        (lambda t: t["targets"].__setitem__(0, ["x"]), "'targets' is not a list of str"),
-        (lambda t: t["sources"].__setitem__(1, "a"), "row name is repeated"),
-        (lambda t: t["targets"].__setitem__(1, "x"), "repeated within a row"),
+        (lambda t: t.update(source_lengths=t["source_lengths"][:1], sources=t["sources"][:1]),
+         "row names but"),
+        (lambda t: t.update(target_ids=t["target_ids"][:2]), "entries hold"),
+        (lambda t: t.update(probs=_f8([0.5])), "entries hold"),
+        (lambda t: t.update(row_lengths=_i8([0, 3])), "row length is not positive"),
+        (lambda t: t.update(row_lengths=t["row_lengths"].astype("<f8")),
+         "'row_lengths' is <f8, not <i8"),
+        (lambda t: t.update(row_lengths=t["row_lengths"].astype("|b1")),
+         "'row_lengths' is |b1, not <i8"),
+        # the sources' code points cut short of their lengths
+        (lambda t: t.update(sources=t["sources"][:1]), "do not add up to the 1 code points"),
+        (lambda t: t.update(targets=np.array([0x110000, ord("y")], dtype="<u4")),
+         "targets holds a code point that is not a character"),
+        (lambda t: t.update(probs=t["probs"].astype("<f4")), "'probs' is <f4, not <f8"),
+        (lambda t: t.update(probs=_f8([math.nan, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=_f8([math.inf, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=_f8([-0.5, 0.5, 0.5])), "negative, NaN or infinite"),
+        (lambda t: t.update(probs=t["probs"].astype("<i8")), "'probs' is <i8, not <f8"),
+        (lambda t: t.update(target_ids=_i8([0, 2, 0])), "target id is not one of the 2"),
+        (lambda t: t.update(sources=np.array([ord("a")] * 2, dtype="<u4")),
+         "row name is repeated"),
+        (lambda t: t.update(target_ids=_i8([0, 0, 0])), "repeated within a row"),
     ], ids=["sources-short", "targets-short", "probs-short", "zero-row-length",
             "float-row-length", "bool-row-length", "bad-padding", "bad-character",
             "partial-float", "nan", "infinite", "negative", "probs-list", "target-not-string",
             "repeated-source", "repeated-target"])
     def test_malformed_column_is_rejected(self, corrupt, message):
         table = TranslationTable(t={"a": {"x": 0.25, "y": 0.75}, "b": {"x": 1.0}})
-        obj = json.loads(json.dumps(table.to_json()))
-        assert obj["row_lengths"] == [2, 1] and obj["targets"] == ["x", "y", "x"]
-        corrupt(obj)
+        scalars, arrays = table.to_arrays()
+        arrays = copied(arrays)
+        assert arrays["row_lengths"].tolist() == [2, 1]
+        assert arrays["target_ids"].tolist() == [0, 1, 0]
+        corrupt(arrays)
         with pytest.raises(ValueError, match=message):
-            TranslationTable.from_json(obj)
+            TranslationTable.from_arrays(scalars, arrays)
+
+    def test_missing_array_is_a_key_error(self):
+        scalars, arrays = TranslationTable(t={"a": {"x": 1.0}}).to_arrays()
+        for name in list(arrays):
+            with pytest.raises(KeyError, match=name):
+                TranslationTable.from_arrays(scalars, {k: v for k, v in arrays.items() if k != name})
 
 
-def _encode(probs: list[float]) -> str:
-    return base64.b64encode(struct.pack(f"<{len(probs)}d", *probs)).decode()
+def _f8(values: list[float]) -> np.ndarray:
+    return np.array(values, dtype="<f8")
+
+
+def _i8(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype="<i8")

@@ -18,6 +18,7 @@ from localmine.pipeline import (
     run_pipeline,
 )
 
+from model_edits import FAULTS, edit_sections
 from sitegen import write_run_config
 
 
@@ -143,15 +144,31 @@ class TestSiteReport:
         assert again == report
 
 
-def _first_count_level(model: dict) -> dict:
-    """lm_ja's order-1 count level: its contexts, row lengths, chars and counts."""
-    return model["lm_ja"]["levels"][1]
+def _lm_ja(sections: dict) -> dict:
+    """lm_ja's arrays."""
+    return sections["lm_ja"][1]
 
 
-def _set_counts(model: dict, value) -> None:
+def _first_row_counts(sections: dict, value) -> None:
     """Set every count of lm_ja's first order-1 row to ``value``."""
-    level = _first_count_level(model)
-    level["counts"][: level["row_lengths"][0]] = [value] * level["row_lengths"][0]
+    arrays = _lm_ja(sections)
+    arrays["level1.counts"][(arrays["level1.ngrams"] >> 21) == 0] = value
+
+
+def _retype(section: str, name: str, dtype: str):
+    """An edit that stores array ``name`` of ``section`` as ``dtype``."""
+    def edit(sections: dict) -> None:
+        arrays = sections[section][1]
+        arrays[name] = arrays[name].astype(dtype)
+    return edit
+
+
+def _forest_root(name: str, value_of):
+    """An edit that sets the forest's ``name`` at its first root."""
+    def edit(sections: dict) -> None:
+        scalars, arrays = sections["forest"]
+        arrays[name][arrays["roots"][0]] = value_of(scalars)
+    return edit
 
 
 class TestRunPipeline:
@@ -176,32 +193,35 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("corrupt,message", [
         # lm_ja truncated to 2 of its 5 count levels
-        (lambda m: m["lm_ja"].update(levels=m["lm_ja"]["levels"][:2]), "count levels"),
-        (lambda m: m["lm_ja"].update(k=0.0), "smoothing constant"),
+        (lambda m: [_lm_ja(m).pop(f"level{o}.{part}") for o in (2, 3, 4)
+                    for part in ("contexts", "ngrams", "counts")], "count levels"),
+        (lambda m: m["lm_ja"][0].update(k=0.0), "smoothing constant"),
         # the first tree's root splits on the column past the last feature
-        (lambda m: m["forest"]["trees"][0].update(feature=len(m["forest"]["feature_means"])),
-         "splits on feature"),
-        (lambda m: m["forest"]["feature_stds"].pop(), "feature stds"),
-        (lambda m: m["forest"].update(trees=[]), "forest has no trees"),
-        (lambda m: m["lm_ja"]["levels"].__setitem__(1, [1]), "count level is a list"),
-        (lambda m: _set_counts(m, 2.5), "'counts' is not a list of int"),
-        (lambda m: _set_counts(m, "2"), "'counts' is not a list of int"),
-        (lambda m: _set_counts(m, 0), "counts total 0"),
-        (lambda m: _first_count_level(m)["counts"].__setitem__(0, -1), "negative count"),
-        (lambda m: m["table_j2z"].update(probs=[0.5]), "probs is a list, not a base64 string"),
-        (lambda m: m.update(version=1), "version 1 is no longer read; retrain"),
-        (lambda m: m.update(lm_zh=[]), "section 'lm_zh' is missing or not an object"),
-        (lambda m: m["lm_ja"].pop("vocabulary"), "section 'lm_ja' lacks the key 'vocabulary'"),
-        (lambda m: m["forest"].pop("trees"), "section 'forest' lacks the key 'trees'"),
-        (lambda m: m["forest"].update(trees=5), "section 'forest': 'int' object"),
-        (lambda m: m["forest"].update(trees=[5]), "section 'forest': argument of type 'int'"),
-        (lambda m: m["forest"].update(feature_means=1.0), "section 'forest': 'float' object"),
-        (lambda m: m["lm_zh"].update(levels=3), "section 'lm_zh': object of type 'int'"),
-        (lambda m: m["lm_ja"].update(vocabulary=None),
-         "section 'lm_ja': column 'vocabulary' is not a list of str"),
-        (lambda m: m["lm_ja"].update(vocabulary=[1, 2]),
-         "section 'lm_ja': column 'vocabulary' is not a list of str"),
-        (lambda m: m["lm_ja"].update(vocabulary=["学生"]),
+        (_forest_root("feature", lambda s: len(s["feature_means"])), "splits on feature"),
+        (lambda m: m["forest"][0]["feature_stds"].pop(), "feature stds"),
+        (lambda m: m["forest"][1].update(roots=m["forest"][1]["roots"][:0]),
+         "forest has no trees"),
+        (_retype("lm_ja", "level1.contexts", "<f8"),
+         "section 'lm_ja': array 'level1.contexts' is <f8, not <i8"),
+        (_retype("lm_ja", "level1.counts", "<f8"), "'level1.counts' is <f8, not <i8"),
+        (_retype("lm_ja", "level1.counts", "<u4"), "'level1.counts' is <u4, not <i8"),
+        (lambda m: _first_row_counts(m, 0), "counts total 0"),
+        (lambda m: _lm_ja(m)["level1.counts"].__setitem__(0, -1), "negative count"),
+        (_retype("table_j2z", "probs", "<i8"), "section 'table_j2z': array 'probs' is <i8"),
+        ("version-1", "version 1 or 2\\), which is no longer read; retrain"),
+        (lambda m: m.update(lm_zh=([], m["lm_zh"][1])),
+         "section 'lm_zh' is missing or not an object"),
+        (lambda m: _lm_ja(m).pop("vocabulary"), "section 'lm_ja' lacks the key 'vocabulary'"),
+        (lambda m: m["forest"][1].pop("roots"), "section 'forest' lacks the key 'roots'"),
+        (lambda m: m["forest"][0].update(n_trees=[5]), "section 'forest': int\\(\\) argument"),
+        (_retype("forest", "left", "<f8"), "section 'forest': array 'left' is <f8, not <i8"),
+        (lambda m: m["forest"][0].update(feature_means=1.0), "section 'forest': 'float' object"),
+        (lambda m: m["lm_zh"][0].update(n=None), "section 'lm_zh': int\\(\\) argument"),
+        (_retype("lm_ja", "vocabulary", "<f8"),
+         "section 'lm_ja': array 'vocabulary' is <f8, not <u4"),
+        (_retype("lm_ja", "vocabulary", "<i8"),
+         "section 'lm_ja': array 'vocabulary' is <i8, not <u4"),
+        (lambda m: _lm_ja(m)["vocabulary"].__setitem__(0, 0x110000),
          "section 'lm_ja': a vocabulary entry is not one character"),
     ], ids=["truncated-counts", "zero-k", "split-past-features", "short-stds", "no-trees",
             "row-list", "fractional-count", "string-count", "zero-total",
@@ -213,9 +233,10 @@ class TestRunPipeline:
     ):
         model = tmp_path / "model.json"
         trained_filter.save(model)
-        payload = json.loads(model.read_text(encoding="utf-8"))
-        corrupt(payload)
-        model.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        if corrupt == "version-1":
+            model.write_text('{"version": 1}', encoding="utf-8")
+        else:
+            edit_sections(model, corrupt)
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.filter.model_path = str(model)
         with pytest.raises(ValueError, match=message):
@@ -351,6 +372,27 @@ class TestRunPipeline:
         docs_ja, docs_zh = pages_to_documents(store, starter_lexicon)
         assert len(docs_ja) == 1 and docs_zh == []
         assert docs_ja[0].sentences[0].tokens
+
+    def test_equal_tokens_of_a_site_are_one_object(self, starter_lexicon):
+        """The site's sentences share one ``str`` per distinct token, and
+        each sentence keeps the tokens its segmentation gives."""
+        from localmine.crawl import Page, PageStore
+        from localmine.pipeline import pages_to_documents
+        from localmine.text import LanguageTag, make_segmenter
+
+        store = PageStore(host="example-news.jp")
+        for i, text in enumerate(("学生は新聞を読む。学生は本を読む。", "先生は新聞を読む。")):
+            body = f"<html><body><p>{text}</p></body></html>".encode("utf-8")
+            store.pages.append(Page(f"https://example-news.jp/ja/{i}.html", "text/html", body))
+        docs_ja, _ = pages_to_documents(store, starter_lexicon)
+        sentences = [sentence for doc in docs_ja for sentence in doc.sentences]
+        tokens = [token for sentence in sentences for token in sentence.tokens]
+        shared: dict[str, str] = {}
+        for token in tokens:
+            assert shared.setdefault(token, token) is token
+        assert len(shared) < len(tokens)
+        segment = make_segmenter(starter_lexicon, LanguageTag.JA)
+        assert [s.tokens for s in sentences] == [segment(s.text) for s in sentences]
 
     def test_embedding_gate_in_pipeline(self, fixture_site, tmp_path, caplog):
         from localmine.embeddings import write_vector_file
@@ -897,24 +939,76 @@ class TestCli:
         )
         assert cli_main(["--config", str(config), "run"]) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == ["filter model version 1 is no longer read; "
-                          "retrain it with `localmine train-filter`"] * 2
+        assert errors == ["filter model is a JSON file (version 1 or 2), which is no longer "
+                          "read; retrain it with `localmine train-filter`"] * 2
         assert "Traceback" not in caplog.text
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_malformed_model_exits_without_traceback(self, tmp_path, caplog):
+        from localmine.modelfile import MAGIC
+
         model = tmp_path / "bad.json"
         pairs = tmp_path / "empty.jsonl"
         pairs.write_text("", encoding="utf-8")
-        for text in ("[]", "null"):
+        for content, message in (
+            (b"[]", "filter model does not start with 'localmine-filter '"),
+            (b"null", "filter model does not start with 'localmine-filter '"),
+            (MAGIC + b"[]\n", "filter model header is not a JSON object"),
+            (MAGIC + b"null\n", "filter model header is not a JSON object"),
+            (MAGIC + b"[" * 5000 + b"\n", "filter model header nests too deeply"),
+        ):
             caplog.clear()
-            model.write_text(text, encoding="utf-8")
+            model.write_bytes(content)
             code = cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
                              "--out", str(tmp_path / "o.jsonl")])
-            assert code == 1, text
-            assert [r.getMessage() for r in caplog.records] == ["filter model is not a JSON object"]
+            assert code == 1, content
+            assert [r.getMessage() for r in caplog.records] == [message]
             assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=list(FAULTS))
+    def test_hostile_model_file_stops_filter_and_run(
+        self, fixture_site, trained_filter, tmp_path, caplog, fault
+    ):
+        """Each hostile model file exits ``filter`` and ``run`` with code 1
+        and one line, no traceback, and no output file or directory."""
+        model = tmp_path / "model.json"
+        trained_filter.save(model)
+        make, message = FAULTS[fault]
+        make(model)
+        pairs = tmp_path / "empty.jsonl"
+        pairs.write_text("", encoding="utf-8")
+        assert cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
+                         "--out", str(tmp_path / "o.jsonl")]) == 1
+        config = tmp_path / "run.ini"
+        config.write_text(
+            write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+            + f"model_path = {model}\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert re.search(message, errors[0]) and "\n" not in errors[0]
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ('{"ja": 5, "zh": "你好"}', "candidate pair row's 'ja' is a int, not a string"),
+        ('{"zh": "你好"}', "candidate pair row lacks the key 'ja'"),
+    ], ids=["int-ja", "no-ja"])
+    def test_malformed_raw_pair_row_stops_filter(self, trained_filter, tmp_path, caplog,
+                                                 row, message):
+        model = tmp_path / "model.json"
+        trained_filter.save(model)
+        pairs = tmp_path / "raw_pairs.jsonl"
+        pairs.write_text('{"ja": "学生", "zh": "学生"}\n' + row + "\n", encoding="utf-8")
+        assert cli_main(["filter", "--model", str(model), "--pairs", str(pairs),
+                         "--out", str(tmp_path / "o.jsonl")]) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [message]
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_site_errors_exit_code(self, fixture_site, tmp_path, capsys):
         sites = tmp_path / "sites.jsonl"
@@ -1007,15 +1101,16 @@ PINNED_DIGESTS = {
         "4c6770016fc5bf0e2d6fb222d25248fdee370ae8381a56b38b0feb698e501540",
 }
 
-# SHA-256 of the fixture's `train-filter` model in the column layout of
-# model version 2, recorded when that layout replaced version 1's
-# per-entry lists (whose digest was ff68f636...e6c9b).  The model it
-# holds did not change: both versions load to the same tables, counts,
-# denominators and forest, float for float.  Re-pinned when the file
-# stopped carrying the unread top-level `seed` and `threshold` keys
-# (digest 457e3568...7e837ee with them); the parent's file with those
-# two keys deleted and re-serialized has this digest.
-PINNED_MODEL_DIGEST = "6b703aa8d661feeb9cde2dbeca3ec90a746dcaccdce76d380e4d7376c22cf331"
+# SHA-256 of the fixture's `train-filter` model in the raw-array layout
+# of model version 3, recorded when it replaced version 2's JSON columns
+# (digest 6b703aa8...2cf331, itself re-pinned from 457e3568...7e837ee
+# when the unread top-level `seed` and `threshold` keys were dropped, and
+# from version 1's ff68f636...e6c9b).  The model it holds did not
+# change: version 2's fixture model loaded by the version-2 reader and
+# this file loaded by the version-3 reader give equal Model 1 `t` dicts
+# (float bits, row order and ranked targets included), equal language
+# model levels (every array's bytes) and equal forest arrays.
+PINNED_MODEL_DIGEST = "761d669e9b3df426b314068ee7c8520dead97de8963524f9218027335818b4b5"
 
 
 class TestPinnedOutputs:
