@@ -493,10 +493,6 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def _level1(part: str) -> str:
-    return f"level1.{part}"
-
-
 def _set(name: str, index, value):
     """A corruption that sets ``arrays[name][index]`` to ``value``."""
     def corrupt(arrays):
@@ -511,7 +507,7 @@ def _replace(name: str, make):
     return corrupt
 
 
-C, G, N = _level1("contexts"), _level1("ngrams"), _level1("counts")
+C, G, N = "level1.contexts", "level1.ngrams", "level1.counts"
 
 
 class TestColumns:
