@@ -5,18 +5,26 @@ stored bytes) is reached.  Only HTML bodies are stored; PDF/Word bodies
 and other types are counted and skipped.  With a deterministic fetch
 capability the resulting PageStore is bit-reproducible (FIFO frontier,
 document-order link expansion).
+
+Robots exclusion is honoured for agent ``*`` as ``urllib.robotparser``
+reads robots.txt: the first group whose ``User-agent`` is empty, else
+the first ``*`` group, and within it the first ``Allow``/``Disallow``
+rule whose path prefixes the URL's path (RFC 9309 would take the
+longest).  ``_robots_rules`` keeps that module's quirks, so the answers
+equal its ``can_fetch("*", url)``, without importing it: it imports
+``urllib.request`` and so the network stack and OpenSSL, which a crawl
+from a snapshot never uses.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-import urllib.robotparser
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urldefrag, urljoin, urlsplit
+from urllib.parse import quote, unquote, urldefrag, urljoin, urlparse, urlsplit, urlunparse
 
 from .fetching import DEFAULT_TIMEOUT, Fetch
 from .htmltext import extract_links
@@ -89,23 +97,89 @@ def _is_binary_document(content_type: str, url: str) -> bool:
     return urlsplit(url).path.lower().endswith(_BINARY_EXTENSIONS)
 
 
+def _robots_rules(text: str) -> list[tuple[str, bool]]:
+    """The ordered ``(path, allowed)`` rules robots.txt gives agent ``*``.
+
+    Follows ``RobotFileParser.parse``: a group is one or more
+    ``User-agent`` lines and the rules under them; ``Crawl-delay`` and
+    ``Request-rate`` also close the agent list; only an empty line (not a
+    whitespace-only or comment one) ends a group, and discards a group
+    that has no rule yet.  An empty ``Disallow`` allows everything.  Raises
+    ``ValueError`` where the stdlib parser would (``Disallow: http://[``,
+    ``Crawl-delay: ²``).
+    """
+    groups: list[tuple[list[str], list[tuple[str, bool]]]] = []
+    agents: list[str] = []
+    rules: list[tuple[str, bool]] = []
+    state = 0  # 0: no group, 1: agent lines, 2: past them
+    for line in text.splitlines():
+        if not line and state:
+            if state == 2:
+                groups.append((agents, rules))
+            agents, rules, state = [], [], 0
+        key, sep, value = line.split("#", 1)[0].partition(":")
+        if not sep:
+            continue
+        key = key.strip().lower()
+        value = unquote(value.strip())
+        if key == "user-agent":
+            if state == 2:
+                groups.append((agents, rules))
+                agents, rules = [], []
+            agents.append(value)
+            state = 1
+        elif not state:
+            continue
+        elif key in ("allow", "disallow"):
+            path = quote(urlunparse(urlparse(value)))
+            rules.append((path, key == "allow" or not value))
+            state = 2
+        elif key in ("crawl-delay", "request-rate"):
+            # The values go unused, but int() raises on a digit it cannot
+            # read ("²"), and so the stdlib parse does.
+            numbers = value.split("/") if key == "request-rate" else [value]
+            if len(numbers) == 1 + (key == "request-rate") and all(
+                n.strip().isdigit() for n in numbers
+            ):
+                for n in numbers:
+                    int(n)
+            state = 2
+    if state == 2:
+        groups.append((agents, rules))
+    # The stdlib files a group naming "*" as the default, keeping the
+    # first; any other group applies to "*" when it names the empty agent.
+    default = next((r for a, r in groups if "*" in a), [])
+    return next((r for a, r in groups if "*" not in a and "" in a), default)
+
+
+def _robots_allow(rules: list[tuple[str, bool]], url: str) -> bool:
+    """``RobotFileParser.can_fetch("*", url)`` under ``rules``: the first
+    rule whose path prefixes the URL's path decides.  The stdlib also
+    lets a rule path ``*`` match everything, but ``quote`` never leaves
+    a ``*`` in a path, so that branch never fires."""
+    parsed = urlparse(unquote(url))
+    path = quote(urlunparse(("", "", *parsed[2:]))) or "/"
+    return next((allowed for prefix, allowed in rules if path.startswith(prefix)), True)
+
+
 class _RobotsCache:
-    """Per-netloc robots.txt decisions, fetched through the same capability."""
+    """Per-origin robots.txt rules, fetched through the same capability;
+    ``None`` allows every URL."""
 
     def __init__(self, fetch: Fetch, timeout: float) -> None:
         self._fetch = fetch
         self._timeout = timeout
-        self._parsers: dict[str, urllib.robotparser.RobotFileParser | None] = {}
+        self._rules: dict[str, list[tuple[str, bool]] | None] = {}
 
     def allowed(self, url: str) -> bool:
         parts = urlsplit(url)
         key = f"{parts.scheme}://{parts.netloc}"
-        if key not in self._parsers:
-            self._parsers[key] = self._load(key)
-        parser = self._parsers[key]
-        return True if parser is None else parser.can_fetch("*", url)
+        if key not in self._rules:
+            self._rules[key] = self._load(key)
+        rules = self._rules[key]
+        return rules is None or _robots_allow(rules, url)
 
-    def _load(self, origin: str):
+    def _load(self, origin: str) -> list[tuple[str, bool]] | None:
         try:
             resp = self._fetch(origin + "/robots.txt", timeout=self._timeout)
         except Exception as err:  # robots failures never block the crawl
@@ -113,12 +187,10 @@ class _RobotsCache:
             return None
         if resp.status != 200 or not resp.body:
             return None
-        parser = urllib.robotparser.RobotFileParser()
         try:
-            parser.parse(resp.body.decode("utf-8", "replace").splitlines())
+            return _robots_rules(resp.body.decode("utf-8", "replace"))
         except Exception:
             return None
-        return parser
 
 
 def crawl_site(

@@ -4,14 +4,16 @@ Two bindings: a precomputed-vector file keyed by the SHA-256 of
 normalized sentence text, and an HTTP endpoint that accepts a JSON
 array of sentences and returns an array of float arrays.  Any
 multilingual embedding service can sit behind either interface.
+
+``hashlib`` loads on the first ``sentence_key`` call and
+``urllib.request`` on the first ``HttpVectorProvider`` call, so a run
+with neither binding loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import urllib.request
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +28,8 @@ DEFAULT_BATCH_SIZE = 64
 
 def sentence_key(sentence: str) -> str:
     """SHA-256 hex digest of the normalized sentence text."""
+    import hashlib
+
     return hashlib.sha256(normalize_text(sentence).encode("utf-8")).hexdigest()
 
 
@@ -67,6 +71,8 @@ class HttpVectorProvider:
         self.timeout = timeout
 
     def __call__(self, sentences: Sequence[str]) -> list:
+        import urllib.request
+
         vectors: list = []
         for start in range(0, len(sentences), self.batch_size):
             batch = list(sentences[start : start + self.batch_size])

@@ -4,13 +4,16 @@ A fetch callable maps (url, timeout) to a FetchResponse.  The production
 binding is a plain HTTP(S) GET with redirects capped at 5; the snapshot
 binding serves a directory of files through the same interface so whole
 pipeline runs are reproducible offline.
+
+``urllib.request``, and with it ``http.client``, ``ssl`` and OpenSSL,
+loads on the first ``http_fetch`` call, so a run from a snapshot never
+loads the network stack.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -39,19 +42,26 @@ class Fetch(Protocol):
     def __call__(self, url: str, timeout: float = DEFAULT_TIMEOUT) -> FetchResponse: ...
 
 
-class _CappedRedirects(urllib.request.HTTPRedirectHandler):
-    max_redirections = MAX_REDIRECTS
+@functools.cache
+def _opener():
+    """The one redirect-capped opener of the process, built on first use."""
+    import urllib.request
 
+    class _CappedRedirects(urllib.request.HTTPRedirectHandler):
+        max_redirections = MAX_REDIRECTS
 
-_OPENER = urllib.request.build_opener(_CappedRedirects)
+    return urllib.request.build_opener(_CappedRedirects)
 
 
 def http_fetch(url: str, timeout: float = DEFAULT_TIMEOUT) -> FetchResponse:
     """Production binding: GET with a capped redirect chain.  HTTP errors
     come back as status codes, transport errors raise."""
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": _USER_AGENT})
     try:
-        with _OPENER.open(request, timeout=timeout) as resp:
+        with _opener().open(request, timeout=timeout) as resp:
             content_type = resp.headers.get("Content-Type", "")
             return FetchResponse(resp.status, content_type.split(";")[0].strip(), resp.read())
     except urllib.error.HTTPError as err:

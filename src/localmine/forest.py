@@ -191,7 +191,7 @@ class RandomForest:
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        classes = set(int(v) for v in np.unique(y))
+        classes = set(y.tolist())
         if classes - {0, 1}:
             raise ValueError("labels must be 0/1")
         if len(classes) < 2:

@@ -1,8 +1,18 @@
 import json
+from urllib.robotparser import RobotFileParser
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localmine.crawl import CrawlBudget, crawl_site, dump_snapshot
+from localmine.crawl import (
+    CrawlBudget,
+    _robots_allow,
+    _robots_rules,
+    _RobotsCache,
+    crawl_site,
+    dump_snapshot,
+)
 from localmine.discovery import CandidateSite
 from localmine.fetching import FetchResponse, load_manifest, snapshot_fetch
 from localmine.htmltext import extract_links
@@ -253,3 +263,182 @@ class TestSnapshot:
         )
         assert [p.url for p in again.pages] == [p.url for p in store.pages]
         assert [p.body for p in again.pages] == [p.body for p in store.pages]
+
+
+def robots_answers(text: str, url: str):
+    """The crawl's answer for ``url`` under robots file ``text`` and
+    ``urllib.robotparser``'s, each True/False or the type of the error
+    it raised.  A file whose parse raises counts as absent (allow all)."""
+
+    def answer(parse, can_fetch):
+        try:
+            parsed = parse()
+        except Exception:
+            return True
+        try:
+            return can_fetch(parsed, url)
+        except Exception as err:
+            return type(err)
+
+    def stdlib_parse():
+        parser = RobotFileParser()
+        parser.parse(text.splitlines())
+        return parser
+
+    ours = answer(lambda: _robots_rules(text), _robots_allow)
+    stdlib = answer(stdlib_parse, lambda parser, u: parser.can_fetch("*", u))
+    return ours, stdlib
+
+
+PIECES = [
+    "*", "", "/", "/a", "/a/b", "/a/", "b", "%7E", "~", "%7e", "?", "?q=1", "#", "#x",
+    ";", ";p", " ", "%20", "\t", "é", "ページ", "%E3%83%9A", "%", "%2A", "%5B", "http://[",
+    "http://h.example/a", "googlebot", "Bot", "1", "5", "²",
+]
+values = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+rule_paths = st.sampled_from(
+    ["/a", "/a/b", "/", "", "/a/b/c", "/~", "/%7E", "/a?q", "/a;p", "/a b", "/ページ", "*", "/*"]
+)
+# Each key mostly draws the values that make it bite: agents that apply
+# to "*", paths under the URLs' paths, delays and rates that parse.
+FIELDS = {
+    "user-agent": st.sampled_from(
+        ["*", "*", "*", "", "", "googlebot", "Bot", "%2A", "ページ", "*/1"]
+    ),
+    "allow": rule_paths | st.tuples(rule_paths, st.sampled_from(PIECES)).map("".join),
+    "crawl-delay": st.sampled_from(["5", "²", " 1 ", "x"]) | values,
+    "request-rate": st.sampled_from(["1/5", "1/²", "1/5/2", "x/5"]) | values,
+    "sitemap": values,
+    "noindex": values,
+}
+FIELDS["disallow"] = FIELDS["allow"]
+KEYS = ["disallow", "allow", "disallow", "user-agent", *FIELDS]
+
+
+@st.composite
+def robots_lines(draw):
+    kind = draw(st.sampled_from(["field"] * 8 + ["empty", "whitespace", "comment", "no-colon"]))
+    if kind == "empty":
+        return ""
+    if kind == "whitespace":
+        return draw(st.sampled_from([" ", "\t", "  \t"]))
+    if kind == "comment":
+        return "#" + draw(values)
+    name = draw(st.sampled_from(KEYS))
+    key = "".join(c.upper() if draw(st.booleans()) else c for c in name)
+    if kind == "no-colon":
+        return key + " " + draw(FIELDS[name])
+    sep = draw(st.sampled_from([":", ": ", " : ", ":\t"]))
+    return draw(st.sampled_from(["", " "])) + key + sep + draw(FIELDS[name]) + draw(
+        st.sampled_from(["", " ", " # note"])
+    )
+
+
+rule_lines = st.tuples(
+    st.sampled_from(["Disallow: ", "Allow: ", "disallow:", "ALLOW :"]), FIELDS["allow"]
+).map("".join)
+# Groups (agent lines, then mostly rules, each maybe followed by a
+# separator that may or may not end the group), or lines at random.
+# Hypothesis favours the first branch and the first elements, so the
+# ones that make rules apply come first.
+separators = st.lists(st.sampled_from(["", " ", "# end"]), max_size=1)
+groups = st.tuples(
+    st.lists(FIELDS["user-agent"].map("User-agent: ".__add__), min_size=1, max_size=2),
+    separators,
+    st.lists(rule_lines | rule_lines | robots_lines(), min_size=1, max_size=5),
+    separators,
+).map(lambda group: [line for part in group for line in part])
+robots_files = st.tuples(
+    st.lists(groups, max_size=4).map(lambda gs: [line for g in gs for line in g])
+    | st.lists(robots_lines(), max_size=14),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda t: t[1].join(t[0]))
+
+urls = st.tuples(
+    st.sampled_from(["/a/b/c", "/a/b", "/a", "/", "", "/%7e", "/~", "/%E3%83%9A", "/*"]),
+    st.just("") | values,
+).map("".join)
+
+
+# One example per quirk of urllib.robotparser: (robots.txt, URL path, allowed).
+# A rule path "*" is quoted to "%2A", so it matches no absolute path.
+QUIRKS = {
+    "first-match-not-longest": ("User-agent: *\nAllow: /a\nDisallow: /a/b\n", "/a/b/c", True),
+    "first-match-disallow": ("User-agent: *\nDisallow: /a/b\nAllow: /a\n", "/a/b/c", False),
+    "empty-disallow-allows-all": ("User-agent: *\nDisallow:\nDisallow: /\n", "/x", True),
+    "empty-line-discards-ruleless-group": ("User-agent: *\n\nDisallow: /\n", "/x", True),
+    "whitespace-line-keeps-group": ("User-agent: *\n \nDisallow: /\n", "/x", False),
+    "comment-line-keeps-group": ("User-agent: *\n# note\nDisallow: /\n", "/x", False),
+    "crawl-delay-closes-agents": (
+        "User-agent: *\nCrawl-delay: 5\nUser-agent: bot\nDisallow: /\n", "/x", True
+    ),
+    "request-rate-closes-agents": (
+        "User-agent: *\nRequest-rate: 1/5\nUser-agent: bot\nDisallow: /\n", "/x", True
+    ),
+    "agent-lines-share-rules": ("User-agent: *\nUser-agent: bot\nDisallow: /\n", "/x", False),
+    "first-star-group-only": (
+        "User-agent: *\nDisallow: /a\n\nUser-agent: *\nDisallow: /\n", "/b", True
+    ),
+    "empty-agent-beats-star": ("User-agent: *\nDisallow: /\n\nUser-agent:\nAllow: /\n", "/x", True),
+    "empty-agent-among-others": (
+        "User-agent: bot\nUser-agent:\nDisallow: /x\n\nUser-agent: *\n", "/x", False
+    ),
+    "star-path-is-literal": ("User-agent: *\nDisallow: *\n", "/x", True),
+    "star-path-matches-star": ("User-agent: *\nDisallow: /*\n", "/*", False),
+    "escaped-rule-plain-url": ("User-agent: *\nDisallow: /%7Efoo\n", "/~foo/page", False),
+    "plain-rule-escaped-url": ("User-agent: *\nDisallow: /~foo\n", "/%7efoo/page", False),
+    "space-quoted-alike": ("User-agent: *\nDisallow: /a b\n", "/a%20b", False),
+    "query-kept-in-path": ("User-agent: *\nDisallow: /a?q\n", "/a?q=1", False),
+    "empty-path-is-root": ("User-agent: *\nDisallow: /\n", "", False),
+    "no-group-for-star": ("User-agent: bot\nDisallow: /\n", "/x", True),
+}
+
+
+class TestRobotsOracle:
+    """``_robots_rules`` and ``_robots_allow`` answer exactly what
+    ``RobotFileParser.can_fetch("*", url)`` answers."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=robots_files, paths=st.lists(urls, min_size=1, max_size=4))
+    def test_agrees_with_urllib_robotparser(self, text, paths):
+        for path in paths:
+            ours, stdlib = robots_answers(text, "http://h.example" + path)
+            assert ours == stdlib
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules=st.lists(rule_lines, min_size=2, max_size=6), paths=st.lists(urls, min_size=1))
+    def test_rule_order_agrees_with_urllib_robotparser(self, rules, paths):
+        """One group for "*", so every rule bears on the answer."""
+        text = "\n".join(["User-agent: *", *rules])
+        for path in paths:
+            ours, stdlib = robots_answers(text, "http://h.example" + path)
+            assert ours == stdlib
+
+    @pytest.mark.parametrize("text, url, expected", QUIRKS.values(), ids=list(QUIRKS))
+    def test_quirk(self, text, url, expected):
+        assert robots_answers(text, "http://h.example" + url) == (expected, expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "User-agent: *\nDisallow: /\nDisallow: http://[\n",
+            "User-agent: *\nDisallow: /\nCrawl-delay: ²\n",
+        ],
+        ids=["unparseable-path", "unreadable-digit"],
+    )
+    def test_a_file_whose_parse_raises_is_absent(self, text):
+        with pytest.raises(ValueError):
+            RobotFileParser().parse(text.splitlines())
+        with pytest.raises(ValueError):
+            _robots_rules(text)
+        fetch = CountingFetch(chain_pages(3), robots=text)
+        store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)
+        assert len(store.pages) == 3
+
+    def test_rules_are_cached_per_origin(self):
+        fetch = CountingFetch({}, robots="User-agent: *\nDisallow: /p\n")
+        robots = _RobotsCache(fetch, 1.0)
+        answers = [robots.allowed(f"https://a.example/{p}") for p in ("p", "q", "p2")]
+        answers.append(robots.allowed("http://a.example/p"))
+        assert answers == [False, True, False, False]
+        assert fetch.calls == ["https://a.example/robots.txt", "http://a.example/robots.txt"]

@@ -94,3 +94,24 @@ class TestHttpVectorProvider:
         provider = HttpVectorProvider(f"{server}/short", batch_size=64, timeout=5.0)
         with pytest.raises(ValueError):
             provider(["a", "b"])
+
+
+def test_http_fetch_calls_share_one_opener(server, monkeypatch):
+    """The redirect-capped opener is built once per process, on the first
+    call (``test_import_footprint`` checks that importing builds none)."""
+    import urllib.request
+
+    from localmine import fetching
+
+    built = []
+    build_opener = urllib.request.build_opener
+
+    def counting_build_opener(*handlers):
+        built.append(handlers)
+        return build_opener(*handlers)
+
+    monkeypatch.setattr(urllib.request, "build_opener", counting_build_opener)
+    fetching._opener.cache_clear()
+    assert http_fetch(f"{server}/page.html", timeout=5.0).ok
+    assert http_fetch(f"{server}/hop/2", timeout=5.0).ok
+    assert len(built) == 1
