@@ -405,15 +405,6 @@ class TestRobotsOracle:
             ours, stdlib = robots_answers(text, "http://h.example" + path)
             assert ours == stdlib
 
-    @settings(max_examples=300, deadline=None)
-    @given(rules=st.lists(rule_lines, min_size=2, max_size=6), paths=st.lists(urls, min_size=1))
-    def test_rule_order_agrees_with_urllib_robotparser(self, rules, paths):
-        """One group for "*", so every rule bears on the answer."""
-        text = "\n".join(["User-agent: *", *rules])
-        for path in paths:
-            ours, stdlib = robots_answers(text, "http://h.example" + path)
-            assert ours == stdlib
-
     @pytest.mark.parametrize("text, url, expected", QUIRKS.values(), ids=list(QUIRKS))
     def test_quirk(self, text, url, expected):
         assert robots_answers(text, "http://h.example" + url) == (expected, expected)
