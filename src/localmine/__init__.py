@@ -7,7 +7,7 @@ evidence, aligns sentences with a length+dictionary DP, and filters
 candidates with a feature classifier plus an embedding-similarity gate.
 """
 
-from .charlm import CharLM, lm_score, lm_scores, train_char_lm
+from .charlm import CharLM, lm_scores, train_char_lm
 from .crawl import CrawlBudget, Page, PageStore, crawl_site, dump_snapshot
 from .discovery import (
     ArchiveScan,

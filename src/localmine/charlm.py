@@ -309,8 +309,3 @@ def _block_scores(lm: CharLM, texts: list[str]) -> list[float]:
                       / (end - start))
         start = end
     return scores
-
-
-def lm_score(lm: CharLM, text: str) -> float:
-    """``lm_scores`` of one text."""
-    return lm_scores(lm, [text])[0]

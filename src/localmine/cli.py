@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="pipeline INI config file")
     parser.add_argument("--seed", type=int, help="override [pipeline] seed")
-    parser.add_argument("--jobs", type=int, help="override [pipeline] jobs")
     parser.add_argument(
         "--snapshot-dir", help="serve fetches from this snapshot directory instead of the network"
     )
@@ -98,10 +97,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         config.pipeline.seed = args.seed
-    if args.jobs is not None:
-        if args.jobs < 1:  # the range ``[pipeline] jobs`` declares
-            raise ValueError(f"--jobs is {args.jobs}, outside [1, inf)")
-        config.pipeline.jobs = args.jobs
     if args.snapshot_dir:
         config.pipeline.snapshot_dir = args.snapshot_dir
     return config

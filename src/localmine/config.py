@@ -9,8 +9,9 @@ matcher's score weights, score floor and URL language markers
 (``docalign``), the sentence DP's length model, bead priors, diagonal
 band, dictionary weight and bead cost ceiling (``sentalign``), Model 1's
 iteration count (``model1``), the character LMs' order and smoothing
-constant (``charlm``) and the JA/ZH detection thresholds (``text``) are
-constants of the module that reads them.
+constant (``charlm``), the forest's tree count and depth (``forest``)
+and the JA/ZH detection thresholds (``text``) are constants of the
+module that reads them.
 
 A numeric key whose value can be out of range declares its range next
 to its field, as ``metadata={"range": ...}`` in interval notation:
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import embeddings, filtering, forest
+from . import embeddings, filtering
 from .crawl import CrawlBudget
 from .discovery import DEFAULT_LIMIT, DEFAULT_MIN_BALANCE, DEFAULT_MIN_BYTES
 
@@ -51,8 +52,6 @@ class FilterConfig:
     )
     model_path: str = ""  # trained filter bundle; trained on the fly when empty
     train_corpus: str = ""  # parallel TSV used when model_path is empty
-    trees: int = forest.DEFAULT_TREES
-    depth: int = forest.DEFAULT_DEPTH
     embed_threshold: float = field(
         default=filtering.DEFAULT_EMBED_THRESHOLD, metadata={"range": "[-1, 1]"}
     )
@@ -67,7 +66,6 @@ class FilterConfig:
 class PipelineSectionConfig:
     output_dir: str = "out"
     seed: int = 0
-    jobs: int = field(default=1, metadata={"range": "[1, inf)"})
     sites: str = ""  # candidate-site JSONL produced by discovery
     submissions: str = ""  # crowdsourced URL-pair TSV
     archive: str = ""  # WARC file or record directory

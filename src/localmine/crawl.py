@@ -172,12 +172,18 @@ class _RobotsCache:
         self._rules: dict[str, list[tuple[str, bool]] | None] = {}
 
     def allowed(self, url: str) -> bool:
+        """Whether robots.txt lets agent ``*`` fetch ``url``.  A URL that
+        ``_robots_allow`` cannot parse is disallowed: it unquotes the URL
+        first, so a ``%5B`` in the host becomes a bracket."""
         parts = urlsplit(url)
         key = f"{parts.scheme}://{parts.netloc}"
         if key not in self._rules:
             self._rules[key] = self._load(key)
         rules = self._rules[key]
-        return rules is None or _robots_allow(rules, url)
+        try:
+            return rules is None or _robots_allow(rules, url)
+        except ValueError:
+            return False
 
     def _load(self, origin: str) -> list[tuple[str, bool]] | None:
         try:
@@ -207,8 +213,8 @@ def crawl_site(
     Only HTML bodies are stored and parsed for links; PDF/Word bodies
     count in ``skipped_binary`` and other types in ``skipped_other``.
     Only links within the seeds' registrable domains are followed and
-    robots exclusion is honored.  All seeds unreachable marks the site
-    crawl-failed.
+    robots exclusion is honored; a link that does not parse as a URL is
+    skipped.  All seeds unreachable marks the site crawl-failed.
     """
     store = PageStore(host=site.host)
     seeds = [urldefrag(u)[0] for u in site.seed_urls]
@@ -275,8 +281,11 @@ def crawl_site(
             logger.debug("link extraction failed for %s: %s", url, err)
             links = []
         for href in links:
-            child = urldefrag(urljoin(url, href))[0]
-            scheme = urlsplit(child).scheme
+            try:
+                child = urldefrag(urljoin(url, href))[0]
+                scheme = urlsplit(child).scheme
+            except ValueError:  # e.g. an unclosed IPv6 bracket in the host
+                continue
             if scheme not in ("http", "https"):
                 continue
             if registrable_domain(child) not in allowed_domains:

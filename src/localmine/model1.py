@@ -68,9 +68,6 @@ class TranslationTable:
     direction: str = ""
     log_likelihoods: list[float] = field(default_factory=list)
 
-    def prob(self, trg: str, src: str) -> float:
-        return self.t.get(src, {}).get(trg, 0.0)
-
     @cached_property
     def ranked(self) -> dict[str, tuple[str, ...]]:
         """Per source, its targets of positive probability by descending

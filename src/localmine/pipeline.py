@@ -2,10 +2,11 @@
 sentence alignment -> filtering -> exact dedup, with per-site
 checkpointing and the mining report.
 
-Per-site results are written as soon as a site finishes, so a crash
-loses at most one site.  Every JSON Lines checkpoint and both corpus
-files are written whole or not at all (``jsonl.whole_file``), so a
-complete ``filtered.jsonl`` marks a finished site; the snapshot's page
+Sites are mined one after another, in the order ``load_sites`` gives
+them.  Per-site results are written as soon as a site finishes, so a
+crash loses at most one site.  Every JSON Lines checkpoint and both
+corpus files are written whole or not at all (``jsonl.whole_file``), so
+a complete ``filtered.jsonl`` marks a finished site; the snapshot's page
 files, ``ladder.tsv`` and the ``report.*`` files are still written in
 place.  A site's records reach the corpus only through its
 ``filtered.jsonl``: once it is written the site keeps no record in
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -419,14 +419,12 @@ def resolve_filter(config: PipelineConfig, lexicon: Lexicon) -> BitextFilter:
 def train_configured_filter(
     parallel: list[tuple[str, str]], lexicon: Lexicon, config: PipelineConfig
 ) -> BitextFilter:
-    """``train_filter`` under the ``[filter]`` settings and the run seed."""
+    """``train_filter`` with the forest's default size and the run seed."""
     return train_filter(
         parallel,
         lexicon,
         make_segmenter(lexicon, LanguageTag.JA),
         make_segmenter(lexicon, LanguageTag.ZH),
-        trees=config.filter.trees,
-        depth=config.filter.depth,
         seed=config.pipeline.seed,
     )
 
@@ -478,12 +476,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             outcome = SiteOutcome(host=site.host, source=site.source, error=str(err))
         return outcome
 
-    jobs = config.pipeline.jobs
-    if jobs == 1:
-        outcomes = [process(site) for site in sites]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(process, sites))
+    # One site at a time: ``process`` returns only the outcome, so a
+    # site's records are freed before the next site is mined.
+    outcomes = [process(site) for site in sites]
 
     # A failed site's filtered.jsonl may be left from an earlier run.
     merged = [o for o in outcomes if not o.error]

@@ -238,19 +238,18 @@ def align_sentences(
     trg: list[Sentence],
     lex: Lexicon | None,
     lam: float = DEFAULT_DICT_WEIGHT,
-    banded: bool = True,
 ) -> AlignmentLadder:
     """Minimum-cost bead tiling of a Japanese sentence list (``src``)
     and a Chinese one (``trg``), matched through the lexicon's JA
     headwords.
 
     Ties break deterministically preferring ONE, then CONTRACT, EXPAND,
-    MERGE, DEL, SUB.  With ``banded`` the DP first runs in a band of
-    ``BAND_HALF_WIDTH`` target sentences on each side of the diagonal.
-    It reruns with the half-width doubled while the band admits no
-    tiling or a ladder vertex comes closer than half the half-width to
-    a band edge that is not a grid edge, and runs the full grid once the
-    half-width reaches ``len(trg)``.  When the unbanded optimum lies
+    MERGE, DEL, SUB.  The DP first runs in a band of ``BAND_HALF_WIDTH``
+    target sentences on each side of the diagonal.  It reruns with the
+    half-width doubled while the band admits no tiling or a ladder
+    vertex comes closer than half the half-width to a band edge that is
+    not a grid edge, and runs the full grid once the half-width reaches
+    ``len(trg)``.  When the unbanded optimum lies
     inside the starting band, the result is that optimum bit for bit; a
     path that drifts costs up to about twice the cells of the band it
     ends in.  A bead costs its ``length_cost`` plus its kind's
@@ -259,7 +258,7 @@ def align_sentences(
     floored at 0.
     """
     n_src, n_trg = len(src), len(trg)
-    half_width = BAND_HALF_WIDTH if banded else n_trg
+    half_width = BAND_HALF_WIDTH
     while True:
         rows = _band_rows(n_src, n_trg, half_width)
         ladder = _align(src, trg, lex, lam, rows)

@@ -1,8 +1,7 @@
 """Shared text primitives: normalization, JA/ZH language identification,
 CJK sentence splitting and lexicon-driven word segmentation.
 
-Everything here is pure and deterministic; values are safe to share
-between workers.
+Everything here is pure and deterministic.
 """
 
 from __future__ import annotations

@@ -33,10 +33,14 @@ _TWO_LEVEL_SUFFIXES = frozenset(
 
 
 def registrable_domain(url_or_host: str) -> str:
-    """Map a URL or bare hostname to its registrable domain."""
+    """Map a URL or bare hostname to its registrable domain; ``""``
+    when it has no host or ``urlsplit`` rejects it."""
     host = url_or_host
     if "//" in url_or_host or url_or_host.startswith(("http:", "https:")):
-        host = urlsplit(url_or_host).hostname or ""
+        try:
+            host = urlsplit(url_or_host).hostname or ""
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            return ""
     host = host.strip().strip(".").lower()
     if not host:
         return ""

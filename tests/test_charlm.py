@@ -18,7 +18,6 @@ from localmine.charlm import (
     DEFAULT_ADD_K,
     DEFAULT_ORDER,
     EOS,
-    lm_score,
     lm_scores,
     train_char_lm,
 )
@@ -85,8 +84,8 @@ class TestTrainCharLM:
             "chars": "ab" + EOS, "counts": [1, 1, 1],
         }
         # "ab": p(a|BOS) p(b|a) p(EOS|b); "aa": p(a|BOS) p(a|a) p(EOS|a)
-        assert lm_score(lm, "ab") == pytest.approx(math.log(2 / 4))
-        assert lm_score(lm, "aa") == pytest.approx(math.log(2 / 4 * 1 / 4 * 1 / 4) / 3)
+        assert lm_scores(lm, ["ab"])[0] == pytest.approx(math.log(2 / 4))
+        assert lm_scores(lm, ["aa"])[0] == pytest.approx(math.log(2 / 4 * 1 / 4 * 1 / 4) / 3)
 
     def test_context_distributions_sum_to_one(self):
         # The saved model's distributions, read back by the tuple oracle,
@@ -105,7 +104,7 @@ class TestTrainCharLM:
         lm_in = train_char_lm(in_domain, n=3, k=0.1)
         lm_out = train_char_lm(out_domain, n=3, k=0.1)
         probe = "学生は新聞を読む。"
-        assert lm_score(lm_in, probe) > lm_score(lm_out, probe)
+        assert lm_scores(lm_in, [probe])[0] > lm_scores(lm_out, [probe])[0]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -128,29 +127,29 @@ class TestLmScore:
         rng = random.Random(3)
         shuffled = list(text)
         rng.shuffle(shuffled)
-        assert lm_score(lm, text) > lm_score(lm, "".join(shuffled))
+        assert lm_scores(lm, [text])[0] > lm_scores(lm, ["".join(shuffled)])[0]
 
     def test_repeated_character_near_zero(self):
         # Near-deterministic model: every event, the end symbol included,
         # has probability close to one.
         lm = train_char_lm(["ああ"] * 50, n=5, k=0.1)
-        assert lm_score(lm, "ああ") > -0.01
+        assert lm_scores(lm, ["ああ"])[0] > -0.01
 
     def test_unseen_text_is_finite(self):
         lm = train_char_lm(["abc"], n=3, k=0.5)
-        score = lm_score(lm, "完全に未知の文字列")
+        score = lm_scores(lm, ["完全に未知の文字列"])[0]
         assert math.isfinite(score)
         assert score < 0.0
 
     def test_scores_are_nonpositive(self):
         lm = train_char_lm(["ある日の朝", "あの山の上"], n=3, k=0.1)
         for probe in ("ある日", "山の上", "z", "ある日の朝"):
-            assert lm_score(lm, probe) <= 0.0
+            assert lm_scores(lm, [probe])[0] <= 0.0
 
     def test_empty_text_is_error(self):
         lm = train_char_lm(["ab"], n=2, k=1.0)
         with pytest.raises(ValueError):
-            lm_score(lm, "")
+            lm_scores(lm, [""])
         with pytest.raises(ValueError, match="empty text"):
             lm_scores(lm, ["ab", ""])
 
@@ -163,7 +162,7 @@ class TestLmScore:
                  for _ in range(1200)]
         assert sum(len(text) + lm.n for text in texts) > 2 * charlm._BLOCK_POSITIONS
         batch = lm_scores(lm, texts)
-        assert [score.hex() for score in batch] == [lm_score(lm, t).hex() for t in texts]
+        assert [score.hex() for score in batch] == [lm_scores(lm, [t])[0].hex() for t in texts]
         assert lm_scores(lm, []) == []
 
     def test_left_fold_of_math_log(self):
@@ -181,7 +180,7 @@ class TestLmScore:
         assert fold != math.fsum(logs) / len(logs)
         assert fold != float(np.sum(logs)) / len(logs)
         lm = train_char_lm(corpus, n=3, k=0.1)
-        assert lm_score(lm, text).hex() == fold.hex()
+        assert lm_scores(lm, [text])[0].hex() == fold.hex()
 
     def test_each_position_logged_by_math_log(self):
         # p(b|a) = (5 + k) / (78 + k * 10): numpy 2.4's log on x86-64
@@ -195,7 +194,7 @@ class TestLmScore:
         probs = [(1000 + 0.1) / (1000 + 0.1 * 10), (5 + 0.1) / (78 + 0.1 * 10),
                  (1000 + 0.1) / (1000 + 0.1 * 10)]
         fold = reduce(operator.add, map(math.log, probs), 0.0) / 3
-        assert lm_score(lm_from_columns(obj), "ab").hex() == fold.hex()
+        assert lm_scores(lm_from_columns(obj), ["ab"])[0].hex() == fold.hex()
 
 
 # The tuple-context model that string contexts replaced, kept verbatim
@@ -321,7 +320,7 @@ class TestTupleOracle:
         ref = tuple_train_char_lm(corpus, n=n, k=k)
         assert columns_of(lm) == tuple_lm_to_json(ref)
         for text in corpus + probes:
-            assert lm_score(lm, text) == tuple_lm_score(ref, text)
+            assert lm_scores(lm, [text])[0] == tuple_lm_score(ref, text)
         # Scoring leaves the model as it was.
         assert columns_of(lm) == tuple_lm_to_json(ref)
 
@@ -368,7 +367,7 @@ class TestSerialization:
         assert again.vocabulary == lm.vocabulary
         assert (again.n, again.k) == (lm.n, lm.k)
         for probe in ("b\x00c", "\x00", "abc", "未知"):
-            assert lm_score(again, probe) == lm_score(lm, probe)
+            assert lm_scores(again, [probe])[0] == lm_scores(lm, [probe])[0]
 
     def test_from_json_rejects_what_training_cannot_make(self):
         lm = train_char_lm(self.CORPUS, n=3, k=0.1)

@@ -162,6 +162,26 @@ class TestFailureModes:
             "https://site.example.com/p1.html",
         ]
 
+    # urljoin rejects the first three links.  The fourth is in the
+    # site's domain, but the robots check unquotes it to a host with a
+    # bracket, which urlparse rejects.
+    @pytest.mark.parametrize("href, robots", [
+        ("http://[oops/x", None),
+        ("//[::1/x", None),
+        ("http://a]b/", None),
+        ("https://ja%5B.example.com/x.html", "User-agent: *\nDisallow: /private/\n"),
+    ], ids=["unclosed-bracket", "scheme-relative-ipv6", "stray-bracket", "robots-bracket-host"])
+    def test_malformed_link_never_fails_the_site(self, href, robots):
+        seed = "https://site.example.com/index.html"
+        other = "https://site.example.com/other.html"
+        pages = {
+            seed: f'<html><body><a href="{href}">bad</a><a href="{other}">ok</a></body></html>',
+            other: "<html><body><p>other page</p></body></html>",
+        }
+        store = crawl_site(make_site(seed), CrawlBudget(per_host_delay_ms=0),
+                           CountingFetch(pages, robots=robots))
+        assert [p.url for p in store.pages] == [seed, other]
+
     def test_all_seeds_unreachable(self):
         fetch = CountingFetch({})
         store = crawl_site(make_site(), CrawlBudget(per_host_delay_ms=0), fetch)

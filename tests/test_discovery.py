@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from localmine.config import PipelineConfig
 from localmine.discovery import (
     ERR_SAME_URL,
     ERR_WRONG_LANGUAGE,
@@ -14,6 +15,7 @@ from localmine.discovery import (
     write_warc,
 )
 from localmine.fetching import FetchResponse
+from localmine.pipeline import discover_archive
 
 
 def ja_page(chars=500):
@@ -225,6 +227,19 @@ class TestWarc:
         )
         scan = scan_archive(iter_warc_records(path))
         assert scan.hosts["example.jp"].page_count == 2
+
+    def test_malformed_target_uri_is_a_skipped_record(self, tmp_path):
+        good = [("https://a.example.jp/1", ja_page()), ("https://a.example.jp/2", zh_page())]
+        config = PipelineConfig()
+        config.discovery.min_bytes = 100
+        path = tmp_path / "r.warc.gz"
+        write_warc(good, path)
+        clean_scan, clean_sites = discover_archive(path, config)
+        # urlsplit rejects the unclosed IPv6 bracket of this record's URI.
+        write_warc([good[0], ("http://[bad/x.html", ja_page()), good[1]], path)
+        scan, sites = discover_archive(path, config)
+        assert [s.host for s in sites] == [s.host for s in clean_sites] == ["example.jp"]
+        assert scan.skipped_records == clean_scan.skipped_records + 1
 
     def test_truncated_warc_ends_quietly(self, tmp_path):
         import gzip

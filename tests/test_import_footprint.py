@@ -1,12 +1,15 @@
-"""A run from a snapshot loads no network stack and no OpenSSL.
+"""A run from a snapshot loads no network stack, no OpenSSL and no
+thread pool.
 
 ``ssl`` and ``hashlib`` map OpenSSL, and ``urllib.request`` pulls in
 ``http.client``, ``email`` and ``socket``: several MB of a mining
-process's peak RSS that a snapshot run never uses.  Each check runs in
-a child process, whose ``sys.modules`` is not shared with the other
-tests, and counts only modules that ``import numpy`` has not already
-loaded: numpy 1.x imports ``numpy.random`` and ``numpy.ma`` itself, and
-``numpy.random`` imports ``secrets`` → ``hmac`` → ``hashlib``.
+process's peak RSS that a snapshot run never uses.  Sites are mined
+one after another, so ``concurrent.futures`` has no use either.  Each
+check runs in a child process, whose ``sys.modules`` is not shared with
+the other tests, and counts only modules that ``import numpy`` has not
+already loaded: numpy 1.x imports ``numpy.random`` and ``numpy.ma``
+itself, and ``numpy.random`` imports ``secrets`` → ``hmac`` →
+``hashlib``.
 """
 
 import hashlib
@@ -22,8 +25,10 @@ from localmine.text import normalize_text
 from sitegen import write_run_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NETWORK = (
+# Modules a snapshot run has no use for.
+UNUSED = (
     "ssl", "_ssl", "http.client", "urllib.request", "email", "socket", "hashlib", "_hashlib",
+    "concurrent.futures", "concurrent.futures.thread",
 )
 
 
@@ -52,7 +57,7 @@ def loaded(modules) -> str:
 
 @pytest.mark.parametrize("module", ["localmine", "localmine.cli"])
 def test_import_loads_no_network_stack(module):
-    assert child(f"import {module}\n" + loaded(NETWORK)) == []
+    assert child(f"import {module}\n" + loaded(UNUSED)) == []
 
 
 def test_snapshot_run_loads_no_network_stack(fixture_site, trained_filter, tmp_path):
@@ -68,7 +73,7 @@ def test_snapshot_run_loads_no_network_stack(fixture_site, trained_filter, tmp_p
         encoding="utf-8",
     )
     code = "from localmine.cli import main\nassert main(['--config', sys.argv[1], 'run']) == 0\n"
-    assert child(code + loaded(NETWORK), str(config)) == []
+    assert child(code + loaded(UNUSED), str(config)) == []
     assert (tmp_path / "out" / "corpus.jsonl").stat().st_size > 0
 
 
@@ -91,7 +96,7 @@ def test_importing_fetching_builds_no_opener():
         "from localmine import fetching\n"
         "assert fetching._opener.cache_info().currsize == 0\n"
     )
-    assert child(code + loaded(NETWORK)) == []
+    assert child(code + loaded(UNUSED)) == []
 
 
 def test_forest_fit_leaves_numpy_ma_unloaded():

@@ -16,6 +16,11 @@ from model_edits import copied, dump, through_bytes
 CANONICAL = [(["a"], ["x"]), (["a", "b"], ["x", "y"]), (["b"], ["y"])]
 
 
+def prob(table: TranslationTable, trg: str, src: str) -> float:
+    """t(trg | src), 0.0 for a pair the table does not hold."""
+    return table.t.get(src, {}).get(trg, 0.0)
+
+
 def oracle_em(corpus, iterations):
     """Straightforward dense EM over explicit vocabularies, kept separate
     from the trainer's incremental bookkeeping."""
@@ -108,15 +113,15 @@ def reference_model1(
 class TestTrainModel1:
     def test_canonical_corpus_deciphers(self):
         table = train_model1(CANONICAL, iterations=20)
-        assert table.prob("x", "a") >= 0.9
-        assert table.prob("y", "b") >= 0.9
+        assert prob(table, "x", "a") >= 0.9
+        assert prob(table, "y", "b") >= 0.9
 
     def test_matches_independent_oracle(self):
         table = train_model1(CANONICAL, iterations=7)
         oracle = oracle_em(CANONICAL, 7)
         for src, row in oracle.items():
             for trg, p in row.items():
-                assert table.prob(trg, src) == pytest.approx(p, abs=1e-12)
+                assert prob(table, trg, src) == pytest.approx(p, abs=1e-12)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations must be >= 1"):
@@ -124,8 +129,8 @@ class TestTrainModel1:
 
     def test_single_pair(self):
         table = train_model1([(["a"], ["x"])], iterations=5)
-        assert table.prob("x", "a") >= 0.5
-        assert table.prob("x", NULL_TOKEN) > 0.0
+        assert prob(table, "x", "a") >= 0.5
+        assert prob(table, "x", NULL_TOKEN) > 0.0
 
     def test_source_rows_normalized_every_iteration(self):
         for iterations in (1, 2, 5, 20):

@@ -330,7 +330,6 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "mine_site", checking_mine_site)
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         config.pipeline.sites = str(sites)
-        config.pipeline.jobs = 1
         result = run_pipeline(config)
         assert result.n_records > 0 and len(refs) >= result.n_records
         assert alive_at_start == [0, 0]
@@ -455,23 +454,15 @@ class TestRunPipeline:
         assert kept == []
         assert counters == {"embed_failures": 7}
 
-    def test_jobs_parallelism_is_deterministic(self, fixture_site, tmp_path):
-        config1 = load_config(write_run_config(fixture_site, tmp_path / "out1"))
-        result1 = run_pipeline(config1)
-        config2 = load_config(write_run_config(fixture_site, tmp_path / "out2"))
-        config2.pipeline.jobs = 3
-        result2 = run_pipeline(config2)
-        assert result1.corpus_jsonl.read_bytes() == result2.corpus_jsonl.read_bytes()
-        assert result1.report_tsv.read_bytes() == result2.report_tsv.read_bytes()
-
 
 # The full default INI text, recorded before the `[crawler]` section
 # became `CrawlBudget` and the defaults became the stage modules' named
 # constants.  Refactoring the config classes keeps every key, its order
 # and its default value.  The `[text]`, `[docalign]` and `[sentalign]`
-# sections and the `[filter]` Model 1 and language-model settings are
-# gone: no run set them, and their values are now constants of `text`,
-# `docalign`, `sentalign`, `model1` and `charlm`.
+# sections, the `[filter]` Model 1, language-model and forest settings
+# and `[pipeline] jobs` are gone: no run set them.  Their values are now
+# constants of `text`, `docalign`, `sentalign`, `model1`, `charlm` and
+# `forest`, and sites are mined one after another.
 DEFAULT_CONFIG_LINES = [
     "[discovery]",
     "min_bytes = 10000",
@@ -493,8 +484,6 @@ DEFAULT_CONFIG_LINES = [
     "threshold = 0.5",
     "model_path = ",
     "train_corpus = ",
-    "trees = 100",
-    "depth = 8",
     "embed_threshold = 0.7",
     "embed_vectors = ",
     "embed_endpoint = ",
@@ -503,7 +492,6 @@ DEFAULT_CONFIG_LINES = [
     "[pipeline]",
     "output_dir = out",
     "seed = 0",
-    "jobs = 1",
     "sites = ",
     "submissions = ",
     "archive = ",
@@ -558,6 +546,9 @@ class TestConfig:
             ("filter", "model1_iterations"),
             ("filter", "lm_order"),
             ("filter", "lm_k"),
+            ("pipeline", "jobs"),
+            ("filter", "trees"),
+            ("filter", "depth"),
         ],
     )
     def test_removed_key_fatal(self, tmp_path, section, key):
@@ -620,7 +611,6 @@ _OUT_OF_RANGE = [
     ("filter", "embed_threshold", "-1.5", "[-1, 1]"),
     ("filter", "embed_threshold", "2.0", "[-1, 1]"),
     ("filter", "embed_batch_size", "0", "[1, inf)"),
-    ("pipeline", "jobs", "0", "[1, inf)"),
     ("discovery", "min_balance", "0.0", "(0, 1]"),
     ("discovery", "min_balance", "1.5", "(0, 1]"),
     ("discovery", "limit", "0", "[1, inf)"),
@@ -794,12 +784,13 @@ class TestCli:
         assert error.exc_info is None
         assert not (tmp_path / "out").exists()
 
-    def test_zero_jobs_flag_stops_before_any_site(self, fixture_site, tmp_path, caplog):
+    def test_zero_jobs_flag_stops_before_any_site(self, fixture_site, tmp_path, capsys):
+        # --jobs is gone: argparse rejects it before any work.
         config = write_run_config(fixture_site, tmp_path / "out")
-        assert cli_main(["--config", str(config), "--jobs", "0", "run"]) == 1
-        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
-        assert error.getMessage() == "--jobs is 0, outside [1, inf)"
-        assert error.exc_info is None
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--config", str(config), "--jobs", "0", "run"])
+        assert exit_info.value.code == 2
+        assert "localmine: error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("missing", ["sites", "archive"])
@@ -852,7 +843,9 @@ class TestCli:
             encoding="utf-8",
         )
         assert cli_main(["--config", str(config), "run"]) == 1
-        assert "a forest needs at least one tree, not 0" in caplog.text
+        # [filter] trees is gone; ``train_filter`` still checks its own
+        # ``trees`` (TestTrainFilter).
+        assert "unknown key 'trees' in section [filter]" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_dedup_never_overwrites_its_input(self, tmp_path, caplog):

@@ -266,11 +266,15 @@ class TestBeadCost:
         one = bead_cost(BeadKind.ONE, src, [trg[0]], None, 0.0)
         sub = bead_cost(BeadKind.SUB, [], [trg[1]], None, 0.0)
         assert expand < one + sub
-        ladder = align_sentences(src, trg, None, lam=0.0, banded=False)
+        ladder = align_sentences(src, trg, None, lam=0.0)
         assert [b.kind for b in ladder.beads] == [BeadKind.EXPAND]
 
 
 class TestAlignSentences:
+    """Unless a test says otherwise, no input has more than
+    ``BAND_HALF_WIDTH`` target sentences, so each aligns on the full
+    grid."""
+
     def test_empty_inputs(self):
         ladder = align_sentences([], [], None)
         assert ladder.beads == [] and ladder.total_cost == 0.0
@@ -300,7 +304,7 @@ class TestAlignSentences:
         for _ in range(50):
             src = [sent("あ" * rng.randrange(1, 30)) for _ in range(rng.randrange(0, 7))]
             trg = [sent("一" * rng.randrange(1, 30)) for _ in range(rng.randrange(0, 7))]
-            ladder = align_sentences(src, trg, None, banded=False)
+            ladder = align_sentences(src, trg, None)
             assert sum(b.src_span[1] for b in ladder.beads) == len(src)
             assert sum(b.trg_span[1] for b in ladder.beads) == len(trg)
             starts_src = [b.src_span[0] for b in ladder.beads if b.src_span[1]]
@@ -327,17 +331,15 @@ class TestAlignSentences:
                 s.tokens = [s.text[i : i + 2] for i in range(0, len(s.text), 2)]
             for t in trg:
                 t.tokens = [t.text[i : i + 2] for i in range(0, len(t.text), 2)]
-            ladder = align_sentences(src, trg, mirror_lexicon, banded=False)
+            ladder = align_sentences(src, trg, mirror_lexicon)
             oracle = brute_force_min_cost(src, trg, mirror_lexicon, 3.0)
             assert ladder.total_cost == pytest.approx(oracle, abs=1e-9)
 
     def test_monotone_degradation(self):
         src = [sent("あいうえおかきくけこ") for _ in range(3)]
         trg = [sent("一二三四五六七八九十") for _ in range(3)]
-        base = align_sentences(src, trg, None, banded=False).total_cost
-        worse = align_sentences(
-            src + [sent("ぜんぜん関係ない文です")], trg, None, banded=False
-        ).total_cost
+        base = align_sentences(src, trg, None).total_cost
+        worse = align_sentences(src + [sent("ぜんぜん関係ない文です")], trg, None).total_cost
         assert worse >= base - 1e-9
 
     def test_band_feasibility_fallback(self):
@@ -345,7 +347,7 @@ class TestAlignSentences:
         # required SUB chain and the aligner must rerun unbanded.
         src = [sent("あ" * 10)]
         trg = [sent("一" * 10) for _ in range(100)]
-        ladder = align_sentences(src, trg, None, banded=True)
+        ladder = align_sentences(src, trg, None)
         assert sum(b.trg_span[1] for b in ladder.beads) == 100
 
     def test_priors_renormalized(self):
@@ -374,7 +376,8 @@ def _bead_costs(ladder, src, trg, lex, lam=3.0):
 
 class TestLengthKernel:
     """The DP's length term is ``length_cost`` itself, read from the
-    module at call time."""
+    module at call time.  No input has more than ``BAND_HALF_WIDTH``
+    target sentences, so each aligns on the full grid."""
 
     def test_dp_length_term_is_length_cost(self, monkeypatch, mirror_lexicon):
         def shifted_cost(l_src, l_trg):
@@ -382,14 +385,13 @@ class TestLengthKernel:
 
         monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
         rng = random.Random(17)
-        for banded in (True, False):
-            for _ in range(20):
-                src, trg = _random_texts(rng, rng.randrange(1, 8))
-                src.append(sent("学生は新聞を読む。", ["学生", "は", "新聞", "を", "読む", "。"]))
-                trg.append(sent("学生读报纸。", ["学生", "读", "报纸", "。"]))
-                ladder = align_sentences(src, trg, mirror_lexicon, banded=banded)
-                expected = _bead_costs(ladder, src, trg, mirror_lexicon)
-                assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
+        for _ in range(40):
+            src, trg = _random_texts(rng, rng.randrange(1, 8))
+            src.append(sent("学生は新聞を読む。", ["学生", "は", "新聞", "を", "読む", "。"]))
+            trg.append(sent("学生读报纸。", ["学生", "读", "报纸", "。"]))
+            ladder = align_sentences(src, trg, mirror_lexicon)
+            expected = _bead_costs(ladder, src, trg, mirror_lexicon)
+            assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
 
 
 # Source-side words a*, target-side words b*, and words no entry names.
@@ -593,7 +595,7 @@ class TestBand:
         args = (src, trg, _PLANTED_LEXICON, lam)
         full = _full_grid(*args)
         assume(_inside_starting_band(full, len(src), len(trg)))
-        _assert_same_ladder(align_sentences(*args, banded=True), full)
+        _assert_same_ladder(align_sentences(*args), full)
 
     # Long and short documents, the block prepended or in the middle.
     # Within a band too narrow for the drift, the cheapest ladder may
@@ -609,7 +611,7 @@ class TestBand:
             args = (src, trg, _CONTENT_LEXICON, lam)
             full = _full_grid(*args)
             assert not _inside_starting_band(full, len(src), len(trg))
-            _assert_same_ladder(align_sentences(*args, banded=True), full)
+            _assert_same_ladder(align_sentences(*args), full)
 
     def test_starting_band_cells_are_linear(self):
         n = 1000
