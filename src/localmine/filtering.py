@@ -20,8 +20,10 @@ threshold``.
 
 Features are taken a batch at a time (``extract_features``,
 ``BitextFilter.features``): each character LM scores every distinct
-side of the batch once (``charlm.lm_scores``), and no pair's features
-depend on the rest of the batch.
+side of the batch once (``charlm.lm_scores``), each Model 1 table looks
+the batch up a chunk at a time with array searches
+(``TranslationTable.best_probs``), and no pair's features depend on the
+rest of the batch.
 A ``FeatureVector`` is a named tuple whose field order is the forest's
 column order.
 """
@@ -158,17 +160,20 @@ class LabeledPair:
 
 
 def _avg_max_prob(
-    src_tokens: list[str], trg_tokens: list[str], table: TranslationTable
-) -> float:
-    """Mean over source tokens of the best translation probability among
-    tokens actually present on the other side."""
-    if not src_tokens:
-        return 0.0
-    trg_set = set(trg_tokens)
-    total = 0.0
-    for tok in src_tokens:
-        total += table.best_prob(tok, trg_set)
-    return total / len(src_tokens)
+    src_sides: list[list[str]], trg_sides: list[list[str]], table: TranslationTable
+) -> list[float]:
+    """Per pair, the mean over source tokens of the best translation
+    probability among tokens present on the other side, 0.0 for an empty
+    source side.  The table looks the batch up a chunk at a time
+    (``best_probs``); each mean is a left fold in token order, so it
+    keeps the bits of the per-token loop."""
+    means = []
+    for src, best in zip(src_sides, table.best_probs(zip(src_sides, trg_sides))):
+        total = 0.0
+        for p in best:
+            total += p
+        means.append(total / len(src) if src else 0.0)
+    return means
 
 
 def _digit_runs(text: str) -> Counter:
@@ -189,11 +194,16 @@ def extract_features(
 ) -> list[FeatureVector]:
     """All 12 filter features for each candidate pair ``(ja, zh,
     tokens_ja, tokens_zh)``.  Each language model scores every distinct
-    side once, in one batch (an empty side scores 0)."""
+    side once, in one batch (an empty side scores 0), and each Model 1
+    table looks the batch up a chunk at a time (``_avg_max_prob``)."""
     lm_ja = _side_scores(lm_ja_model, [ja for ja, _, _, _ in pairs])
     lm_zh = _side_scores(lm_zh_model, [zh for _, zh, _, _ in pairs])
+    sides_ja = [tokens_ja for _, _, tokens_ja, _ in pairs]
+    sides_zh = [tokens_zh for _, _, _, tokens_zh in pairs]
+    avgmaxp_j2z = _avg_max_prob(sides_ja, sides_zh, table_j2z)
+    avgmaxp_z2j = _avg_max_prob(sides_zh, sides_ja, table_z2j)
     features = []
-    for ja, zh, tokens_ja, tokens_zh in pairs:
+    for (ja, zh, tokens_ja, tokens_zh), j2z, z2j in zip(pairs, avgmaxp_j2z, avgmaxp_z2j):
         len_ja = len(ja)
         len_zh = len(zh)
         longer = max(len_ja, len_zh)
@@ -209,8 +219,8 @@ def extract_features(
             tok_ratio=(min(n_tok_ja, n_tok_zh) / longer_tok) if longer_tok else 0.0,
             cov_j2z=coverage(tokens_ja, tokens_zh, lex, LanguageTag.JA),
             cov_z2j=coverage(tokens_zh, tokens_ja, lex, LanguageTag.ZH),
-            avgmaxp_j2z=_avg_max_prob(tokens_ja, tokens_zh, table_j2z),
-            avgmaxp_z2j=_avg_max_prob(tokens_zh, tokens_ja, table_z2j),
+            avgmaxp_j2z=j2z,
+            avgmaxp_z2j=z2j,
             lm_ja=lm_ja[ja],
             lm_zh=lm_zh[zh],
             num_match=1.0 if _digit_runs(ja) == _digit_runs(zh) else 0.0,

@@ -47,6 +47,12 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
     """The objects of a JSON Lines file, in file order; a line that
     holds JSON but not an object is a ``ValueError`` naming the file
     and line number."""
+    for _, row in numbered_jsonl(path):
+        yield row
+
+
+def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``read_jsonl``'s objects, each with its 1-based line number."""
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -54,4 +60,4 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 row = json.loads(line)
                 if type(row) is not dict:
                     raise ValueError(f"{path}:{number}: not a JSON object")
-                yield row
+                yield number, row

@@ -14,31 +14,48 @@ array holds the (pair, target position) group.  An iteration gathers
 ``p = prob[cell]``, sums ``denom = bincount(group, p)``, takes
 ``share = p / denom[group]`` and sums the shares by cell and by source.
 ``np.bincount`` adds its weights one at a time in array order, the
-order a per-token loop visits them in, so every sum, and so the table,
-its row order and the log-likelihoods, is bit-identical to that loop.
+order a per-token loop visits them in, so every sum, and so the
+table's probabilities and the log-likelihoods, is bit-identical to that
+loop.
 The log-likelihood is summed in Python with ``math.log`` for the same
 reason.  A cell whose probability reaches exactly 0.0 leaves its row.
 
-For scoring, ``TranslationTable.ranked`` keeps each source's targets of
-positive probability in descending order, built once on first use.
-``best_prob`` returns the first ranked target present among the
-candidates: no later target can be larger, and the float returned is
-the row's own, so the result equals the loop over the candidates.  It
-looks at most ``len(candidates)`` ranked targets and, when none of them
-is present in a longer row, runs that loop instead.
+A table is one representation from EM to scoring to disk: sorted
+arrays, as KenLM keeps its n-gram tables.  The sources, sorted, each
+get a row id and the distinct targets, sorted, a target id (the two
+name-to-id dicts).  Each entry is one int64 key, ``row_id * n_targets +
+target_id``, and its float64 probability; the keys are strictly
+increasing, so a row's entries are contiguous and sorted by target.
+``train_model1`` hands its kept cells over in that order without
+building any per-row structure.  Each row also keeps its largest
+probability and the target id of its first entry that holds it (16
+bytes a row).
+
+``best_probs`` scores a batch of (source side, target side) pairs a
+chunk at a time.  A source position whose row's top target is among
+its pair's distinct targets takes the row's maximum: one
+``searchsorted`` over the chunk's sorted (pair, target) keys answers
+that for every position.  Each other position looks up every distinct
+target of its pair with one ``searchsorted`` over the table's keys and
+takes the largest positive probability found.  Both steps are exact,
+so each float is the one a per-candidate loop returns.  The first step
+is the common case: on the benchmark workloads the top target answers
+90 to 98 % of positions, and searching the table for every (position,
+target) pair instead measured two to three times as slow.
 
 On disk (filter model version 3, ``modelfile``) a table is seven
 arrays: the sources, sorted, as their code points (``<u4``) and their
 lengths; each row's length; the distinct targets, sorted, as code
-points and lengths; each entry's target as its index among them, row
-after row and sorted within a row; and the probabilities as ``<f8``,
-which carry every bit, so no float is written as text or parsed from
-it.  ``from_arrays`` builds each row from them, every distinct target
-one shared string.  Arrays whose lengths disagree, a row length that is
-not positive, a code point that is not a character, a target index out
-of range, a repeated source or a target repeated within a row, or a
-probability that is negative, NaN or infinite, none of which training
-can make, is a ``ValueError``.
+points and lengths; each entry's target id, row after row and sorted
+within a row; and the probabilities as ``<f8``, which carry every bit,
+so no float is written as text or parsed from it.  ``from_arrays``
+keeps the probabilities and builds the keys from the row lengths and
+target ids.  Arrays whose lengths disagree, a row length that is not
+positive, a code point that is not a character, a target id out of
+range, sources or targets that are repeated or not sorted, a target
+repeated or out of order within a row, or a probability that is
+negative, NaN or infinite, none of which training can make, is a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -46,9 +63,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, islice
-from typing import AbstractSet, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,68 +74,122 @@ logger = logging.getLogger(__name__)
 
 NULL_TOKEN = "<null>"
 DEFAULT_ITERATIONS = 10
+# Pairs are scored a chunk at a time, a chunk ending once its sides'
+# lengths multiplied, an upper bound on its lookups, reach this: its
+# index arrays stay near 128 kB however large the batch.
+_LOOKUP_CHUNK = 1 << 14
 
 
-@dataclass
+@dataclass(eq=False)
 class TranslationTable:
-    """t(trg | src) for co-occurring pairs; per-source rows sum to 1."""
+    """t(trg | src) for co-occurring pairs; per-source rows sum to 1.  See
+    the module docstring for the arrays."""
 
-    t: dict[str, dict[str, float]] = field(default_factory=dict)
+    source_id: dict[str, int]
+    target_id: dict[str, int]
+    keys: np.ndarray  # int64, row_id * len(target_id) + target_id, increasing
+    probs: np.ndarray  # float64, one per key
     direction: str = ""
     log_likelihoods: list[float] = field(default_factory=list)
+    # Per row: the target id of its first largest entry, and that
+    # probability, or 0.0 when it is not positive.
+    row_top: np.ndarray = field(init=False, repr=False)
+    row_max: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def ranked(self) -> dict[str, tuple[str, ...]]:
-        """Per source, its targets of positive probability by descending
-        probability; built on first use and never serialized."""
-        return {
-            src: tuple(sorted((trg for trg, p in row.items() if p > 0.0),
-                              key=row.__getitem__, reverse=True))
-            for src, row in self.t.items()
-        }
+    def __post_init__(self) -> None:
+        row, target = np.divmod(self.keys, max(len(self.target_id), 1))
+        if not len(row):
+            self.row_top, self.row_max = np.zeros(0, dtype=np.int64), np.zeros(0)
+            return
+        row_max = np.maximum.reduceat(self.probs, np.searchsorted(row, np.arange(row[-1] + 1)))
+        at_max = np.flatnonzero(self.probs == row_max[row])
+        self.row_top = target[at_max[np.r_[True, np.diff(row[at_max]) > 0]]]
+        self.row_max = np.where(row_max > 0.0, row_max, 0.0)
 
-    def best_prob(self, src: str, candidates: AbstractSet[str]) -> float:
-        """Max t(trg|src) over the given candidate targets, 0.0 when none
-        has a positive probability.
+    def best_probs(
+        self, sides: Iterable[tuple[Sequence[str], Sequence[str]]]
+    ) -> Iterator[list[float]]:
+        """For each ``(source tokens, target tokens)``, a list of the max
+        t(trg|src) of each source position over the distinct target
+        tokens, 0.0 when none has a positive probability.  Sides are
+        read a chunk at a time (``_LOOKUP_CHUNK``) as the lists are
+        taken."""
+        src_sides: list[Sequence[str]] = []
+        trg_sides: list[Sequence[str]] = []
+        pending = 0
+        for src, trg in sides:
+            src_sides.append(src)
+            trg_sides.append(trg)
+            pending += len(src) * len(trg)
+            if pending >= _LOOKUP_CHUNK:
+                yield from self._best_probs(src_sides, trg_sides)
+                src_sides, trg_sides, pending = [], [], 0
+        if src_sides:
+            yield from self._best_probs(src_sides, trg_sides)
 
-        Scans at most ``len(candidates)`` ranked targets: the first one
-        present is the maximum.  When none of those is present and the
-        row ranks more, the candidates are looped over instead."""
-        ranked = self.ranked.get(src)
-        if not ranked:
-            return 0.0
-        row = self.t[src]
-        limit = len(candidates)
-        for trg in ranked[:limit]:
-            if trg in candidates:
-                return row[trg]
-        if len(ranked) <= limit:
-            return 0.0
-        best = 0.0
-        for trg in candidates:
-            p = row.get(trg, 0.0)
-            if p > best:
-                best = p
-        return best
+    def _best_probs(self, src_sides: list[Sequence[str]],
+                    trg_sides: list[Sequence[str]]) -> list[list[float]]:
+        """``best_probs`` of one chunk; see the module docstring."""
+        n_targets = len(self.target_id)
+        lengths = [len(src) for src in src_sides]
+        # Each pair's distinct known targets, as sorted keys
+        # pair * n_targets + target id.
+        found: list[int] = []
+        widths: list[int] = []
+        for trg in trg_sides:
+            ids = set(map(self.target_id.get, trg))
+            ids.discard(None)
+            found += ids
+            widths.append(len(ids))
+        if not found:
+            return [[0.0] * length for length in lengths]
+        width = np.array(widths, dtype=np.int64)
+        pair_targets = np.sort(np.repeat(np.arange(len(widths)) * n_targets, width)
+                               + np.array(found, dtype=np.int64))
+        row = np.fromiter(map(self.source_id.get, chain.from_iterable(src_sides), repeat(-1)),
+                          dtype=np.int64, count=sum(lengths))
+        pair = np.repeat(np.arange(len(lengths)), lengths)
+        best = np.zeros(len(row))
+        known = np.flatnonzero(row >= 0)
+        # A position whose row's top target is present takes the row's
+        # maximum ...
+        top = pair[known] * n_targets + self.row_top[row[known]]
+        at = np.minimum(np.searchsorted(pair_targets, top), len(pair_targets) - 1)
+        hit = pair_targets[at] == top
+        best[known[hit]] = self.row_max[row[known[hit]]]
+        # ... and any other looks up each target of its pair, keeping the
+        # largest positive probability found.
+        rest = known[~hit]
+        n_each = width[pair[rest]]
+        ends = np.cumsum(n_each)
+        first = ends - n_each
+        if len(rest) and ends[-1]:
+            index = np.repeat((np.cumsum(width) - width)[pair[rest]] - first, n_each) \
+                + np.arange(ends[-1])
+            wanted = np.repeat((row[rest] - pair[rest]) * n_targets, n_each) + pair_targets[index]
+            at = np.minimum(np.searchsorted(self.keys, wanted), len(self.keys) - 1)
+            prob = self.probs[at]
+            prob[(self.keys[at] != wanted) | ~(prob > 0.0)] = 0.0
+            some = n_each > 0
+            best[rest[some]] = np.maximum.reduceat(prob, first[some])
+        flat = best.tolist()
+        return [flat[end - length:end] for end, length in zip(accumulate(lengths), lengths)]
 
     def to_arrays(self) -> Section:
         """Direction and the table's arrays (see the module docstring);
-        the EM history is not kept.  An empty row is not written."""
-        sources = sorted(src for src, row in self.t.items() if row)
-        rows = [sorted(self.t[src].items()) for src in sources]
-        targets = sorted({trg for row in rows for trg, _ in row})
-        target_id = {trg: i for i, trg in enumerate(targets)}
-        source_codes, source_lengths = _encode(sources)
-        target_codes, target_lengths = _encode(targets)
+        the EM history is not kept."""
+        n_targets = max(len(self.target_id), 1)
+        row, target_ids = np.divmod(self.keys, n_targets)
+        source_codes, source_lengths = _encode(list(self.source_id))
+        target_codes, target_lengths = _encode(list(self.target_id))
         return {"direction": self.direction}, {
             "sources": source_codes,
             "source_lengths": source_lengths,
-            "row_lengths": np.array([len(row) for row in rows], dtype="<i8"),
+            "row_lengths": np.bincount(row, minlength=len(self.source_id)).astype("<i8"),
             "targets": target_codes,
             "target_lengths": target_lengths,
-            "target_ids": np.array([target_id[trg] for row in rows for trg, _ in row],
-                                   dtype="<i8"),
-            "probs": np.array([p for row in rows for _, p in row], dtype="<f8"),
+            "target_ids": target_ids.astype("<i8"),
+            "probs": np.asarray(self.probs, dtype="<f8"),
         }
 
     @classmethod
@@ -143,18 +213,28 @@ class TranslationTable:
             raise ValueError(f"a target id is not one of the {len(targets)} targets")
         if not ((probs >= 0.0) & (probs < math.inf)).all():
             raise ValueError("probs holds a probability that is negative, NaN or infinite")
-        # An object array holds references only: no int object per entry.
-        keys = iter(np.array(targets, dtype=object)[target_ids])
-        values = iter(probs.tolist())
-        t = {
-            src: dict(zip(islice(keys, length), islice(values, length)))
-            for src, length in zip(sources, row_lengths.tolist())
-        }
-        if len(t) != len(sources):
-            raise ValueError("a row name is repeated")
-        if sum(map(len, t.values())) != n_entries:
-            raise ValueError("a key is repeated within a row")
-        return cls(t=t, direction=scalars.get("direction", ""))
+        _check_sorted(sources, "row name")
+        _check_sorted(targets, "target name")
+        keys = np.repeat(np.arange(len(sources)), row_lengths) * len(targets) + target_ids
+        step = np.diff(keys)
+        if not (step > 0).all():
+            raise ValueError("a key is repeated within a row" if (step == 0).any()
+                             else "a row's targets are not sorted")
+        return cls(
+            source_id=dict(zip(sources, range(len(sources)))),
+            target_id=dict(zip(targets, range(len(targets)))),
+            keys=keys,
+            probs=probs,
+            direction=scalars.get("direction", ""),
+        )
+
+
+def _check_sorted(names: list[str], what: str) -> None:
+    """A ``ValueError`` unless ``names`` strictly ascend."""
+    for before, after in zip(names, names[1:]):
+        if before >= after:
+            raise ValueError(f"a {what} is repeated" if before == after
+                             else f"the {what}s are not sorted")
 
 
 def _encode(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +282,7 @@ def train_model1(
     if not pairs:
         raise ValueError("no usable sentence pairs")
 
-    # Intern tokens; source ids in first-seen order are the table's row order.
+    # Intern tokens, in first-seen order.
     src_vocab: dict[str, int] = {}
     trg_vocab: dict[str, int] = {}
     src_tokens: list[int] = []
@@ -256,19 +336,27 @@ def train_model1(
         history.append(log_likelihood)
 
     # A row keeps the cells the last E-step visited with nonzero
-    # probability, in the order it first visited them.
+    # probability, handed over as sorted keys (see the module docstring).
     kept = np.flatnonzero(before > 0.0)
-    kept = kept[np.argsort(cell_src[kept], kind="stable")]
-    ends = np.cumsum(np.bincount(cell_src[kept], minlength=len(src_vocab))).tolist()
-    trg_names = list(trg_vocab)
-    targets = [trg_names[i] for i in cell_trg[kept].tolist()]
-    values = prob[kept].tolist()
-    t: dict[str, dict[str, float]] = {}
-    start = 0
-    for s, end in zip(src_vocab, ends):
-        t[s] = dict(zip(targets[start:end], values[start:end]))
-        start = end
+    source_id, source_rank = _sorted_ids(list(src_vocab), cell_src[kept])
+    target_id, target_rank = _sorted_ids(list(trg_vocab), cell_trg[kept])
+    keys = source_rank[cell_src[kept]] * len(target_id) + target_rank[cell_trg[kept]]
+    order = np.argsort(keys)
+    return TranslationTable(
+        source_id=source_id,
+        target_id=target_id,
+        keys=keys[order],
+        probs=prob[kept][order],
+        direction=direction,
+        log_likelihoods=history,
+    )
 
-    table = TranslationTable(t=t, direction=direction)
-    table.log_likelihoods = history
-    return table
+
+def _sorted_ids(vocab: list[str], used: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """The tokens of ``vocab`` that ``used`` indexes, sorted, each mapped
+    to its rank, and an array from each ``vocab`` index to that rank."""
+    ids = np.unique(used).tolist()
+    ids.sort(key=vocab.__getitem__)
+    rank = np.zeros(len(vocab), dtype=np.int64)
+    rank[ids] = np.arange(len(ids))
+    return {vocab[i]: r for r, i in enumerate(ids)}, rank

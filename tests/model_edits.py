@@ -11,6 +11,7 @@ import numpy as np
 
 from localmine import modelfile
 from localmine.filtering import SECTIONS
+from localmine.model1 import TranslationTable, _encode
 
 
 def through_bytes(component):
@@ -35,6 +36,39 @@ def dump(component) -> bytes:
     for name, a in arrays.items():
         parts += [name.encode(), a.dtype.str.encode(), a.tobytes()]
     return b"\0".join(parts)
+
+
+def table_from_rows(rows: dict[str, dict[str, float]], direction: str = "") -> TranslationTable:
+    """A Model 1 table holding ``rows``, t(trg | src) by source and then
+    target, built by ``from_arrays`` from the arrays a model file would
+    carry; a source without entries is left out."""
+    sources = sorted(src for src, row in rows.items() if row)
+    entries = [sorted(rows[src].items()) for src in sources]
+    targets = sorted({trg for row in entries for trg, _ in row})
+    target_id = {trg: i for i, trg in enumerate(targets)}
+    source_codes, source_lengths = _encode(sources)
+    target_codes, target_lengths = _encode(targets)
+    return TranslationTable.from_arrays({"direction": direction}, copied({
+        "sources": source_codes,
+        "source_lengths": source_lengths,
+        "row_lengths": np.array([len(row) for row in entries], dtype="<i8"),
+        "targets": target_codes,
+        "target_lengths": target_lengths,
+        "target_ids": np.array([target_id[trg] for row in entries for trg, _ in row],
+                               dtype="<i8"),
+        "probs": np.array([p for row in entries for _, p in row], dtype="<f8"),
+    }))
+
+
+def table_rows(table: TranslationTable) -> dict[str, dict[str, float]]:
+    """Every entry of ``table`` as t(trg | src) by source and then target,
+    both in sorted order."""
+    sources, targets = list(table.source_id), list(table.target_id)
+    rows: dict[str, dict[str, float]] = {}
+    for key, p in zip(table.keys.tolist(), table.probs.tolist()):
+        row, target = divmod(key, len(targets))
+        rows.setdefault(sources[row], {})[targets[target]] = p
+    return rows
 
 
 def read_sections(path: Path) -> dict[str, tuple[dict, dict[str, np.ndarray]]]:

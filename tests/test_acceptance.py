@@ -30,6 +30,7 @@ from localmine.pipeline import SiteReport, emit_report, run_pipeline
 from localmine.sentalign import align_sentences, length_cost
 from localmine.text import LanguageTag, Sentence, make_segmenter
 
+from model_edits import table_rows
 from sitegen import unique_sentences, write_run_config
 from test_lexicon import make_planted_raw_entries
 from test_sentalign import brute_force_min_cost, sent
@@ -95,10 +96,9 @@ class TestAcceptance:
         table = train_model1(corpus, iterations=20)
         lls = table.log_likelihoods
         ll_ok = all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
-        sums_ok = all(
-            abs(sum(row.values()) - 1.0) <= 1e-6 for row in table.t.values()
-        )
-        p_xa, p_yb = table.t["a"]["x"], table.t["b"]["y"]
+        rows = table_rows(table)
+        sums_ok = all(abs(sum(row.values()) - 1.0) <= 1e-6 for row in rows.values())
+        p_xa, p_yb = rows["a"]["x"], rows["b"]["y"]
         ok = p_xa >= 0.9 and p_yb >= 0.9 and ll_ok and sums_ok
         _verdict("AC-3 Model 1 EM", ok,
                  f"t(x|a)={p_xa:.3f}, t(y|b)={p_yb:.3f}, LL monotone={ll_ok}")

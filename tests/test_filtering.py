@@ -23,17 +23,16 @@ from localmine.filtering import (
     train_filter,
 )
 from localmine.lexicon import build_lexicon
-from localmine.model1 import TranslationTable
 from localmine.text import LanguageTag, make_segmenter
 
-from model_edits import FAULTS, dump, join_file, read_sections, split_file
+from model_edits import FAULTS, dump, join_file, read_sections, split_file, table_from_rows
 
 
 @pytest.fixture(scope="module")
 def feature_models():
     lex = build_lexicon([("学生", "学生"), ("新聞", "报纸"), ("読む", "读")])
-    table_j2z = TranslationTable(t={"学生": {"学生": 0.8, "报纸": 0.2}, "新聞": {"报纸": 0.9}})
-    table_z2j = TranslationTable(t={"学生": {"学生": 0.7}, "报纸": {"新聞": 0.6}})
+    table_j2z = table_from_rows({"学生": {"学生": 0.8, "报纸": 0.2}, "新聞": {"报纸": 0.9}})
+    table_z2j = table_from_rows({"学生": {"学生": 0.7}, "报纸": {"新聞": 0.6}})
     lm_ja = train_char_lm(["学生は新聞を読む。", "今日は晴れ。"], n=3, k=0.1)
     lm_zh = train_char_lm(["学生读报纸。", "今天晴。"], n=3, k=0.1)
     return lex, table_j2z, table_z2j, lm_ja, lm_zh

@@ -1,5 +1,5 @@
 """A run from a snapshot loads no network stack, no OpenSSL and no
-thread pool.
+thread pool, with or without a vector file for the embedding gate.
 
 ``ssl`` and ``hashlib`` map OpenSSL, and ``urllib.request`` pulls in
 ``http.client``, ``email`` and ``socket``: several MB of a mining
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from localmine.embeddings import write_vector_file
 from localmine.text import normalize_text
 
 from sitegen import write_run_config
@@ -60,33 +61,58 @@ def test_import_loads_no_network_stack(module):
     assert child(f"import {module}\n" + loaded(UNUSED)) == []
 
 
+def _run_config(fixture_site, trained_filter, tmp_path, extra: str = ""):
+    """A config that mines the fixture from a saved model."""
+    model = tmp_path / "model.bin"
+    trained_filter.save(model)
+    config = tmp_path / "run.ini"
+    config.write_text(  # the fixture config ends in its [filter] section
+        write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
+        + f"model_path = {model}\n" + extra,
+        encoding="utf-8",
+    )
+    return config
+
+
+RUN = "from localmine.cli import main\nassert main(['--config', sys.argv[1], 'run']) == 0\n"
+
+
 def test_snapshot_run_loads_no_network_stack(fixture_site, trained_filter, tmp_path):
     """A mining run from a saved model, as each benchmark repeat is.
     Training the filter loads ``hashlib`` all the same: ``numpy.random``
     imports ``secrets``, which imports ``hmac``."""
-    model = tmp_path / "model.bin"
-    trained_filter.save(model)
-    config = tmp_path / "run.ini"
-    config.write_text(
-        write_run_config(fixture_site, tmp_path / "out").read_text(encoding="utf-8")
-        + f"model_path = {model}\n",
-        encoding="utf-8",
-    )
-    code = "from localmine.cli import main\nassert main(['--config', sys.argv[1], 'run']) == 0\n"
-    assert child(code + loaded(UNUSED), str(config)) == []
+    config = _run_config(fixture_site, trained_filter, tmp_path)
+    assert child(RUN + loaded(UNUSED), str(config)) == []
     assert (tmp_path / "out" / "corpus.jsonl").stat().st_size > 0
 
 
-def test_sentence_key_loads_hashlib_on_first_use():
-    """Unless numpy has loaded ``hashlib`` already, as numpy 1.x does."""
+def test_vector_file_run_loads_no_network_stack(fixture_site, trained_filter, tmp_path):
+    """The same run through the embedding gate, with a vector file keyed
+    by SHA-256, as each many-sites benchmark repeat is: the keys take
+    no OpenSSL."""
+    vectors = tmp_path / "vectors.jsonl"
+    write_vector_file(vectors, {
+        text: vector
+        for ja, zh in fixture_site.true_pairs
+        for text, vector in ((ja, [1.0, 0.0]), (zh, [0.95, 0.05]))
+    })
+    config = _run_config(fixture_site, trained_filter, tmp_path, f"embed_vectors = {vectors}\n")
+    assert child(RUN + loaded(UNUSED), str(config)) == []
+    rows = (tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    assert rows and all(json.loads(row)["embed_sim"] is not None for row in rows)
+
+
+def test_sentence_key_loads_no_openssl():
+    """Neither ``hashlib`` nor ``_hashlib`` loads for a key, unless numpy
+    has loaded them already, as numpy 1.x does."""
     code = (
         "from localmine.embeddings import sentence_key\n"
-        "before = 'hashlib' in sys.modules\n"
         "key = sentence_key(' 学生は新聞を読む。 ')\n"
-        "print(json.dumps(['hashlib' in NUMPY_LOADED, before, key]))\n"
+        "print(json.dumps([key, sorted(m for m in ('hashlib', '_hashlib')\n"
+        "                              if m in sys.modules and m not in NUMPY_LOADED)]))\n"
     )
-    by_numpy, before, key = child(code)
-    assert by_numpy or not before
+    key, openssl = child(code)
+    assert openssl == []
     digest = hashlib.sha256(normalize_text(" 学生は新聞を読む。 ").encode("utf-8"))
     assert key == digest.hexdigest()
 

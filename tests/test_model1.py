@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import struct
+import tracemalloc
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -9,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localmine import model1
 from localmine.model1 import NULL_TOKEN, TranslationTable, train_model1
+from localmine.text import LanguageTag, make_segmenter
 
-from model_edits import copied, dump, through_bytes
+from model_edits import copied, dump, table_from_rows, table_rows, through_bytes
 
 CANONICAL = [(["a"], ["x"]), (["a", "b"], ["x", "y"]), (["b"], ["y"])]
 
 
 def prob(table: TranslationTable, trg: str, src: str) -> float:
     """t(trg | src), 0.0 for a pair the table does not hold."""
-    return table.t.get(src, {}).get(trg, 0.0)
+    return table_rows(table).get(src, {}).get(trg, 0.0)
 
 
 def oracle_em(corpus, iterations):
@@ -53,8 +58,9 @@ def reference_model1(
     direction: str = "",
 ) -> TranslationTable:
     """The dict-of-dicts trainer the array kernel replaced, kept verbatim
-    as the oracle: ``train_model1`` must reproduce its table, row order
-    and log-likelihoods bit for bit."""
+    as the oracle up to its last line, which hands its rows to
+    ``table_from_rows``: ``train_model1`` must reproduce its table and
+    log-likelihoods bit for bit."""
     if not corpus:
         raise ValueError("empty corpus")
     if iterations < 1:
@@ -105,7 +111,7 @@ def reference_model1(
                 t[s] = {e: cnt / total for e, cnt in row.items()}
         history.append(log_likelihood)
 
-    table = TranslationTable(t=t, direction=direction)
+    table = table_from_rows(t, direction=direction)
     table.log_likelihoods = history
     return table
 
@@ -135,7 +141,7 @@ class TestTrainModel1:
     def test_source_rows_normalized_every_iteration(self):
         for iterations in (1, 2, 5, 20):
             table = train_model1(CANONICAL, iterations=iterations)
-            for src, row in table.t.items():
+            for src, row in table_rows(table).items():
                 assert sum(row.values()) == pytest.approx(1.0, abs=1e-6), src
 
     def test_log_likelihood_non_decreasing(self):
@@ -153,17 +159,18 @@ class TestTrainModel1:
     def test_deterministic(self):
         a = train_model1(CANONICAL, iterations=10)
         b = train_model1(CANONICAL, iterations=10)
-        assert a.t == b.t
+        assert dump(a) == dump(b)
+        assert a.log_likelihoods == b.log_likelihoods
 
 
 def _as_compared(train, corpus, iterations):
-    """Table, row order and log-likelihoods, or the ValueError message."""
+    """Table entries, the table's arrays as bytes (row and entry order and
+    float bits included) and log-likelihoods, or the ValueError message."""
     try:
         table = train(corpus, iterations=iterations)
     except ValueError as err:
         return ("error", str(err))
-    rows = [(src, list(row)) for src, row in table.t.items()]
-    return table.t, rows, table.log_likelihoods
+    return table_rows(table), dump(table), table.log_likelihoods
 
 
 _SIDE_SRC = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
@@ -198,9 +205,10 @@ class TestArrayKernelOracle:
 
 
 def reference_best_prob(table: TranslationTable, src: str, candidates) -> float:
-    """The per-candidate loop that the ranked rows replaced, kept as the
-    oracle: ``best_prob`` must return the same float."""
-    row = table.t.get(src)
+    """The per-candidate loop over the source's row that the batch lookup
+    replaced, kept as the oracle: ``best_probs`` must return the same
+    float for each source position."""
+    row = table_rows(table).get(src)
     if not row:
         return 0.0
     best = 0.0
@@ -211,12 +219,21 @@ def reference_best_prob(table: TranslationTable, src: str, candidates) -> float:
     return best
 
 
+def best_prob(table: TranslationTable, src: str, candidates) -> float:
+    """``best_probs`` of one source token."""
+    [[p]] = table.best_probs([([src], candidates)])
+    return p
+
+
 _TARGETS = ["w", "x", "y", "z", "v"]
-# Few distinct values, so that probabilities tie; zeros, NaN and
-# infinity must not reorder the ranked rows.  A model file holds only
-# the finite, non-negative ones.
-_PROBS = st.sampled_from(
-    [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 1e-300, 5e-324, 0.3, math.nan, math.inf]
+# Few distinct values, so that probabilities tie, and zeros of both
+# signs.  A table holds only finite, non-negative probabilities:
+# ``from_arrays`` rejects the rest.
+_PROBS = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 1e-300, 5e-324, 0.3])
+_QUERIES = st.lists(
+    st.tuples(st.lists(st.sampled_from(["a", "b", NULL_TOKEN, "unknown"]), max_size=4),
+              st.lists(st.sampled_from(_TARGETS + ["missing"]), max_size=6)),
+    min_size=1, max_size=10,
 )
 
 
@@ -224,12 +241,22 @@ def _bits(p: float) -> str:
     return struct.pack("<d", p).hex()
 
 
+def _assert_best_probs(table: TranslationTable, queries) -> None:
+    """One batch of ``queries``, each ``(source tokens, target tokens)``,
+    gives the oracle's float for every source position."""
+    got = [p for best in table.best_probs(queries) for p in best]
+    want = [reference_best_prob(table, src, set(trg)) for srcs, trg in queries for src in srcs]
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
 class TestTranslationTable:
     def test_best_prob_restricted_to_candidates(self):
-        table = TranslationTable(t={"a": {"x": 0.7, "y": 0.3}})
-        assert table.best_prob("a", {"y"}) == pytest.approx(0.3)
-        assert table.best_prob("a", {"z"}) == 0.0
-        assert table.best_prob("unknown", {"x"}) == 0.0
+        table = table_from_rows({"a": {"x": 0.7, "y": 0.3}})
+        assert best_prob(table, "a", {"y"}) == pytest.approx(0.3)
+        assert best_prob(table, "a", {"z"}) == 0.0
+        assert best_prob(table, "unknown", {"x"}) == 0.0
+        assert list(table.best_probs([(["a", "unknown", "a"], ["y", "x", "y"]), ([], ["x"]),
+                                      (["a"], [])])) == [[0.7, 0.0, 0.7], [], [0.0]]
 
     @given(
         rows=st.dictionaries(
@@ -237,30 +264,23 @@ class TestTranslationTable:
             st.dictionaries(st.sampled_from(_TARGETS), _PROBS, max_size=5),
             max_size=3,
         ),
-        queries=st.lists(
-            st.tuples(st.sampled_from(["a", "b", NULL_TOKEN, "unknown"]),
-                      st.sets(st.sampled_from(_TARGETS + ["missing"]), max_size=6)),
-            min_size=1, max_size=10,
-        ),
+        queries=_QUERIES,
+        chunk=st.sampled_from([1, 3, model1._LOOKUP_CHUNK]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_best_prob_equals_reference_from_json(self, rows, queries):
-        table = TranslationTable(t=rows, direction="ja-zh")
-        tables = [table]
-        if all(p >= 0.0 and math.isfinite(p) for row in rows.values() for p in row.values()):
-            tables.append(through_bytes(table))
-        for table in tables:
-            before = dump(table)
-            for src, candidates in queries:
-                got = table.best_prob(src, candidates)
-                want = reference_best_prob(table, src, candidates)
-                assert _bits(got) == _bits(want)
-            assert dump(table) == before
+    def test_best_prob_equals_reference_from_json(self, rows, queries, chunk):
+        # A small chunk makes one batch several lookups.
+        table = table_from_rows(rows, direction="ja-zh")
+        before = dump(table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model1, "_LOOKUP_CHUNK", chunk)
+            _assert_best_probs(table, queries)
+        assert dump(table) == before
 
     @given(
         corpus=st.lists(st.tuples(_SIDE_SRC, _SIDE_TRG), min_size=1, max_size=6),
         iterations=st.integers(min_value=1, max_value=12),
-        queries=st.lists(st.sets(st.sampled_from(["w", "x", "y", "z", "q"]), max_size=5),
+        queries=st.lists(st.lists(st.sampled_from(["w", "x", "y", "z", "q"]), max_size=5),
                          min_size=1, max_size=4),
     )
     @settings(max_examples=200, deadline=None)
@@ -270,21 +290,19 @@ class TestTranslationTable:
         except ValueError:
             return
         before = dump(table)
-        for src in list(table.t) + ["unknown"]:
-            for candidates in queries:
-                assert table.best_prob(src, candidates) == reference_best_prob(table, src, candidates)
+        sources = list(table.source_id) + ["unknown"]
+        _assert_best_probs(table, [(sources, candidates) for candidates in queries])
         assert dump(table) == before
 
     def test_long_row_falls_back_to_the_candidates(self):
-        # The row ranks more targets than there are candidates and the
-        # top ones are absent, so the candidate loop decides.
+        # The row holds more targets than there are candidates and the
+        # most probable ones are absent.
         row = {f"t{i}": 1.0 / (i + 2) for i in range(20)}
-        table = TranslationTable(t={"a": row})
-        assert table.ranked["a"][:2] == ("t0", "t1")
-        assert table.best_prob("a", {"t7", "t12"}) == row["t7"]
-        assert table.best_prob("a", {"t7", "nope"}) == row["t7"]
-        assert table.best_prob("a", {"nope", "gone"}) == 0.0
-        assert table.best_prob("a", set()) == 0.0
+        table = table_from_rows({"a": row})
+        assert best_prob(table, "a", {"t7", "t12"}) == row["t7"]
+        assert best_prob(table, "a", {"t7", "nope"}) == row["t7"]
+        assert best_prob(table, "a", {"nope", "gone"}) == 0.0
+        assert best_prob(table, "a", set()) == 0.0
 
 
 # Probabilities a model file must carry bit for bit: the ends of [0, 1],
@@ -316,30 +334,18 @@ class TestColumns:
     def test_round_trip_through_json_text(self, rows, queries):
         # The scalars through JSON text and the arrays through raw bytes,
         # as a model file carries them.
-        table = TranslationTable(t=rows, direction="zh-ja")
+        table = table_from_rows(rows, direction="zh-ja")
         again = through_bytes(table)
         assert again.direction == "zh-ja"
-        assert again.t == table.t
-        assert {src: {trg: _bits(p) for trg, p in row.items()} for src, row in again.t.items()} \
-            == {src: {trg: _bits(p) for trg, p in row.items()} for src, row in table.t.items()}
-        for src in list(rows) + ["unknown"]:
-            for candidates in queries + [set(rows.get(src, ()))]:
-                assert _bits(again.best_prob(src, candidates)) == \
-                    _bits(table.best_prob(src, candidates))
+        assert table_rows(again) == rows
+        assert {src: {trg: _bits(p) for trg, p in row.items()}
+                for src, row in table_rows(again).items()} \
+            == {src: {trg: _bits(p) for trg, p in row.items()} for src, row in rows.items()}
+        sides = [(list(rows) + ["unknown"], candidates)
+                 for candidates in queries + [{t for row in rows.values() for t in row}]]
+        assert [list(map(_bits, best)) for best in again.best_probs(sides)] == \
+            [list(map(_bits, best)) for best in table.best_probs(sides)]
         assert dump(again) == dump(table)
-
-    def test_each_target_is_one_shared_object(self):
-        table = train_model1([(["日", "本"], ["日", "本"]), (["本"], ["本", "书"])], iterations=3)
-        again = through_bytes(table)
-        objects = {}
-        for row in again.t.values():
-            for trg in row:
-                assert objects.setdefault(trg, trg) is trg
-        assert len(objects) < sum(map(len, again.t.values()))
-
-    def test_empty_row_is_not_written(self):
-        table = TranslationTable(t={"a": {}, "b": {"x": 1.0}})
-        assert through_bytes(table).t == {"b": {"x": 1.0}}
 
     @pytest.mark.parametrize("corrupt,message", [
         (lambda t: t.update(source_lengths=t["source_lengths"][:1], sources=t["sources"][:1]),
@@ -364,12 +370,20 @@ class TestColumns:
         (lambda t: t.update(sources=np.array([ord("a")] * 2, dtype="<u4")),
          "row name is repeated"),
         (lambda t: t.update(target_ids=_i8([0, 0, 0])), "repeated within a row"),
+        (lambda t: t.update(sources=np.array([ord("b"), ord("a")], dtype="<u4")),
+         "the row names are not sorted"),
+        (lambda t: t.update(targets=np.array([ord("y"), ord("x")], dtype="<u4")),
+         "the target names are not sorted"),
+        (lambda t: t.update(targets=np.array([ord("x")] * 2, dtype="<u4")),
+         "a target name is repeated"),
+        (lambda t: t.update(target_ids=_i8([1, 0, 0])), "a row's targets are not sorted"),
     ], ids=["sources-short", "targets-short", "probs-short", "zero-row-length",
             "float-row-length", "bool-row-length", "bad-padding", "bad-character",
             "partial-float", "nan", "infinite", "negative", "probs-list", "target-not-string",
-            "repeated-source", "repeated-target"])
+            "repeated-source", "repeated-target", "unsorted-sources", "unsorted-targets",
+            "repeated-target-name", "unsorted-row"])
     def test_malformed_column_is_rejected(self, corrupt, message):
-        table = TranslationTable(t={"a": {"x": 0.25, "y": 0.75}, "b": {"x": 1.0}})
+        table = table_from_rows({"a": {"x": 0.25, "y": 0.75}, "b": {"x": 1.0}})
         scalars, arrays = table.to_arrays()
         arrays = copied(arrays)
         assert arrays["row_lengths"].tolist() == [2, 1]
@@ -379,10 +393,46 @@ class TestColumns:
             TranslationTable.from_arrays(scalars, arrays)
 
     def test_missing_array_is_a_key_error(self):
-        scalars, arrays = TranslationTable(t={"a": {"x": 1.0}}).to_arrays()
+        scalars, arrays = table_from_rows({"a": {"x": 1.0}}).to_arrays()
         for name in list(arrays):
             with pytest.raises(KeyError, match=name):
                 TranslationTable.from_arrays(scalars, {k: v for k, v in arrays.items() if k != name})
+
+
+def _benchmark_corpus(path: Path) -> list[tuple[str, str]]:
+    """The benchmark's 1,000-pair filter training corpus (seed 5), written
+    by ``perfbench/gen.py`` to ``path`` and read back."""
+    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_training_corpus(path, 5)
+    return [tuple(line.rstrip("\n").split("\t")) for line in open(path, encoding="utf-8")]
+
+
+class TestMemory:
+    # The two name-to-id dicts grow with the vocabulary, not the entries.
+    ALLOWANCE = 64 * 1024
+
+    def test_loaded_table_retains_at_most_24_bytes_per_entry(self, starter_lexicon, tmp_path):
+        """An entry is an int64 key and a float64 probability.  The
+        dict-of-dicts table, with its ranked targets, retained about 72
+        bytes an entry of these tables."""
+        seg_ja = make_segmenter(starter_lexicon, LanguageTag.JA)
+        seg_zh = make_segmenter(starter_lexicon, LanguageTag.ZH)
+        tokenized = [(seg_ja(ja), seg_zh(zh)) for ja, zh in _benchmark_corpus(tmp_path / "t.tsv")]
+        for corpus in (tokenized, [(zh, ja) for ja, zh in tokenized]):
+            table = train_model1(corpus)
+            entries = len(table.probs)
+            tracemalloc.start()
+            try:
+                loaded = through_bytes(table)
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert dump(loaded) == dump(table)
+            assert entries > 10_000
+            assert retained <= 24 * entries + self.ALLOWANCE, retained / entries
 
 
 def _f8(values: list[float]) -> np.ndarray:
