@@ -35,8 +35,9 @@ are the same bits.
 Training counts each padded string's ``n``-grams, its windows of ``n``
 symbols, in one ``Counter``; every order's columns (its contexts, each
 context's number of continuations, and the continuations with their
-counts) are then sorted out of the distinct n-grams at once, and
-``_level`` turns them into the order's ``Level``.
+counts) are then sorted out of the distinct n-grams at once, which is
+key order, and ``_level`` turns them into the order's ``Level`` as
+they stand.
 
 On disk (filter model version 3, ``modelfile``) the vocabulary is its
 sorted code points (``<u4``) and each order ``m`` is the three arrays
@@ -190,9 +191,10 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _level(lm: CharLM, contexts: np.ndarray, lengths: np.ndarray, chars: np.ndarray,
            counts: np.ndarray) -> Level:
     """Order ``len(lm.levels)``'s ``Level`` from its columns as code
-    points, in any row order: ``contexts`` one row of ``m`` symbols per
-    context, ``lengths`` each context's number of continuations, and
-    ``chars`` and ``counts`` the continuations row after row.  The lower
+    points, in key order, as ``train_char_lm`` gives them: ``contexts``
+    one row of ``m`` symbols per context, sorted as strings, ``lengths``
+    each context's number of continuations, and ``chars`` and ``counts``
+    the continuations row after row, sorted within a row.  The lower
     orders must be in ``lm.levels`` already, and every context's first
     ``m - 1`` symbols must be one of them."""
     m = contexts.shape[1]
@@ -203,15 +205,10 @@ def _level(lm: CharLM, contexts: np.ndarray, lengths: np.ndarray, chars: np.ndar
     for j in range(1, m):
         parents = _find(lm.levels[j].contexts, parents << CODE_BITS | contexts[:, j - 1])
     keys = parents << CODE_BITS | contexts[:, -1] if m else parents
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ngrams = np.repeat(rank, lengths) << CODE_BITS | chars
-    by_key = np.argsort(ngrams, kind="stable")
+    ngrams = np.repeat(np.arange(len(keys)), lengths) << CODE_BITS | chars
     totals = np.add.reduceat(counts, np.cumsum(lengths) - lengths) if len(counts) else counts
-    return Level(contexts=keys, denominators=totals[order] + lm.k * lm.alphabet_size,
-                 ngrams=ngrams[by_key], counts=counts[by_key])
+    return Level(contexts=keys, denominators=totals + lm.k * lm.alphabet_size,
+                 ngrams=ngrams, counts=counts)
 
 
 def _check_parameters(n: int, k: float) -> None:

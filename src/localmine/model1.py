@@ -6,17 +6,18 @@ accumulates expected counts with per-position normalization and the
 M-step renormalizes per source token.  Corpus log-likelihood is
 recorded every iteration and is non-decreasing.
 
-The EM loop runs over flat arrays.  Tokens are interned to ints, and
-each (source, target) co-occurrence cell gets an id in the order the
-corpus first visits it.  One flat array holds a cell id per (pair,
+The EM loop runs over flat arrays.  Sources and targets are interned
+to ints in sorted order, and each (source, target) co-occurrence cell's
+id is the rank of its key ``source * n_targets + target``, so cells
+come in table order.  One flat array holds a cell id per (pair,
 target position, source position), in that nesting order; a parallel
 array holds the (pair, target position) group.  An iteration gathers
 ``p = prob[cell]``, sums ``denom = bincount(group, p)``, takes
 ``share = p / denom[group]`` and sums the shares by cell and by source.
 ``np.bincount`` adds its weights one at a time in array order, the
-order a per-token loop visits them in, so every sum, and so the
-table's probabilities and the log-likelihoods, is bit-identical to that
-loop.
+order a per-token loop visits them in, however the bins are numbered,
+so every sum, and so the table's probabilities and the
+log-likelihoods, is bit-identical to that loop.
 The log-likelihood is summed in Python with ``math.log`` for the same
 reason.  A cell whose probability reaches exactly 0.0 leaves its row.
 
@@ -26,10 +27,10 @@ get a row id and the distinct targets, sorted, a target id (the two
 name-to-id dicts).  Each entry is one int64 key, ``row_id * n_targets +
 target_id``, and its float64 probability; the keys are strictly
 increasing, so a row's entries are contiguous and sorted by target.
-``train_model1`` hands its kept cells over in that order without
-building any per-row structure.  Each row also keeps its largest
-probability and the target id of its first entry that holds it (16
-bytes a row).
+``train_model1`` hands its kept cells over as they stand, only
+renumbering the sources and targets left by rank.  Each row also keeps
+its largest probability and the target id of its first entry that
+holds it (16 bytes a row).
 
 ``best_probs`` scores a batch of (source side, target side) pairs a
 chunk at a time.  A source position whose row's top target is among
@@ -282,14 +283,13 @@ def train_model1(
     if not pairs:
         raise ValueError("no usable sentence pairs")
 
-    # Intern tokens, in first-seen order.
-    src_vocab: dict[str, int] = {}
-    trg_vocab: dict[str, int] = {}
-    src_tokens: list[int] = []
-    trg_tokens: list[int] = []
-    for src, trg in pairs:
-        src_tokens.extend([src_vocab.setdefault(s, len(src_vocab)) for s in src])
-        trg_tokens.extend([trg_vocab.setdefault(e, len(trg_vocab)) for e in trg])
+    # Intern tokens in sorted order, so cell keys sort as (source, target).
+    src_names = sorted({s for src, _ in pairs for s in src})
+    trg_names = sorted({e for _, trg in pairs for e in trg})
+    src_vocab = dict(zip(src_names, range(len(src_names))))
+    trg_vocab = dict(zip(trg_names, range(len(trg_names))))
+    src_tokens = [src_vocab[s] for src, _ in pairs for s in src]
+    trg_tokens = [trg_vocab[e] for _, trg in pairs for e in trg]
     src_len = np.array([len(src) for src, _ in pairs], dtype=np.int64)
     trg_len = np.array([len(trg) for _, trg in pairs], dtype=np.int64)
 
@@ -305,15 +305,9 @@ def train_model1(
     flat_src = np.array(src_tokens, dtype=np.int64)[src_start[group] + offset]
     flat_trg = np.array(trg_tokens, dtype=np.int64)[group]
 
-    # Cells numbered by first occurrence in the flat (pair, target, source) order.
-    keys, first, inverse = np.unique(
-        flat_src * len(trg_vocab) + flat_trg, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cell = rank[inverse.reshape(-1)]
-    cell_src, cell_trg = np.divmod(keys[order], len(trg_vocab))
+    # A cell's id is its key's rank among the distinct keys.
+    keys, cell = np.unique(flat_src * len(trg_vocab) + flat_trg, return_inverse=True)
+    cell_src, cell_trg = np.divmod(keys, len(trg_vocab))
 
     # Uniform initialization over co-occurring pairs.
     prob = 1.0 / np.bincount(cell_src, minlength=len(src_vocab))[cell_src]
@@ -336,27 +330,16 @@ def train_model1(
         history.append(log_likelihood)
 
     # A row keeps the cells the last E-step visited with nonzero
-    # probability, handed over as sorted keys (see the module docstring).
+    # probability, already in key order; the sources and targets left
+    # are renumbered by rank (see the module docstring).
     kept = np.flatnonzero(before > 0.0)
-    source_id, source_rank = _sorted_ids(list(src_vocab), cell_src[kept])
-    target_id, target_rank = _sorted_ids(list(trg_vocab), cell_trg[kept])
-    keys = source_rank[cell_src[kept]] * len(target_id) + target_rank[cell_trg[kept]]
-    order = np.argsort(keys)
+    rows, row_id = np.unique(cell_src[kept], return_inverse=True)
+    targets, target_id = np.unique(cell_trg[kept], return_inverse=True)
     return TranslationTable(
-        source_id=source_id,
-        target_id=target_id,
-        keys=keys[order],
-        probs=prob[kept][order],
+        source_id={src_names[i]: r for r, i in enumerate(rows.tolist())},
+        target_id={trg_names[i]: t for t, i in enumerate(targets.tolist())},
+        keys=row_id * len(targets) + target_id,
+        probs=prob[kept],
         direction=direction,
         log_likelihoods=history,
     )
-
-
-def _sorted_ids(vocab: list[str], used: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
-    """The tokens of ``vocab`` that ``used`` indexes, sorted, each mapped
-    to its rank, and an array from each ``vocab`` index to that rank."""
-    ids = np.unique(used).tolist()
-    ids.sort(key=vocab.__getitem__)
-    rank = np.zeros(len(vocab), dtype=np.int64)
-    rank[ids] = np.arange(len(ids))
-    return {vocab[i]: r for r, i in enumerate(ids)}, rank

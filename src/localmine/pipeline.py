@@ -59,7 +59,7 @@ from .filtering import (
     train_filter,
 )
 from .htmltext import EncodingError, extract_page
-from .jsonl import read_jsonl, whole_file
+from .jsonl import numbered_jsonl, read_jsonl, whole_file
 from .jsonl import write_jsonl as _write_jsonl
 from .lexicon import Lexicon, load_lexicon, load_pair_tsv
 from .sentalign import align_sentences, extract_pairs, format_ladder_tsv
@@ -337,7 +337,23 @@ def filter_candidates(
 
 
 def read_sites(path: str | Path) -> list[CandidateSite]:
-    return [CandidateSite.from_json(obj) for obj in read_jsonl(path)]
+    """The candidate sites of a sites file, rows as
+    ``CandidateSite.to_json`` writes them.  A row whose ``host`` is not a
+    string, whose ``seed_urls`` is not a non-empty list of strings, or
+    whose ``source`` is neither ``archive`` nor ``crowd`` is a
+    ``ValueError`` naming the file and line."""
+    sites = []
+    for number, obj in numbered_jsonl(path):
+        seeds = obj.get("seed_urls")
+        if type(obj.get("host")) is not str:
+            raise ValueError(f"{path}:{number}: 'host' is missing or not a string")
+        if type(seeds) is not list or not seeds or any(type(url) is not str for url in seeds):
+            raise ValueError(f"{path}:{number}: 'seed_urls' is not a non-empty list of strings")
+        if obj.get("source") not in SOURCE_LABELS:
+            raise ValueError(f"{path}:{number}: 'source' is neither "
+                             f"{SOURCE_ARCHIVE!r} nor {SOURCE_CROWD!r}")
+        sites.append(CandidateSite.from_json(obj))
+    return sites
 
 
 def discover_archive(
@@ -374,7 +390,7 @@ def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite
     if config.pipeline.sites:
         for site in read_sites(config.pipeline.sites):
             sites.append(site)
-            intake[site.source] = intake.get(site.source, 0) + 1
+            intake[site.source] += 1
     if config.pipeline.archive:
         _, found = discover_archive(config.pipeline.archive, config)
         sites.extend(found)
@@ -442,11 +458,13 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
     # Each of these is fatal before any output, the output directory
-    # included: ``load_sites`` writes nothing under it.
+    # included: ``load_sites`` writes nothing under it.  The vector file
+    # is read before the filter trains, so a malformed one costs no
+    # training time.
     fetch = fetch_for(config)
     lexicon = resolve_lexicon(config)
-    bitext_filter = resolve_filter(config, lexicon)
     provider = resolve_provider(config)
+    bitext_filter = resolve_filter(config, lexicon)
     sites, intake, submissions = load_sites(config, fetch)
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

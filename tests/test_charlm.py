@@ -534,30 +534,6 @@ class TestColumns:
         assert _bits(lm_scores(again, texts)) == _bits(lm_scores(lm, texts))
         assert dump(again) == dump(lm)
 
-    def test_rows_in_any_order_load_to_the_sorted_model(self):
-        # Training's level builder takes an order's columns in any row
-        # order, and in any order within a row.
-        lm = train_char_lm(["日本語の文。", "日本の語。", "😀日本"], n=3, k=0.1)
-        level = columns_of(lm)["levels"][2]
-        rows, start = [], 0
-        for context, length in zip(level["contexts"], level["row_lengths"]):
-            end = start + length
-            rows.append((context, length, level["chars"][start:end][::-1],
-                         level["counts"][start:end][::-1]))
-            start = end
-        rows.reverse()
-        assert [r[0] for r in rows] != level["contexts"]
-        below = ArrayLM(n=3, k=0.1, vocabulary=lm.vocabulary, levels=lm.levels[:2])
-        built = charlm._level(
-            below,
-            np.array([list(map(ord, r[0])) for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            np.array([ord(c) for r in rows for c in r[2]], dtype=np.int64),
-            np.array([c for r in rows for c in r[3]], dtype=np.int64),
-        )
-        for name, array in built._asdict().items():
-            assert array.tobytes() == getattr(lm.levels[2], name).tobytes(), name
-
     @pytest.mark.parametrize("corrupt,message", [
         (_replace(C, lambda a: a[:-1]), "order-1 n-gram's context is not a context"),
         (_replace(G, lambda a: a[:-1]), "order-1 n-grams but"),

@@ -117,3 +117,25 @@ def test_malformed_vector_file_stops_run_before_any_site(
     assert error.getMessage() == f"{vectors}:1: 'vector' is not a list of finite numbers"
     assert error.exc_info is None
     assert not (tmp_path / "out").exists()
+
+
+def test_vector_file_is_read_before_the_filter_trains(fixture_site, tmp_path, caplog):
+    # The training corpus is missing, so a run that trained first would
+    # name it instead of the vector file.
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text('{"sha256": "ab", "vector": null}\n', encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[pipeline]\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+        f"sites = {fixture_site.sites_jsonl}\n"
+        f"snapshot_dir = {fixture_site.snapshot_dir}\n"
+        "[filter]\n"
+        f"train_corpus = {tmp_path / 'absent.tsv'}\n"
+        f"embed_vectors = {vectors}\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["--config", str(config), "run"]) == 1
+    (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert error.getMessage() == f"{vectors}:1: 'vector' is not a list of finite numbers"
+    assert not (tmp_path / "out").exists()

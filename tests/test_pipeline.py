@@ -625,6 +625,24 @@ _OUT_OF_RANGE = [
 ]
 
 
+_SEEDS = ["https://example-news.jp/"]
+# A sites row and the error after "path:line: ".
+_MALFORMED_SITES = [
+    pytest.param({"seed_urls": _SEEDS, "source": "crowd"},
+                 "'host' is missing or not a string", id="no-host"),
+    pytest.param({"host": 5, "seed_urls": _SEEDS, "source": "crowd"},
+                 "'host' is missing or not a string", id="number-host"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS[0], "source": "crowd"},
+                 "'seed_urls' is not a non-empty list of strings", id="string-seeds"),
+    pytest.param({"host": "a.jp", "seed_urls": [], "source": "crowd"},
+                 "'seed_urls' is not a non-empty list of strings", id="no-seeds"),
+    pytest.param({"host": "a.jp", "seed_urls": [5], "source": "crowd"},
+                 "'seed_urls' is not a non-empty list of strings", id="number-seed"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "manual"},
+                 "'source' is neither 'archive' nor 'crowd'", id="manual-source"),
+]
+
+
 class TestCli:
     def test_validate_urls(self, fixture_site, tmp_path, capsys):
         out = tmp_path / "sites.jsonl"
@@ -807,6 +825,34 @@ class TestCli:
         assert cli_main(["--config", str(config), "run"]) == 1
         (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert str(tmp_path / "absent") in error.getMessage()
+        assert error.exc_info is None
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "crawl", "mine"])
+    @pytest.mark.parametrize("row, message", _MALFORMED_SITES)
+    def test_malformed_sites_row_stops_before_any_site(
+        self, fixture_site, trained_filter, tmp_path, caplog, row, message, command
+    ):
+        # A good site first: no command may mine it before reading line 3.
+        sites = tmp_path / "sites.jsonl"
+        sites.write_text(fixture_site.sites_jsonl.read_text(encoding="utf-8") + "\n"
+                         + json.dumps(row) + "\n", encoding="utf-8")
+        model = tmp_path / "model.bin"
+        trained_filter.save(model)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[pipeline]\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+            f"sites = {sites}\n"
+            f"snapshot_dir = {fixture_site.snapshot_dir}\n"
+            f"[filter]\nmodel_path = {model}\n",
+            encoding="utf-8",
+        )
+        argv = [command] if command == "run" else \
+            [command, "--sites", str(sites), "--out-dir", str(tmp_path / "out")]
+        assert cli_main(["--config", str(config)] + argv) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage() == f"{sites}:3: {message}"
         assert error.exc_info is None
         assert not (tmp_path / "out").exists()
 
