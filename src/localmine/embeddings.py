@@ -16,7 +16,14 @@ through ``numpy.random``, so there the saving does not apply.)
 
 A vector file row must hold a ``sha256`` string and a ``vector`` list
 of finite numbers; any other row is a ``ValueError`` naming the file
-and line, raised when the file is loaded.
+and line, raised when the file is loaded.  ``FileVectorProvider`` keeps
+every row's numbers in one float64 ``array`` (8 bytes a number), with
+each row's start in a second array and a dict from the row's 32-byte
+digest to its row number, and hands each vector back as a list of the
+same floats.  A key that is not the lowercase hex of 32 bytes is no
+``sentence_key``, so its row is checked and then dropped.  The
+``array`` module loads with the first vector file, so importing the
+package maps none.
 """
 
 from __future__ import annotations
@@ -54,7 +61,20 @@ def _sha256():
 
 def sentence_key(sentence: str) -> str:
     """SHA-256 hex digest of the normalized sentence text."""
-    return _sha256()(normalize_text(sentence).encode("utf-8")).hexdigest()
+    return _sentence_digest(sentence).hex()
+
+
+def _sentence_digest(sentence: str) -> bytes:
+    return _sha256()(normalize_text(sentence).encode("utf-8")).digest()
+
+
+def _key_digest(key: str) -> bytes | None:
+    """The digest whose ``sentence_key`` is ``key``, None if there is none."""
+    try:
+        digest = bytes.fromhex(key)
+    except ValueError:
+        return None
+    return digest if len(digest) == 32 and digest.hex() == key else None
 
 
 class FileVectorProvider:
@@ -66,7 +86,11 @@ class FileVectorProvider:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self._vectors = {}
+        from array import array
+
+        self._rows: dict[bytes, int] = {}  # digest -> row number
+        self._floats = array("d")  # every row's numbers, row after row
+        self._starts = array("q", [0])  # row r is _floats[_starts[r]:_starts[r + 1]]
         for number, obj in numbered_jsonl(path):
             key = obj.get("sha256")
             if type(key) is not str:
@@ -74,10 +98,19 @@ class FileVectorProvider:
             vector = _finite_floats(obj.get("vector"))
             if vector is None:
                 raise ValueError(f"{path}:{number}: 'vector' is not a list of finite numbers")
-            self._vectors[key] = vector
+            digest = _key_digest(key)
+            if digest is not None:
+                self._rows[digest] = len(self._starts) - 1
+                self._floats.extend(vector)
+                self._starts.append(len(self._floats))
 
     def __call__(self, sentences: Sequence[str]) -> list:
-        return [self._vectors.get(sentence_key(s)) for s in sentences]
+        floats, starts = self._floats, self._starts
+        vectors = []
+        for s in sentences:
+            row = self._rows.get(_sentence_digest(s))
+            vectors.append(None if row is None else floats[starts[row] : starts[row + 1]].tolist())
+        return vectors
 
 
 def _finite_floats(vector) -> list[float] | None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -56,7 +55,8 @@ DEFAULT_EMBED_THRESHOLD = 0.7
 SECTIONS = ("table_j2z", "table_z2j", "lm_ja", "lm_zh", "forest")
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
-_PUNCT_SET = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
+# ``str.translate`` table deleting every punctuation mark the filter counts.
+_DROP_PUNCT = str.maketrans("", "", "。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
 
 EmbeddingProvider = Callable[[Sequence[str]], "list[list[float] | None]"]
 """Batch sentence-vector capability; None marks a per-sentence failure."""
@@ -176,12 +176,14 @@ def _avg_max_prob(
     return means
 
 
-def _digit_runs(text: str) -> Counter:
-    return Counter(_DIGIT_RUN_RE.findall(text))
+def _digit_runs(text: str) -> list[str]:
+    """The text's digit runs, sorted: two texts hold the same multiset of
+    runs exactly when these lists are equal."""
+    return sorted(_DIGIT_RUN_RE.findall(text))
 
 
 def _punct_count(text: str) -> int:
-    return sum(1 for ch in text if ch in _PUNCT_SET)
+    return len(text) - len(text.translate(_DROP_PUNCT))
 
 
 def extract_features(

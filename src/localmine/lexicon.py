@@ -2,6 +2,16 @@
 augmentation, plus the greedy dictionary match built on top of it that
 document alignment, sentence alignment and the filter features share.
 
+The greedy match has one kernel, ``table_match_count``, over two
+tables: the source side's translation rows (``translation_rows``: the
+translation tuple of each source token that has one, in token order)
+and the target side's token counts (``token_counts``), which the
+kernel uses up as it matches.  A caller that scores one side against
+many others builds each side's tables once and hands the kernel a
+``dict.copy()`` of the counts for each pair: document matching keeps
+one key per document, and the sentence DP one table per sentence.
+``greedy_match_count`` builds both tables from token lists.
+
 The normal build path, one pass: ``load_lexicon`` chains two lazy
 filters over the raw ``ja<TAB>zh`` rows into ``build_lexicon`` -- the
 dictionary rows whose headwords are single tokens on both sides
@@ -136,13 +146,35 @@ def greedy_match_count(
     target multiset.  Linear-time approximation of the optimal bipartite
     matching.
     """
-    remaining: dict[str, int] = {}
-    for tok in tokens_trg:
-        remaining[tok] = remaining.get(tok, 0) + 1
+    return table_match_count(translation_rows(tokens_src, translations), token_counts(tokens_trg))
+
+
+def translation_rows(
+    tokens: list[str], translations: dict[str, tuple[str, ...]]
+) -> list[tuple[str, ...]]:
+    """The translation tuple of each token that has a non-empty one, in
+    token order: the source table of ``table_match_count``."""
+    return list(filter(None, map(translations.get, tokens)))
+
+
+def token_counts(tokens: list[str]) -> dict[str, int]:
+    """Each distinct token's count: the target table of
+    ``table_match_count``."""
+    counts: dict[str, int] = {}
+    for tok in tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    return counts
+
+
+def table_match_count(rows: list[tuple[str, ...]], remaining: dict[str, int]) -> int:
+    """``greedy_match_count`` over a source side's translation rows and a
+    target side's counts, which it decrements as tokens match: pass a
+    copy of counts that are used again.  A row's candidate with no count
+    never matches, so rows may name tokens the target lacks."""
     matched = 0
-    for tok in tokens_src:
-        for cand in translations.get(tok, ()):
-            left = remaining.get(cand, 0)
+    for cands in rows:
+        for cand in cands:
+            left = remaining.get(cand)
             if left:
                 remaining[cand] = left - 1
                 matched += 1

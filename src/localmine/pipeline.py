@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -339,8 +340,9 @@ def filter_candidates(
 def read_sites(path: str | Path) -> list[CandidateSite]:
     """The candidate sites of a sites file, rows as
     ``CandidateSite.to_json`` writes them.  A row whose ``host`` is not a
-    string, whose ``seed_urls`` is not a non-empty list of strings, or
-    whose ``source`` is neither ``archive`` nor ``crowd`` is a
+    string, whose ``seed_urls`` is not a non-empty list of strings, whose
+    ``source`` is neither ``archive`` nor ``crowd``, or whose ``balance``,
+    ``bytes_ja`` or ``bytes_zh`` is present but not a finite number is a
     ``ValueError`` naming the file and line."""
     sites = []
     for number, obj in numbered_jsonl(path):
@@ -352,8 +354,22 @@ def read_sites(path: str | Path) -> list[CandidateSite]:
         if obj.get("source") not in SOURCE_LABELS:
             raise ValueError(f"{path}:{number}: 'source' is neither "
                              f"{SOURCE_ARCHIVE!r} nor {SOURCE_CROWD!r}")
+        for key in ("balance", "bytes_ja", "bytes_zh"):
+            if key in obj and not _finite_number(obj[key]):
+                raise ValueError(f"{path}:{number}: {key!r} is not a finite number")
         sites.append(CandidateSite.from_json(obj))
     return sites
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number in the float range; a bool is
+    not one."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def discover_archive(
@@ -381,16 +397,22 @@ def validate_submissions(
     return ingest_url_pairs(path, fetch, timeout=config.crawler.timeout)
 
 
-def load_sites(config: PipelineConfig, fetch: Fetch) -> tuple[list[CandidateSite], dict[str, int], list[UrlPairSubmission]]:
-    """Candidate sites from every configured source, plus per-source
-    intake counts (#URLs and validation #errors)."""
-    sites: list[CandidateSite] = []
+def listed_sites(config: PipelineConfig) -> list[CandidateSite]:
+    """The sites of the ``[pipeline] sites`` file, none when it is unset."""
+    return read_sites(config.pipeline.sites) if config.pipeline.sites else []
+
+
+def load_sites(
+    config: PipelineConfig, fetch: Fetch, listed: list[CandidateSite]
+) -> tuple[list[CandidateSite], dict[str, int], list[UrlPairSubmission]]:
+    """Candidate sites from every configured source, ``listed`` (the
+    sites file's, from ``listed_sites``) first, plus per-source intake
+    counts (#URLs and validation #errors)."""
+    sites: list[CandidateSite] = list(listed)
     intake = {SOURCE_ARCHIVE: 0, SOURCE_CROWD: 0, "crowd_errors": 0}
     submissions: list[UrlPairSubmission] = []
-    if config.pipeline.sites:
-        for site in read_sites(config.pipeline.sites):
-            sites.append(site)
-            intake[site.source] += 1
+    for site in listed:
+        intake[site.source] += 1
     if config.pipeline.archive:
         _, found = discover_archive(config.pipeline.archive, config)
         sites.extend(found)
@@ -458,14 +480,15 @@ def resolve_provider(config: PipelineConfig) -> EmbeddingProvider | None:
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute every stage per the config; see the module docstring."""
     # Each of these is fatal before any output, the output directory
-    # included: ``load_sites`` writes nothing under it.  The vector file
-    # is read before the filter trains, so a malformed one costs no
-    # training time.
+    # included: ``load_sites`` writes nothing under it.  The sites file
+    # and the vector file are read before the filter trains, so a
+    # malformed one costs no training time.
     fetch = fetch_for(config)
     lexicon = resolve_lexicon(config)
+    listed = listed_sites(config)
     provider = resolve_provider(config)
     bitext_filter = resolve_filter(config, lexicon)
-    sites, intake, submissions = load_sites(config, fetch)
+    sites, intake, submissions = load_sites(config, fetch, listed)
     out_dir = Path(config.pipeline.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if submissions:

@@ -31,12 +31,22 @@ the band it ends in.
 The dictionary term's greedy match count comes from tables built once
 per call (``_match_tables``): each source sentence's translation tuples
 cut to the target document's vocabulary, and each target sentence's
-count of the tokens those tuples can name.  A bead's count then costs a
-dict copy and a walk over its live source tokens, and equals
-``greedy_match_count`` on the bead's full token lists.  Before any
-greedy work, a bound from the live token counts prunes beads that
-cannot beat the best one found for the cell; the bound is exact, so the
-ladder is the one the unpruned DP finds.
+count of the tokens those tuples can name.  A bead's count is then
+``lexicon.table_match_count`` over its spans' tables, a dict copy and a
+walk over its live source tokens, and equals ``greedy_match_count`` on
+the bead's full token lists.  Before any greedy work, a bound from the
+live token counts prunes beads that cannot beat the best one found for
+the cell; the bound is exact, so the ladder is the one the unpruned DP
+finds.
+
+The length term depends on the two span lengths alone, and the same
+short lengths recur in every call of a run.  So the costs of spans
+shorter than ``SHORT_SPAN`` characters on both sides are kept in one
+process-wide float64 ``array`` (``_short_costs``, 32 kB, NaN for a cost
+not yet computed), made on the first alignment; longer spans are costed
+once per call.  The DP looks ``length_cost`` up at call time, and the
+table is made afresh whenever that name no longer holds the function
+that filled it.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lexicon import Lexicon
+from .lexicon import Lexicon, table_match_count
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
@@ -58,6 +68,9 @@ DEFAULT_MAX_BEAD_COST = 10.0
 # Starting half-width of the DP band, in target sentences.  Aligned
 # documents rarely stray more than a few sentences from the diagonal.
 BAND_HALF_WIDTH = 10
+# Spans shorter than this many characters on both sides have their
+# length costs kept across calls.
+SHORT_SPAN = 64
 
 
 class BeadKind(Enum):
@@ -137,6 +150,24 @@ def length_cost(l_src: int, l_trg: int) -> float:
     if tail <= 0.0:
         return COST_CAP
     return min(COST_CAP, max(0.0, -math.log(tail)))
+
+
+# ``_short_costs_of(l_src, l_trg)`` at index ``l_src * SHORT_SPAN +
+# l_trg``, made on the first call that needs it.
+_short_costs = None
+_short_costs_of = None
+
+
+def _short_cost_table():
+    """The process-wide float64 table of short span costs, made afresh
+    whenever ``length_cost`` is not the function that filled it."""
+    global _short_costs, _short_costs_of
+    if _short_costs_of is not length_cost:
+        from array import array  # here, so that importing the package maps no array module
+
+        _short_costs = array("d", [math.nan]) * (SHORT_SPAN * SHORT_SPAN)
+        _short_costs_of = length_cost
+    return _short_costs
 
 
 def _band_rows(n_src: int, n_trg: int, half_width: int) -> list[tuple[int, int]]:
@@ -219,20 +250,6 @@ def _merged(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
     return counts
 
 
-def _span_match_count(rows: list[tuple[str, ...]], counts: dict[str, int]) -> int:
-    """``greedy_match_count`` over one span's ``_match_tables`` rows."""
-    remaining = counts.copy()
-    matched = 0
-    for cands in rows:
-        for cand in cands:
-            left = remaining.get(cand)
-            if left:
-                remaining[cand] = left - 1
-                matched += 1
-                break
-    return matched
-
-
 def align_sentences(
     src: list[Sentence],
     trg: list[Sentence],
@@ -306,7 +323,10 @@ def _align(
         trg_live = _by_span([sum(c.values()) for c in trg_counts])
 
     kinds = [(kind, kind.n_src, kind.n_trg, PRIOR_COSTS[kind]) for kind in KIND_PREFERENCE]
-    # Each (l_src, l_trg) is costed once per call.
+    # A short (l_src, l_trg) is costed once per process, any other once
+    # per call.
+    short_costs = _short_cost_table()
+    short = SHORT_SPAN
     length_costs: dict[tuple[int, int], float] = {}
 
     cost_rows: list[list[float]] = []
@@ -334,9 +354,15 @@ def _align(
                     continue
                 l_src = src_chars[i] - src_chars[pi]
                 l_trg = trg_chars[j] - trg_chars[pj]
-                lc = length_costs.get((l_src, l_trg))
-                if lc is None:
-                    lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg)
+                if l_src < short and l_trg < short:
+                    at = l_src * short + l_trg
+                    lc = short_costs[at]
+                    if lc != lc:  # NaN: not costed yet
+                        lc = short_costs[at] = length_cost(l_src, l_trg)
+                else:
+                    lc = length_costs.get((l_src, l_trg))
+                    if lc is None:
+                        lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg)
                 base = lc + prior_cost
                 # The greedy m of a bead is at most ``live``, the smaller of
                 # its live source and target token counts, and each step
@@ -356,7 +382,7 @@ def _align(
                 if prev + lower >= best and best_kind is not None:
                     continue
                 if live:
-                    m = _span_match_count(src_spans[di][pi], trg_spans[dj][pj])
+                    m = table_match_count(src_spans[di][pi], trg_spans[dj][pj].copy())
                     base -= lam * (2.0 * m / n)
                     if base < 0.0:
                         base = 0.0

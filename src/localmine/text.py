@@ -1,14 +1,21 @@
 """Shared text primitives: normalization, JA/ZH language identification,
 CJK sentence splitting and lexicon-driven word segmentation.
 
-Everything here is pure and deterministic.
+Everything here is pure and deterministic.  Language identification and
+sentence splitting scan with compiled regexes, so no Python code runs
+per character: ``detect_language`` counts kana, Han and whitespace with
+one ``subn`` each (``\\s`` matches exactly the characters for which
+``str.isspace`` is true), and ``split_sentences`` finds each terminal,
+with the closers that follow it, with one ``finditer`` per line.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Callable, Sequence
 
 Segmenter = Callable[[str], list[str]]
@@ -20,11 +27,24 @@ morphological analyzers can be wrapped to this signature."""
 KANA_FRACTION_JA = 0.05
 HAN_FRACTION_ZH = 0.5
 
-# Sentence terminals; the half-width period only splits before
-# whitespace/end-of-text so decimals and URLs survive.
-_TERMINALS = set("。．！？!?")
-_HALFWIDTH_PERIOD = "."
-_CLOSERS = set("」』）)]】》〉\"'”’")
+# The code point ranges of kana and of Han characters.
+_KANA_RE = re.compile("[\u3041-\u309f\u30a0-\u30ff\uff66-\uff9d]")
+_SPACE_RE = re.compile(r"\s")
+
+
+@cache
+def _han_re() -> re.Pattern:
+    # Compiled on first use: the compiler walks each of the class's
+    # 28,000 BMP code points, about 2 ms that a process which never tags
+    # a language, such as a filter set-up, need not pay.
+    return re.compile("[\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff\U00020000-\U0002a6df]")
+
+# Sentence terminals, each with the closing quotes and brackets right
+# after it; the half-width period only ends a sentence before
+# whitespace, a closer or the end of the line, so decimals and URLs
+# survive.
+_CLOSERS = re.escape("」』）)]】》〉\"'”’")
+_TERMINAL_RE = re.compile(rf"(?:[。．！？!?]|\.(?=[\s{_CLOSERS}]|\Z))[{_CLOSERS}]*")
 
 _LINE_SEPARATORS = ("\r\n", "\r", " ", " ", "\x0b", "\x0c", "\x85")
 
@@ -89,21 +109,6 @@ def normalize_text(raw: str) -> str:
     return "".join(out).strip()
 
 
-def _is_kana(ch: str) -> bool:
-    code = ord(ch)
-    return 0x3041 <= code <= 0x309F or 0x30A0 <= code <= 0x30FF or 0xFF66 <= code <= 0xFF9D
-
-
-def _is_han(ch: str) -> bool:
-    code = ord(ch)
-    return (
-        0x4E00 <= code <= 0x9FFF
-        or 0x3400 <= code <= 0x4DBF
-        or 0xF900 <= code <= 0xFAFF
-        or 0x20000 <= code <= 0x2A6DF
-    )
-
-
 def detect_language(text: str) -> tuple[LanguageTag, float]:
     """Character-class language detector for the JA/ZH pair, the one rule
     by which discovery, crowd validation and mining tag a page.
@@ -115,15 +120,9 @@ def detect_language(text: str) -> tuple[LanguageTag, float]:
     """
     if not text:
         raise ValueError("empty input")
-    kana = han = total = 0
-    for ch in text:
-        if ch.isspace():
-            continue
-        total += 1
-        if _is_kana(ch):
-            kana += 1
-        elif _is_han(ch):
-            han += 1
+    kana = _KANA_RE.subn("", text)[1]
+    han = _han_re().subn("", text)[1]
+    total = len(text) - _SPACE_RE.subn("", text)[1]
     cjk = kana + han
     kana_frac = kana / cjk if cjk else 0.0
     han_frac = han / total if total else 0.0
@@ -145,34 +144,17 @@ def split_sentences(text: str) -> list[Sentence]:
     split points.  JA and ZH share the rule set.
     """
     segments: list[str] = []
-    buf: list[str] = []
-    n = len(text)
-    i = 0
-
-    def flush() -> None:
-        seg = "".join(buf).strip()
+    for line in text.split("\n"):
+        start = 0
+        for match in _TERMINAL_RE.finditer(line):
+            end = match.end()
+            seg = line[start:end].strip()
+            if seg:
+                segments.append(seg)
+            start = end
+        seg = line[start:].strip()
         if seg:
             segments.append(seg)
-        buf.clear()
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            flush()
-            i += 1
-            continue
-        buf.append(ch)
-        is_terminal = ch in _TERMINALS
-        if ch == _HALFWIDTH_PERIOD:
-            nxt = text[i + 1] if i + 1 < n else ""
-            is_terminal = nxt == "" or nxt.isspace() or nxt in _CLOSERS
-        if is_terminal:
-            while i + 1 < n and text[i + 1] in _CLOSERS:
-                i += 1
-                buf.append(text[i])
-            flush()
-        i += 1
-    flush()
 
     merged: list[str] = []
     carry = ""  # leading fragments with no sentence to merge back into

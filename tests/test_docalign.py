@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from localmine import docalign
@@ -231,3 +233,132 @@ def _dominant_margins_ok(matrix, margin):
             if matrix[i, i] < matrix[i, j] + margin or matrix[j, j] < matrix[i, j] + margin:
                 return False
     return True
+
+
+def reference_match_documents(pages_ja, pages_zh, lex, min_score=docalign.DEFAULT_MIN_SCORE):
+    """``match_documents`` as it was before document keys held
+    translation rows and counts: ``coverage`` over the two token bags
+    for every pair."""
+    from localmine.lexicon import coverage
+    from localmine.urls import normalized_similarity, strip_lang_markers
+
+    def score(a, key_a, b, key_b):
+        if a.raw_char_count == 0 or b.raw_char_count == 0:
+            return None
+        url_sim = normalized_similarity(key_a[0], key_b[0])
+        j2z = coverage(key_a[1], key_b[1], lex, LanguageTag.JA)
+        z2j = coverage(key_b[1], key_a[1], lex, LanguageTag.ZH)
+        dict_sim = 0.0 if j2z + z2j == 0.0 else 2.0 * j2z * z2j / (j2z + z2j)
+        if url_sim < docalign.PREFILTER_URL_SIM and dict_sim < docalign.PREFILTER_DICT_SIM:
+            return None
+        features = {
+            "dict_sim": dict_sim,
+            "url_sim": url_sim,
+            "struct_sim": normalized_similarity(a.tag_digest, b.tag_digest),
+            "len_ratio": (
+                min(a.raw_char_count, b.raw_char_count)
+                / max(a.raw_char_count, b.raw_char_count)
+            ),
+        }
+        total = 0.0
+        for w, name in zip(DEFAULT_WEIGHTS, FEATURE_NAMES):
+            total += w * features[name]
+        return total, features
+
+    keys_ja = [(strip_lang_markers(d.url), d.token_bag()) for d in pages_ja]
+    keys_zh = [(strip_lang_markers(d.url), d.token_bag()) for d in pages_zh]
+    scored = []
+    for i, (doc_ja, key_ja) in enumerate(zip(pages_ja, keys_ja)):
+        for j, (doc_zh, key_zh) in enumerate(zip(pages_zh, keys_zh)):
+            found = score(doc_ja, key_ja, doc_zh, key_zh)
+            if found is None or found[0] < min_score:
+                continue
+            total, features = found
+            scored.append((total, features["url_sim"], doc_ja.url, doc_zh.url, i, j, features))
+    scored.sort(key=lambda row: (-row[0], -row[1], row[2], row[3]))
+    used_ja, used_zh, pairs = set(), set(), []
+    for total, _, _, _, i, j, features in scored:
+        if i in used_ja or j in used_zh:
+            continue
+        used_ja.add(i)
+        used_zh.add(j)
+        pairs.append(docalign.DocPair(pages_ja[i], pages_zh[j], total, features))
+    return pairs
+
+
+# Words a* and b* with several senses each (a0 and a1 both name b0,
+# b0 names a0 and a1), words with one sense, and u* that no entry names.
+_MULTI_SENSE = build_lexicon([
+    ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b2"), ("a2", "b2"), ("a3", "b3"),
+])
+_BAG_WORDS = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "u0", "u1")
+
+
+@st.composite
+def _random_docs(draw, lang, prefix):
+    """Documents whose bags are empty, untranslatable or multi-sense,
+    with a random URL, digest and character count (0 included)."""
+    docs = []
+    for k in range(draw(st.integers(0, 4))):
+        rows = draw(st.lists(st.lists(st.sampled_from(_BAG_WORDS), max_size=5), max_size=3))
+        docs.append(make_doc(
+            f"https://x.jp/{prefix}/{draw(st.sampled_from(['a', 'b', 'news/1']))}{k}.html",
+            lang,
+            rows,
+            digest=draw(st.lists(st.sampled_from(["p", "h1", "div"]), max_size=4)),
+            chars=draw(st.integers(0, 30)),
+        ))
+    return docs
+
+
+def _rows(pairs):
+    return [(p.doc_ja.url, p.doc_zh.url, p.score, p.features) for p in pairs]
+
+
+class TestDocumentKeysEqualReference:
+    """Per-document keys against ``coverage`` over the bags, and
+    ``match_documents`` against its former per-pair version."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ja=st.lists(st.sampled_from(_BAG_WORDS), max_size=8),
+           zh=st.lists(st.sampled_from(_BAG_WORDS), max_size=8))
+    def test_key_coverage_is_coverage(self, ja, zh):
+        from localmine.lexicon import coverage
+
+        key_ja = docalign._doc_key(make_doc("u", LanguageTag.JA, [ja]),
+                                   _MULTI_SENSE.headwords(LanguageTag.JA))
+        key_zh = docalign._doc_key(make_doc("v", LanguageTag.ZH, [zh]),
+                                   _MULTI_SENSE.headwords(LanguageTag.ZH))
+        assert docalign._coverage(key_ja, key_zh) == coverage(ja, zh, _MULTI_SENSE, LanguageTag.JA)
+        assert docalign._coverage(key_zh, key_ja) == coverage(zh, ja, _MULTI_SENSE, LanguageTag.ZH)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ja=_random_docs(LanguageTag.JA, "ja"), zh=_random_docs(LanguageTag.ZH, "zh"),
+           min_score=st.sampled_from([0.0, 0.2, docalign.DEFAULT_MIN_SCORE]))
+    def test_match_documents_equals_reference(self, ja, zh, min_score):
+        got = match_documents(ja, zh, _MULTI_SENSE, min_score=min_score)
+        assert _rows(got) == _rows(reference_match_documents(ja, zh, _MULTI_SENSE, min_score))
+
+    def test_mirror_instances_equal_reference(self, perfect_lexicon):
+        for n, seed in itertools.product(range(2, 7), range(3)):
+            docs_ja, docs_zh, _ = _mirror_instance(n, seed, perfect_lexicon)
+            got = match_documents(docs_ja, docs_zh, perfect_lexicon, min_score=0.0)
+            want = reference_match_documents(docs_ja, docs_zh, perfect_lexicon, 0.0)
+            assert _rows(got) == _rows(want)
+
+    def test_fixture_site_equals_reference(self, starter_lexicon, fixture_site):
+        from localmine.crawl import CrawlBudget, crawl_site
+        from localmine.discovery import CandidateSite
+        from localmine.fetching import snapshot_fetch
+        from localmine.pipeline import pages_to_documents
+
+        site = CandidateSite(host="example-news.jp", source="crowd", seed_urls=[
+            "https://example-news.jp/ja/index.html", "https://example-news.jp/zh/index.html",
+        ])
+        store = crawl_site(site, CrawlBudget(per_host_delay_ms=0),
+                           snapshot_fetch(fixture_site.snapshot_dir))
+        docs_ja, docs_zh = pages_to_documents(store, starter_lexicon)
+        for min_score in (0.0, docalign.DEFAULT_MIN_SCORE):
+            got = match_documents(docs_ja, docs_zh, starter_lexicon, min_score=min_score)
+            want = reference_match_documents(docs_ja, docs_zh, starter_lexicon, min_score)
+            assert _rows(got) == _rows(want)

@@ -139,3 +139,44 @@ def test_vector_file_is_read_before_the_filter_trains(fixture_site, tmp_path, ca
     (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert error.getMessage() == f"{vectors}:1: 'vector' is not a list of finite numbers"
     assert not (tmp_path / "out").exists()
+
+
+def test_keys_no_sentence_has_never_match(tmp_path):
+    """A row keyed by anything but a lowercase 64-digit hex digest is
+    checked, then can match no sentence, as when keys were compared as
+    strings."""
+    key = sentence_key("学生")
+    path = tmp_path / "vectors.jsonl"
+    rows = [
+        {"sha256": key.upper(), "vector": [1.0]},
+        {"sha256": key[:62], "vector": [2.0]},
+        {"sha256": " ".join(key[i : i + 2] for i in range(0, 64, 2)), "vector": [3.0]},
+        {"sha256": key + "00", "vector": [4.0]},
+        {"sha256": "not hex", "vector": [5.0]},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert FileVectorProvider(path)(["学生"]) == [None]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows)
+                    + json.dumps({"sha256": key, "vector": [6, 0.5]}) + "\n", encoding="utf-8")
+    assert FileVectorProvider(path)(["学生", "新聞"]) == [[6.0, 0.5], None]
+
+
+def test_vector_file_retains_one_float_array(tmp_path):
+    """A loaded file keeps at most 8 B a number plus 200 B a row."""
+    import random
+    import tracemalloc
+
+    rng = random.Random(5)
+    n_rows, dims = 3000, 8
+    items = {f"文{i}": [rng.uniform(-1, 1) for _ in range(dims)] for i in range(n_rows)}
+    path = tmp_path / "vectors.jsonl"
+    write_vector_file(path, items)
+    FileVectorProvider(path)  # loads the modules a first file needs
+    tracemalloc.start()
+    try:
+        provider = FileVectorProvider(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 8 * n_rows * dims + 200 * n_rows
+    assert provider(["文7"]) == [items["文7"]]

@@ -47,6 +47,45 @@ def features_for(pair, models, tokens=None):
     return fv
 
 
+# The Counter-based digit runs and per-character punctuation count the
+# filter used before, kept as oracles.
+_REF_PUNCT = set("。．！？!?.、，,：:；;「」『』（）()[]【】《》〈〉\"“”'‘’")
+
+
+def reference_same_digit_runs(a, b):
+    from collections import Counter
+
+    runs = filtering._DIGIT_RUN_RE.findall
+    return Counter(runs(a)) == Counter(runs(b))
+
+
+def reference_punct_count(text):
+    return sum(1 for ch in text if ch in _REF_PUNCT)
+
+
+# Digits of several scripts (ASCII, full-width, Arabic-Indic), every
+# counted mark and a few characters that are neither.
+_FEATURE_ALPHABET = "0123９８٣" + "".join(_REF_PUNCT) + "あ学 a"
+
+
+class TestTextFeaturesEqualReference:
+    @settings(max_examples=500)
+    @given(a=st.text(alphabet=_FEATURE_ALPHABET, max_size=20),
+           b=st.text(alphabet=_FEATURE_ALPHABET, max_size=20))
+    def test_digit_runs_match_like_counters(self, a, b):
+        got = filtering._digit_runs(a) == filtering._digit_runs(b)
+        assert got == reference_same_digit_runs(a, b)
+        # Each text against a reordering of its own runs.
+        runs = filtering._DIGIT_RUN_RE.findall(a)
+        shuffled = "x".join(reversed(runs))
+        assert filtering._digit_runs(shuffled) == filtering._digit_runs(a)
+
+    @settings(max_examples=300)
+    @given(text=st.text(alphabet=_FEATURE_ALPHABET, max_size=40) | st.text(max_size=40))
+    def test_punct_count_is_per_character_count(self, text):
+        assert filtering._punct_count(text) == reference_punct_count(text)
+
+
 class TestExtractFeatures:
     def test_identical_digits_match(self, feature_models):
         fv = features_for(("2023年", "2023年"), feature_models)

@@ -19,6 +19,9 @@ from localmine.lexicon import (
     load_pair_tsv,
     reduce_dictionary,
     single_char_pairs,
+    table_match_count,
+    token_counts,
+    translation_rows,
 )
 from localmine.text import LanguageTag
 
@@ -185,6 +188,25 @@ class TestFrozenKernelOracle:
         assert got == _oracle_match_count(src, trg, index_ja)
         got_rev = greedy_match_count(trg, src, lex.headwords(LanguageTag.ZH))
         assert got_rev == _oracle_match_count(trg, src, index_zh)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(_JA, _ZH), max_size=20),
+        sources=st.lists(st.lists(_JA, max_size=10), min_size=1, max_size=4),
+        trg=st.lists(_ZH, max_size=10),
+    )
+    def test_tables_built_once_serve_every_pair(self, entries, sources, trg):
+        """One target table scores many sources through copies, as
+        document matching uses it; the kernel uses up only the copy."""
+        translations = build_lexicon(entries).headwords(LanguageTag.JA)
+        counts = token_counts(trg)
+        for src in sources:
+            remaining = counts.copy()
+            got = table_match_count(translation_rows(src, translations), remaining)
+            assert got == _oracle_match_count(src, trg, _set_index(entries, "ja"))
+            assert sum(counts.values()) - sum(remaining.values()) == got
+        assert counts == token_counts(trg)
 
 
 class TestLoaders:

@@ -640,6 +640,19 @@ _MALFORMED_SITES = [
                  "'seed_urls' is not a non-empty list of strings", id="number-seed"),
     pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "manual"},
                  "'source' is neither 'archive' nor 'crowd'", id="manual-source"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd", "balance": None},
+                 "'balance' is not a finite number", id="null-balance"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd", "bytes_ja": "x"},
+                 "'bytes_ja' is not a finite number", id="string-bytes"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd", "bytes_zh": True},
+                 "'bytes_zh' is not a finite number", id="bool-bytes"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd", "balance": [0.5]},
+                 "'balance' is not a finite number", id="list-balance"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd",
+                  "bytes_ja": float("inf")},
+                 "'bytes_ja' is not a finite number", id="infinite-bytes"),
+    pytest.param({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd", "balance": 10**400},
+                 "'balance' is not a finite number", id="overflowing-balance"),
 ]
 
 
@@ -853,6 +866,34 @@ class TestCli:
         assert cli_main(["--config", str(config)] + argv) == 1
         (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert error.getMessage() == f"{sites}:3: {message}"
+        assert error.exc_info is None
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_sites_row_stops_before_the_filter_trains(
+        self, fixture_site, tmp_path, caplog, monkeypatch
+    ):
+        from localmine import pipeline
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the filter trained before the sites file was read")
+
+        monkeypatch.setattr(pipeline, "train_filter", no_training)
+        sites = tmp_path / "sites.jsonl"
+        sites.write_text(fixture_site.sites_jsonl.read_text(encoding="utf-8") + "\n"
+                         + json.dumps({"host": "a.jp", "seed_urls": _SEEDS, "source": "crowd",
+                                       "balance": None}) + "\n", encoding="utf-8")
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[pipeline]\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+            f"sites = {sites}\n"
+            f"snapshot_dir = {fixture_site.snapshot_dir}\n"
+            f"[filter]\ntrain_corpus = {fixture_site.train_tsv}\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["--config", str(config), "run"]) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage() == f"{sites}:3: 'balance' is not a finite number"
         assert error.exc_info is None
         assert not (tmp_path / "out").exists()
 
@@ -1194,7 +1235,7 @@ class TestFilterTokens:
         config = load_config(write_run_config(fixture_site, tmp_path / "out"))
         lexicon = pipeline.resolve_lexicon(config)
         fetch = pipeline.fetch_for(config)
-        (site,) = pipeline.load_sites(config, fetch)[0]
+        (site,) = pipeline.load_sites(config, fetch, pipeline.listed_sites(config))[0]
         multi_sides = []
         extract_pairs = pipeline.extract_pairs
 

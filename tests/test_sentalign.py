@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localmine import sentalign
-from localmine.lexicon import Lexicon, build_lexicon, greedy_match_count
+from localmine.lexicon import Lexicon, build_lexicon, greedy_match_count, table_match_count
 from localmine.sentalign import (
     BAND_HALF_WIDTH,
     COST_CAP,
@@ -22,7 +22,6 @@ from localmine.sentalign import (
     _by_span,
     _match_tables,
     _merged,
-    _span_match_count,
     align_sentences,
     extract_pairs,
     format_ladder_tsv,
@@ -394,6 +393,52 @@ class TestLengthKernel:
             assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
 
 
+class TestShortCostTable:
+    """The process-wide table of short span costs holds ``length_cost``
+    itself, and is made afresh when that name is rebound."""
+
+    @staticmethod
+    def _filled(table):
+        short = sentalign.SHORT_SPAN
+        return {
+            (at // short, at % short): cost for at, cost in enumerate(table) if cost == cost
+        }
+
+    def test_every_short_pair_is_length_cost(self):
+        short = sentalign.SHORT_SPAN
+        for l_src in range(short):
+            for l_trg in range(short):
+                ladder = align_sentences([sent("あ" * l_src)], [sent("あ" * l_trg)], None)
+                assert ladder.beads  # a 1x1 grid costs the pair's ONE bead
+        filled = self._filled(sentalign._short_cost_table())
+        assert set(filled) == {(a, b) for a in range(short) for b in range(short)}
+        for (l_src, l_trg), cost in filled.items():
+            assert cost == length_cost(l_src, l_trg)
+
+    def test_long_spans_bypass_the_table(self):
+        short = sentalign.SHORT_SPAN
+        before = self._filled(sentalign._short_cost_table())
+        align_sentences([sent("あ" * short)], [sent("あ" * (short + 3))], None)
+        # Every bead of a 1x1 grid has a side of SHORT_SPAN characters or more.
+        assert self._filled(sentalign._short_cost_table()) == before
+
+    def test_rebinding_length_cost_empties_the_table(self, monkeypatch):
+        align_sentences([sent("あいう"), sent("えお")], [sent("かき"), sent("くけこ")], None)
+
+        def shifted_cost(l_src, l_trg):
+            return 1.0 + length_cost(l_src, l_trg)
+
+        monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
+        align_sentences([sent("あいう"), sent("えお")], [sent("かき"), sent("くけこ")], None)
+        shifted = self._filled(sentalign._short_cost_table())
+        assert shifted and all(c == shifted_cost(*pair) for pair, c in shifted.items())
+        monkeypatch.undo()
+        assert self._filled(sentalign._short_cost_table()) == {}
+        align_sentences([sent("あい")], [sent("かきく")], None)
+        restored = self._filled(sentalign._short_cost_table())
+        assert restored and all(c == length_cost(*pair) for pair, c in restored.items())
+
+
 # Source-side words a*, target-side words b*, and words no entry names.
 # A lexicon's side-swapped copy reads the same sentences with the b*
 # words as its JA headwords: its JA table is the original's ZH table.
@@ -499,7 +544,7 @@ class TestMatchTables:
                 for dj in (1, 2):
                     for j in range(len(trg) - dj + 1):
                         ttoks = [tok for t in trg[j : j + dj] for tok in t.tokens]
-                        assert _span_match_count(src_spans[di][i], trg_spans[dj][j]) == (
+                        assert table_match_count(src_spans[di][i], trg_spans[dj][j].copy()) == (
                             greedy_match_count(stoks, ttoks, translations)
                         )
 
@@ -511,7 +556,7 @@ class TestMatchTables:
         src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
         assert src_rows == [[("b0", "b1"), ("b0",)]]
         assert trg_counts == [{"b1": 1, "b0": 1}]
-        assert _span_match_count(src_rows[0], trg_counts[0]) == 1
+        assert table_match_count(src_rows[0], trg_counts[0].copy()) == 1
         assert greedy_match_count(["a0", "a1"], ["b1", "b0"], lex.headwords(LanguageTag.JA)) == 1
 
 

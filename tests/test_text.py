@@ -67,6 +67,127 @@ class TestDetectLanguage:
         assert detect_language(text) == detect_language(text)
 
 
+# The per-character scans ``detect_language`` and ``split_sentences``
+# replaced, kept as their oracles.
+_REF_KANA = ((0x3041, 0x309F), (0x30A0, 0x30FF), (0xFF66, 0xFF9D))
+_REF_HAN = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF), (0x20000, 0x2A6DF))
+_REF_TERMINALS = set("。．！？!?")
+_REF_CLOSERS = set("」』）)]】》〉\"'”’")
+
+
+def _in_ranges(ch, ranges):
+    code = ord(ch)
+    return any(lo <= code <= hi for lo, hi in ranges)
+
+
+def reference_detect_language(text):
+    if not text:
+        raise ValueError("empty input")
+    kana = han = total = 0
+    for ch in text:
+        if ch.isspace():
+            continue
+        total += 1
+        if _in_ranges(ch, _REF_KANA):
+            kana += 1
+        elif _in_ranges(ch, _REF_HAN):
+            han += 1
+    cjk = kana + han
+    kana_frac = kana / cjk if cjk else 0.0
+    han_frac = han / total if total else 0.0
+    if cjk and kana_frac >= 0.05:
+        return LanguageTag.JA, kana_frac
+    if han_frac >= 0.5 and kana_frac < 0.05:
+        return LanguageTag.ZH, han_frac
+    return LanguageTag.OTHER, 1.0 - (cjk / total if total else 0.0)
+
+
+def reference_split_sentences(text):
+    segments, buf = [], []
+    n, i = len(text), 0
+
+    def flush():
+        seg = "".join(buf).strip()
+        if seg:
+            segments.append(seg)
+        buf.clear()
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            flush()
+            i += 1
+            continue
+        buf.append(ch)
+        is_terminal = ch in _REF_TERMINALS
+        if ch == ".":
+            nxt = text[i + 1] if i + 1 < n else ""
+            is_terminal = nxt == "" or nxt.isspace() or nxt in _REF_CLOSERS
+        if is_terminal:
+            while i + 1 < n and text[i + 1] in _REF_CLOSERS:
+                i += 1
+                buf.append(text[i])
+            flush()
+        i += 1
+    flush()
+    merged, carry = [], ""
+    for seg in segments:
+        if len(seg) < 2:
+            if merged:
+                merged[-1] += seg
+            else:
+                carry += seg
+        else:
+            merged.append(carry + seg)
+            carry = ""
+    if carry:
+        merged.append(carry)
+    return merged
+
+
+# Each range's edges and the code points just outside them, every
+# terminal and closer, and whitespace of several kinds.
+_EDGES = "".join(
+    chr(c) for lo, hi in _REF_KANA + _REF_HAN for c in (lo - 1, lo, hi, hi + 1)
+)
+_SCAN_ALPHABET = _EDGES + "".join(_REF_TERMINALS | _REF_CLOSERS) + ".a3 \t\n\u3000\x85\x1c\u2028あ漢"
+
+
+class TestRegexScansEqualReference:
+    """The regex scans against the per-character loops they replaced."""
+
+    def test_space_class_is_isspace_on_every_code_point(self):
+        from localmine.text import _SPACE_RE
+
+        spaces = {c for c in range(0x110000) if _SPACE_RE.match(chr(c))}
+        assert spaces == {c for c in range(0x110000) if chr(c).isspace()}
+
+    def test_range_edges_count_alone(self):
+        for lo, hi in _REF_KANA + _REF_HAN:
+            for code in (lo - 1, lo, hi, hi + 1):
+                assert detect_language(chr(code)) == reference_detect_language(chr(code))
+
+    @given(st.text(alphabet=_SCAN_ALPHABET, min_size=1, max_size=60))
+    @settings(max_examples=500)
+    def test_detect_language_on_edges(self, text):
+        assert detect_language(text) == reference_detect_language(text)
+
+    @given(st.text(min_size=1, max_size=60))
+    @settings(max_examples=300)
+    def test_detect_language_on_any_text(self, text):
+        assert detect_language(text) == reference_detect_language(text)
+
+    @given(st.text(alphabet=_SCAN_ALPHABET, max_size=60))
+    @settings(max_examples=500)
+    def test_split_sentences_on_terminals(self, text):
+        assert [s.text for s in split_sentences(text)] == reference_split_sentences(text)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=300)
+    def test_split_sentences_on_any_text(self, text):
+        assert [s.text for s in split_sentences(text)] == reference_split_sentences(text)
+
+
 class TestSplitSentences:
     def test_two_terminals(self):
         got = [s.text for s in split_sentences("今日は晴れ。明日は雨。")]
