@@ -46,6 +46,8 @@ def _han_re() -> re.Pattern:
 _CLOSERS = re.escape("」』）)]】》〉\"'”’")
 _TERMINAL_RE = re.compile(rf"(?:[。．！？!?]|\.(?=[\s{_CLOSERS}]|\Z))[{_CLOSERS}]*")
 
+_SPACES_AT_LF_RE = re.compile("[ \t]*\n[ \t]*")
+_SPACES_RE = re.compile("[ \t]+")
 _LINE_SEPARATORS = ("\r\n", "\r", " ", " ", "\x0b", "\x0c", "\x85")
 
 
@@ -91,22 +93,20 @@ class Document:
 
 def normalize_text(raw: str) -> str:
     """NFKC-normalize, unify line separators to LF, collapse runs of
-    spaces/tabs to one space and trim the ends.  Idempotent."""
+    spaces/tabs to one space and trim the ends.  Idempotent.
+
+    A run of spaces and tabs next to a line feed, or at either end, is
+    dropped; any other run becomes one space.  Two regex substitutions
+    do that, the first dropping the runs beside each line feed, so no
+    Python code runs per character; CJK text often has no run at all.
+    ``tests/test_text.py`` checks it against a per-character reference
+    loop on every code point."""
     text = unicodedata.normalize("NFKC", raw)
     for sep in _LINE_SEPARATORS:
         text = text.replace(sep, "\n")
-    out: list[str] = []
-    pending_space = False
-    for ch in text:
-        if ch == " " or ch == "\t":
-            pending_space = True
-            continue
-        if pending_space:
-            if out and out[-1] != "\n" and ch != "\n":
-                out.append(" ")
-            pending_space = False
-        out.append(ch)
-    return "".join(out).strip()
+    if " " in text or "\t" in text:
+        text = _SPACES_RE.sub(" ", _SPACES_AT_LF_RE.sub("\n", text))
+    return text.strip()
 
 
 def detect_language(text: str) -> tuple[LanguageTag, float]:

@@ -1,15 +1,17 @@
-"""A run from a snapshot loads no network stack, no OpenSSL and no
-thread pool, with or without a vector file for the embedding gate.
+"""A run from a snapshot loads no network stack, no OpenSSL, no thread
+pool and no ``html.parser``, with or without a vector file for the
+embedding gate.
 
 ``ssl`` and ``hashlib`` map OpenSSL, and ``urllib.request`` pulls in
 ``http.client``, ``email`` and ``socket``: several MB of a mining
-process's peak RSS that a snapshot run never uses.  Sites are mined
-one after another, so ``concurrent.futures`` has no use either.  Each
-check runs in a child process, whose ``sys.modules`` is not shared with
-the other tests, and counts only modules that ``import numpy`` has not
-already loaded: numpy 1.x imports ``numpy.random`` and ``numpy.ma``
-itself, and ``numpy.random`` imports ``secrets`` → ``hmac`` →
-``hashlib``.
+process's peak RSS that a snapshot run never uses.  Sites are mined one
+after another, so ``concurrent.futures`` has no use either, and
+``htmltext`` tokenizes pages itself, without ``html.parser`` and
+``_markupbase``.  Each check runs in a child process, whose
+``sys.modules`` is not shared with the other tests, and counts only
+modules that ``import numpy`` has not already loaded: numpy 1.x
+imports ``numpy.random`` and ``numpy.ma`` itself, and ``numpy.random``
+imports ``secrets`` → ``hmac`` → ``hashlib``.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Modules a snapshot run has no use for.
 UNUSED = (
     "ssl", "_ssl", "http.client", "urllib.request", "email", "socket", "hashlib", "_hashlib",
-    "concurrent.futures", "concurrent.futures.thread",
+    "concurrent.futures", "concurrent.futures.thread", "html.parser", "_markupbase",
 )
 
 

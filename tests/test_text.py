@@ -13,6 +13,8 @@ from localmine.text import (
     split_sentences,
 )
 
+from reference_html import reference_normalize_text
+
 
 class TestNormalize:
     def test_fullwidth_folding(self):
@@ -35,6 +37,36 @@ class TestNormalize:
     def test_idempotent(self, raw):
         once = normalize_text(raw)
         assert normalize_text(once) == once
+
+
+class TestNormalizeEqualsReference:
+    """``normalize_text`` against the per-character loop it replaced."""
+
+    def test_every_code_point(self):
+        """Each code point between spaces, tabs and line feeds, 4,096 code
+        points to a call; the text's ends are checked below."""
+        def around(ch):
+            return f"{ch} {ch}\t\n \t{ch}  {ch}\n\n"
+
+        points = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+        for start in range(0, len(points), 4096):
+            chunk = points[start:start + 4096]
+            text = "".join(map(around, chunk))
+            if normalize_text(text) != reference_normalize_text(text):
+                bad = [ch for ch in chunk
+                       if normalize_text(around(ch)) != reference_normalize_text(around(ch))]
+                pytest.fail(f"differs around U+{ord(bad[0]) if bad else ord(chunk[0]):04X}")
+
+    @given(st.text(alphabet=st.sampled_from(
+        " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u2029\u3000\uff21a\u0301\u1100\u1161\ufb01"), max_size=40))
+    @settings(max_examples=1000)
+    def test_on_whitespace_text(self, raw):
+        assert normalize_text(raw) == reference_normalize_text(raw)
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=300)
+    def test_on_any_text(self, raw):
+        assert normalize_text(raw) == reference_normalize_text(raw)
 
 
 class TestDetectLanguage:
