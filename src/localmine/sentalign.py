@@ -28,16 +28,24 @@ the drift, and that ladder may come near the edge without touching it.
 A path that drifts pays for each rerun, up to about twice the cells of
 the band it ends in.
 
-The dictionary term's greedy match count comes from tables built once
-per call (``_match_tables``): each source sentence's translation tuples
-cut to the target document's vocabulary, and each target sentence's
-count of the tokens those tuples can name.  A bead's count is then
-``lexicon.table_match_count`` over its spans' tables, a dict copy and a
-walk over its live source tokens, and equals ``greedy_match_count`` on
-the bead's full token lists.  Before any greedy work, a bound from the
-live token counts prunes beads that cannot beat the best one found for
-the cell; the bound is exact, so the ladder is the one the unpruned DP
-finds.
+The DP costs the beads of a block of band rows at once, in numpy
+(``_bead_costs``): for each cell and each of the six kinds, the
+predecessor cell and the bead's cost, with the same float operations
+in the same order as a per-bead loop.  The min-recurrence then runs in
+plain Python over those flat values, row by row, and keeps the first
+kind in ``KIND_PREFERENCE`` order at a tie; only one block's values are
+Python objects at a time.  The dictionary term's greedy match count
+comes from tables built once per call: each source token's translation
+tuple cut to the target document's vocabulary (``_match_tables``).
+Where every source row of a bead has one candidate left, greedy
+matching takes each candidate c min(rows naming c, count of c in the
+target span) times, so one sparse join of the two documents' per-span
+counts gives the m of every such bead (``_DictTerms``).  A bead whose
+source span holds a row with two or more candidates carries a lower
+bound, from its live token counts, and the recurrence walks its greedy
+match with ``lexicon.table_match_count`` only when that bound beats the
+best bead found for the cell.  The bound is exact, so the ladder is the
+one the unpruned DP finds.
 
 The length term depends on the two span lengths alone, and the same
 short lengths recur in every call of a run.  So the costs of spans
@@ -51,13 +59,17 @@ that filled it.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lexicon import Lexicon, table_match_count
+import numpy as np
+
+from .lexicon import Lexicon, table_match_count, token_counts
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
@@ -119,6 +131,17 @@ KIND_PREFERENCE = (
     BeadKind.DEL,
     BeadKind.SUB,
 )
+
+
+# The kinds as the rows of the DP's arrays, in ``KIND_PREFERENCE`` order:
+# the first ``_TWO_SIDED`` have both sides and so a dictionary term.
+_KIND_DI = np.array([[kind.n_src] for kind in KIND_PREFERENCE])
+_KIND_DJ = np.array([[kind.n_trg] for kind in KIND_PREFERENCE])
+_KIND_PRIORS = np.array([[PRIOR_COSTS[kind]] for kind in KIND_PREFERENCE])
+_TWO_SIDED = 4
+# Band cells whose bead costs the recurrence holds as Python values at
+# once.
+_BLOCK_CELLS = 512
 
 
 @dataclass
@@ -199,10 +222,52 @@ def _near_band_edge(
     return False
 
 
-def _by_span(values: list, join=operator.add) -> tuple[None, list, list]:
-    """Per-sentence values extended to spans: ``spans[span_len][start]``
-    for spans of one or two sentences, a pair joined by ``join``."""
-    return None, values, [join(a, b) for a, b in zip(values, values[1:])]
+def _span_sums(values) -> np.ndarray:
+    """Per-sentence integers extended to spans: ``[d - 1, start]`` is
+    the sum over the ``d`` sentences from ``start``, for d of 1 or 2,
+    and a span that runs past the last sentence has the sentences it
+    holds.  There are ``len(values) + 1`` starts, the last one empty."""
+    sums = np.zeros((2, len(values) + 1), dtype=np.int64)
+    sums[0, :-1] = values
+    sums[1] = sums[0]
+    sums[1, :-1] += sums[0, 1:]
+    return sums
+
+
+def _span_runs(keys: np.ndarray, at: np.ndarray, n: int, step: int):
+    """For spans of one and of two of the ``n`` sentences, the distinct
+    span keys, sorted, and how often each occurs.  ``keys`` holds one
+    key per item, ``step`` times the index ``at`` of the item's sentence
+    plus a part of its own; a span's key is that of its first sentence."""
+    runs = []
+    for span_keys in (keys, np.concatenate((keys[at > 0] - step, keys[at < n - 1]))):
+        span_keys = np.sort(span_keys)
+        new = np.ones(len(span_keys) + 1, dtype=bool)
+        new[1:-1] = span_keys[1:] != span_keys[:-1]
+        edges = np.flatnonzero(new)  # each run's first index, then the length
+        runs.append((span_keys[edges[:-1]], edges[1:] - edges[:-1]))
+    return runs
+
+
+def _token_values(sentences: list[Sentence], table: dict[str, int]):
+    """Each token's value in ``table`` (-1 for a token not in it), the
+    index of its sentence, and each sentence's token count."""
+    lengths = [len(s.tokens) for s in sentences]
+    tokens = itertools.chain.from_iterable(s.tokens for s in sentences)
+    values = np.fromiter(map(table.get, tokens, itertools.repeat(-1)), np.int64, sum(lengths))
+    return values, np.repeat(np.arange(len(sentences)), lengths), lengths
+
+
+def _cut_translations(
+    src: list[Sentence], trg: list[Sentence], translations: dict[str, tuple[str, ...]]
+) -> dict[str, tuple[str, ...]]:
+    """Each distinct source token's translations that occur in the
+    target document, in their sorted order."""
+    vocab = {tok for t in trg for tok in t.tokens}
+    return {
+        tok: tuple(filter(vocab.__contains__, translations.get(tok, ())))
+        for tok in dict.fromkeys(itertools.chain.from_iterable(s.tokens for s in src))
+    }
 
 
 def _match_tables(
@@ -220,27 +285,12 @@ def _match_tables(
     dropped candidate has a count of 0 in every target span, and a
     dropped token never matches.
     """
-    vocab = {tok for t in trg for tok in t.tokens}
-    cut: dict[str, tuple[str, ...]] = {}
-    src_rows: list[list[tuple[str, ...]]] = []
-    for s in src:
-        row = []
-        for tok in s.tokens:
-            cands = cut.get(tok)
-            if cands is None:
-                cands = cut[tok] = tuple(c for c in translations.get(tok, ()) if c in vocab)
-            if cands:
-                row.append(cands)
-        src_rows.append(row)
+    cut = _cut_translations(src, trg, translations)
     named = {c for cands in cut.values() for c in cands}
-    trg_counts: list[dict[str, int]] = []
-    for t in trg:
-        counts: dict[str, int] = {}
-        for tok in t.tokens:
-            if tok in named:
-                counts[tok] = counts.get(tok, 0) + 1
-        trg_counts.append(counts)
-    return src_rows, trg_counts
+    return (
+        [[cut[tok] for tok in s.tokens if cut[tok]] for s in src],
+        [token_counts([tok for tok in t.tokens if tok in named]) for t in trg],
+    )
 
 
 def _merged(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
@@ -248,6 +298,103 @@ def _merged(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
     for tok, k in b.items():
         counts[tok] = counts.get(tok, 0) + k
     return counts
+
+
+class _DictTerms:
+    """The dictionary term of one alignment call.
+
+    A source token's row is its cut translations (``_match_tables``).  A
+    row is ambiguous when two or more candidates are left in it, and so
+    is every span that holds it.  When each row of a source span has one
+    candidate, greedy matching takes candidate c min(rows naming c,
+    count of c in the target span) times, whatever the rows' order, so
+    the m of every such bead comes from one join of the two documents'
+    per-span counts (``match_counts``).  A bead over an ambiguous span
+    keeps the greedy walk over the match tables (``exact_cost``).
+    """
+
+    def __init__(self, src: list[Sentence], trg: list[Sentence],
+                 translations: dict[str, tuple[str, ...]]) -> None:
+        cut = _cut_translations(src, trg, translations)
+        ids = {c: k for k, c in enumerate(dict.fromkeys(itertools.chain.from_iterable(cut.values())))}
+        # A source token's one candidate's id; -2 for a token with more.
+        single = {tok: ids[cands[0]] if len(cands) == 1 else -2 for tok, cands in cut.items() if cands}
+        src_ids, src_at, src_lengths = _token_values(src, single)
+        trg_ids, trg_at, trg_lengths = _token_values(trg, ids)
+        n_src, n_trg = len(src), len(trg)
+        self.src_n = _span_sums(src_lengths)
+        self.trg_n = _span_sums(trg_lengths)
+        self.src_live = _span_sums(np.bincount(src_at[src_ids != -1], minlength=n_src))
+        self.trg_live = _span_sums(np.bincount(trg_at[trg_ids >= 0], minlength=n_trg))
+        ambiguous = np.bincount(src_at[src_ids == -2], minlength=n_src)
+        self.src_ambiguous = _span_sums(ambiguous) > 0
+        if ambiguous.any():
+            self.src_rows, self.trg_counts = _match_tables(src, trg, translations)
+
+        # Per span length, the source spans' distinct (start, candidate
+        # id) in start order, with the rows naming the candidate, and the
+        # index of each start's first entry.
+        n_ids = len(ids)
+        named = src_ids >= 0
+        self.src_spans = [
+            (*np.divmod(keys, n_ids), rows_of,
+             np.searchsorted(keys, np.arange(n_src + 1) * n_ids).tolist())
+            for keys, rows_of in _span_runs(src_at[named] * n_ids + src_ids[named], src_at[named],
+                                            n_src, n_ids)
+        ]
+        # The target spans' (candidate id, start) keys ``id * width +
+        # start``, those of two-sentence spans offset by ``span2_base``,
+        # sorted, with the candidate's count in the span.
+        self.width = n_trg + 1
+        self.span2_base = n_ids * self.width
+        named = trg_ids >= 0
+        (keys_1, found_1), (keys_2, found_2) = _span_runs(
+            trg_ids[named] * self.width + trg_at[named], trg_at[named], n_trg, 1)
+        self.trg_keys = np.concatenate((keys_1, keys_2 + self.span2_base))
+        self.trg_starts = self.trg_keys % self.width
+        self.trg_found = np.concatenate((found_1, found_2))
+
+    def match_counts(self, r0: int, r1: int, lo: np.ndarray, hi: np.ndarray,
+                     off: np.ndarray) -> np.ndarray:
+        """The m of each two-sided bead ending in band rows ``r0`` to
+        ``r1 - 1`` whose source span is unambiguous, 0 for the others: a
+        (4, cells) array over those rows' cells, kinds in
+        ``KIND_PREFERENCE`` order."""
+        c0 = off[r0]
+        n = off[r1] - c0
+        sides = []
+        for d, (*entries, firsts) in zip((1, 2), self.src_spans):
+            at = slice(firsts[max(r0 - d, 0)], firsts[max(r1 - d, 0)])
+            sides.append([column[at] for column in entries])
+        # ONE, CONTRACT, EXPAND and MERGE have source spans of 1, 2, 1
+        # and 2 sentences.
+        start, cand, rows_of = (np.concatenate([side[f] for side in sides] * 2) for f in range(3))
+        kind = np.repeat(np.arange(_TWO_SIDED), [len(side[0]) for side in sides] * 2)
+        di, dj = _KIND_DI[kind, 0], _KIND_DJ[kind, 0]
+        row = start + di
+        # The target span starts whose bead leaves a band cell and ends in one.
+        posting = (dj - 1) * self.span2_base + cand * self.width
+        begin = np.searchsorted(self.trg_keys, posting + np.maximum(lo[start], lo[row] - dj))
+        end = np.searchsorted(self.trg_keys, posting + np.minimum(hi[start], hi[row] - dj), "right")
+        found = np.maximum(end - begin, 0)
+        total = int(found.sum())
+        if not total:
+            return np.zeros((_TWO_SIDED, n), dtype=np.int64)
+        at = np.arange(total) + np.repeat(begin - np.cumsum(found) + found, found)
+        cell = np.repeat(kind * n + off[row] - lo[row] - c0 + dj, found) + self.trg_starts[at]
+        taken = np.minimum(np.repeat(rows_of, found), self.trg_found[at])
+        return np.bincount(np.repeat(cell, taken), minlength=_TWO_SIDED * n).reshape(_TWO_SIDED, n)
+
+    def exact_cost(self, lam: float, base: float, n: int, pi: int, di: int, pj: int,
+                   dj: int) -> float:
+        """The cost of a bead over an ambiguous source span, from its
+        length and prior cost ``base`` and its token count ``n``: the
+        greedy walk over its spans' tables."""
+        rows = self.src_rows[pi] if di == 1 else self.src_rows[pi] + self.src_rows[pi + 1]
+        counts = self.trg_counts
+        remaining = dict(counts[pj]) if dj == 1 else _merged(counts[pj], counts[pj + 1])
+        base -= lam * (2.0 * table_match_count(rows, remaining) / n)
+        return 0.0 if base < 0.0 else base
 
 
 def align_sentences(
@@ -272,7 +419,11 @@ def align_sentences(
     ends in.  A bead costs its ``length_cost`` plus its kind's
     ``PRIOR_COSTS`` entry, less ``lam * 2m / n`` for the m greedy
     dictionary matches among its n tokens (none for SUB and DEL beads),
-    floored at 0.
+    floored at 0.  Each pass (``_align``) costs every bead of its band
+    in numpy and computes m by one join of per-span token counts; only
+    a bead over a source token with two or more candidate translations
+    left in the target document takes the greedy walk, and only when a
+    bound says it could beat the cell's best bead.
     """
     n_src, n_trg = len(src), len(trg)
     half_width = BAND_HALF_WIDTH
@@ -287,6 +438,110 @@ def align_sentences(
         half_width *= 2
 
 
+def _bead_costs(
+    r0: int,
+    r1: int,
+    band: tuple[np.ndarray, np.ndarray, np.ndarray],
+    chars: tuple[np.ndarray, np.ndarray],
+    lam: float,
+    terms: _DictTerms | None,
+    length_costs: dict[int, float],
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple]]:
+    """The bead of each kind into each cell of band rows ``r0`` to
+    ``r1 - 1``: its predecessor cell and its cost, as (6, cells) arrays
+    with kinds in ``KIND_PREFERENCE`` order, and the beads whose cost the
+    recurrence finishes.
+
+    ``band`` is the (j_lo, j_hi) of every row and the index of each
+    row's first cell, with the cell count last; that count stands for a
+    predecessor outside the band.  A bead over an ambiguous source span
+    carries the lower bound of its cost, from the smaller of its live
+    source and target token counts, and is listed as ``cell * 6 + kind``
+    → the arguments of ``_DictTerms.exact_cost`` after ``lam``."""
+    lo, hi, off = band
+    src_chars, trg_chars = chars
+    widths = off[r0 + 1 : r1 + 1] - off[r0:r1]
+    j = np.arange(off[r0], off[r1]) - np.repeat(off[r0:r1] - lo[r0:r1], widths)
+    i = np.arange(r0, r1)
+    # What depends on a bead's row alone, per kind: the target indices
+    # its predecessor allows, its predecessor cell less j, l_src and,
+    # for the two-sided kinds, the source span's counts.
+    pi = i - _KIND_DI
+    pi_in = np.maximum(pi, 0)
+    p_lo = lo[pi_in]
+    by_row = [
+        p_lo + _KIND_DJ,
+        np.where(pi >= 0, hi[pi_in] + _KIND_DJ, -1),
+        off[pi_in] - p_lo - _KIND_DJ,
+        src_chars[i] - src_chars[pi_in],
+    ]
+    if terms is not None:
+        src_at = (_KIND_DI[:_TWO_SIDED] - 1, pi_in[:_TWO_SIDED])
+        by_row += [terms.src_n[src_at], terms.src_live[src_at], terms.src_ambiguous[src_at]]
+    by_row = np.repeat(np.concatenate(by_row), widths, axis=1)
+    j_min, j_max, pred_at, l_src = (by_row[k : k + 6] for k in range(0, 24, 6))
+    valid = (j >= j_min) & (j <= j_max)
+    preds = np.where(valid, pred_at + j, off[-1])
+
+    pj_in = np.maximum(j - _KIND_DJ, 0)
+    l_trg = trg_chars[j] - trg_chars[pj_in]
+    lc = np.zeros(valid.shape)
+    short = valid & (l_src < SHORT_SPAN) & (l_trg < SHORT_SPAN)
+    at = l_src[short] * SHORT_SPAN + l_trg[short]
+    short_costs = _short_cost_table()
+    found = np.frombuffer(short_costs)[at]
+    missing = np.isnan(found)
+    if missing.any():
+        for k in set(at[missing].tolist()):
+            short_costs[k] = length_cost(*divmod(k, SHORT_SPAN))
+        found = np.frombuffer(short_costs)[at]
+    lc[short] = found
+    longer = valid & ~short
+    if longer.any():
+        # Each distinct pair is looked up once: as ``l_src * step +
+        # l_trg``, sorted.
+        step = int(trg_chars[-1]) + 1
+        keys = l_src[longer] * step + l_trg[longer]
+        pairs = np.sort(keys)
+        pairs = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
+        found = []
+        for key in pairs.tolist():
+            cost = length_costs.get(key)
+            if cost is None:
+                cost = length_costs[key] = length_cost(*divmod(key, step))
+            found.append(cost)
+        lc[longer] = np.array(found)[np.searchsorted(pairs, keys)]
+    costs = lc + _KIND_PRIORS
+
+    lazy: dict[int, tuple] = {}
+    if terms is not None:
+        # The greedy m of a bead is at most ``live``, the smaller of its
+        # live source and target token counts, and each step from m to
+        # the cost is monotone under IEEE rounding, so ``live`` in place
+        # of m gives a lower bound.
+        src_n, src_live, ambiguous = (by_row[k : k + 4] for k in range(24, 36, 4))
+        trg_at = (_KIND_DJ[:_TWO_SIDED] - 1, pj_in[:_TWO_SIDED])
+        n = src_n + terms.trg_n[trg_at]
+        live = np.minimum(src_live, terms.trg_live[trg_at])  # 0 whenever n is 0
+        ambiguous = ambiguous > 0
+        m = np.where(ambiguous, live, terms.match_counts(r0, r1, lo, hi, off))
+        scored = valid[:_TWO_SIDED] & (live > 0)
+        two_sided = costs[:_TWO_SIDED]
+        kinds, cells = np.nonzero(scored & ambiguous)
+        if len(kinds):
+            di, dj = _KIND_DI[kinds, 0], _KIND_DJ[kinds, 0]
+            cell_j = j[cells]
+            lazy = dict(zip(
+                ((off[r0] + cells) * 6 + kinds).tolist(),
+                zip(two_sided[kinds, cells].tolist(), n[kinds, cells].tolist(),
+                    (np.repeat(i, widths)[cells] - di).tolist(), di.tolist(),
+                    (cell_j - dj).tolist(), dj.tolist()),
+            ))
+        less = two_sided[scored] - lam * (2.0 * m[scored] / n[scored])
+        two_sided[scored] = np.where(less < 0.0, 0.0, less)
+    return preds, costs, lazy
+
+
 def _align(
     src: list[Sentence],
     trg: list[Sentence],
@@ -295,108 +550,102 @@ def _align(
     rows: list[tuple[int, int]],
 ) -> AlignmentLadder | None:
     """The DP over the inclusive (j_lo, j_hi) target range ``rows[i]``
-    of each source index i; None when those cells admit no tiling."""
+    of each source index i; None when those cells admit no tiling.
+
+    The band's cells are numbered row by row.  For a block of rows at a
+    time, ``_bead_costs`` gives every kind's bead into every cell, and
+    the recurrence keeps, per cell, the first kind in
+    ``KIND_PREFERENCE`` order whose predecessor's cost plus bead cost
+    is least.  SUB, the one kind whose predecessor is in the same row,
+    comes last, so each predecessor's cost is final when it is read.
+    Cell costs are a float64 ``array`` and backpointers a ``bytearray``
+    over the whole band; only one block's bead costs are Python values
+    at once.
+    """
+    from array import array  # here, as in ``_short_cost_table``
+
     n_src, n_trg = len(src), len(trg)
     if n_src == 0 and n_trg == 0:
         return AlignmentLadder([], 0.0)
 
-    inf = math.inf
-
-    # Prefix sums for O(1) span lengths; token counts per span of 1 or 2.
-    src_chars = [0] * (n_src + 1)
-    for i, s in enumerate(src):
-        src_chars[i + 1] = src_chars[i] + s.char_len
-    trg_chars = [0] * (n_trg + 1)
-    for j, t in enumerate(trg):
-        trg_chars[j + 1] = trg_chars[j] + t.char_len
-    src_ntok = _by_span([len(s.tokens) for s in src])
-    trg_ntok = _by_span([len(t.tokens) for t in trg])
-
-    # Dictionary tables, built once per call (see ``_match_tables``), and
-    # the live token counts that bound each span's greedy m.
-    use_dict = lam > 0 and lex is not None and bool(lex.index_ja)
-    if use_dict:
-        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
-        src_spans = _by_span(src_rows)
-        trg_spans = _by_span(trg_counts, _merged)
-        src_live = _by_span([len(row) for row in src_rows])
-        trg_live = _by_span([sum(c.values()) for c in trg_counts])
-
-    kinds = [(kind, kind.n_src, kind.n_trg, PRIOR_COSTS[kind]) for kind in KIND_PREFERENCE]
+    lo = np.array([j_lo for j_lo, _ in rows], dtype=np.int64)
+    hi = np.array([j_hi for _, j_hi in rows], dtype=np.int64)
+    off = np.concatenate(([0], np.cumsum(np.maximum(hi - lo + 1, 0))))
+    chars = (np.cumsum([0] + [s.char_len for s in src]), np.cumsum([0] + [t.char_len for t in trg]))
+    terms = None
+    if lam > 0 and lex is not None and lex.index_ja:
+        terms = _DictTerms(src, trg, lex.headwords(LanguageTag.JA))
     # A short (l_src, l_trg) is costed once per process, any other once
-    # per call.
-    short_costs = _short_cost_table()
-    short = SHORT_SPAN
-    length_costs: dict[tuple[int, int], float] = {}
+    # per call (see ``_bead_costs``).
+    length_costs: dict[int, float] = {}
 
-    cost_rows: list[list[float]] = []
-    back_rows: list[list[BeadKind | None]] = []
-    for i in range(n_src + 1):
-        j_lo, j_hi = rows[i]
-        width = j_hi - j_lo + 1
-        cost_row = [inf] * width
-        back_row: list[BeadKind | None] = [None] * width
-        for j in range(j_lo, j_hi + 1):
-            if i == 0 and j == 0:
-                cost_row[0] = 0.0
-                continue
-            best = inf
-            best_kind: BeadKind | None = None
-            for kind, di, dj, prior_cost in kinds:
-                pi, pj = i - di, j - dj
-                if pi < 0 or pj < 0:
-                    continue
-                p_lo, p_hi = rows[pi]
-                if pj < p_lo or pj > p_hi:
-                    continue
-                prev = cost_rows[pi][pj - p_lo] if pi < i else cost_row[pj - j_lo]
-                if prev == inf:
-                    continue
-                l_src = src_chars[i] - src_chars[pi]
-                l_trg = trg_chars[j] - trg_chars[pj]
-                if l_src < short and l_trg < short:
-                    at = l_src * short + l_trg
-                    lc = short_costs[at]
-                    if lc != lc:  # NaN: not costed yet
-                        lc = short_costs[at] = length_cost(l_src, l_trg)
-                else:
-                    lc = length_costs.get((l_src, l_trg))
-                    if lc is None:
-                        lc = length_costs[l_src, l_trg] = length_cost(l_src, l_trg)
-                base = lc + prior_cost
-                # The greedy m of a bead is at most ``live``, the smaller of
-                # its live source and target token counts, and each step
-                # from m to the bead's cost is monotone under IEEE rounding.
-                # So ``lower`` never exceeds the cost, and a bead it prunes
-                # could not have beaten ``best``: cells, backpointers and
-                # ties are those of the unpruned DP.
-                live = 0
-                lower = base
-                if use_dict and di and dj:
-                    n = src_ntok[di][pi] + trg_ntok[dj][pj]
-                    live = min(src_live[di][pi], trg_live[dj][pj])  # 0 whenever n is 0
-                if live:
-                    lower = base - lam * (2.0 * live / n)
-                    if lower < 0.0:
-                        lower = 0.0
-                if prev + lower >= best and best_kind is not None:
-                    continue
-                if live:
-                    m = table_match_count(src_spans[di][pi], trg_spans[dj][pj].copy())
-                    base -= lam * (2.0 * m / n)
-                    if base < 0.0:
-                        base = 0.0
-                total = prev + base
+    inf = math.inf
+    firsts = off.tolist()
+    n_cells = firsts[-1]
+    cost = array("d", [inf]) * (n_cells + 1)  # the last: a predecessor outside the band
+    back = bytearray(n_cells)
+    r0 = 0
+    while r0 <= n_src:
+        r1 = max(r0 + 1, bisect.bisect_right(firsts, firsts[r0] + _BLOCK_CELLS) - 1)
+        preds, costs, lazy = _bead_costs(r0, r1, (lo, hi, off), chars, lam, terms, length_costs)
+        c0 = firsts[r0]
+        start = 0
+        if c0 == 0 and rows[0][0] == 0:  # the origin
+            cost[0] = 0.0
+            start = 1
+        cells = range(c0 + start, firsts[r1])
+        p = preds[:, start:].tolist()
+        b = costs[:, start:].tolist()
+        if lazy:
+            for c, at, bead in zip(cells, zip(*p), zip(*b)):
+                best = inf
+                kind = 0
+                for k in range(6):
+                    prev = cost[at[k]]
+                    total = prev + bead[k]
+                    if total < best:
+                        exact = lazy.get(c * 6 + k)
+                        if exact is not None:
+                            total = prev + terms.exact_cost(lam, *exact)
+                            if not total < best:
+                                continue
+                        best = total
+                        kind = k
+                cost[c] = best
+                back[c] = kind
+        else:
+            for c, p0, p1, p2, p3, p4, p5, b0, b1, b2, b3, b4, b5 in zip(cells, *p, *b):
+                best = cost[p0] + b0
+                kind = 0
+                total = cost[p1] + b1
                 if total < best:
                     best = total
-                    best_kind = kind
-            cost_row[j - j_lo] = best
-            back_row[j - j_lo] = best_kind
-        cost_rows.append(cost_row)
-        back_rows.append(back_row)
+                    kind = 1
+                total = cost[p2] + b2
+                if total < best:
+                    best = total
+                    kind = 2
+                total = cost[p3] + b3
+                if total < best:
+                    best = total
+                    kind = 3
+                total = cost[p4] + b4
+                if total < best:
+                    best = total
+                    kind = 4
+                total = cost[p5] + b5
+                if total < best:
+                    best = total
+                    kind = 5
+                cost[c] = best
+                back[c] = kind
+        r0 = r1
 
-    j_lo_last, _ = rows[n_src]
-    final = cost_rows[n_src][n_trg - j_lo_last] if n_trg >= j_lo_last else inf
+    j_lo_last, j_hi_last = rows[n_src]
+    if not j_lo_last <= n_trg <= j_hi_last:
+        return None
+    at = firsts[n_src] + n_trg - j_lo_last
+    final = cost[at]
     if final == inf:
         return None
 
@@ -404,14 +653,11 @@ def _align(
     beads: list[Bead] = []
     i, j = n_src, n_trg
     while i > 0 or j > 0:
-        j_lo, _ = rows[i]
-        kind = back_rows[i][j - j_lo]
-        assert kind is not None
+        kind = KIND_PREFERENCE[back[at]]
         pi, pj = i - kind.n_src, j - kind.n_trg
-        p_lo, _ = rows[pi]
-        step_cost = cost_rows[i][j - j_lo] - cost_rows[pi][pj - p_lo]
-        beads.append(Bead(kind, (pi, kind.n_src), (pj, kind.n_trg), step_cost))
-        i, j = pi, pj
+        p_at = firsts[pi] + pj - rows[pi][0]
+        beads.append(Bead(kind, (pi, kind.n_src), (pj, kind.n_trg), cost[at] - cost[p_at]))
+        i, j, at = pi, pj, p_at
     beads.reverse()
     return AlignmentLadder(beads, final)
 

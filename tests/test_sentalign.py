@@ -1,9 +1,13 @@
+import contextlib
+import functools
 import math
 import random
+import sys
+import tracemalloc
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from localmine import sentalign
@@ -19,7 +23,6 @@ from localmine.sentalign import (
     BeadKind,
     _align,
     _band_rows,
-    _by_span,
     _match_tables,
     _merged,
     align_sentences,
@@ -451,6 +454,9 @@ _COMPETING = [
     ("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b2"),
     ("a2", "b0"), ("a2", "b3"), ("a3", "b1"),
 ]
+# a0, a1 and a3 have one translation each, a2 two: after the cut, one
+# document can hold rows with one candidate and rows with several.
+_MIXED = [("a0", "b0"), ("a1", "b1"), ("a2", "b0"), ("a2", "b2"), ("a3", "b3")]
 
 
 def _side_swapped(lex):
@@ -460,6 +466,7 @@ def _side_swapped(lex):
 _lexicons = st.one_of(
     st.none(),
     st.just(_COMPETING),
+    st.just(_MIXED),
     st.lists(st.tuples(st.sampled_from(_WORDS_JA), st.sampled_from(_WORDS_ZH)), max_size=12),
 ).map(lambda entries: None if entries is None else build_lexicon(entries))
 # Each lexicon or its side-swapped copy, so the DP reads both tables.
@@ -468,11 +475,18 @@ _either_side = st.tuples(_lexicons, st.booleans()).map(
 )
 
 
+# The words a document draws its tokens from: all of them, or a few, so
+# that a token recurs in a sentence and in a span on both sides.
+_ALPHABETS = (_VOCAB, ("a0", "b0", "u0"), ("a0", "a2", "b0", "b2"))
+
+
 @st.composite
 def _documents(draw, min_size=0, max_size=9):
-    """Sentences of 0-6 tokens; padding varies char lengths apart from
-    the tokens, so some sentences have characters but no tokens."""
-    token_lists = draw(st.lists(st.lists(st.sampled_from(_VOCAB), max_size=6),
+    """Sentences of 0-6 tokens from one of ``_ALPHABETS``; padding varies
+    char lengths apart from the tokens, so some sentences have
+    characters but no tokens."""
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    token_lists = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=6),
                                 min_size=min_size, max_size=max_size))
     return [sent("".join(toks) + "。" * draw(st.integers(0, 12)), toks) for toks in token_lists]
 
@@ -491,6 +505,24 @@ def _assert_same_ladder(got, want):
         (b.kind, b.src_span, b.trg_span, b.cost) for b in want.beads
     ]
     assert got.total_cost == want.total_cost
+
+
+@contextlib.contextmanager
+def _counted(owner, name):
+    """Record each call of ``owner.name`` while the block runs, as its
+    (arguments, return value)."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    setattr(owner, name, counting)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, real)
 
 
 # Band rows per source index: the proportional band, the fixed
@@ -518,6 +550,13 @@ class TestMatchTables:
     def test_small_documents_equal_reference(self, src, trg, lex, lam, band):
         _assert_kernel_equals_reference(src, trg, lex, lam, band)
 
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_documents(1), empty_src=st.booleans(), band=st.sampled_from(sorted(_BANDS)),
+           **_dp_settings)
+    def test_one_empty_side_equals_reference(self, doc, empty_src, lex, lam, band):
+        src, trg = ([], doc) if empty_src else (doc, [])
+        _assert_kernel_equals_reference(src, trg, lex, lam, band)
+
     @pytest.mark.parametrize("n_src, n_trg", [(0, 0), (0, 3), (2, 0)])
     def test_empty_sides_equal_reference(self, n_src, n_trg):
         lex = build_lexicon(_COMPETING)
@@ -532,19 +571,61 @@ class TestMatchTables:
     def test_banded_long_documents_equal_reference(self, src, trg, lex, lam, band):
         _assert_kernel_equals_reference(src, trg, lex, lam, band)
 
+    # Shrinking documents this long against the reference takes minutes,
+    # so a failure is reported as first found.
+    @settings(max_examples=12, deadline=None, phases=[Phase.generate])
+    @given(src=_documents(60, 150), trg=_documents(60, 150),
+           band=st.sampled_from(["proportional", "fixed"]), **_dp_settings)
+    def test_documents_over_several_row_blocks_equal_reference(self, src, trg, lex, lam, band):
+        rows = _BANDS[band](len(src), len(trg))
+        assert sum(j_hi - j_lo + 1 for j_lo, j_hi in rows) > 2 * sentalign._BLOCK_CELLS
+        _assert_kernel_equals_reference(src, trg, lex, lam, band)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    def test_join_and_greedy_walk_in_one_call(self, lam):
+        """Over ``_MIXED``, a2's row keeps b0 and b2, so the spans that
+        hold it take the greedy walk; a0's, a1's and a3's rows have one
+        candidate, so the join prices the spans without a2."""
+        lex = build_lexicon(_MIXED)
+        src = [sent("".join(toks), toks) for toks in (
+            ["a0", "a1"], ["a3", "a3", "u0"], ["a2", "a0"], ["a1", "a3"], ["a0", "a0", "a2"])]
+        trg = [sent("".join(toks), toks) for toks in (
+            ["b0", "b1"], ["b3", "u1"], ["b2", "b0", "b0"], ["b1", "b3", "b3"], ["b0", "b2"])]
+        with _counted(sentalign, "table_match_count") as walks, \
+                _counted(sentalign._DictTerms, "match_counts") as joins:
+            got = _align(src, trg, lex, lam, _BANDS["full"](5, 5))
+        assert walks and any(m.any() for _, m in joins)
+        _assert_same_ladder(got, reference_align(src, trg, lex, lam, LanguageTag.JA,
+                                                 _BANDS["full"](5, 5)))
+
+    @pytest.mark.parametrize("lam", [0.0, 3.0])
+    def test_sub_chain_inside_a_row(self, lam):
+        """Six one-character target sentences between two translated
+        pairs: each pair's EXPAND takes one, and the other four are SUB
+        beads from source index 1, each leaving a cell of its own row."""
+        src = [sent("a0a1a2。", ["a0", "a1", "a2", "。"]), sent("a3a3a1。", ["a3", "a3", "a1", "。"])]
+        trg = ([sent("b0b1b2。", ["b0", "b1", "b2", "。"])] + [sent("う", ["u0"])] * 6
+               + [sent("b3b3b1。", ["b3", "b3", "b1", "。"])])
+        ladder = align_sentences(src, trg, _PLANTED_LEXICON, lam)
+        assert [b.kind for b in ladder.beads] == (
+            [BeadKind.EXPAND] + [BeadKind.SUB] * 4 + [BeadKind.EXPAND])
+        assert all(b.src_span == (1, 0) for b in ladder.beads[1:5])
+        _assert_kernel_equals_reference(src, trg, _PLANTED_LEXICON, lam, "full")
+
     @settings(max_examples=150, deadline=None)
     @given(src=_documents(), trg=_documents(), lex=_either_side)
     def test_span_count_is_greedy_match_count(self, src, trg, lex):
         translations = lex.headwords(LanguageTag.JA) if lex is not None else {}
         src_rows, trg_counts = _match_tables(src, trg, translations)
-        src_spans, trg_spans = _by_span(src_rows), _by_span(trg_counts, _merged)
         for di in (1, 2):
             for i in range(len(src) - di + 1):
                 stoks = [tok for s in src[i : i + di] for tok in s.tokens]
+                rows = [cands for row in src_rows[i : i + di] for cands in row]
                 for dj in (1, 2):
                     for j in range(len(trg) - dj + 1):
                         ttoks = [tok for t in trg[j : j + dj] for tok in t.tokens]
-                        assert table_match_count(src_spans[di][i], trg_spans[dj][j].copy()) == (
+                        counts = functools.reduce(_merged, trg_counts[j : j + dj], {})
+                        assert table_match_count(rows, counts) == (
                             greedy_match_count(stoks, ttoks, translations)
                         )
 
@@ -658,10 +739,97 @@ class TestBand:
             assert not _inside_starting_band(full, len(src), len(trg))
             _assert_same_ladder(align_sentences(*args), full)
 
+    @pytest.mark.parametrize("lam", [0.0, 3.0])
+    def test_drift_widens_the_band_twice(self, lam):
+        src, trg = _documents_with_block(0, 80, (0, 21), 0)
+        args = (src, trg, _CONTENT_LEXICON, lam)
+        with _counted(sentalign, "_align") as passes:
+            ladder = align_sentences(*args)
+        # Row 0's target range is the half-width: the last pass is banded.
+        assert [rows[0] for (*_, rows), _ in passes] == [(0, BAND_HALF_WIDTH * k) for k in (1, 2, 4)]
+        assert 4 * BAND_HALF_WIDTH < len(trg)
+        _assert_same_ladder(ladder, _full_grid(*args))
+
     def test_starting_band_cells_are_linear(self):
         n = 1000
         rows = _band_rows(n, n, BAND_HALF_WIDTH)
         assert sum(j_hi - j_lo + 1 for j_lo, j_hi in rows) <= (2 * BAND_HALF_WIDTH + 1) * (n + 1)
+
+
+class TestGreedyCalls:
+    """The join prices every bead whose source rows have one candidate
+    each; the greedy walk runs only for the others, and only where their
+    bound beats the cell's best so far."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(docs=_planted_documents(), lam=st.sampled_from([0.5, 3.0]))
+    def test_single_candidate_rows_make_no_greedy_call(self, docs, lam):
+        src, trg = docs
+        with _counted(sentalign, "table_match_count") as walks:
+            ladder = align_sentences(src, trg, _PLANTED_LEXICON, lam)
+        assert walks == []
+        assert ladder.total_cost < align_sentences(src, trg, None).total_cost
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=_documents(1), trg=_documents(1), swapped=st.booleans(),
+           lam=st.sampled_from([0.5, 3.0, 12.0]))
+    def test_no_more_greedy_calls_than_the_pruned_reference(self, src, trg, swapped, lam):
+        """Up to 9 target sentences, so ``align_sentences`` runs once, on
+        the full grid."""
+        lex = build_lexicon(_COMPETING)
+        lex = _side_swapped(lex) if swapped else lex
+        with _counted(sentalign, "table_match_count") as walks:
+            ladder = align_sentences(src, trg, lex, lam)
+        with _counted(sys.modules[__name__], "greedy_match_count") as reference_walks:
+            want = reference_align(src, trg, lex, lam, LanguageTag.JA, _BANDS["full"](len(src), len(trg)))
+        _assert_same_ladder(ladder, want)
+        assert len(walks) <= len(reference_walks)
+
+
+# One entry per content word: v_k translates as x_k.
+_LONG_LEXICON = build_lexicon((f"v{k}", f"x{k}") for k in range(3000))
+
+
+def _long_pair(n, seed=0):
+    """A translated pair of ``n`` sentences a side, shaped like the long
+    documents of the benchmark: 8 to 19 tokens and 16 to 40 characters
+    a sentence, 3 to 6 of them lexicon words, the rest words the
+    lexicon lacks."""
+    rng = random.Random(seed)
+    src, trg = [], []
+    for _ in range(n):
+        ids = [rng.randrange(3000) for _ in range(rng.randrange(3, 7))]
+        fill = rng.randrange(5, 14)
+        src_toks = [f"v{k}" for k in ids] + [f"f{rng.randrange(30)}" for _ in range(fill)]
+        trg_toks = [f"x{k}" for k in ids] + [f"g{rng.randrange(30)}" for _ in range(fill)]
+        rng.shuffle(src_toks)
+        rng.shuffle(trg_toks)
+        chars = rng.randrange(16, 41)
+        src.append(sent("あ" * chars, src_toks))
+        trg.append(sent("中" * (chars + rng.randrange(-3, 4)), trg_toks))
+    return src, trg
+
+
+# The tracemalloc peak of one ``align_sentences`` call on ``_long_pair(1200)``
+# per band cell, for the kernel that kept Python lists of cell costs and
+# per-span dicts (Python 3.11, numpy 2.4).
+PER_CELL_PEAK_BEFORE = 120
+
+
+def test_alignment_peak_memory_per_band_cell():
+    """The peak stays within 1.5x that of the list-based kernel."""
+    src, trg = _long_pair(1200)
+    align_sentences(src[:60], trg[:60], _LONG_LEXICON)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        ladder = align_sentences(src, trg, _LONG_LEXICON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = _band_rows(len(src), len(trg), BAND_HALF_WIDTH)
+    assert all(b.kind is BeadKind.ONE for b in ladder.beads)  # one pass: the starting band
+    cells = sum(j_hi - j_lo + 1 for j_lo, j_hi in rows)
+    assert peak <= 1.5 * PER_CELL_PEAK_BEFORE * cells, (peak, cells)
 
 
 class TestExtractPairs:

@@ -57,6 +57,20 @@ class TestNormalizeEqualsReference:
                        if normalize_text(around(ch)) != reference_normalize_text(around(ch))]
                 pytest.fail(f"differs around U+{ord(bad[0]) if bad else ord(chunk[0]):04X}")
 
+    # Combining marks: acute, cedilla, the long solidus overlay (which
+    # composes with "=", "<" and ">"), an enclosing circle, and the voiced
+    # and semi-voiced sound marks.
+    MARKS = "\u0301\u0327\u0338\u20dd\u3099\u309a"
+
+    def test_fullwidth_forms_before_combining_marks(self):
+        """Each fullwidth form U+FF01-U+FF5E, which ``normalize_text``
+        maps to ASCII before NFKC, followed by each mark in CJK text."""
+        for cp in range(0xFF01, 0xFF5F):
+            for mark in self.MARKS:
+                raw = f"中文{chr(cp)}{mark}日本語，か{mark}{chr(cp)}"
+                assert normalize_text(raw) == reference_normalize_text(raw), (
+                    f"U+{cp:04X} U+{ord(mark):04X}")
+
     @given(st.text(alphabet=st.sampled_from(
         " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u2029\u3000\uff21a\u0301\u1100\u1161\ufb01"), max_size=40))
     @settings(max_examples=1000)
