@@ -180,7 +180,15 @@ def _cmd_dedup(args, config) -> int:
 
 
 def _cmd_report(args, config) -> int:
-    reports = [SiteReport.from_json(obj) for obj in json.loads(Path(args.input).read_text("utf-8"))]
+    rows = json.loads(Path(args.input).read_text("utf-8"))
+    if type(rows) is not list:
+        raise ValueError(f"{args.input}: not a JSON list of report rows")
+    reports = []
+    for number, row in enumerate(rows, 1):
+        try:
+            reports.append(SiteReport.from_json(row))
+        except ValueError as err:
+            raise ValueError(f"{args.input}: row {number}: {err}") from None
     sys.stdout.buffer.write(emit_report(reports, args.format))
     return EXIT_OK
 

@@ -59,6 +59,8 @@ _CHARSET_ALIASES = {"shift_jis": "cp932", "shift-jis": "cp932", "sjis": "cp932",
 _META_TEXT = string.ascii_letters + string.digits + " \t\r\n<>/=\"';:,.-_"
 # Control characters but NUL and LF: each becomes a space in the text.
 _CONTROL_RE = re.compile(r"[\x01-\x09\x0b-\x1f\x7f-\x9f]")
+# A run of line feeds inside one extracted line: one space.
+_LINE_FEEDS_RE = re.compile("\n+")
 
 # CPython 3.11.7 html/parser.py: `tagfind_tolerant` and
 # `attrfind_tolerant` read a start tag's name and attributes, and
@@ -276,16 +278,17 @@ def extract_page(html: bytes | str) -> tuple[str, list[str], list[str]]:
     """One parse returning (text, tag digest, link hrefs).
 
     A line's control characters become spaces, it is normalized
-    (``normalize_text``) and its line feeds become spaces; empty lines
-    are dropped.  All lines go through one ``normalize_text`` call,
-    joined by NUL: a control character, so never text of its own, and
-    one that NFKC neither changes nor composes with its neighbours."""
+    (``normalize_text``) and each run of line feeds in it becomes one
+    space, so every line is a fixed point of ``normalize_text``; empty
+    lines are dropped.  All lines go through one ``normalize_text``
+    call, joined by NUL: a control character, so never text of its own,
+    and one that NFKC neither changes nor composes with its neighbours."""
     markup = _markup(html)
     lines, digest, links = _scan(markup, True)
     if "\x00" in markup:
         lines = [line.replace("\x00", " ") for line in lines]
     text = normalize_text(_CONTROL_RE.sub(" ", "\x00".join(lines)))
-    lines = [line.strip().replace("\n", " ") for line in text.split("\x00")]
+    lines = [_LINE_FEEDS_RE.sub(" ", line.strip()) for line in text.split("\x00")]
     return "\n".join(line for line in lines if line), digest, links
 
 

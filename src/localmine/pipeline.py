@@ -103,15 +103,20 @@ class SiteReport:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SiteReport":
-        report = cls(
-            source=obj["source"],
-            n_urls=int(obj["n_urls"]),
-            n_errors=int(obj["n_errors"]),
-            n_extracted=int(obj["n_extracted"]),
-            n_sentences=int(obj["n_sentences"]),
-        )
-        return report
+    def from_json(cls, obj) -> "SiteReport":
+        """A row as ``to_json`` writes it.  A row that is not an object,
+        whose ``source`` is not a string or whose count is not a
+        non-negative integer (a bool is not one) is a ``ValueError``
+        naming the key."""
+        if type(obj) is not dict:
+            raise ValueError("not a JSON object")
+        if type(obj.get("source")) is not str:
+            raise ValueError("'source' is missing or not a string")
+        counts = ("n_urls", "n_errors", "n_extracted", "n_sentences")
+        for key in counts:
+            if type(obj.get(key)) is not int or obj[key] < 0:
+                raise ValueError(f"{key!r} is missing or not a non-negative integer")
+        return cls(obj["source"], **{key: obj[key] for key in counts})
 
 
 def _rate_cell(report: SiteReport) -> str:

@@ -34,27 +34,25 @@ predecessor cell and the bead's cost, with the same float operations
 in the same order as a per-bead loop.  The min-recurrence then runs in
 plain Python over those flat values, row by row, and keeps the first
 kind in ``KIND_PREFERENCE`` order at a tie; only one block's values are
-Python objects at a time.  The dictionary term's greedy match count
-comes from tables built once per call: each source token's translation
-tuple cut to the target document's vocabulary (``_match_tables``).
-Where every source row of a bead has one candidate left, greedy
-matching takes each candidate c min(rows naming c, count of c in the
-target span) times, so one sparse join of the two documents' per-span
-counts gives the m of every such bead (``_DictTerms``).  A bead whose
-source span holds a row with two or more candidates carries a lower
-bound, from its live token counts, and the recurrence walks its greedy
-match with ``lexicon.table_match_count`` only when that bound beats the
-best bead found for the cell.  The bound is exact, so the ladder is the
-one the unpruned DP finds.
+Python objects at a time.  The dictionary term's tables are built
+once per call (``_DictTerms``): each source token's translations cut
+to the target document's vocabulary, as candidate ids.  Where every
+source row of a bead has one candidate left, greedy matching takes
+each candidate c min(rows naming c, count of c in the target span)
+times, so one sparse join of the two documents' per-span counts gives
+the m of every such bead.  A bead whose source span holds a row with
+two or more candidates carries a lower bound, from its live token
+counts, and the recurrence walks its greedy match over the same ids
+with ``lexicon.table_match_count`` only when that bound beats the best
+bead found for the cell.  The bound is exact, so the ladder is the one
+the unpruned DP finds.
 
 The length term depends on the two span lengths alone, and the same
 short lengths recur in every call of a run.  So the costs of spans
 shorter than ``SHORT_SPAN`` characters on both sides are kept in one
-process-wide float64 ``array`` (``_short_costs``, 32 kB, NaN for a cost
-not yet computed), made on the first alignment; longer spans are costed
-once per call.  The DP looks ``length_cost`` up at call time, and the
-table is made afresh whenever that name no longer holds the function
-that filled it.
+process-wide float64 ``array`` (``_short_cost_table``, 32 kB, NaN for
+a cost not yet computed), made on the first alignment; longer spans
+are costed once per call.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lexicon import Lexicon, table_match_count, token_counts
+from .lexicon import Lexicon, table_match_count, token_counts, translation_rows
 from .text import LanguageTag, Sentence
 
 COST_CAP = 25.0
@@ -175,22 +173,14 @@ def length_cost(l_src: int, l_trg: int) -> float:
     return min(COST_CAP, max(0.0, -math.log(tail)))
 
 
-# ``_short_costs_of(l_src, l_trg)`` at index ``l_src * SHORT_SPAN +
-# l_trg``, made on the first call that needs it.
-_short_costs = None
-_short_costs_of = None
-
-
+@functools.cache
 def _short_cost_table():
-    """The process-wide float64 table of short span costs, made afresh
-    whenever ``length_cost`` is not the function that filled it."""
-    global _short_costs, _short_costs_of
-    if _short_costs_of is not length_cost:
-        from array import array  # here, so that importing the package maps no array module
+    """The process-wide float64 table of short span costs:
+    ``length_cost(l_src, l_trg)`` at index ``l_src * SHORT_SPAN +
+    l_trg``, NaN until the DP first needs it."""
+    from array import array  # here, so that importing the package maps no array module
 
-        _short_costs = array("d", [math.nan]) * (SHORT_SPAN * SHORT_SPAN)
-        _short_costs_of = length_cost
-    return _short_costs
+    return array("d", [math.nan]) * (SHORT_SPAN * SHORT_SPAN)
 
 
 def _band_rows(n_src: int, n_trg: int, half_width: int) -> list[tuple[int, int]]:
@@ -270,47 +260,19 @@ def _cut_translations(
     }
 
 
-def _match_tables(
-    src: list[Sentence],
-    trg: list[Sentence],
-    translations: dict[str, tuple[str, ...]],
-) -> tuple[list[list[tuple[str, ...]]], list[dict[str, int]]]:
-    """The dictionary tables of one alignment call.
-
-    Per source sentence: its tokens' translation tuples, cut to the
-    target document's vocabulary in their sorted order, and with the
-    tokens left untranslated dropped.  Per target sentence: a count of
-    only the tokens those tuples can name.  Greedy matching over these
-    equals ``greedy_match_count`` on any span of the two documents: a
-    dropped candidate has a count of 0 in every target span, and a
-    dropped token never matches.
-    """
-    cut = _cut_translations(src, trg, translations)
-    named = {c for cands in cut.values() for c in cands}
-    return (
-        [[cut[tok] for tok in s.tokens if cut[tok]] for s in src],
-        [token_counts([tok for tok in t.tokens if tok in named]) for t in trg],
-    )
-
-
-def _merged(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-    counts = dict(a)
-    for tok, k in b.items():
-        counts[tok] = counts.get(tok, 0) + k
-    return counts
-
-
 class _DictTerms:
     """The dictionary term of one alignment call.
 
-    A source token's row is its cut translations (``_match_tables``).  A
-    row is ambiguous when two or more candidates are left in it, and so
-    is every span that holds it.  When each row of a source span has one
+    A source token's row is the ids of its translations cut to the
+    target document's vocabulary, in their sorted order.  A row is
+    ambiguous when two or more candidates are left in it, and so is
+    every span that holds it.  When each row of a source span has one
     candidate, greedy matching takes candidate c min(rows naming c,
     count of c in the target span) times, whatever the rows' order, so
     the m of every such bead comes from one join of the two documents'
     per-span counts (``match_counts``).  A bead over an ambiguous span
-    keeps the greedy walk over the match tables (``exact_cost``).
+    keeps the greedy walk over the rows and the target span's id counts
+    (``exact_cost``), built only when some row is ambiguous.
     """
 
     def __init__(self, src: list[Sentence], trg: list[Sentence],
@@ -329,7 +291,12 @@ class _DictTerms:
         ambiguous = np.bincount(src_at[src_ids == -2], minlength=n_src)
         self.src_ambiguous = _span_sums(ambiguous) > 0
         if ambiguous.any():
-            self.src_rows, self.trg_counts = _match_tables(src, trg, translations)
+            rows = {tok: tuple(ids[c] for c in cands) for tok, cands in cut.items()}
+            self.src_rows = [translation_rows(s.tokens, rows) for s in src]
+            ids_of = [[ids[tok] for tok in t.tokens if tok in ids] for t in trg]
+            # Per span length, each target span's candidate id counts.
+            self.trg_counts = ([token_counts(t) for t in ids_of],
+                               [token_counts(a + b) for a, b in zip(ids_of, ids_of[1:])])
 
         # Per span length, the source spans' distinct (start, candidate
         # id) in start order, with the rows naming the candidate, and the
@@ -391,8 +358,7 @@ class _DictTerms:
         length and prior cost ``base`` and its token count ``n``: the
         greedy walk over its spans' tables."""
         rows = self.src_rows[pi] if di == 1 else self.src_rows[pi] + self.src_rows[pi + 1]
-        counts = self.trg_counts
-        remaining = dict(counts[pj]) if dj == 1 else _merged(counts[pj], counts[pj + 1])
+        remaining = dict(self.trg_counts[dj - 1][pj])
         base -= lam * (2.0 * table_match_count(rows, remaining) / n)
         return 0.0 if base < 0.0 else base
 

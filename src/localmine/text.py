@@ -213,17 +213,13 @@ def make_segmenter(lexicon, lang: LanguageTag) -> Segmenter:
 
 
 def document_from_text(url: str, text: str, tag_digest: Sequence[str] = ()) -> Document:
-    """Build a Document from extracted page text: detect the language
+    """Build a Document from page text whose lines are normalized, as
+    ``htmltext.extract_page`` gives them: detect the language
     (``detect_language``), split sentences per line and record the raw
     size."""
-    normalized_lines = [normalize_text(line) for line in text.split("\n")]
-    body = "\n".join(line for line in normalized_lines if line)
-    if not body:
-        lang = LanguageTag.OTHER
-    else:
-        lang, _ = detect_language(body)
+    lang = detect_language(text)[0] if text else LanguageTag.OTHER
     sentences: list[Sentence] = []
-    for line in body.split("\n"):
+    for line in text.split("\n"):
         sentences.extend(split_sentences(line))
     return Document(
         url=url,

@@ -52,14 +52,14 @@ def registrable_domain(url_or_host: str) -> str:
     return ".".join(labels[-2:])
 
 
-def strip_lang_markers(url: str, markers: tuple[str, ...] = DEFAULT_LANG_MARKERS) -> str:
-    """Remove language path segments and ``LANG_QUERY_KEYS`` query keys
-    from a URL, keeping only the path(+query) residue used for URL
-    similarity."""
+def strip_lang_markers(url: str) -> str:
+    """Remove ``DEFAULT_LANG_MARKERS`` path segments and
+    ``LANG_QUERY_KEYS`` query keys from a URL, keeping only the
+    path(+query) residue used for URL similarity."""
     parts = urlsplit(url)
     path = parts.path or "/"
     lowered = path.lower()
-    for marker in markers:
+    for marker in DEFAULT_LANG_MARKERS:
         idx = lowered.find(marker)
         while idx != -1:
             path = path[:idx] + "/" + path[idx + len(marker) :]

@@ -108,15 +108,16 @@ def reference_normalize_text(raw: str) -> str:
 
 
 def reference_extract(html: bytes | str) -> tuple[str, list[str], list[str]]:
-    """(text, digest, links) as ``extract_page`` gave them: the whole
-    markup fed, then ``close()``."""
+    """(text, digest, links) as ``extract_page`` gives them: the whole
+    markup fed, then ``close()``, and each run of line feeds left in a
+    normalized line made one space."""
     parser = TextExtractor()
     parser.feed(decode_html(html) if isinstance(html, bytes) else html)
     parser.close()
     out_lines: list[str] = []
     for parts in parser.lines:
         line = reference_normalize_text(_CONTROL_RE.sub(" ", "".join(parts)))
-        line = line.replace("\n", " ").strip()
+        line = re.sub("\n+", " ", line).strip()
         if line:
             out_lines.append(line)
     return "\n".join(out_lines), parser.digest, parser.links

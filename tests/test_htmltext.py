@@ -5,9 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localmine import htmltext
 from localmine.crawl import CrawlBudget, crawl_site
 from localmine.discovery import scan_archive
 from localmine.htmltext import EncodingError, decode_html, extract_links, extract_page
+from localmine.text import Document, LanguageTag, detect_language, document_from_text, \
+    normalize_text, split_sentences
 
 from reference_html import open_construct_start, reference_extract
 from test_crawl import CountingFetch, make_site
@@ -133,6 +136,59 @@ class TestOutputChanges:
         with pytest.raises(AssertionError):
             reference_extract(page)
         assert extract_page(page)[0] == f"a\n{rest}\nb"
+
+
+# Text with runs of line breaks of every kind, with spaces, tabs and
+# combining marks beside them, inside blocks, <br>, <pre> and inline tags.
+_BREAKING_MARKUP = st.lists(st.sampled_from([
+    "a", "日本語。", "中文", "e\u0301", "\u0301", "\u3099", "\uff21", " ", "  ", "\t", "\u3000",
+    "\u00a0", "\n", "\n\n", "\r", "\r\n", "\u2028", "\u2029", "\x85", "\x0b",
+    "<p>", "</p>", "<br>", "<pre>", "</pre>", "<div>", "<span>", "</span>",
+]), max_size=24).map("".join)
+
+
+def _former_page_text(markup: str) -> str:
+    """``extract_page``'s text as it was while ``document_from_text``
+    normalized each line again: one space per line feed in a line."""
+    markup = htmltext._markup(markup)
+    lines = [line.replace("\x00", " ") for line in htmltext._scan(markup, True)[0]]
+    text = normalize_text(htmltext._CONTROL_RE.sub(" ", "\x00".join(lines)))
+    lines = [line.strip().replace("\n", " ") for line in text.split("\x00")]
+    return "\n".join(line for line in lines if line)
+
+
+def _former_document(url: str, text: str, tag_digest: list[str]) -> Document:
+    """``document_from_text`` as it was, normalizing each line again."""
+    normalized_lines = [normalize_text(line) for line in text.split("\n")]
+    body = "\n".join(line for line in normalized_lines if line)
+    lang = detect_language(body)[0] if body else LanguageTag.OTHER
+    sentences = [s for line in body.split("\n") for s in split_sentences(line)]
+    return Document(url=url, lang=lang, sentences=sentences, tag_digest=list(tag_digest),
+                    raw_char_count=sum(s.char_len for s in sentences))
+
+
+class TestNormalizedLines:
+    """Each line ``extract_page`` returns is normalized text, so
+    ``document_from_text`` reads the lines as given."""
+
+    def test_a_run_of_line_feeds_is_one_space(self):
+        page = "<p>a\n\nb</p><p>c \u2028\u2029 d</p><pre>x\n\n\ny</pre>"
+        assert extract_page(page)[0] == "a b\nc d\nx y"
+        assert _former_page_text(page) == "a  b\nc  d\nx   y"
+
+    @given(_BREAKING_MARKUP)
+    @settings(max_examples=500, deadline=None)
+    def test_every_line_is_a_fixed_point_of_normalize_text(self, markup):
+        text = extract_page(markup)[0]
+        for line in text.split("\n") if text else []:
+            assert line and normalize_text(line) == line
+
+    @given(_BREAKING_MARKUP)
+    @settings(max_examples=500, deadline=None)
+    def test_documents_equal_the_former_double_normalized_ones(self, markup):
+        text, digest, _ = extract_page(markup)
+        assert document_from_text("https://a.jp/", text, digest) == (
+            _former_document("https://a.jp/", _former_page_text(markup), digest))
 
 
 # The hostile bodies: each repeats one construct left open at end of input.

@@ -60,7 +60,10 @@ def loaded(modules) -> str:
 
 @pytest.mark.parametrize("module", ["localmine", "localmine.cli"])
 def test_import_loads_no_network_stack(module):
-    assert child(f"import {module}\n" + loaded(UNUSED)) == []
+    """Nor does the import map ``array``: ``sentalign`` and
+    ``embeddings`` import it inside the functions that use it.  A run
+    loads it, so the run checks below do not count it."""
+    assert child(f"import {module}\n" + loaded(UNUSED + ("array",))) == []
 
 
 def _run_config(fixture_site, trained_filter, tmp_path, extra: str = ""):

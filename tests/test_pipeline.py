@@ -656,6 +656,10 @@ _MALFORMED_SITES = [
 ]
 
 
+# A well-formed row of a report JSON file.
+_REPORT_ROW = {"source": "x", "n_urls": 3, "n_errors": 0, "n_extracted": 1, "n_sentences": 5}
+
+
 class TestCli:
     def test_validate_urls(self, fixture_site, tmp_path, capsys):
         out = tmp_path / "sites.jsonl"
@@ -758,6 +762,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "5483 (0.272)" in out
         assert "8204 (0.745)" in out
+
+    @pytest.mark.parametrize("rows, message", [
+        ({"a": 1}, "not a JSON list of report rows"),
+        ([5], "row 1: not a JSON object"),
+        ([_REPORT_ROW, {"n_urls": 3}], "row 2: 'source' is missing or not a string"),
+        ([{**_REPORT_ROW, "source": 7}], "row 1: 'source' is missing or not a string"),
+        ([{**_REPORT_ROW, "n_sentences": None}],
+         "row 1: 'n_sentences' is missing or not a non-negative integer"),
+        ([{**_REPORT_ROW, "n_urls": 1.7}], "row 1: 'n_urls' is missing or not a non-negative integer"),
+        ([_REPORT_ROW, {**_REPORT_ROW, "n_urls": True}],
+         "row 2: 'n_urls' is missing or not a non-negative integer"),
+        ([{**_REPORT_ROW, "n_errors": -1}],
+         "row 1: 'n_errors' is missing or not a non-negative integer"),
+        ([{k: v for k, v in _REPORT_ROW.items() if k != "n_extracted"}],
+         "row 1: 'n_extracted' is missing or not a non-negative integer"),
+    ], ids=["object", "number-row", "no-source", "int-source", "null-count", "float-count",
+            "bool-count", "negative-count", "missing-count"])
+    def test_malformed_report_is_one_error(self, tmp_path, caplog, capsys, rows, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        assert cli_main(["report", "--input", str(path)]) == 1
+        (error,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.getMessage() == f"{path}: {message}"
+        assert error.exc_info is None
+        assert capsys.readouterr().out == ""
 
     def test_run_command(self, fixture_site, tmp_path, capsys):
         config = write_run_config(fixture_site, tmp_path / "out")

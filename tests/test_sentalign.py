@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import math
 import random
 import sys
@@ -22,9 +21,8 @@ from localmine.sentalign import (
     Bead,
     BeadKind,
     _align,
+    _DictTerms,
     _band_rows,
-    _match_tables,
-    _merged,
     align_sentences,
     extract_pairs,
     format_ladder_tsv,
@@ -43,14 +41,12 @@ def bead_cost(kind, src_sents, trg_sents, lex, lam=DEFAULT_DICT_WEIGHT):
     """Oracle for one bead's cost in the DP: length cost plus prior cost
     minus the lexical-evidence bonus, clamped to be nonnegative.  The
     source side is Japanese, so the bonus reads the lexicon's JA
-    headwords.  SUB/DEL beads carry no dictionary term.  The length term
-    is read from the module, so a test that rebinds
-    ``sentalign.length_cost`` changes the oracle and the DP alike."""
+    headwords.  SUB/DEL beads carry no dictionary term."""
     if len(src_sents) != kind.n_src or len(trg_sents) != kind.n_trg:
         raise ValueError(f"span sizes do not match bead kind {kind.code}")
     l_src = sum(s.char_len for s in src_sents)
     l_trg = sum(s.char_len for s in trg_sents)
-    cost = sentalign.length_cost(l_src, l_trg) + PRIOR_COSTS[kind]
+    cost = length_cost(l_src, l_trg) + PRIOR_COSTS[kind]
     if kind not in (BeadKind.SUB, BeadKind.DEL) and lam > 0 and lex is not None and len(lex):
         src_tokens = [tok for s in src_sents for tok in s.tokens]
         trg_tokens = [tok for s in trg_sents for tok in s.tokens]
@@ -357,48 +353,9 @@ class TestAlignSentences:
         assert sum(priors) == pytest.approx(1.0, abs=1e-12)
 
 
-def _random_texts(rng, n):
-    src = [sent("あ" * rng.randrange(2, 40)) for _ in range(n)]
-    trg = [sent("一" * rng.randrange(1, 30)) for _ in range(n + rng.randrange(-1, 2))]
-    return src, trg
-
-
-def _bead_costs(ladder, src, trg, lex, lam=3.0):
-    return [
-        bead_cost(
-            b.kind,
-            src[b.src_span[0] : sum(b.src_span)],
-            trg[b.trg_span[0] : sum(b.trg_span)],
-            lex,
-            lam,
-        )
-        for b in ladder.beads
-    ]
-
-
-class TestLengthKernel:
-    """The DP's length term is ``length_cost`` itself, read from the
-    module at call time.  No input has more than ``BAND_HALF_WIDTH``
-    target sentences, so each aligns on the full grid."""
-
-    def test_dp_length_term_is_length_cost(self, monkeypatch, mirror_lexicon):
-        def shifted_cost(l_src, l_trg):
-            return min(COST_CAP, 1.0 + 0.25 * abs(l_trg - sentalign.DEFAULT_C * l_src))
-
-        monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
-        rng = random.Random(17)
-        for _ in range(40):
-            src, trg = _random_texts(rng, rng.randrange(1, 8))
-            src.append(sent("学生は新聞を読む。", ["学生", "は", "新聞", "を", "読む", "。"]))
-            trg.append(sent("学生读报纸。", ["学生", "读", "报纸", "。"]))
-            ladder = align_sentences(src, trg, mirror_lexicon)
-            expected = _bead_costs(ladder, src, trg, mirror_lexicon)
-            assert [b.cost for b in ladder.beads] == pytest.approx(expected, abs=1e-9)
-
-
 class TestShortCostTable:
     """The process-wide table of short span costs holds ``length_cost``
-    itself, and is made afresh when that name is rebound."""
+    itself."""
 
     @staticmethod
     def _filled(table):
@@ -424,22 +381,6 @@ class TestShortCostTable:
         align_sentences([sent("あ" * short)], [sent("あ" * (short + 3))], None)
         # Every bead of a 1x1 grid has a side of SHORT_SPAN characters or more.
         assert self._filled(sentalign._short_cost_table()) == before
-
-    def test_rebinding_length_cost_empties_the_table(self, monkeypatch):
-        align_sentences([sent("あいう"), sent("えお")], [sent("かき"), sent("くけこ")], None)
-
-        def shifted_cost(l_src, l_trg):
-            return 1.0 + length_cost(l_src, l_trg)
-
-        monkeypatch.setattr("localmine.sentalign.length_cost", shifted_cost)
-        align_sentences([sent("あいう"), sent("えお")], [sent("かき"), sent("くけこ")], None)
-        shifted = self._filled(sentalign._short_cost_table())
-        assert shifted and all(c == shifted_cost(*pair) for pair, c in shifted.items())
-        monkeypatch.undo()
-        assert self._filled(sentalign._short_cost_table()) == {}
-        align_sentences([sent("あい")], [sent("かきく")], None)
-        restored = self._filled(sentalign._short_cost_table())
-        assert restored and all(c == length_cost(*pair) for pair, c in restored.items())
 
 
 # Source-side words a*, target-side words b*, and words no entry names.
@@ -615,29 +556,38 @@ class TestMatchTables:
     @settings(max_examples=150, deadline=None)
     @given(src=_documents(), trg=_documents(), lex=_either_side)
     def test_span_count_is_greedy_match_count(self, src, trg, lex):
+        """The greedy walk over ``_DictTerms``' id tables.  A sentence of
+        every word on each side leaves two or more candidates in the row
+        of each headword with two translations, so the tables are built."""
         translations = lex.headwords(LanguageTag.JA) if lex is not None else {}
-        src_rows, trg_counts = _match_tables(src, trg, translations)
+        assume(any(len(cands) > 1 for cands in translations.values()))
+        every_word = sent("".join(_VOCAB), list(_VOCAB))
+        src, trg = src + [every_word], trg + [every_word]
+        terms = _DictTerms(src, trg, translations)
+        assert terms.src_ambiguous.any()
         for di in (1, 2):
             for i in range(len(src) - di + 1):
                 stoks = [tok for s in src[i : i + di] for tok in s.tokens]
-                rows = [cands for row in src_rows[i : i + di] for cands in row]
+                rows = [cands for row in terms.src_rows[i : i + di] for cands in row]
                 for dj in (1, 2):
                     for j in range(len(trg) - dj + 1):
                         ttoks = [tok for t in trg[j : j + dj] for tok in t.tokens]
-                        counts = functools.reduce(_merged, trg_counts[j : j + dj], {})
+                        counts = dict(terms.trg_counts[dj - 1][j])
                         assert table_match_count(rows, counts) == (
                             greedy_match_count(stoks, ttoks, translations)
                         )
 
     def test_competing_translations_follow_sorted_order(self):
-        # a0 tries b0 before b1, taking the one b0 that a1 also names.
+        """a0 tries b0 before b1, taking the one b0 that a1 also names,
+        though a3 in the sentence before gives b1 the smaller id."""
         lex = build_lexicon(_COMPETING)
-        src = [sent("a0a1", ["a0", "a1"])]
+        src = [sent("a3", ["a3"]), sent("a0a1", ["a0", "a1"])]
         trg = [sent("b1b0", ["b1", "b0"])]
-        src_rows, trg_counts = _match_tables(src, trg, lex.headwords(LanguageTag.JA))
-        assert src_rows == [[("b0", "b1"), ("b0",)]]
-        assert trg_counts == [{"b1": 1, "b0": 1}]
-        assert table_match_count(src_rows[0], trg_counts[0].copy()) == 1
+        terms = _DictTerms(src, trg, lex.headwords(LanguageTag.JA))
+        b1, b0 = 0, 1
+        assert terms.src_rows == [[(b1,)], [(b0, b1), (b0,)]]
+        assert terms.trg_counts == ([{b1: 1, b0: 1}], [])
+        assert table_match_count(terms.src_rows[1], dict(terms.trg_counts[0][0])) == 1
         assert greedy_match_count(["a0", "a1"], ["b1", "b0"], lex.headwords(LanguageTag.JA)) == 1
 
 
